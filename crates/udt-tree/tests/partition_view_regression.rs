@@ -19,9 +19,20 @@ use udt_prob::{DiscreteDist, SampledPdf};
 use udt_tree::baseline::{naive_build_splits, NaiveAttributeEvents, NaiveSearch};
 use udt_tree::events::AttributeEvents;
 use udt_tree::fractional::FractionalTuple;
-use udt_tree::{Algorithm, Measure, PartitionMode, TreeBuilder, UdtConfig};
+use udt_tree::{persist, Algorithm, Measure, PartitionMode, TreeBuilder, UdtConfig};
 
 const CASES: usize = 24;
+
+/// `persist::crc32` of `persist::to_json` for each seeded mixed-schema
+/// case (seed `0x51EA`, ten of the 24 with a categorical attribute).
+/// UDT and UDT-ES land on the same arena in every case — the pruning is
+/// safe — so one fingerprint covers both, sequential and forked alike.
+/// Captured while owned and view partitioning still agreed bit for bit.
+const GOLDEN_FINGERPRINTS: [u32; CASES] = [
+    0x2e3e1b25, 0xfcb7450a, 0x55630de8, 0x2c7bfe75, 0x3114dd64, 0xefaae10e, 0x46f08654, 0x7a2cae6b,
+    0xa2fd5fb0, 0x89df1fd6, 0x88261510, 0x59ebee09, 0x4ed05d29, 0xcdb86daf, 0xada66609, 0x2a85245f,
+    0x2a584dc3, 0x31d575d8, 0xb557b3d4, 0x933ceea9, 0x79ca1029, 0xb48d700f, 0x05f608a8, 0x01e0a701,
+];
 
 /// A random mixed-schema dataset: numerical pdf attributes plus
 /// (sometimes) a categorical attribute.
@@ -89,6 +100,27 @@ fn build(
     TreeBuilder::new(config)
         .build(data)
         .expect("build succeeds")
+}
+
+/// The only reference for datasets with a categorical attribute: the
+/// naive baseline has no categorical path.
+#[test]
+fn mixed_schema_builds_match_golden_arena_fingerprints() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x51EA);
+    for (case, &golden) in GOLDEN_FINGERPRINTS.iter().enumerate() {
+        let data = random_mixed_dataset(&mut rng);
+        for algorithm in [Algorithm::Udt, Algorithm::UdtEs] {
+            for parallel in [false, true] {
+                let tree = build(&data, algorithm, PartitionMode::View, parallel).tree;
+                let json = persist::to_json(&tree).expect("tree serialises");
+                assert_eq!(
+                    persist::crc32(json.as_bytes()),
+                    golden,
+                    "case {case}, {algorithm:?}, parallel {parallel}: arena fingerprint"
+                );
+            }
+        }
+    }
 }
 
 #[test]
