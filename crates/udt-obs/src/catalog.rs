@@ -59,15 +59,10 @@ pub static KERNEL_SIMD_FALLBACK_BATCHES: Counter = Counter::new(
     "udt_kernel_simd_fallback_batches_total",
     "SIMD-profile batches that fell back to scalar scoring (batch shorter than the SIMD minimum).",
 );
-/// Per-node cumulative count matrices built in f64.
+/// Per-node cumulative count matrices built (always f64).
 pub static KERNEL_MATRIX_BUILDS_F64: Counter = Counter::new(
     "udt_kernel_matrix_builds_f64_total",
     "Per-node cumulative count matrices built with f64 storage.",
-);
-/// Per-node cumulative count matrices built in f32.
-pub static KERNEL_MATRIX_BUILDS_F32: Counter = Counter::new(
-    "udt_kernel_matrix_builds_f32_total",
-    "Per-node cumulative count matrices built with f32 storage.",
 );
 
 // ---------------------------------------------------------------------
@@ -155,7 +150,7 @@ pub mod serve {
     );
 }
 
-static ALL_COUNTERS: [&Counter; 19] = [
+static ALL_COUNTERS: [&Counter; 18] = [
     &BUILD_TOTAL,
     &BUILD_NODES,
     &BUILD_PRESORT_NS,
@@ -170,7 +165,6 @@ static ALL_COUNTERS: [&Counter; 19] = [
     &KERNEL_SCALAR_BATCHES,
     &KERNEL_SIMD_FALLBACK_BATCHES,
     &KERNEL_MATRIX_BUILDS_F64,
-    &KERNEL_MATRIX_BUILDS_F32,
     &serve::FAILOVERS,
     &serve::HEDGES_LAUNCHED,
     &serve::HEDGES_WON,

@@ -468,28 +468,47 @@ fn serve_flush(
             Err(e) => Err(e),
             Ok(tree) => {
                 snapshot = Some((job.model.clone(), Arc::clone(&tree)));
-                // The panic boundary is per *job*, not per flush: one
-                // poisoned request must not take down its batch
-                // companions. The queue lock is never held here, so a
-                // panic cannot poison it. `AssertUnwindSafe` is sound
-                // because the only state crossing the boundary — the
-                // scratch — is rebuilt from scratch on the panic path.
-                let attempt = catch_unwind(AssertUnwindSafe(|| {
-                    if options.faults.fires(FaultPoint::PanicInWorker) {
-                        panic!("injected fault: panic_in_worker");
-                    }
-                    let distributions = classify_batch(&tree, &job.tuples, scratch)?;
-                    Ok(BatchReply {
-                        distributions,
-                        n_classes: tree.n_classes(),
-                    })
-                }));
-                match attempt {
-                    Ok(outcome) => outcome,
-                    Err(payload) => {
-                        *scratch = BatchScratch::new();
-                        metrics.record_worker_panic();
-                        Err(ServeError::WorkerPanic(panic_message(payload.as_ref())))
+                // `classify_batch` reads missing trailing attributes as
+                // unknown, so a wrong-arity tuple would get a confident
+                // answer. Wire input is checked here, against the very
+                // snapshot that would classify it, so a hot swap to a
+                // model of another arity cannot slip past the check.
+                let expected = tree.n_attributes();
+                if let Some((i, bad)) = job
+                    .tuples
+                    .iter()
+                    .enumerate()
+                    .find(|(_, t)| t.arity() != expected)
+                {
+                    Err(ServeError::Protocol(format!(
+                        "tuple {i} has {} attributes but model `{}` expects {expected}",
+                        bad.arity(),
+                        job.model
+                    )))
+                } else {
+                    // The panic boundary is per *job*, not per flush: one
+                    // poisoned request must not take down its batch
+                    // companions. The queue lock is never held here, so a
+                    // panic cannot poison it. `AssertUnwindSafe` is sound
+                    // because the only state crossing the boundary — the
+                    // scratch — is rebuilt from scratch on the panic path.
+                    let attempt = catch_unwind(AssertUnwindSafe(|| {
+                        if options.faults.fires(FaultPoint::PanicInWorker) {
+                            panic!("injected fault: panic_in_worker");
+                        }
+                        let distributions = classify_batch(&tree, &job.tuples, scratch)?;
+                        Ok(BatchReply {
+                            distributions,
+                            n_classes: tree.n_classes(),
+                        })
+                    }));
+                    match attempt {
+                        Ok(outcome) => outcome,
+                        Err(payload) => {
+                            *scratch = BatchScratch::new();
+                            metrics.record_worker_panic();
+                            Err(ServeError::WorkerPanic(panic_message(payload.as_ref())))
+                        }
                     }
                 }
             }

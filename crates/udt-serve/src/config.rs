@@ -3,7 +3,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use udt_tree::{PartitionMode, ThreadCount};
+use udt_tree::ThreadCount;
 
 use crate::batcher::{BatchOptions, QueuePolicy};
 use crate::error::ServeError;
@@ -23,8 +23,7 @@ use crate::Result;
 ///           [--idle-timeout-ms MS] [--write-timeout-ms MS]
 ///           [--faults SPEC] [--fault-seed N]
 ///           [--model NAME=PATH]... [--preload NAME=PATH]...
-///           [--train-toy NAME]
-///           [--partition-mode owned|view] [--threads auto|N]
+///           [--train-toy NAME] [--threads auto|N]
 /// ```
 ///
 /// `from_args` also honours the env knobs `UDT_QUEUE_POLICY`,
@@ -73,10 +72,6 @@ pub struct ServeConfig {
     /// startup and serve it under this name — lets the smoke test and
     /// walkthrough start a useful server with no model file at hand.
     pub train_toy: Option<String>,
-    /// Partition mode used when training startup models (`--train-toy`);
-    /// parsed by the canonical [`PartitionMode`] `FromStr` impl, the same
-    /// parser `UDT_PARTITION_MODE` goes through.
-    pub partition_mode: PartitionMode,
     /// Build-pool thread budget used when training startup models;
     /// parsed by the canonical [`ThreadCount`] `FromStr` impl, the same
     /// parser `UDT_THREADS` goes through (which also supplies the
@@ -105,7 +100,6 @@ impl Default for ServeConfig {
             models: Vec::new(),
             preload: Vec::new(),
             train_toy: None,
-            partition_mode: PartitionMode::from_env(),
             threads: ThreadCount::from_env(),
         }
     }
@@ -247,16 +241,6 @@ impl ServeConfig {
                     config.preload.push(parse_model_spec(&spec, "--preload")?);
                 }
                 "--train-toy" => config.train_toy = Some(value_for("--train-toy")?),
-                "--partition-mode" => {
-                    let raw = value_for("--partition-mode")?;
-                    // The one canonical parser (shared with
-                    // `UDT_PARTITION_MODE`): satellite of ISSUE 4.
-                    config.partition_mode = raw.parse().map_err(|_| {
-                        ServeError::Config(format!(
-                            "--partition-mode must be `owned` or `view`, got `{raw}`"
-                        ))
-                    })?;
-                }
                 "--threads" => {
                     let raw = value_for("--threads")?;
                     // The one canonical parser (shared with
@@ -346,8 +330,6 @@ mod tests {
             "extra=models/extra.json",
             "--train-toy",
             "demo",
-            "--partition-mode",
-            "OWNED",
             "--threads",
             "4",
         ])
@@ -365,7 +347,6 @@ mod tests {
             vec![("extra".to_string(), PathBuf::from("models/extra.json"))]
         );
         assert_eq!(c.train_toy.as_deref(), Some("demo"));
-        assert_eq!(c.partition_mode, PartitionMode::Owned);
         assert_eq!(c.threads, ThreadCount::fixed(4));
     }
 
@@ -447,7 +428,6 @@ mod tests {
             (vec!["--model", "nameonly"], "NAME=PATH"),
             (vec!["--model", "=path"], "NAME=PATH"),
             (vec!["--preload", "nameonly"], "--preload"),
-            (vec!["--partition-mode", "both"], "owned"),
         ] {
             let err = ServeConfig::from_args(args.clone()).unwrap_err();
             assert!(

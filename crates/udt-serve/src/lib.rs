@@ -64,7 +64,9 @@
 //! [`udt_tree::classify_batch`] directly on the same tuples: the wire
 //! format round-trips `f64`s through Rust's shortest round-trip float
 //! formatting, and the scheduler never reorders the tuples *within* a
-//! request. The integration tests lock this in over a real socket.
+//! request. The integration tests lock this in over a real socket. A
+//! request whose tuples do not carry exactly the model's attribute
+//! count gets a `bad_request` error rather than an answer.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -50,16 +50,52 @@ fn start_server(models: Vec<(&str, DecisionTree)>) -> (std::net::SocketAddr, Joi
 }
 
 /// The test workload: the Table 1 training tuples (uncertain), the
-/// Fig. 1 test tuple, a few point tuples, and an attribute-less tuple
-/// exercising the missing-attribute path.
+/// Fig. 1 test tuple and a few point tuples. (Tuples of the wrong arity
+/// are refused over the wire; see the test below.)
 fn workload() -> (Dataset, Vec<udt_data::Tuple>) {
     let data = toy::table1_dataset().expect("toy data");
     let mut tuples = data.tuples().to_vec();
     tuples.push(toy::fig1_test_tuple().expect("fig1 tuple"));
     tuples.push(udt_data::Tuple::from_points(&[-2.0], 0));
     tuples.push(udt_data::Tuple::from_points(&[1.5], 1));
-    tuples.push(udt_data::Tuple::new(vec![], 0));
     (data, tuples)
+}
+
+#[test]
+fn wrong_arity_tuples_are_bad_requests_not_confident_answers() {
+    // The toy model is trained on one attribute: an attribute-less tuple
+    // is too short and a two-attribute tuple too long. In process,
+    // `classify_batch` reads a short tuple's missing attributes as
+    // unknown and answers; over the wire both shapes are refused.
+    let tree = trained(Algorithm::UdtEs);
+    assert_eq!(tree.n_attributes(), 1);
+    let short = udt_data::Tuple::new(vec![], 0);
+    let long = udt_data::Tuple::from_points(&[-2.0, 1.5], 0);
+    let good = toy::fig1_test_tuple().expect("fig1 tuple");
+    let mut scratch = BatchScratch::new();
+    classify_batch(&tree, std::slice::from_ref(&short), &mut scratch)
+        .expect("the in-process engine tolerates short tuples");
+
+    let (addr, handle) = start_server(vec![("toy", tree)]);
+    let mut client = Client::connect(addr).expect("connect");
+    for (shape, bad) in [("short", &short), ("long", &long)] {
+        let err = client
+            .classify("toy", bad)
+            .expect_err("a wrong-arity classify is refused");
+        assert_eq!(err.code(), "bad_request", "{shape} classify: {err}");
+        // One bad tuple refuses the whole batch, good companions or not.
+        let err = client
+            .classify_batch("toy", &[good.clone(), bad.clone()])
+            .expect_err("a wrong-arity classify_batch is refused");
+        assert_eq!(err.code(), "bad_request", "{shape} classify_batch: {err}");
+    }
+    // The connection survives and still serves well-formed tuples.
+    client
+        .classify("toy", &good)
+        .expect("well-formed tuples are served");
+
+    client.shutdown().expect("clean shutdown");
+    handle.join().expect("server thread");
 }
 
 #[test]

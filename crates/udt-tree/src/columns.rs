@@ -9,28 +9,20 @@
 //!
 //! * a sparse list of alive tuples with their fractional weights
 //!   ([`NodeTuples::alive`] / [`NodeTuples::weights`]), and
-//! * per attribute, a [`ColumnState`]: the surviving events plus a sparse
-//!   per-tuple *pdf scale factor* — the reciprocal of the kept pdf
-//!   fraction accumulated over every ancestor split on that attribute.
+//! * per attribute, a [`ColumnState`]: the surviving root event ids plus
+//!   a sparse per-tuple *pdf scale factor* — the reciprocal of the kept
+//!   pdf fraction accumulated over every ancestor split on that
+//!   attribute.
 //!
 //! An event's current mass is reconstructed on the fly as
 //! `root_mass[e] * scale[tuple_of[e]]` (the renormalisation of
 //! [`udt_prob::SampledPdf::split_at`], deferred to consumption time).
-//! Because both partition modes evaluate exactly this product in exactly
-//! this order, a [`PartitionMode::View`] build is **bit-for-bit
-//! identical** to a [`PartitionMode::Owned`] build:
-//!
-//! * [`PartitionMode::View`] — a child's column is just the list of
-//!   surviving root event ids (`4` bytes per event); positions, owner
-//!   tuples and masses are read through the shared root columns. This is
-//!   the production default: a depth-`d` build moves `O(d)` *event ids*
-//!   per root event instead of `O(d)` copies of the full
-//!   `(x, tuple, mass)` triple, and parallel subtree workers share the
-//!   immutable root instead of cloning mass vectors.
-//! * [`PartitionMode::Owned`] — a child's column owns copied
-//!   `(x, tuple, root_mass)` arrays (`20` bytes per event), the
-//!   pre-view memory-traffic profile kept for A/B regression and the
-//!   `partition` bench.
+//! A child's column is just the list of surviving root event ids (`4`
+//! bytes per event); positions, owner tuples and masses are read through
+//! the shared root columns. A depth-`d` build therefore moves `O(d)`
+//! *event ids* per root event rather than copies of the
+//! `(x, tuple, mass)` triple, and parallel subtree workers share the
+//! immutable root instead of cloning mass vectors.
 //!
 //! Splitting on attribute `a` at `z` sends each event of column `a` to
 //! the side its position lies on, divides the per-tuple scale by the
@@ -48,12 +40,10 @@
 use std::cell::RefCell;
 use std::time::Instant;
 
-use crate::config::PartitionMode;
 use crate::counts::WEIGHT_EPSILON;
 use crate::events::AttributeEvents;
 use crate::fractional::FractionalTuple;
-use crate::kernel::simd::CumElem;
-use crate::kernel::{CountsRepr, KernelKind, ScoreProfile};
+use crate::kernel::KernelKind;
 use crate::pool::WorkerPool;
 use crate::split::SearchStats;
 
@@ -102,39 +92,29 @@ pub struct RootColumns {
     pub columns: Vec<AttrColumn>,
 }
 
-/// A node's per-attribute event set: either borrowed from the root by id
-/// (view mode) or materialised copies (owned mode).
+/// One attribute's state at one node: the surviving root event ids plus
+/// the sparse per-tuple pdf scale factors accumulated by ancestor splits
+/// on this attribute.
 #[derive(Debug, Clone)]
-pub enum ColumnData {
-    /// Materialised copies of the surviving events' root values
-    /// ([`PartitionMode::Owned`]).
-    Owned {
-        /// Event positions, ascending.
-        xs: Vec<f64>,
-        /// Event owner tuples.
-        tuple: Vec<u32>,
-        /// Root pdf masses (unscaled — see [`ColumnState::scales`]).
-        mass: Vec<f64>,
-    },
-    /// Surviving root event ids, ascending ([`PartitionMode::View`]).
-    View {
-        /// Indices into the root column's arrays.
-        events: Vec<u32>,
-    },
+pub struct ColumnState {
+    /// `(tuple, scale)` pairs, ascending by tuple; tuples absent from the
+    /// list have scale exactly 1. An event's current mass is
+    /// `root_mass * scale`.
+    pub scales: Vec<(u32, f64)>,
+    /// Surviving root event ids, ascending: indices into the root
+    /// column's arrays.
+    pub events: Vec<u32>,
 }
 
-impl ColumnData {
+impl ColumnState {
     /// Number of surviving events.
     pub fn len(&self) -> usize {
-        match self {
-            ColumnData::Owned { xs, .. } => xs.len(),
-            ColumnData::View { events } => events.len(),
-        }
+        self.events.len()
     }
 
     /// Whether no events survive.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.events.is_empty()
     }
 
     /// Visits every surviving event in ascending position order as
@@ -142,49 +122,12 @@ impl ColumnData {
     /// mass; callers apply the per-tuple scale themselves.
     #[inline]
     pub fn for_each_event(&self, root: &AttrColumn, mut f: impl FnMut(f64, u32, f64)) {
-        match self {
-            ColumnData::Owned { xs, tuple, mass } => {
-                for e in 0..xs.len() {
-                    f(xs[e], tuple[e], mass[e]);
-                }
-            }
-            ColumnData::View { events } => {
-                for &e in events {
-                    let e = e as usize;
-                    f(root.xs[e], root.tuple[e], root.mass[e]);
-                }
-            }
+        for &e in &self.events {
+            let e = e as usize;
+            f(root.xs[e], root.tuple[e], root.mass[e]);
         }
     }
 
-    /// Heap bytes backing this column data (capacities, i.e. what the
-    /// allocator actually handed out).
-    pub fn heap_bytes(&self) -> u64 {
-        match self {
-            ColumnData::Owned { xs, tuple, mass } => {
-                (xs.capacity() * std::mem::size_of::<f64>()
-                    + tuple.capacity() * std::mem::size_of::<u32>()
-                    + mass.capacity() * std::mem::size_of::<f64>()) as u64
-            }
-            ColumnData::View { events } => (events.capacity() * std::mem::size_of::<u32>()) as u64,
-        }
-    }
-}
-
-/// One attribute's state at one node: the surviving events plus the
-/// sparse per-tuple pdf scale factors accumulated by ancestor splits on
-/// this attribute.
-#[derive(Debug, Clone)]
-pub struct ColumnState {
-    /// `(tuple, scale)` pairs, ascending by tuple; tuples absent from the
-    /// list have scale exactly 1. An event's current mass is
-    /// `root_mass * scale`.
-    pub scales: Vec<(u32, f64)>,
-    /// The surviving events.
-    pub data: ColumnData,
-}
-
-impl ColumnState {
     /// The scale factor of tuple `t` (1 when the tuple's pdf has not been
     /// restricted on this attribute). Binary search — intended for tests
     /// and diagnostics; the hot paths load the scales into a dense
@@ -200,13 +143,14 @@ impl ColumnState {
     /// mass)` — the node-local view of the column, for tests and
     /// diagnostics.
     pub fn for_each_scaled(&self, root: &AttrColumn, mut f: impl FnMut(f64, u32, f64)) {
-        self.data
-            .for_each_event(root, |x, t, m| f(x, t, m * self.scale_of(t)));
+        self.for_each_event(root, |x, t, m| f(x, t, m * self.scale_of(t)));
     }
 
-    /// Heap bytes backing this column state.
+    /// Heap bytes backing this column state (capacities, i.e. what the
+    /// allocator actually handed out).
     pub fn heap_bytes(&self) -> u64 {
-        (self.scales.capacity() * std::mem::size_of::<(u32, f64)>()) as u64 + self.data.heap_bytes()
+        (self.scales.capacity() * std::mem::size_of::<(u32, f64)>()
+            + self.events.capacity() * std::mem::size_of::<u32>()) as u64
     }
 }
 
@@ -250,14 +194,7 @@ impl NodeTuples {
         self.weights.shrink_to_fit();
         for column in &mut self.columns {
             column.scales.shrink_to_fit();
-            match &mut column.data {
-                ColumnData::Owned { xs, tuple, mass } => {
-                    xs.shrink_to_fit();
-                    tuple.shrink_to_fit();
-                    mass.shrink_to_fit();
-                }
-                ColumnData::View { events } => events.shrink_to_fit(),
-            }
+            column.events.shrink_to_fit();
         }
     }
 }
@@ -516,13 +453,8 @@ pub fn build_root_with(
 
 /// Builds the root [`NodeTuples`] over the given root columns: every
 /// tuple with non-negligible weight is alive, no scales, and each column
-/// is either the identity view or (owned mode) a materialised copy of
-/// the root arrays.
-pub fn root_state(
-    tuples: &[FractionalTuple],
-    root: &RootColumns,
-    mode: PartitionMode,
-) -> NodeTuples {
+/// is the identity view of its root column.
+pub fn root_state(tuples: &[FractionalTuple], root: &RootColumns) -> NodeTuples {
     let mut alive = Vec::with_capacity(tuples.len());
     let mut weights = Vec::with_capacity(tuples.len());
     for (t, tuple) in tuples.iter().enumerate() {
@@ -536,16 +468,7 @@ pub fn root_state(
         .iter()
         .map(|col| ColumnState {
             scales: Vec::new(),
-            data: match mode {
-                PartitionMode::Owned => ColumnData::Owned {
-                    xs: col.xs.clone(),
-                    tuple: col.tuple.clone(),
-                    mass: col.mass.clone(),
-                },
-                PartitionMode::View => ColumnData::View {
-                    events: (0..col.len() as u32).collect(),
-                },
-            },
+            events: (0..col.len() as u32).collect(),
         })
         .collect();
     let mut state = NodeTuples {
@@ -566,8 +489,8 @@ pub fn root_state(
 /// [`Scratch::load_weights`]. Event masses are reconstructed as
 /// `root_mass * scale` and multiplied into the tuple weight here, at
 /// consumption time — the single place the kept-fraction chain meets the
-/// event weight, which is what keeps owned- and view-mode scores
-/// bit-for-bit identical.
+/// event weight. Scores under the default (scalar) kernel; see
+/// [`events_from_column_with`].
 pub fn events_from_column(
     col: &ColumnState,
     root_col: &AttrColumn,
@@ -581,112 +504,22 @@ pub fn events_from_column(
         labels,
         n_classes,
         scratch,
-        ScoreProfile::default(),
+        KernelKind::default(),
     )
 }
 
-/// [`events_from_column`] under an explicit score profile: the count
-/// matrix is constructed directly in the requested representation (the
-/// `f32` store rounds the running f64 accumulator per stored row —
-/// exactly the values converting a finished f64 matrix would produce)
-/// and the result carries the requested kernel.
+/// [`events_from_column`] under an explicit score kernel: the result
+/// carries the requested kernel, and under [`KernelKind::Simd`] the
+/// construction itself is vectorized.
+///
+/// One fused pass over the presorted column: filtering, aggregation and
+/// end-point tracking, with the per-class accumulator in registers/L1
+/// and row flushes as raw bounds-free writes (the aggregate `Vec`
+/// reserves exact capacity up front, and `n_pos <= n_events` by
+/// construction, so every write is in bounds). Arithmetic, gates and
+/// gate *order* mirror [`AttributeEvents::build`] exactly — the matrix
+/// is bit-for-bit the historical one under either kernel.
 pub fn events_from_column_with(
-    col: &ColumnState,
-    root_col: &AttrColumn,
-    labels: &[u32],
-    n_classes: usize,
-    scratch: &mut Scratch,
-    profile: ScoreProfile,
-) -> Option<AttributeEvents> {
-    match profile.counts {
-        CountsRepr::F64 => {
-            build_events_impl::<f64>(col, root_col, labels, n_classes, scratch, profile.kernel)
-        }
-        CountsRepr::F32 => {
-            build_events_impl::<f32>(col, root_col, labels, n_classes, scratch, profile.kernel)
-        }
-    }
-}
-
-/// Stack capacity (in classes) of the running-accumulator array; wider
-/// problems accumulate into the scratch's heap vector instead.
-const RUNNING_STACK_CLASSES: usize = 8;
-
-/// Expands the per-event visit over either column storage with the body
-/// *inside* the calling function. The construction kernels cannot use
-/// [`ColumnData::for_each_event`]: a closure created in a
-/// `#[target_feature]` function inherits the caller's features and so
-/// can never be inlined into the feature-less generic visitor — every
-/// event would pay an outlined call. `continue` in the body skips to the
-/// next event.
-macro_rules! for_each_event_inline {
-    ($data:expr, $root:expr, |$x:ident, $t:ident, $m:ident| $body:block) => {
-        match $data {
-            ColumnData::Owned { xs, tuple, mass } => {
-                debug_assert!(tuple.len() == xs.len() && mass.len() == xs.len());
-                for e in 0..xs.len() {
-                    // SAFETY: `e < xs.len()` and the three parallel arrays
-                    // share their length (checked above).
-                    let ($x, $t, $m) = unsafe {
-                        (
-                            *xs.get_unchecked(e),
-                            *tuple.get_unchecked(e),
-                            *mass.get_unchecked(e),
-                        )
-                    };
-                    $body
-                }
-            }
-            ColumnData::View { events } => {
-                debug_assert!(events.iter().all(|&e| (e as usize) < $root.xs.len()));
-                if events.len() == $root.xs.len() {
-                    // View event ids are a strictly increasing subset of
-                    // `0..root len`, so a full-length view is the identity
-                    // (true of every root column): iterate the root arrays
-                    // directly and skip the per-event indirection load.
-                    for e in 0..events.len() {
-                        // SAFETY: `e < xs.len()` of the root's parallel
-                        // arrays, which share their length.
-                        let ($x, $t, $m) = unsafe {
-                            (
-                                *$root.xs.get_unchecked(e),
-                                *$root.tuple.get_unchecked(e),
-                                *$root.mass.get_unchecked(e),
-                            )
-                        };
-                        $body
-                    }
-                } else {
-                    for &e in events.iter() {
-                        let e = e as usize;
-                        // SAFETY: view event ids are indices into the root
-                        // column's parallel arrays by construction (they are
-                        // produced by enumerating those arrays and only ever
-                        // filtered, never remapped).
-                        let ($x, $t, $m) = unsafe {
-                            (
-                                *$root.xs.get_unchecked(e),
-                                *$root.tuple.get_unchecked(e),
-                                *$root.mass.get_unchecked(e),
-                            )
-                        };
-                        $body
-                    }
-                }
-            }
-        }
-    };
-}
-
-/// The construction kernel behind [`events_from_column_with`], generic
-/// over the stored element. One fused pass over the presorted column:
-/// filtering, aggregation and end-point tracking, with the per-class
-/// accumulator in registers/L1 and row flushes as raw bounds-free writes
-/// (the aggregate `Vec` reserves exact capacity up front, and
-/// `n_pos <= n_events` by construction, so every write is in bounds).
-/// Arithmetic, gates and gate *order* mirror [`AttributeEvents::build`]
-/// exactly — the f64 path is bit-for-bit the historical matrix.
-fn build_events_impl<E: CumElem>(
     col: &ColumnState,
     root_col: &AttrColumn,
     labels: &[u32],
@@ -694,18 +527,18 @@ fn build_events_impl<E: CumElem>(
     scratch: &mut Scratch,
     kernel: KernelKind,
 ) -> Option<AttributeEvents> {
-    // Unit fast path: a node that keeps every root event (full-length
-    // view or unfiltered owned copy — views/copies only ever drop
-    // events, so full length means identity) at weight exactly 1 with
-    // no rescales, over a column whose events are all gate-clearing and
-    // distinct, produces a pure prefix sum over the root arrays with
-    // the precomputed tree-invariant end points. Bit-identical to the
-    // classic loops for every profile: `1.0 * m == m` exactly, every
-    // gate passes, one event lands per row so add-then-store equals
-    // flush-then-add, and the end-point set is the same by definition.
+    // Unit fast path: a node that keeps every root event (a full-length
+    // view — views only ever drop events, so full length means identity)
+    // at weight exactly 1 with no rescales, over a column whose events
+    // are all gate-clearing and distinct, produces a pure prefix sum over
+    // the root arrays with the precomputed tree-invariant end points.
+    // Bit-identical to the classic loops under either kernel:
+    // `1.0 * m == m` exactly, every gate passes, one event lands per row
+    // so add-then-store equals flush-then-add, and the end-point set is
+    // the same by definition.
     if let Some(end_point_idx) = &root_col.unit_fast {
-        if scratch.unit_weights && col.scales.is_empty() && col.data.len() == root_col.xs.len() {
-            return build_events_unit_fast::<E>(root_col, labels, n_classes, end_point_idx, kernel);
+        if scratch.unit_weights && col.scales.is_empty() && col.len() == root_col.xs.len() {
+            return build_events_unit_fast(root_col, labels, n_classes, end_point_idx, kernel);
         }
     }
     // Columns with no ancestor split on this attribute (the common case:
@@ -721,22 +554,74 @@ fn build_events_impl<E: CumElem>(
         // SAFETY: AVX2 support was just verified at runtime.
         return unsafe {
             if col.scales.is_empty() {
-                build_events_avx2::<E, false>(col, root_col, labels, n_classes, scratch, kernel)
+                build_events_avx2::<false>(col, root_col, labels, n_classes, scratch, kernel)
             } else {
-                build_events_avx2::<E, true>(col, root_col, labels, n_classes, scratch, kernel)
+                build_events_avx2::<true>(col, root_col, labels, n_classes, scratch, kernel)
             }
         };
     }
     if col.scales.is_empty() {
-        build_events_scalar::<E, false>(col, root_col, labels, n_classes, scratch, kernel)
+        build_events_scalar::<false>(col, root_col, labels, n_classes, scratch, kernel)
     } else {
-        build_events_scalar::<E, true>(col, root_col, labels, n_classes, scratch, kernel)
+        build_events_scalar::<true>(col, root_col, labels, n_classes, scratch, kernel)
     }
 }
 
-/// The portable construction loop of [`build_events_impl`], monomorphized
-/// on whether the column carries ancestor rescales.
-fn build_events_scalar<E: CumElem, const HAS_SCALES: bool>(
+/// Stack capacity (in classes) of the running-accumulator array; wider
+/// problems accumulate into the scratch's heap vector instead.
+const RUNNING_STACK_CLASSES: usize = 8;
+
+/// Expands the per-event visit over a column's surviving events with the
+/// body *inside* the calling function. The construction kernels cannot
+/// use [`ColumnState::for_each_event`]: a closure created in a
+/// `#[target_feature]` function inherits the caller's features and so
+/// can never be inlined into the feature-less generic visitor — every
+/// event would pay an outlined call. `continue` in the body skips to the
+/// next event.
+macro_rules! for_each_event_inline {
+    ($events:expr, $root:expr, |$x:ident, $t:ident, $m:ident| $body:block) => {{
+        let events: &[u32] = $events;
+        debug_assert!(events.iter().all(|&e| (e as usize) < $root.xs.len()));
+        if events.len() == $root.xs.len() {
+            // Event ids are a strictly increasing subset of `0..root len`,
+            // so a full-length column is the identity (true of every root
+            // column): iterate the root arrays directly and skip the
+            // per-event indirection load.
+            for e in 0..events.len() {
+                // SAFETY: `e < xs.len()` of the root's parallel arrays,
+                // which share their length.
+                let ($x, $t, $m) = unsafe {
+                    (
+                        *$root.xs.get_unchecked(e),
+                        *$root.tuple.get_unchecked(e),
+                        *$root.mass.get_unchecked(e),
+                    )
+                };
+                $body
+            }
+        } else {
+            for &e in events.iter() {
+                let e = e as usize;
+                // SAFETY: event ids are indices into the root column's
+                // parallel arrays by construction (they are produced by
+                // enumerating those arrays and only ever filtered, never
+                // remapped).
+                let ($x, $t, $m) = unsafe {
+                    (
+                        *$root.xs.get_unchecked(e),
+                        *$root.tuple.get_unchecked(e),
+                        *$root.mass.get_unchecked(e),
+                    )
+                };
+                $body
+            }
+        }
+    }};
+}
+
+/// The portable construction loop of [`events_from_column_with`],
+/// monomorphized on whether the column carries ancestor rescales.
+fn build_events_scalar<const HAS_SCALES: bool>(
     col: &ColumnState,
     root_col: &AttrColumn,
     labels: &[u32],
@@ -750,9 +635,9 @@ fn build_events_scalar<E: CumElem, const HAS_SCALES: bool>(
     scratch.running.resize(n_classes, 0.0);
     scratch.load_scales(&col.scales);
     let k = n_classes;
-    let n_events = col.data.len();
+    let n_events = col.len();
     let mut xs: Vec<f64> = Vec::with_capacity(n_events);
-    let mut cum: Vec<E> = Vec::with_capacity(n_events * k);
+    let mut cum: Vec<f64> = Vec::with_capacity(n_events * k);
     let xs_ptr = xs.as_mut_ptr();
     let cum_ptr = cum.as_mut_ptr();
     let mut n_pos = 0usize;
@@ -776,7 +661,7 @@ fn build_events_scalar<E: CumElem, const HAS_SCALES: bool>(
         } else {
             running_heap.as_mut_slice()
         };
-        for_each_event_inline!(&col.data, root_col, |x, t, m_root| {
+        for_each_event_inline!(&col.events, root_col, |x, t, m_root| {
             let t = t as usize;
             debug_assert!(t < weight.len() && t < labels.len());
             // SAFETY: tuple ids are `< n_tuples`, the length of every
@@ -801,7 +686,7 @@ fn build_events_scalar<E: CumElem, const HAS_SCALES: bool>(
                     unsafe {
                         let dst = cum_ptr.add((n_pos - 1) * k);
                         for c in 0..k {
-                            dst.add(c).write(E::from_accum(running[c]));
+                            dst.add(c).write(running[c]);
                         }
                     }
                 }
@@ -824,7 +709,7 @@ fn build_events_scalar<E: CumElem, const HAS_SCALES: bool>(
             unsafe {
                 let dst = cum_ptr.add((n_pos - 1) * k);
                 for c in 0..k {
-                    dst.add(c).write(E::from_accum(running[c]));
+                    dst.add(c).write(running[c]);
                 }
                 xs.set_len(n_pos);
                 cum.set_len(n_pos * k);
@@ -847,10 +732,10 @@ fn build_events_scalar<E: CumElem, const HAS_SCALES: bool>(
         .collect();
     end_point_idx.sort_unstable();
     end_point_idx.dedup();
-    AttributeEvents::from_store(xs, E::into_store(cum), n_classes, end_point_idx, kernel)
+    AttributeEvents::from_store(xs, cum, n_classes, end_point_idx, kernel)
 }
 
-/// AVX2 variant of [`build_events_impl`] for `n_classes <= 4`: the
+/// AVX2 variant of [`events_from_column_with`] for `n_classes <= 4`: the
 /// per-class running accumulator lives in one `__m256d` register, each
 /// event adds its weight to its label's lane through a lane mask, and
 /// rows are flushed with one (overlapping) 4-lane store instead of a
@@ -868,7 +753,7 @@ fn build_events_scalar<E: CumElem, const HAS_SCALES: bool>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(unused_unsafe)] // for_each_event_inline!'s unsafe blocks expand inside this unsafe fn
-unsafe fn build_events_avx2<E: CumElem, const HAS_SCALES: bool>(
+unsafe fn build_events_avx2<const HAS_SCALES: bool>(
     col: &ColumnState,
     root_col: &AttrColumn,
     labels: &[u32],
@@ -884,9 +769,9 @@ unsafe fn build_events_avx2<E: CumElem, const HAS_SCALES: bool>(
     scratch.running.resize(n_classes, 0.0);
     scratch.load_scales(&col.scales);
     let k = n_classes;
-    let n_events = col.data.len();
+    let n_events = col.len();
     let mut xs: Vec<f64> = Vec::with_capacity(n_events);
-    let mut cum: Vec<E> = Vec::with_capacity(n_events * k + 4);
+    let mut cum: Vec<f64> = Vec::with_capacity(n_events * k + 4);
     let xs_ptr = xs.as_mut_ptr();
     let cum_ptr = cum.as_mut_ptr();
     let mut n_pos = 0usize;
@@ -908,7 +793,7 @@ unsafe fn build_events_avx2<E: CumElem, const HAS_SCALES: bool>(
             touched,
             ..
         } = scratch;
-        for_each_event_inline!(&col.data, root_col, |x, t, m_root| {
+        for_each_event_inline!(&col.events, root_col, |x, t, m_root| {
             let t = t as usize;
             debug_assert!(t < weight.len() && t < labels.len());
             // SAFETY: tuple ids are `< n_tuples`, the length of every
@@ -928,7 +813,7 @@ unsafe fn build_events_avx2<E: CumElem, const HAS_SCALES: bool>(
             }
             if x != last_x {
                 if n_pos != 0 {
-                    E::store_lanes_avx2(running, cum_ptr.add((n_pos - 1) * k));
+                    _mm256_storeu_pd(cum_ptr.add((n_pos - 1) * k), running);
                 }
                 xs_ptr.add(n_pos).write(x);
                 n_pos += 1;
@@ -950,7 +835,7 @@ unsafe fn build_events_avx2<E: CumElem, const HAS_SCALES: bool>(
             *hi_idx.get_unchecked_mut(t) = pos;
         });
         if n_pos != 0 {
-            E::store_lanes_avx2(running, cum_ptr.add((n_pos - 1) * k));
+            _mm256_storeu_pd(cum_ptr.add((n_pos - 1) * k), running);
             xs.set_len(n_pos);
             cum.set_len(n_pos * k);
         }
@@ -971,16 +856,16 @@ unsafe fn build_events_avx2<E: CumElem, const HAS_SCALES: bool>(
         .collect();
     end_point_idx.sort_unstable();
     end_point_idx.dedup();
-    AttributeEvents::from_store(xs, E::into_store(cum), n_classes, end_point_idx, kernel)
+    AttributeEvents::from_store(xs, cum, n_classes, end_point_idx, kernel)
 }
 
-/// The unit fast path of [`build_events_impl`]: the fused loop with all
-/// its gates statically resolved (see the gate at the dispatcher). The
-/// output `xs` is the root array verbatim, the end points are the
+/// The unit fast path of [`events_from_column_with`]: the fused loop with
+/// all its gates statically resolved (see the gate at the dispatcher).
+/// The output `xs` is the root array verbatim, the end points are the
 /// precomputed [`AttrColumn::unit_fast`] structure, and the matrix is a
 /// straight per-class prefix sum — no per-tuple scratch traffic, no
 /// position bookkeeping, no end-point sort.
-fn build_events_unit_fast<E: CumElem>(
+fn build_events_unit_fast(
     root_col: &AttrColumn,
     labels: &[u32],
     n_classes: usize,
@@ -993,7 +878,7 @@ fn build_events_unit_fast<E: CumElem>(
     }
     let k = n_classes;
     // 4 spare elements for the AVX2 variant's final overlapping store.
-    let mut cum: Vec<E> = Vec::with_capacity(n * k + 4);
+    let mut cum: Vec<f64> = Vec::with_capacity(n * k + 4);
     #[cfg(target_arch = "x86_64")]
     if kernel == KernelKind::Simd
         && k <= 4
@@ -1002,21 +887,21 @@ fn build_events_unit_fast<E: CumElem>(
         // SAFETY: AVX2 support was just verified at runtime; the matrix
         // capacity covers `n * k` plus the last store's lane spill.
         unsafe {
-            fill_unit_rows_avx2::<E>(root_col, labels, k, cum.as_mut_ptr());
+            fill_unit_rows_avx2(root_col, labels, k, cum.as_mut_ptr());
             cum.set_len(n * k);
         }
         return AttributeEvents::from_store(
             root_col.xs.clone(),
-            E::into_store(cum),
+            cum,
             n_classes,
             end_point_idx.to_vec(),
             kernel,
         );
     }
-    fill_unit_rows_scalar::<E>(root_col, labels, k, &mut cum);
+    fill_unit_rows_scalar(root_col, labels, k, &mut cum);
     AttributeEvents::from_store(
         root_col.xs.clone(),
-        E::into_store(cum),
+        cum,
         n_classes,
         end_point_idx.to_vec(),
         kernel,
@@ -1027,12 +912,7 @@ fn build_events_unit_fast<E: CumElem>(
 /// running per-class totals after adding event `e`'s mass — exactly what
 /// the classic loop's flush produces when every event opens its own
 /// position.
-fn fill_unit_rows_scalar<E: CumElem>(
-    root_col: &AttrColumn,
-    labels: &[u32],
-    k: usize,
-    cum: &mut Vec<E>,
-) {
+fn fill_unit_rows_scalar(root_col: &AttrColumn, labels: &[u32], k: usize, cum: &mut Vec<f64>) {
     let n = root_col.xs.len();
     let cum_ptr = cum.as_mut_ptr();
     let mut running_stack = [0.0f64; RUNNING_STACK_CLASSES];
@@ -1057,7 +937,7 @@ fn fill_unit_rows_scalar<E: CumElem>(
             *running.get_unchecked_mut(c) += *root_col.mass.get_unchecked(e);
             let dst = cum_ptr.add(e * k);
             for ci in 0..k {
-                dst.add(ci).write(E::from_accum(*running.get_unchecked(ci)));
+                dst.add(ci).write(*running.get_unchecked(ci));
             }
         }
         cum.set_len(n * k);
@@ -1076,12 +956,7 @@ fn fill_unit_rows_scalar<E: CumElem>(
 /// `n * k + 4` elements behind `cum_ptr`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn fill_unit_rows_avx2<E: CumElem>(
-    root_col: &AttrColumn,
-    labels: &[u32],
-    k: usize,
-    cum_ptr: *mut E,
-) {
+unsafe fn fill_unit_rows_avx2(root_col: &AttrColumn, labels: &[u32], k: usize, cum_ptr: *mut f64) {
     use std::arch::x86_64::*;
     debug_assert!(k <= 4);
     let lane_masks: [__m256d; 4] = [
@@ -1104,7 +979,7 @@ unsafe fn fill_unit_rows_avx2<E: CumElem>(
                 *lane_masks.get_unchecked(*labels.get_unchecked(t) as usize),
             ),
         );
-        E::store_lanes_avx2(running, cum_ptr.add(e * k));
+        _mm256_storeu_pd(cum_ptr.add(e * k), running);
     }
 }
 
@@ -1119,36 +994,13 @@ fn filter_column(column: &ColumnState, root_col: &AttrColumn, survive: &[f64]) -
         .filter(|&&(t, _)| survive[t as usize] > WEIGHT_EPSILON)
         .copied()
         .collect();
-    let data = match &column.data {
-        ColumnData::Owned { xs, tuple, mass } => {
-            let mut out_xs = Vec::with_capacity(xs.len());
-            let mut out_tuple = Vec::with_capacity(xs.len());
-            let mut out_mass = Vec::with_capacity(xs.len());
-            for e in 0..xs.len() {
-                if survive[tuple[e] as usize] <= WEIGHT_EPSILON {
-                    continue;
-                }
-                out_xs.push(xs[e]);
-                out_tuple.push(tuple[e]);
-                out_mass.push(mass[e]);
-            }
-            ColumnData::Owned {
-                xs: out_xs,
-                tuple: out_tuple,
-                mass: out_mass,
-            }
+    let mut events = Vec::with_capacity(column.events.len());
+    for &e in &column.events {
+        if survive[root_col.tuple[e as usize] as usize] > WEIGHT_EPSILON {
+            events.push(e);
         }
-        ColumnData::View { events } => {
-            let mut out = Vec::with_capacity(events.len());
-            for &e in events {
-                if survive[root_col.tuple[e as usize] as usize] > WEIGHT_EPSILON {
-                    out.push(e);
-                }
-            }
-            ColumnData::View { events: out }
-        }
-    };
-    ColumnState { scales, data }
+    }
+    ColumnState { scales, events }
 }
 
 /// Splits a node's tuples on `(attribute slot, z)`, producing the left
@@ -1176,7 +1028,7 @@ pub fn partition_numeric(
     scratch.reset_touched();
     {
         let scratch = &mut *scratch;
-        col.data.for_each_event(root_col, |x, t, m_root| {
+        col.for_each_event(root_col, |x, t, m_root| {
             let t = t as usize;
             if scratch.weight[t] <= WEIGHT_EPSILON {
                 return;
@@ -1296,46 +1148,18 @@ fn partition_columns(
             // per-tuple scale chain by dividing out the kept fraction.
             let mut scales: Vec<(u32, f64)> = Vec::new();
             let keep = |t: usize| survive[t] > WEIGHT_EPSILON;
-            let data = match &column.data {
-                ColumnData::Owned { xs, tuple, mass } => {
-                    let mut out_xs = Vec::with_capacity(xs.len());
-                    let mut out_tuple = Vec::with_capacity(xs.len());
-                    let mut out_mass = Vec::with_capacity(xs.len());
-                    for e in 0..xs.len() {
-                        let t = tuple[e] as usize;
-                        if !keep(t) {
-                            continue;
-                        }
-                        let x = xs[e];
-                        if left_side != (x <= z) {
-                            continue;
-                        }
-                        out_xs.push(x);
-                        out_tuple.push(tuple[e]);
-                        out_mass.push(mass[e]);
-                    }
-                    ColumnData::Owned {
-                        xs: out_xs,
-                        tuple: out_tuple,
-                        mass: out_mass,
-                    }
+            let mut events = Vec::with_capacity(column.events.len());
+            for &e in &column.events {
+                let t = root_col.tuple[e as usize] as usize;
+                if !keep(t) {
+                    continue;
                 }
-                ColumnData::View { events } => {
-                    let mut out = Vec::with_capacity(events.len());
-                    for &e in events {
-                        let t = root_col.tuple[e as usize] as usize;
-                        if !keep(t) {
-                            continue;
-                        }
-                        let x = root_col.xs[e as usize];
-                        if left_side != (x <= z) {
-                            continue;
-                        }
-                        out.push(e);
-                    }
-                    ColumnData::View { events: out }
+                let x = root_col.xs[e as usize];
+                if left_side != (x <= z) {
+                    continue;
                 }
-            };
+                events.push(e);
+            }
             // One scale entry per surviving tuple whose chain is not 1,
             // in ascending tuple order (the parent's alive list covers
             // every survivor).
@@ -1353,7 +1177,7 @@ fn partition_columns(
                     scales.push((t as u32, s));
                 }
             }
-            ColumnState { scales, data }
+            ColumnState { scales, events }
         })
         .collect()
 }
@@ -1465,16 +1289,19 @@ mod tests {
         ];
         let root = build_root(&tuples, &[0]);
         let direct = AttributeEvents::build(&tuples, 0, 2).unwrap();
-        for mode in [PartitionMode::Owned, PartitionMode::View] {
-            let state = root_state(&tuples, &root, mode);
+        // Both kernel modes: the simd kernel builds the matrix with its
+        // own (vectorized) construction loop.
+        for kernel in [KernelKind::Scalar, KernelKind::Simd] {
+            let state = root_state(&tuples, &root);
             let mut scratch = Scratch::new(tuples.len());
             scratch.load_weights(&state);
-            let from_col = events_from_column(
+            let from_col = events_from_column_with(
                 &state.columns[0],
                 &root.columns[0],
                 &labels(&tuples),
                 2,
                 &mut scratch,
+                kernel,
             )
             .unwrap();
             assert_eq!(from_col.xs(), direct.xs());
@@ -1483,14 +1310,14 @@ mod tests {
                 assert_eq!(
                     from_col.left_counts(i).as_slice(),
                     direct.left_counts(i).as_slice(),
-                    "{mode:?} row {i}"
+                    "{kernel:?} row {i}"
                 );
             }
             for i in 0..direct.n_positions() - 1 {
                 assert_eq!(
                     from_col.score_at(i, Measure::Entropy).to_bits(),
                     direct.score_at(i, Measure::Entropy).to_bits(),
-                    "{mode:?} score {i}"
+                    "{kernel:?} score {i}"
                 );
             }
         }
@@ -1498,15 +1325,13 @@ mod tests {
 
     #[test]
     fn profile_construction_matches_scalar_bit_for_bit() {
-        use crate::events::CumStore;
-        use crate::kernel::{CountsRepr, KernelKind, ScoreProfile};
         let tuples = vec![
             ft(&[0.0, 1.0, 2.0], &[1.0, 2.0, 1.0], 0),
             ft(&[1.5, 2.5, 3.5], &[1.0, 1.0, 2.0], 1),
             ft(&[0.5, 1.0, 2.5], &[1.0, 3.0, 1.0], 2),
         ];
         let root = build_root(&tuples, &[0]);
-        let state = root_state(&tuples, &root, PartitionMode::View);
+        let state = root_state(&tuples, &root);
         let mut scratch = Scratch::new(tuples.len());
         let mut stats = SearchStats::default();
         scratch.load_weights(&state);
@@ -1525,41 +1350,23 @@ mod tests {
                 &mut scratch,
             )
             .unwrap();
-            let base_cum: Vec<f64> = match base.store() {
-                CumStore::F64(c) => c.clone(),
-                CumStore::F32(_) => unreachable!("default profile stores f64"),
-            };
+            let want: Vec<u64> = base.cum().iter().map(|v| v.to_bits()).collect();
             for kernel in [KernelKind::Scalar, KernelKind::Simd] {
-                for counts in [CountsRepr::F64, CountsRepr::F32] {
-                    let profile = ScoreProfile { kernel, counts };
-                    let ev = events_from_column_with(
-                        &node.columns[0],
-                        &root.columns[0],
-                        &labels(&tuples),
-                        3,
-                        &mut scratch,
-                        profile,
-                    )
-                    .unwrap();
-                    assert_eq!(ev.profile(), profile);
-                    assert_eq!(ev.xs(), base.xs(), "{profile:?}");
-                    assert_eq!(ev.end_point_indices(), base.end_point_indices());
-                    // Stored matrices are bitwise the scalar f64 matrix
-                    // (rounded once per element for the f32 store).
-                    match ev.store() {
-                        CumStore::F64(c) => {
-                            let got: Vec<u64> = c.iter().map(|v| v.to_bits()).collect();
-                            let want: Vec<u64> = base_cum.iter().map(|v| v.to_bits()).collect();
-                            assert_eq!(got, want, "{profile:?}");
-                        }
-                        CumStore::F32(c) => {
-                            let got: Vec<u32> = c.iter().map(|v| v.to_bits()).collect();
-                            let want: Vec<u32> =
-                                base_cum.iter().map(|&v| (v as f32).to_bits()).collect();
-                            assert_eq!(got, want, "{profile:?}");
-                        }
-                    }
-                }
+                let ev = events_from_column_with(
+                    &node.columns[0],
+                    &root.columns[0],
+                    &labels(&tuples),
+                    3,
+                    &mut scratch,
+                    kernel,
+                )
+                .unwrap();
+                assert_eq!(ev.kernel(), kernel);
+                assert_eq!(ev.xs(), base.xs(), "{kernel:?}");
+                assert_eq!(ev.end_point_indices(), base.end_point_indices());
+                // Stored matrices are bitwise the scalar matrix.
+                let got: Vec<u64> = ev.cum().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "{kernel:?}");
             }
             scratch.unload_weights(node);
         }
@@ -1572,103 +1379,47 @@ mod tests {
             ft(&[2.0, 3.0, 4.0, 5.0], &[0.25, 0.25, 0.25, 0.25], 1),
         ];
         let root = build_root(&tuples, &[0]);
-        for mode in [PartitionMode::Owned, PartitionMode::View] {
-            let state = root_state(&tuples, &root, mode);
-            let mut scratch = Scratch::new(tuples.len());
-            let mut stats = SearchStats::default();
-            scratch.load_weights(&state);
-            let (left, right) = partition_numeric(&root, &state, 0, 2.0, &mut scratch, &mut stats);
-            scratch.unload_weights(&state);
-            // Tuple 0 keeps 3/4 of its mass left, tuple 1 keeps 1/4 left.
-            let weight_of = |node: &NodeTuples, t: u32| -> f64 {
-                node.alive
-                    .iter()
-                    .position(|&a| a == t)
-                    .map_or(0.0, |i| node.weights[i])
-            };
-            assert!((weight_of(&left, 0) - 0.75).abs() < 1e-12, "{mode:?}");
-            assert!((weight_of(&left, 1) - 0.25).abs() < 1e-12, "{mode:?}");
-            assert!((weight_of(&right, 0) - 0.25).abs() < 1e-12, "{mode:?}");
-            assert!((weight_of(&right, 1) - 0.75).abs() < 1e-12, "{mode:?}");
-            // The split column's scaled masses are renormalised per tuple.
-            for node in [&left, &right] {
-                for t in [0u32, 1] {
-                    let total = per_tuple_mass(&node.columns[0], &root.columns[0], t);
-                    assert!(
-                        (total - 1.0).abs() < 1e-9,
-                        "{mode:?}: mass {total} for tuple {t}"
-                    );
-                }
-            }
-            // Columns stay sorted.
-            for node in [&left, &right] {
-                let mut prev = f64::NEG_INFINITY;
-                node.columns[0]
-                    .data
-                    .for_each_event(&root.columns[0], |x, _, _| {
-                        assert!(prev <= x);
-                        prev = x;
-                    });
-            }
-            // Reference: the same split through the fractional-tuple path.
-            for (t, tuple) in tuples.iter().enumerate() {
-                let (l, r) = tuple.split_numeric(0, 2.0);
-                assert!((l.map_or(0.0, |x| x.weight) - weight_of(&left, t as u32)).abs() < 1e-12);
-                assert!((r.map_or(0.0, |x| x.weight) - weight_of(&right, t as u32)).abs() < 1e-12);
-            }
-            // Partition traffic was recorded.
-            assert!(stats.partition_bytes > 0);
-            assert_eq!(stats.partition_peak_bytes, stats.partition_bytes);
-        }
-    }
-
-    #[test]
-    fn view_and_owned_partitions_agree_bit_for_bit() {
-        let tuples = vec![
-            ft(&[0.0, 1.0, 2.0, 3.0], &[1.0, 2.0, 2.0, 1.0], 0),
-            ft(&[1.0, 2.0, 3.0, 4.0], &[1.0, 1.0, 1.0, 1.0], 1),
-            ft(&[2.0, 3.0, 4.0, 5.0], &[2.0, 1.0, 1.0, 2.0], 0),
-        ];
-        let root = build_root(&tuples, &[0]);
-        let mut children: Vec<Vec<NodeTuples>> = Vec::new();
-        for mode in [PartitionMode::Owned, PartitionMode::View] {
-            let state = root_state(&tuples, &root, mode);
-            let mut scratch = Scratch::new(tuples.len());
-            let mut stats = SearchStats::default();
-            scratch.load_weights(&state);
-            let (left, right) = partition_numeric(&root, &state, 0, 2.0, &mut scratch, &mut stats);
-            scratch.unload_weights(&state);
-            // Split the left child again on the same attribute to chain
-            // a second scale factor.
-            scratch.load_weights(&left);
-            let (ll, lr) = partition_numeric(&root, &left, 0, 1.0, &mut scratch, &mut stats);
-            scratch.unload_weights(&left);
-            children.push(vec![ll, lr, right]);
-        }
-        let (owned, view) = (&children[0], &children[1]);
-        for (o, v) in owned.iter().zip(view) {
-            assert_eq!(o.alive, v.alive);
-            for (ow, vw) in o.weights.iter().zip(&v.weights) {
-                assert_eq!(ow.to_bits(), vw.to_bits());
-            }
-            for (oc, vc) in o.columns.iter().zip(&v.columns) {
-                assert_eq!(oc.scales.len(), vc.scales.len());
-                for (&(ot, os), &(vt, vs)) in oc.scales.iter().zip(&vc.scales) {
-                    assert_eq!(ot, vt);
-                    assert_eq!(os.to_bits(), vs.to_bits());
-                }
-                let mut o_events = Vec::new();
-                oc.for_each_scaled(&root.columns[0], |x, t, m| o_events.push((x, t, m)));
-                let mut v_events = Vec::new();
-                vc.for_each_scaled(&root.columns[0], |x, t, m| v_events.push((x, t, m)));
-                assert_eq!(o_events.len(), v_events.len());
-                for (&(ox, ot, om), &(vx, vt, vm)) in o_events.iter().zip(&v_events) {
-                    assert_eq!(ox.to_bits(), vx.to_bits());
-                    assert_eq!(ot, vt);
-                    assert_eq!(om.to_bits(), vm.to_bits());
-                }
+        let state = root_state(&tuples, &root);
+        let mut scratch = Scratch::new(tuples.len());
+        let mut stats = SearchStats::default();
+        scratch.load_weights(&state);
+        let (left, right) = partition_numeric(&root, &state, 0, 2.0, &mut scratch, &mut stats);
+        scratch.unload_weights(&state);
+        // Tuple 0 keeps 3/4 of its mass left, tuple 1 keeps 1/4 left.
+        let weight_of = |node: &NodeTuples, t: u32| -> f64 {
+            node.alive
+                .iter()
+                .position(|&a| a == t)
+                .map_or(0.0, |i| node.weights[i])
+        };
+        assert!((weight_of(&left, 0) - 0.75).abs() < 1e-12);
+        assert!((weight_of(&left, 1) - 0.25).abs() < 1e-12);
+        assert!((weight_of(&right, 0) - 0.25).abs() < 1e-12);
+        assert!((weight_of(&right, 1) - 0.75).abs() < 1e-12);
+        // The split column's scaled masses are renormalised per tuple.
+        for node in [&left, &right] {
+            for t in [0u32, 1] {
+                let total = per_tuple_mass(&node.columns[0], &root.columns[0], t);
+                assert!((total - 1.0).abs() < 1e-9, "mass {total} for tuple {t}");
             }
         }
+        // Columns stay sorted.
+        for node in [&left, &right] {
+            let mut prev = f64::NEG_INFINITY;
+            node.columns[0].for_each_event(&root.columns[0], |x, _, _| {
+                assert!(prev <= x);
+                prev = x;
+            });
+        }
+        // Reference: the same split through the fractional-tuple path.
+        for (t, tuple) in tuples.iter().enumerate() {
+            let (l, r) = tuple.split_numeric(0, 2.0);
+            assert!((l.map_or(0.0, |x| x.weight) - weight_of(&left, t as u32)).abs() < 1e-12);
+            assert!((r.map_or(0.0, |x| x.weight) - weight_of(&right, t as u32)).abs() < 1e-12);
+        }
+        // Partition traffic was recorded.
+        assert!(stats.partition_bytes > 0);
+        assert_eq!(stats.partition_peak_bytes, stats.partition_bytes);
     }
 
     #[test]
@@ -1688,68 +1439,35 @@ mod tests {
             .filter_map(|t| t.split_numeric(0, z).0)
             .collect();
         let reference = AttributeEvents::build(&left_tuples, 0, 2).unwrap();
-        for mode in [PartitionMode::Owned, PartitionMode::View] {
-            let state = root_state(&tuples, &root, mode);
-            let mut scratch = Scratch::new(tuples.len());
-            let mut stats = SearchStats::default();
-            scratch.load_weights(&state);
-            let (left, _right) = partition_numeric(&root, &state, 0, z, &mut scratch, &mut stats);
-            scratch.unload_weights(&state);
-            scratch.load_weights(&left);
-            let got = events_from_column(
-                &left.columns[0],
-                &root.columns[0],
-                &labels(&tuples),
-                2,
-                &mut scratch,
-            )
-            .unwrap();
-            scratch.unload_weights(&left);
-            assert_eq!(got.xs(), reference.xs(), "{mode:?}");
-            for i in 0..reference.n_positions() {
-                let g = got.left_counts(i);
-                let r = reference.left_counts(i);
-                for c in 0..2 {
-                    assert!(
-                        (g.get(c) - r.get(c)).abs() < 1e-12,
-                        "{mode:?} row {i} class {c}: {} vs {}",
-                        g.get(c),
-                        r.get(c)
-                    );
-                }
+        let state = root_state(&tuples, &root);
+        let mut scratch = Scratch::new(tuples.len());
+        let mut stats = SearchStats::default();
+        scratch.load_weights(&state);
+        let (left, _right) = partition_numeric(&root, &state, 0, z, &mut scratch, &mut stats);
+        scratch.unload_weights(&state);
+        scratch.load_weights(&left);
+        let got = events_from_column(
+            &left.columns[0],
+            &root.columns[0],
+            &labels(&tuples),
+            2,
+            &mut scratch,
+        )
+        .unwrap();
+        scratch.unload_weights(&left);
+        assert_eq!(got.xs(), reference.xs());
+        for i in 0..reference.n_positions() {
+            let g = got.left_counts(i);
+            let r = reference.left_counts(i);
+            for c in 0..2 {
+                assert!(
+                    (g.get(c) - r.get(c)).abs() < 1e-12,
+                    "row {i} class {c}: {} vs {}",
+                    g.get(c),
+                    r.get(c)
+                );
             }
         }
-    }
-
-    #[test]
-    fn view_partitions_allocate_less_than_owned() {
-        let tuples: Vec<FractionalTuple> = (0..16)
-            .map(|i| {
-                let lo = i as f64 * 0.5;
-                ft(
-                    &[lo, lo + 1.0, lo + 2.0, lo + 3.0],
-                    &[0.25, 0.25, 0.25, 0.25],
-                    i % 2,
-                )
-            })
-            .collect();
-        let root = build_root(&tuples, &[0]);
-        let mut bytes = Vec::new();
-        for mode in [PartitionMode::Owned, PartitionMode::View] {
-            let state = root_state(&tuples, &root, mode);
-            let mut scratch = Scratch::new(tuples.len());
-            let mut stats = SearchStats::default();
-            scratch.load_weights(&state);
-            let _ = partition_numeric(&root, &state, 0, 5.0, &mut scratch, &mut stats);
-            scratch.unload_weights(&state);
-            bytes.push(stats.partition_bytes);
-        }
-        assert!(
-            bytes[1] * 2 <= bytes[0],
-            "view partitions ({}) must allocate at most half of owned ({})",
-            bytes[1],
-            bytes[0]
-        );
     }
 
     #[test]
@@ -1763,22 +1481,19 @@ mod tests {
             label: 0,
             weight: 0.8,
         }];
-        for mode in [PartitionMode::Owned, PartitionMode::View] {
-            let root = build_root(&tuples, &[1]);
-            let state = root_state(&tuples, &root, mode);
-            assert_eq!(state.weights, vec![0.8]);
-            let mut scratch = Scratch::new(tuples.len());
-            let mut stats = SearchStats::default();
-            let buckets =
-                partition_categorical(&root, &state, &tuples, 0, 3, &mut scratch, &mut stats);
-            assert_eq!(buckets.len(), 3);
-            assert!((buckets[0].weights[0] - 0.4).abs() < 1e-12, "{mode:?}");
-            assert!(buckets[1].alive.is_empty(), "{mode:?}");
-            assert!((buckets[2].weights[0] - 0.4).abs() < 1e-12, "{mode:?}");
-            // Numerical columns follow the surviving tuples.
-            assert_eq!(buckets[0].columns[0].data.len(), 1, "{mode:?}");
-            assert_eq!(buckets[1].columns[0].data.len(), 0, "{mode:?}");
-            assert!(stats.partition_bytes > 0);
-        }
+        let root = build_root(&tuples, &[1]);
+        let state = root_state(&tuples, &root);
+        assert_eq!(state.weights, vec![0.8]);
+        let mut scratch = Scratch::new(tuples.len());
+        let mut stats = SearchStats::default();
+        let buckets = partition_categorical(&root, &state, &tuples, 0, 3, &mut scratch, &mut stats);
+        assert_eq!(buckets.len(), 3);
+        assert!((buckets[0].weights[0] - 0.4).abs() < 1e-12);
+        assert!(buckets[1].alive.is_empty());
+        assert!((buckets[2].weights[0] - 0.4).abs() < 1e-12);
+        // Numerical columns follow the surviving tuples.
+        assert_eq!(buckets[0].columns[0].len(), 1);
+        assert_eq!(buckets[1].columns[0].len(), 0);
+        assert!(stats.partition_bytes > 0);
     }
 }

@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::kernel::{CountsRepr, KernelKind, ScoreProfile};
+use crate::kernel::{CountsRepr, KernelKind};
 use crate::measure::Measure;
 use crate::split::{bp, es, exhaustive::ExhaustiveSearch, gp, lp, SplitSearch};
 
@@ -73,73 +73,26 @@ impl Algorithm {
     }
 }
 
-/// How tree recursion materialises child node state (see
-/// [`crate::columns`]).
+/// How tree recursion materialises child node state: always as views of
+/// the immutable root columns (surviving event ids plus per-tuple scale
+/// factors, see [`crate::columns`]).
 ///
-/// Both modes perform bit-for-bit identical arithmetic — the resulting
-/// trees are identical — and differ only in memory traffic, which is
-/// what the `partition` bench measures.
+/// A single-variant residue of the retired owned-copy partition engine.
+/// It survives only as the type of [`UdtConfig::partition_mode`], because
+/// perfbench's stamp line still reports `partition_mode.name()`; a later
+/// change to the benchmark can drop both.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PartitionMode {
-    /// Children own copied `(position, tuple, mass)` column arrays — the
-    /// pre-view memory profile, kept for A/B regression.
-    Owned,
     /// Children borrow the immutable root columns through surviving
-    /// event-id lists plus per-tuple scale factors (the default).
+    /// event-id lists plus per-tuple scale factors.
     #[default]
     View,
 }
 
-/// The canonical parser behind [`PartitionMode::from_env`] and any
-/// configuration surface that accepts the mode as text (the `udt-serve`
-/// binary's `--partition-mode` flag, for one): `owned` / `view`,
-/// case-insensitive.
-impl std::str::FromStr for PartitionMode {
-    type Err = crate::TreeError;
-
-    fn from_str(s: &str) -> std::result::Result<Self, Self::Err> {
-        if s.eq_ignore_ascii_case("owned") {
-            Ok(PartitionMode::Owned)
-        } else if s.eq_ignore_ascii_case("view") {
-            Ok(PartitionMode::View)
-        } else {
-            Err(crate::TreeError::InvalidPartitionMode { got: s.to_string() })
-        }
-    }
-}
-
 impl PartitionMode {
-    /// The default mode, overridable through the `UDT_PARTITION_MODE`
-    /// environment variable (`owned` / `view`, case-insensitive, parsed
-    /// by the [`FromStr`](std::str::FromStr) impl) so CI can run the
-    /// whole test suite in either mode.
-    ///
-    /// Any other value falls back to the [`PartitionMode::View`] default
-    /// with a one-time warning on stderr — loud enough that a typo'd A/B
-    /// run is visible in its logs, without letting ambient process state
-    /// abort library users inside a plain [`UdtConfig::new`].
-    pub fn from_env() -> PartitionMode {
-        match std::env::var("UDT_PARTITION_MODE") {
-            Ok(v) => v.parse().unwrap_or_else(|_| {
-                static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-                WARN_ONCE.call_once(|| {
-                    eprintln!(
-                        "warning: UDT_PARTITION_MODE must be 'owned' or 'view', \
-                         got {v:?}; using the default (view)"
-                    );
-                });
-                PartitionMode::View
-            }),
-            Err(_) => PartitionMode::View,
-        }
-    }
-
     /// Lower-case name for reports and bench labels.
     pub fn name(&self) -> &'static str {
-        match self {
-            PartitionMode::Owned => "owned",
-            PartitionMode::View => "view",
-        }
+        "view"
     }
 }
 
@@ -198,7 +151,7 @@ impl ThreadCount {
     /// [`FromStr`](std::str::FromStr) impl) so CI can run the whole
     /// suite at a pinned thread count. Invalid values fall back to
     /// [`ThreadCount::AUTO`] with a one-time warning on stderr —
-    /// mirroring [`PartitionMode::from_env`].
+    /// mirroring [`KernelKind::from_env`].
     pub fn from_env() -> ThreadCount {
         match std::env::var("UDT_THREADS") {
             Ok(v) => v.parse().unwrap_or_else(|_| {
@@ -258,12 +211,7 @@ impl std::str::FromStr for ThreadCount {
 }
 
 /// Configuration for [`crate::TreeBuilder`].
-///
-/// `Deserialize` is implemented by hand (below) so that configurations
-/// persisted before the score-kernel knobs existed keep loading: a
-/// missing `kernel`/`counts` field means the model was built on the
-/// scalar/f64 path, which is exactly what the defaults select.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct UdtConfig {
     /// Which split-search algorithm to use.
     pub algorithm: Algorithm,
@@ -304,58 +252,17 @@ pub struct UdtConfig {
     /// environment override, else auto. Builds are bit-identical at any
     /// thread count.
     pub threads: ThreadCount,
-    /// How recursion materialises child node state (owned column copies
-    /// vs zero-copy root views). Builds are bit-identical either way.
+    /// How recursion materialises child node state; always
+    /// [`PartitionMode::View`].
     pub partition_mode: PartitionMode,
     /// Which arithmetic kernel scores candidate splits (`UDT_KERNEL` env
     /// override). The default [`KernelKind::Scalar`] is the bit-for-bit
     /// determinism anchor; [`KernelKind::Simd`] chooses the same splits
     /// at batch speed (see [`crate::kernel`]).
     pub kernel: KernelKind,
-    /// How the cumulative count matrices are stored (`UDT_COUNTS` env
-    /// override). [`CountsRepr::F32`] halves scoring bandwidth at a
-    /// documented score tolerance; tree *structure* is unchanged.
+    /// How the cumulative count matrices are stored; always
+    /// [`CountsRepr::F64`].
     pub counts: CountsRepr,
-}
-
-impl Deserialize for UdtConfig {
-    fn deserialize(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        fn required<T: Deserialize>(
-            v: &serde::Value,
-            key: &str,
-        ) -> std::result::Result<T, serde::Error> {
-            T::deserialize(serde::map_field(v, key, "UdtConfig")?)
-        }
-        // The kernel knobs postdate the first persisted models; absent
-        // fields mean the model was built on the scalar/f64 path.
-        fn defaulted<T: Deserialize + Default>(
-            v: &serde::Value,
-            key: &str,
-        ) -> std::result::Result<T, serde::Error> {
-            match v.get(key) {
-                Some(inner) => T::deserialize(inner),
-                None => Ok(T::default()),
-            }
-        }
-        Ok(UdtConfig {
-            algorithm: required(v, "algorithm")?,
-            measure: required(v, "measure")?,
-            max_depth: required(v, "max_depth")?,
-            min_node_weight: required(v, "min_node_weight")?,
-            min_gain: required(v, "min_gain")?,
-            postprune: required(v, "postprune")?,
-            postprune_z: required(v, "postprune_z")?,
-            es_sample_rate: required(v, "es_sample_rate")?,
-            uniform_pdf_hint: required(v, "uniform_pdf_hint")?,
-            parallel_subtrees: required(v, "parallel_subtrees")?,
-            parallel_cutoff_depth: required(v, "parallel_cutoff_depth")?,
-            parallel_min_fork_tuples: required(v, "parallel_min_fork_tuples")?,
-            threads: required(v, "threads")?,
-            partition_mode: required(v, "partition_mode")?,
-            kernel: defaulted(v, "kernel")?,
-            counts: defaulted(v, "counts")?,
-        })
-    }
 }
 
 impl UdtConfig {
@@ -377,9 +284,9 @@ impl UdtConfig {
             parallel_cutoff_depth: 4,
             parallel_min_fork_tuples: 8,
             threads: ThreadCount::from_env(),
-            partition_mode: PartitionMode::from_env(),
+            partition_mode: PartitionMode::View,
             kernel: KernelKind::from_env(),
-            counts: CountsRepr::from_env(),
+            counts: CountsRepr::F64,
         }
     }
 
@@ -439,31 +346,10 @@ impl UdtConfig {
         self
     }
 
-    /// Returns a copy with a different partition mode.
-    pub fn with_partition_mode(mut self, mode: PartitionMode) -> Self {
-        self.partition_mode = mode;
-        self
-    }
-
     /// Returns a copy with a different score kernel.
     pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
         self.kernel = kernel;
         self
-    }
-
-    /// Returns a copy with a different count-matrix representation.
-    pub fn with_counts(mut self, counts: CountsRepr) -> Self {
-        self.counts = counts;
-        self
-    }
-
-    /// The combined score profile (kernel × counts representation) this
-    /// configuration builds under.
-    pub fn profile(&self) -> ScoreProfile {
-        ScoreProfile {
-            kernel: self.kernel,
-            counts: self.counts,
-        }
     }
 
     /// Instantiates the split-search strategy this configuration selects.
@@ -594,9 +480,7 @@ mod tests {
             .with_parallel_cutoff_depth(6)
             .with_parallel_min_fork_tuples(32)
             .with_threads(2)
-            .with_partition_mode(PartitionMode::Owned)
-            .with_kernel(KernelKind::Simd)
-            .with_counts(CountsRepr::F32);
+            .with_kernel(KernelKind::Simd);
         assert_eq!(c.measure, Measure::Gini);
         assert!(!c.postprune);
         assert_eq!(c.max_depth, 5);
@@ -606,23 +490,8 @@ mod tests {
         assert_eq!(c.parallel_cutoff_depth, 6);
         assert_eq!(c.parallel_min_fork_tuples, 32);
         assert_eq!(c.threads, ThreadCount::fixed(2));
-        assert_eq!(c.partition_mode, PartitionMode::Owned);
         assert_eq!(c.kernel, KernelKind::Simd);
-        assert_eq!(c.counts, CountsRepr::F32);
-        assert_eq!(c.profile().label(), "simd/f32");
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn partition_mode_parses_from_text() {
-        assert_eq!("owned".parse::<PartitionMode>(), Ok(PartitionMode::Owned));
-        assert_eq!("OWNED".parse::<PartitionMode>(), Ok(PartitionMode::Owned));
-        assert_eq!("view".parse::<PartitionMode>(), Ok(PartitionMode::View));
-        assert_eq!("View".parse::<PartitionMode>(), Ok(PartitionMode::View));
-        let err = "both".parse::<PartitionMode>().unwrap_err();
-        assert!(err.to_string().contains("partition mode"), "got: {err}");
-        assert!(err.to_string().contains("both"), "names the input: {err}");
-        assert!("".parse::<PartitionMode>().is_err());
     }
 
     #[test]
@@ -660,46 +529,22 @@ mod tests {
 
     #[test]
     fn kernel_knobs_default_and_survive_legacy_serde() {
-        // Without the env overrides the config defaults to the
+        // Without the env override the config defaults to the
         // determinism anchor.
-        if std::env::var("UDT_KERNEL").is_err() && std::env::var("UDT_COUNTS").is_err() {
-            let c = UdtConfig::new(Algorithm::Udt);
-            assert_eq!(c.kernel, KernelKind::Scalar);
-            assert_eq!(c.counts, CountsRepr::F64);
-            assert_eq!(c.profile().label(), "scalar/f64");
+        if std::env::var("UDT_KERNEL").is_err() {
+            assert_eq!(UdtConfig::new(Algorithm::Udt).kernel, KernelKind::Scalar);
         }
-        // Configs persisted before the kernel knobs existed deserialize
-        // to the scalar/f64 defaults instead of failing on the missing
-        // fields.
-        let reference = UdtConfig::new(Algorithm::Udt)
-            .with_kernel(KernelKind::Simd)
-            .with_counts(CountsRepr::F32);
-        let serde::Value::Map(entries) = Serialize::serialize(&reference) else {
-            panic!("configs serialize to a map");
-        };
-        let legacy_payload = serde::Value::Map(
-            entries
-                .into_iter()
-                .filter(|(key, _)| key != "kernel" && key != "counts")
-                .collect(),
-        );
-        let legacy = UdtConfig::deserialize(&legacy_payload).unwrap();
-        assert_eq!(legacy.kernel, KernelKind::Scalar);
-        assert_eq!(legacy.counts, CountsRepr::F64);
-        assert_eq!(legacy.algorithm, reference.algorithm);
-        // And the current format round-trips the knobs faithfully.
+        // The serde form round-trips the knobs faithfully.
+        let reference = UdtConfig::new(Algorithm::Udt).with_kernel(KernelKind::Simd);
         let round = UdtConfig::deserialize(&Serialize::serialize(&reference)).unwrap();
         assert_eq!(round, reference);
     }
 
     #[test]
     fn partition_mode_names_and_default() {
-        assert_eq!(PartitionMode::Owned.name(), "owned");
         assert_eq!(PartitionMode::View.name(), "view");
         assert_eq!(PartitionMode::default(), PartitionMode::View);
-        // Without the env override the config default is the view mode.
-        if std::env::var("UDT_PARTITION_MODE").is_err() {
-            assert_eq!(UdtConfig::default().partition_mode, PartitionMode::View);
-        }
+        assert_eq!(UdtConfig::default().partition_mode, PartitionMode::View);
+        assert_eq!(UdtConfig::default().counts, CountsRepr::F64);
     }
 }

@@ -5,46 +5,37 @@
 //! at a time ([`crate::events::AttributeEvents::score_at`]) or in
 //! contiguous batches
 //! ([`crate::events::AttributeEvents::score_range_into`]). This module
-//! owns the two knobs that decide what happens underneath:
+//! owns the knob that decides what happens underneath, [`KernelKind`]:
 //!
-//! * [`KernelKind`] — the **scalar** kernel reproduces today's
+//! * the **scalar** kernel reproduces today's
 //!   [`crate::Measure::split_score_cum`] arithmetic bit for bit (the
 //!   default, and the determinism anchor every baseline regression test
-//!   pins), while the **simd** kernel scores whole batches of contiguous
-//!   candidate rows per call with `core::arch` x86_64 SSE2/AVX2
-//!   intrinsics (runtime-detected; a portable unrolled fallback keeps
-//!   non-x86 builds working and serves the batch tails). The simd kernel
-//!   hoists the per-column invariants — the total row and the total mass
-//!   — out of the per-candidate loop and evaluates `x·log2(x)` with a
-//!   lane-exact polynomial, so its scores agree with the scalar kernel
-//!   to ~1e-13 while every backend (AVX2 / SSE2 / portable) produces
+//!   pins);
+//! * the **simd** kernel scores whole batches of contiguous candidate
+//!   rows per call with `core::arch` x86_64 SSE2/AVX2 intrinsics
+//!   (runtime-detected; a portable unrolled fallback keeps non-x86 builds
+//!   working and serves the batch tails). It hoists the per-column
+//!   invariants — the total row and the total mass — out of the
+//!   per-candidate loop and evaluates `x·log2(x)` with a lane-exact
+//!   polynomial, so its scores agree with the scalar kernel to ~1e-13
+//!   while every backend (AVX2 / SSE2 / portable) produces
 //!   **bit-identical** lanes.
-//! * [`CountsRepr`] — the cumulative count matrix is stored as `f64`
-//!   (default) or, opt-in, as `f32`, halving the bytes the scoring loop
-//!   moves. Scores are always *accumulated* in `f64`; only the stored
-//!   counts are rounded. Leaf distributions and the tree arena stay
-//!   `f64` in either representation.
 //!
-//! Both knobs surface as [`crate::UdtConfig`] fields with canonical
-//! `FromStr` parsers and `UDT_KERNEL` / `UDT_COUNTS` environment
-//! overrides, mirroring the [`crate::PartitionMode`] /
-//! [`crate::ThreadCount`] pattern.
+//! Cumulative counts are stored and accumulated in `f64` under either
+//! kernel. The knob surfaces as [`crate::UdtConfig::kernel`] with a
+//! canonical `FromStr` parser and the `UDT_KERNEL` environment override,
+//! mirroring [`crate::ThreadCount`].
 //!
 //! # Parity contract
 //!
-//! * `scalar`/`f64` (the default) is the bit-for-bit reference: arenas,
-//!   scores and counters are byte-identical to every earlier release.
-//! * `simd` (either representation) must choose the **same split
-//!   structure** and produce an **arena equal** to the scalar kernel's:
-//!   score jitter (~1e-14) is absorbed by the deterministic 1e-12
-//!   tie-break band of [`crate::split::SplitChoice::is_improved_by`],
-//!   and interval lower bounds stay on the exact scalar formula with a
-//!   1e-12 safety margin so pruning remains safe against jittered batch
-//!   scores.
-//! * `f32` (either kernel) must produce the same tree *structure*;
-//!   individual scores agree with `f64` only to the documented ~1e-6
-//!   relative tolerance of the rounded counts, so equal-score tie-breaks
-//!   may legitimately resolve differently on adversarial data.
+//! * `scalar` (the default) is the bit-for-bit reference: arenas, scores
+//!   and counters are byte-identical to every earlier release.
+//! * `simd` must choose the **same split structure** and produce an
+//!   **arena equal** to the scalar kernel's: score jitter (~1e-14) is
+//!   absorbed by the deterministic 1e-12 tie-break band of
+//!   [`crate::split::SplitChoice::is_improved_by`], and interval lower
+//!   bounds stay on the exact scalar formula with a 1e-12 safety margin
+//!   so pruning remains safe against jittered batch scores.
 //!
 //! These contracts are enforced by the `kernel_parity` integration suite
 //! across all five algorithms × all three measures.
@@ -88,8 +79,10 @@ impl KernelKind {
     /// environment variable (`scalar` / `simd`, case-insensitive, parsed
     /// by the [`FromStr`](std::str::FromStr) impl) so CI can run the
     /// whole test suite under either kernel. Invalid values fall back to
-    /// [`KernelKind::Scalar`] with a one-time warning on stderr —
-    /// mirroring [`crate::PartitionMode::from_env`].
+    /// [`KernelKind::Scalar`] with a one-time warning on stderr — loud
+    /// enough that a typo'd run is visible in its logs, without letting
+    /// ambient process state abort library users inside a plain
+    /// [`crate::UdtConfig::new`].
     pub fn from_env() -> KernelKind {
         match std::env::var("UDT_KERNEL") {
             Ok(v) => v.parse().unwrap_or_else(|_| {
@@ -115,91 +108,17 @@ impl KernelKind {
     }
 }
 
-/// How the cumulative per-class count matrix is stored.
+/// How the cumulative per-class count matrix is stored: always as `f64`.
+///
+/// A single-variant residue of the retired `f32` count store. It survives
+/// only as the type of [`crate::UdtConfig::counts`], because perfbench's
+/// stamp line still reports that field; a later change to the benchmark
+/// can drop both.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum CountsRepr {
-    /// Full-precision `f64` counts (the default and the determinism
-    /// anchor).
+    /// Full-precision `f64` counts.
     #[default]
     F64,
-    /// Half-bandwidth `f32` counts: stored rows are rounded once at
-    /// construction, widened back to `f64` for every score. Same tree
-    /// structure; scores within the rounding tolerance of the counts.
-    F32,
-}
-
-/// The canonical parser behind [`CountsRepr::from_env`] and any
-/// configuration surface that accepts the representation as text:
-/// `f64` / `f32`, case-insensitive.
-impl std::str::FromStr for CountsRepr {
-    type Err = crate::TreeError;
-
-    fn from_str(s: &str) -> std::result::Result<Self, Self::Err> {
-        if s.eq_ignore_ascii_case("f64") {
-            Ok(CountsRepr::F64)
-        } else if s.eq_ignore_ascii_case("f32") {
-            Ok(CountsRepr::F32)
-        } else {
-            Err(crate::TreeError::InvalidCountsRepr { got: s.to_string() })
-        }
-    }
-}
-
-impl CountsRepr {
-    /// The default representation, overridable through the `UDT_COUNTS`
-    /// environment variable (`f64` / `f32`, case-insensitive, parsed by
-    /// the [`FromStr`](std::str::FromStr) impl). Invalid values fall
-    /// back to [`CountsRepr::F64`] with a one-time warning on stderr.
-    pub fn from_env() -> CountsRepr {
-        match std::env::var("UDT_COUNTS") {
-            Ok(v) => v.parse().unwrap_or_else(|_| {
-                static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-                WARN_ONCE.call_once(|| {
-                    eprintln!(
-                        "warning: UDT_COUNTS must be 'f64' or 'f32', \
-                         got {v:?}; using the default (f64)"
-                    );
-                });
-                CountsRepr::F64
-            }),
-            Err(_) => CountsRepr::F64,
-        }
-    }
-
-    /// Lower-case name for reports and bench labels.
-    pub fn name(&self) -> &'static str {
-        match self {
-            CountsRepr::F64 => "f64",
-            CountsRepr::F32 => "f32",
-        }
-    }
-}
-
-/// The combined score-kernel selection one build runs under: which
-/// kernel scores candidates and how the count matrix is stored.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct ScoreProfile {
-    /// Which arithmetic kernel scores candidates.
-    pub kernel: KernelKind,
-    /// How cumulative counts are stored.
-    pub counts: CountsRepr,
-}
-
-impl ScoreProfile {
-    /// The environment-derived profile (`UDT_KERNEL` / `UDT_COUNTS`),
-    /// used by [`crate::UdtConfig::new`].
-    pub fn from_env() -> ScoreProfile {
-        ScoreProfile {
-            kernel: KernelKind::from_env(),
-            counts: CountsRepr::from_env(),
-        }
-    }
-
-    /// `"kernel/counts"` label for reports and bench ids (e.g.
-    /// `"simd/f32"`).
-    pub fn label(&self) -> String {
-        format!("{}/{}", self.kernel.name(), self.counts.name())
-    }
 }
 
 /// The SIMD instruction set the simd kernel dispatches to on this host,
@@ -262,32 +181,9 @@ mod tests {
         assert_eq!(KernelKind::default(), KernelKind::Scalar);
         assert_eq!(KernelKind::Scalar.name(), "scalar");
         assert_eq!(KernelKind::Simd.name(), "simd");
-    }
-
-    #[test]
-    fn counts_repr_parses_from_text() {
-        assert_eq!("f64".parse::<CountsRepr>(), Ok(CountsRepr::F64));
-        assert_eq!("F32".parse::<CountsRepr>(), Ok(CountsRepr::F32));
-        let err = "f16".parse::<CountsRepr>().unwrap_err();
-        assert!(err.to_string().contains("counts"), "got: {err}");
-        assert!(err.to_string().contains("f16"), "names the input: {err}");
-        assert_eq!(CountsRepr::default(), CountsRepr::F64);
-        assert_eq!(CountsRepr::F64.name(), "f64");
-        assert_eq!(CountsRepr::F32.name(), "f32");
-    }
-
-    #[test]
-    fn profile_label_and_env_default() {
-        let p = ScoreProfile::default();
-        assert_eq!(p.label(), "scalar/f64");
-        let q = ScoreProfile {
-            kernel: KernelKind::Simd,
-            counts: CountsRepr::F32,
-        };
-        assert_eq!(q.label(), "simd/f32");
-        // Without the env overrides the env profile is the default.
-        if std::env::var("UDT_KERNEL").is_err() && std::env::var("UDT_COUNTS").is_err() {
-            assert_eq!(ScoreProfile::from_env(), ScoreProfile::default());
+        // Without the env override the env kernel is the default.
+        if std::env::var("UDT_KERNEL").is_err() {
+            assert_eq!(KernelKind::from_env(), KernelKind::default());
         }
     }
 

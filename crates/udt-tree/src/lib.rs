@@ -31,9 +31,8 @@
 //!   thereafter. Tree recursion narrows per-attribute *views* — surviving
 //!   event ids plus sparse per-tuple scale factors (the kept-pdf-fraction
 //!   chain of §3.2's fractional splits) — reconstructing event mass on
-//!   the fly as `root_mass * scale`. The copying engine survives as
-//!   [`config::PartitionMode::Owned`] for A/B regression; both modes are
-//!   arena-bit-identical by construction.
+//!   the fly as `root_mass * scale`. A child column is a list of `4`-byte
+//!   event ids; nothing per event is ever copied.
 //! * **Flat cumulative rows** ([`events::AttributeEvents`]): per-position
 //!   per-class masses live in a single row-major `Vec<f64>` matrix whose
 //!   final row is the total, so the "left" counts of any candidate are a
@@ -48,10 +47,9 @@
 //!   bit-for-bit the historical per-candidate arithmetic; the opt-in
 //!   [`KernelKind::Simd`] kernel scores batches of contiguous candidate
 //!   rows with runtime-detected AVX2/SSE2 lanes (portable fallback
-//!   elsewhere), and [`CountsRepr::F32`] opts the cumulative matrix into
-//!   an `f32` representation that halves scoring bandwidth. `scalar/f64`
-//!   remains the determinism anchor; the other combinations are gated by
-//!   a seeded parity suite (`UDT_KERNEL` / `UDT_COUNTS` env overrides).
+//!   elsewhere) and builds the same arenas. `scalar` remains the
+//!   determinism anchor; `simd` is gated by a seeded parity suite
+//!   (`UDT_KERNEL` env override). Counts are always `f64`.
 //! * **Baseline** ([`baseline`]): the pre-columnar engine (per-node
 //!   rebuild + re-sort, one owned counter per position, clone-based
 //!   scoring) is kept for regression tests — the columnar engine
@@ -104,10 +102,8 @@
 //! attribute/queue order, and the UDT-GP/UDT-ES cross-attribute pruning
 //! pass never shares intermediate thresholds between concurrent items —
 //! so builds are **arena-bit-identical for every thread count,
-//! including 1** (regression-tested across thread counts, fork depths
-//! and partition modes). The legacy `parallel` cargo feature is kept as
-//! a deprecated alias that gates nothing; thread count is purely a
-//! runtime setting.
+//! including 1** (regression-tested across thread counts and fork
+//! depths). Thread count is purely a runtime setting.
 //!
 //! ## Typical use
 //!
@@ -166,7 +162,7 @@ pub use config::{Algorithm, PartitionMode, ThreadCount, UdtConfig};
 pub use counts::ClassCounts;
 pub use error::TreeError;
 pub use flat::{FlatTree, NodeKind};
-pub use kernel::{CountsRepr, KernelKind, ScoreProfile};
+pub use kernel::{CountsRepr, KernelKind};
 pub use measure::Measure;
 pub use node::{DecisionTree, Node};
 pub use pool::WorkerPool;

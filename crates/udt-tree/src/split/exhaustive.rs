@@ -21,8 +21,8 @@ impl SplitSearch for ExhaustiveSearch {
         measure: Measure,
         stats: &mut SearchStats,
     ) -> Option<SplitChoice> {
-        // Attributes are scanned independently (in parallel under the
-        // `parallel` feature when the node is large enough) and the
+        // Attributes are scanned independently (in parallel on the build
+        // pool when the node is large enough) and the
         // per-attribute bests merged in index order, which reproduces the
         // sequential tie-breaking exactly.
         let total_positions: usize = events.iter().map(|(_, ev)| ev.n_positions()).sum();

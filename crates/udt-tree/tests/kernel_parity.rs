@@ -1,21 +1,13 @@
 //! Parity suite for the score-kernel layer ([`udt_tree::kernel`]).
 //!
-//! The layer ships two independent knobs — the batch kernel
-//! (`UDT_KERNEL={scalar,simd}`) and the count representation
-//! (`UDT_COUNTS={f64,f32}`) — and its contract is:
-//!
-//! 1. **Simd vs Scalar (f64 counts)**: the chosen split structure is
-//!    identical and the built arenas are bit-for-bit equal across every
-//!    distribution-based algorithm (UDT / UDT-BP / UDT-LP / UDT-GP /
-//!    UDT-ES) and every measure. The simd kernel's ≈1e-14 score jitter
-//!    is absorbed by the split tie-break band
-//!    ([`udt_tree::split::SplitChoice::is_improved_by`]) and its bound
-//!    margin only ever prunes *less*, never differently.
-//! 2. **f32 vs f64 counts**: candidate scores agree within the
-//!    documented [`F32_SCORE_TOL`] and the resulting tree structure is
-//!    identical (on the non-degenerate workloads generated here the
-//!    whole arena is, since leaf distributions always come from the f64
-//!    fractional tuples).
+//! The layer ships one knob — the batch kernel
+//! (`UDT_KERNEL={scalar,simd}`) — and its contract is: the chosen split
+//! structure is identical and the built arenas are bit-for-bit equal
+//! across every distribution-based algorithm (UDT / UDT-BP / UDT-LP /
+//! UDT-GP / UDT-ES) and every measure. The simd kernel's ≈1e-14 score
+//! jitter is absorbed by the split tie-break band
+//! ([`udt_tree::split::SplitChoice::is_improved_by`]) and its bound
+//! margin only ever prunes *less*, never differently.
 //!
 //! The build environment is offline, so instead of `proptest` these use
 //! a seeded ChaCha8 generator with explicit case loops; every case is
@@ -27,21 +19,14 @@ use udt_data::{Dataset, Tuple, UncertainValue};
 use udt_prob::SampledPdf;
 use udt_tree::events::AttributeEvents;
 use udt_tree::fractional::FractionalTuple;
-use udt_tree::{Algorithm, CountsRepr, KernelKind, Measure, ScoreProfile, TreeBuilder, UdtConfig};
+use udt_tree::{Algorithm, KernelKind, Measure, TreeBuilder, UdtConfig};
 
 const CASES: usize = 12;
 
-/// Documented score-agreement tolerance of the f32 count
-/// representation: each cumulative count carries at most a 2⁻²⁴
-/// relative rounding error, which the dispersion formulas amplify to no
-/// more than a few 1e-6 on the (≤ log₂ k)-bounded scores; 1e-5 leaves
-/// an order of magnitude of slack.
-const F32_SCORE_TOL: f64 = 1e-5;
-
-/// Agreement of the simd batch kernel with the scalar formula on f64
-/// counts. The polynomial log2 and the algebraically rearranged
-/// formulas stay within ~1e-14 of libm on these workloads; the kernel
-/// unit tests pin 1e-12, mirrored here.
+/// Agreement of the simd batch kernel with the scalar formula. The
+/// polynomial log2 and the algebraically rearranged formulas stay within
+/// ~1e-14 of libm on these workloads; the kernel unit tests pin 1e-12,
+/// mirrored here.
 const SIMD_SCORE_TOL: f64 = 1e-12;
 
 /// The five distribution-based algorithms of §4.2 / §5.
@@ -83,23 +68,20 @@ fn build(
     algorithm: Algorithm,
     measure: Measure,
     kernel: KernelKind,
-    counts: CountsRepr,
-    max_depth: usize,
 ) -> udt_tree::BuildReport {
     TreeBuilder::new(
         UdtConfig::new(algorithm)
             .with_measure(measure)
             .with_postprune(false)
-            .with_max_depth(max_depth)
-            .with_kernel(kernel)
-            .with_counts(counts),
+            .with_max_depth(25)
+            .with_kernel(kernel),
     )
     .build(data)
     .expect("build succeeds")
 }
 
-/// Contract 1: simd builds are arena-bit-identical to scalar builds for
-/// all five algorithms × three measures.
+/// Simd builds are arena-bit-identical to scalar builds for all five
+/// algorithms × three measures.
 #[test]
 fn simd_builds_are_arena_bit_identical_to_scalar() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xC0DE);
@@ -107,22 +89,8 @@ fn simd_builds_are_arena_bit_identical_to_scalar() {
         let data = random_dataset(&mut rng);
         for algorithm in ALGORITHMS {
             for measure in MEASURES {
-                let scalar = build(
-                    &data,
-                    algorithm,
-                    measure,
-                    KernelKind::Scalar,
-                    CountsRepr::F64,
-                    25,
-                );
-                let simd = build(
-                    &data,
-                    algorithm,
-                    measure,
-                    KernelKind::Simd,
-                    CountsRepr::F64,
-                    25,
-                );
+                let scalar = build(&data, algorithm, measure, KernelKind::Scalar);
+                let simd = build(&data, algorithm, measure, KernelKind::Simd);
                 assert_eq!(
                     simd.tree.flat(),
                     scalar.tree.flat(),
@@ -133,49 +101,8 @@ fn simd_builds_are_arena_bit_identical_to_scalar() {
     }
 }
 
-/// Contract 2 (structure half): f32 count matrices choose the same
-/// splits, so the tree structure — and, leaf distributions being pure
-/// f64 arena state, the whole arena — is identical, under both kernels.
-///
-/// The guarantee is for nodes whose candidate scores are separated by
-/// more than [`F32_SCORE_TOL`] or tied *exactly* (perfect-separation
-/// ties survive rounding: `p = c/c = 1` whatever the representation).
-/// Deep, low-mass nodes can tie two different splits exactly in f64 by
-/// count symmetry, and rounding then legitimately resolves the tie to
-/// the other (equal-quality) candidate — so the builds are capped at a
-/// depth where every decision on these workloads is gap-separated.
-#[test]
-fn f32_counts_build_identical_tree_structure() {
-    let mut rng = ChaCha8Rng::seed_from_u64(0xF3_2C);
-    for case in 0..CASES {
-        let data = random_dataset(&mut rng);
-        for algorithm in ALGORITHMS {
-            for measure in MEASURES {
-                let reference = build(
-                    &data,
-                    algorithm,
-                    measure,
-                    KernelKind::Scalar,
-                    CountsRepr::F64,
-                    3,
-                );
-                for kernel in [KernelKind::Scalar, KernelKind::Simd] {
-                    let f32_build = build(&data, algorithm, measure, kernel, CountsRepr::F32, 3);
-                    assert_eq!(
-                        f32_build.tree.flat(),
-                        reference.tree.flat(),
-                        "case {case}, {algorithm:?}, {measure:?}, {kernel:?}: \
-                         f32 counts must yield the same tree"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Contract 2 (score half) plus the simd/f64 agreement: batch scores of
-/// every non-default profile stay within the documented tolerance of
-/// the scalar/f64 reference at every candidate position.
+/// Simd batch scores stay within [`SIMD_SCORE_TOL`] of the scalar
+/// reference at every candidate position.
 #[test]
 fn batch_scores_agree_within_documented_tolerances() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x5C02E);
@@ -191,39 +118,27 @@ fn batch_scores_agree_within_documented_tolerances() {
                 continue;
             };
             let n = base.n_positions();
+            let simd = base.clone().with_kernel(KernelKind::Simd);
             for measure in MEASURES {
                 let mut reference = Vec::new();
                 base.score_range_into(0..n - 1, measure, &mut reference);
-                for kernel in [KernelKind::Scalar, KernelKind::Simd] {
-                    for counts in [CountsRepr::F64, CountsRepr::F32] {
-                        let profile = ScoreProfile { kernel, counts };
-                        if profile == ScoreProfile::default() {
-                            continue;
-                        }
-                        let tol = match counts {
-                            CountsRepr::F64 => SIMD_SCORE_TOL,
-                            CountsRepr::F32 => F32_SCORE_TOL,
-                        };
-                        let ev = base.clone().with_profile(profile);
-                        let mut scores = Vec::new();
-                        ev.score_range_into(0..n - 1, measure, &mut scores);
-                        assert_eq!(scores.len(), reference.len());
-                        for (i, (&got, &want)) in scores.iter().zip(&reference).enumerate() {
-                            if !want.is_finite() || !got.is_finite() {
-                                assert!(
-                                    got.is_finite() == want.is_finite(),
-                                    "case {case}, attr {attribute}, {measure:?}, \
-                                     {kernel:?}/{counts:?}, position {i}: {got} vs {want}"
-                                );
-                                continue;
-                            }
-                            assert!(
-                                (got - want).abs() <= tol * want.abs().max(1.0),
-                                "case {case}, attr {attribute}, {measure:?}, \
-                                 {kernel:?}/{counts:?}, position {i}: {got} vs {want}"
-                            );
-                        }
+                let mut scores = Vec::new();
+                simd.score_range_into(0..n - 1, measure, &mut scores);
+                assert_eq!(scores.len(), reference.len());
+                for (i, (&got, &want)) in scores.iter().zip(&reference).enumerate() {
+                    if !want.is_finite() || !got.is_finite() {
+                        assert!(
+                            got.is_finite() == want.is_finite(),
+                            "case {case}, attr {attribute}, {measure:?}, \
+                             position {i}: {got} vs {want}"
+                        );
+                        continue;
                     }
+                    assert!(
+                        (got - want).abs() <= SIMD_SCORE_TOL * want.abs().max(1.0),
+                        "case {case}, attr {attribute}, {measure:?}, \
+                         position {i}: {got} vs {want}"
+                    );
                 }
             }
         }

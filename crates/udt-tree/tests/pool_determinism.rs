@@ -3,9 +3,9 @@
 //! Builds must be **arena-bit-identical** regardless of how the work is
 //! executed: for every thread count (1, 2, 4, 8) × fork depth (0 — every
 //! child of the root deferred; 2 — a realistic mid-tree cut; 64 — no
-//! forking at all within the depth cap) × partition mode (owned, view),
-//! the resulting [`FlatTree`] must equal, bit for bit, the reference
-//! build (single thread, work queue disabled entirely). The
+//! forking at all within the depth cap), the work-queue build must
+//! equal, bit for bit, the reference build in the other mode (single
+//! thread, plain recursion with the work queue disabled entirely). The
 //! split-search counters must match too: no execution schedule may
 //! change *what* the search computed, only when and where.
 //!
@@ -17,7 +17,7 @@ use rand_chacha::ChaCha8Rng;
 use udt_data::synthetic::SyntheticSpec;
 use udt_data::uncertainty::{inject_uncertainty, UncertaintySpec};
 use udt_data::Dataset;
-use udt_tree::{Algorithm, PartitionMode, TreeBuilder, UdtConfig};
+use udt_tree::{Algorithm, TreeBuilder, UdtConfig};
 
 fn seeded_dataset(seed: u64, tuples: usize, attributes: usize, s: usize) -> Dataset {
     let mut spec = SyntheticSpec::small(seed);
@@ -50,38 +50,33 @@ fn builds_are_bit_identical_across_thread_counts_forks_and_modes() {
             .build(&data)
             .unwrap();
             reference.tree.flat().validate().unwrap();
-            for mode in [PartitionMode::Owned, PartitionMode::View] {
-                for fork_depth in [0usize, 2, 64] {
-                    for threads in [1usize, 2, 4, 8] {
-                        let report = TreeBuilder::new(
-                            config(algorithm)
-                                .with_partition_mode(mode)
-                                .with_parallel_cutoff_depth(fork_depth)
-                                .with_threads(threads),
-                        )
-                        .build(&data)
-                        .unwrap();
-                        let label = format!(
-                            "{algorithm:?} seed {seed:#x} mode {mode:?} \
-                             fork {fork_depth} threads {threads}"
-                        );
-                        assert_eq!(
-                            report.tree.flat(),
-                            reference.tree.flat(),
-                            "{label}: arena must be bit-identical to the reference"
-                        );
-                        // The execution schedule may move work between
-                        // threads but never change what was computed.
-                        assert_eq!(
-                            report.stats.entropy_like_calculations(),
-                            reference.stats.entropy_like_calculations(),
-                            "{label}: search counters must match"
-                        );
-                        assert_eq!(
-                            report.stats.nodes_searched, reference.stats.nodes_searched,
-                            "{label}: node counters must match"
-                        );
-                    }
+            for fork_depth in [0usize, 2, 64] {
+                for threads in [1usize, 2, 4, 8] {
+                    let report = TreeBuilder::new(
+                        config(algorithm)
+                            .with_parallel_cutoff_depth(fork_depth)
+                            .with_threads(threads),
+                    )
+                    .build(&data)
+                    .unwrap();
+                    let label =
+                        format!("{algorithm:?} seed {seed:#x} fork {fork_depth} threads {threads}");
+                    assert_eq!(
+                        report.tree.flat(),
+                        reference.tree.flat(),
+                        "{label}: arena must be bit-identical to the reference"
+                    );
+                    // The execution schedule may move work between
+                    // threads but never change what was computed.
+                    assert_eq!(
+                        report.stats.entropy_like_calculations(),
+                        reference.stats.entropy_like_calculations(),
+                        "{label}: search counters must match"
+                    );
+                    assert_eq!(
+                        report.stats.nodes_searched, reference.stats.nodes_searched,
+                        "{label}: node counters must match"
+                    );
                 }
             }
         }

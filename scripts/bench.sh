@@ -9,9 +9,9 @@
 # recording cpu count / arch / detected SIMD features); this script
 # points it at the respective output file and prints the headline
 # numbers afterwards: naive-vs-columnar and scalar-vs-simd-kernel for
-# split search, single-vs-batch for classification, owned-vs-view
-# wall-clock + bytes-allocated for partitioning, and batched-vs-single-
-# request socket throughput for serving.
+# split search, single-vs-batch for classification, wall-clock + bytes
+# allocated per depth for partitioning, and batched-vs-single-request
+# socket throughput for serving.
 #
 # Usage: scripts/bench.sh [extra cargo bench args...]
 
@@ -55,9 +55,7 @@ def speedup(group, naive, fast):
 speedup("node_search_step", "es_naive_rebuild", "es_columnar")
 speedup("node_search_step", "exhaustive_naive_rebuild", "exhaustive_columnar")
 speedup("node_search_step", "es_columnar", "es_columnar_simd")
-speedup("node_search_step", "es_columnar", "es_columnar_simd_f32")
 speedup("score_kernel", "scalar_f64", "simd_f64")
-speedup("score_kernel", "scalar_f64", "simd_f32")
 speedup("columnar_vs_naive", "udt_es_naive_rebuild", "udt_es_columnar")
 speedup("columnar_vs_naive", "udt_exhaustive_naive_rebuild", "udt_exhaustive_columnar")
 EOF
@@ -91,16 +89,12 @@ results = json.load(open(sys.argv[1]))["results"]
 by_bench = {r["bench"]: r for r in results if r["group"] == "partition_traffic"}
 
 for depth in ("04", "08", "12"):
-    owned = by_bench.get(f"depth{depth}_owned")
     view = by_bench.get(f"depth{depth}_view")
-    if not owned or not view:
+    if not view:
         continue
-    line = f"depth {int(depth)}: "
-    ob, vb = owned.get("throughput_bytes"), view.get("throughput_bytes")
-    if ob and vb:
-        line += f"partition bytes owned/view = {ob}/{vb} = {ob / vb:.2f}x"
-    if owned["median_ns"] and view["median_ns"]:
-        line += f", wall-clock owned/view = {owned['median_ns'] / view['median_ns']:.2f}x"
+    line = f"depth {int(depth)}: {view['median_ns'] / 1e6:.2f} ms per build"
+    if view.get("throughput_bytes"):
+        line += f", {view['throughput_bytes']} partition bytes"
     print(line)
 EOF
 
