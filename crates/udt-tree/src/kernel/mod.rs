@@ -178,6 +178,10 @@ mod tests {
         assert!(err.to_string().contains("score kernel"), "got: {err}");
         assert!(err.to_string().contains("vector"), "names the input: {err}");
         assert!("".parse::<KernelKind>().is_err());
+    }
+
+    #[test]
+    fn profile_label_and_env_default() {
         assert_eq!(KernelKind::default(), KernelKind::Scalar);
         assert_eq!(KernelKind::Scalar.name(), "scalar");
         assert_eq!(KernelKind::Simd.name(), "simd");
