@@ -21,16 +21,24 @@
 //! accounting, success recording) but never actually reroutes. ISSUE 10
 //! pins that overhead below 1% of the direct path.
 //!
+//! The `serve_concurrency` axis runs closed-loop point clients — each
+//! sends the averaged tuple set one `classify` at a time, waiting for
+//! every reply — over 1, 8 and 64 connections at once. It shows what the
+//! scheduler's greedy flushing coalesces under real concurrency: each
+//! point prints its mean jobs per flush, from the server's `flushes` /
+//! `flushed_jobs` counters over that point's run.
+//!
 //! `scripts/bench.sh` writes these measurements to `BENCH_serve.json`
-//! and prints the batched-vs-single speedup; ISSUE 4 requires ≥ 3× on
-//! the uncertain workload.
+//! and prints the batched-vs-single speedups and the concurrency axis.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use udt_bench::baseline_workload;
-use udt_serve::{Client, ModelRegistry, ReplicaSet, ReplicaSetOptions, ServeConfig, Server};
+use udt_serve::{
+    Client, HealthStats, ModelRegistry, ReplicaSet, ReplicaSetOptions, ServeConfig, Server,
+};
 use udt_tree::{Algorithm, TreeBuilder, UdtConfig};
 
 fn bench_serve(c: &mut Criterion) {
@@ -138,9 +146,59 @@ fn bench_serve(c: &mut Criterion) {
     });
     group.finish();
 
+    // Closed-loop point clients at rising concurrency against the same
+    // default server. Connection `c` starts at tuple `c` so concurrent
+    // requests carry different tuples.
+    let mut group = c.benchmark_group("serve_concurrency");
+    group
+        .sample_size(10)
+        .warm_up_time(Duration::from_millis(500))
+        .measurement_time(Duration::from_secs(3));
+    let points = averaged.tuples();
+    for connections in [1usize, 8, 64] {
+        let mut clients: Vec<Client> = (0..connections)
+            .map(|_| Client::connect(addr).expect("connect"))
+            .collect();
+        let before = server_health(addr);
+        group.throughput(Throughput::Elements((connections * points.len()) as u64));
+        group.bench_function(&format!("point_{connections}conn"), |b| {
+            b.iter(|| {
+                std::thread::scope(|scope| {
+                    for (c, client) in clients.iter_mut().enumerate() {
+                        scope.spawn(move || {
+                            (0..points.len())
+                                .map(|i| {
+                                    let t = &points[(c + i) % points.len()];
+                                    client.classify("bench", t).expect("served").1
+                                })
+                                .sum::<usize>()
+                        });
+                    }
+                });
+            });
+        });
+        let after = server_health(addr);
+        let flushes = after.flushes - before.flushes;
+        let jobs = after.flushed_jobs - before.flushed_jobs;
+        eprintln!(
+            "serve_concurrency/point_{connections}conn: {:.2} jobs per flush \
+             ({jobs} jobs in {flushes} flushes)",
+            jobs as f64 / flushes.max(1) as f64
+        );
+    }
+    group.finish();
+
     let mut client = Client::connect(addr).expect("connect");
     client.shutdown().expect("shutdown");
     server_thread.join().expect("server thread");
+}
+
+/// The server-wide counters, `flushes` / `flushed_jobs` among them.
+fn server_health(addr: std::net::SocketAddr) -> HealthStats {
+    Client::connect(addr)
+        .and_then(|mut c| c.stats())
+        .expect("stats")
+        .health
 }
 
 criterion_group!(benches, bench_serve);

@@ -3,16 +3,19 @@
 //! Classification requests from any number of connection threads enter a
 //! **bounded MPSC queue** (a `Mutex<VecDeque>` + two condvars — the
 //! environment is std-only) and are drained by a fixed pool of worker
-//! threads. A worker that pops a job does not serve it alone: it keeps
-//! collecting queued jobs until either `max_batch_tuples` tuples have
-//! accumulated or `max_delay` has elapsed since the flush began, then
-//! classifies the whole micro-batch with **one worker-owned
+//! threads. Flushing is **greedy**: a worker that picks up a job also
+//! takes every job already queued behind it, up to `max_batch_tuples`
+//! tuples, and serves the lot at once. It never waits for company, so a
+//! lone request is served the moment a worker is free, and coalescing
+//! comes only from real backlog — jobs that queued while every worker was
+//! busy. The whole micro-batch is classified with **one worker-owned
 //! [`BatchScratch`]** that lives as long as the worker — the scratch
 //! pool. Steady-state serving therefore performs zero allocation inside
 //! the classification engine, exactly the calling convention
-//! [`udt_tree::classify_batch`] was built for, and a burst of concurrent
+//! [`udt_tree::classify_batch`] was built for, and a backlog of
 //! single-tuple requests costs one thread wake-up instead of one per
-//! request.
+//! request. Every flush is counted (`flushes`, `flushed_jobs` in
+//! [`crate::protocol::HealthStats`]), so the mean coalescing is visible.
 //!
 //! Each job in a flush takes its *own* model snapshot from the registry
 //! at execution time (jobs for different models can share a flush), and
@@ -41,7 +44,7 @@ use crate::error::ServeError;
 use crate::faults::{FaultInjector, FaultPoint};
 use crate::metrics::ServeMetrics;
 use crate::protocol::QueueStats;
-use crate::registry::ModelRegistry;
+use crate::registry::{ModelRegistry, ServedModel};
 use crate::Result;
 
 /// What `classify` does when the queue is at capacity.
@@ -87,10 +90,15 @@ impl std::str::FromStr for QueuePolicy {
 pub struct BatchOptions {
     /// Worker threads draining the queue (each owns one scratch).
     pub workers: usize,
-    /// Flush a micro-batch once this many tuples have accumulated.
+    /// Cap on the tuples of one flush. A flush stops before a queued job
+    /// that would take it past the cap, unless the flush is still empty
+    /// (a single larger job is served alone).
     pub max_batch_tuples: usize,
-    /// Flush a micro-batch once this long has passed since collection
-    /// began, even if it is still small.
+    /// Inert: the scheduler never reads it, and it defaults to zero —
+    /// flushes no longer wait for company. It stays only because the
+    /// benchmark's run stamp reads `BatchOptions::default().max_delay`;
+    /// a later benchmark change drops it from the stamp and then from
+    /// this struct.
     pub max_delay: Duration,
     /// Bounded queue capacity in jobs; what happens when it is full is
     /// `queue_policy`'s call.
@@ -112,7 +120,7 @@ impl Default for BatchOptions {
         BatchOptions {
             workers: 2,
             max_batch_tuples: 64,
-            max_delay: Duration::from_micros(500),
+            max_delay: Duration::ZERO,
             queue_capacity: 1024,
             queue_policy: QueuePolicy::Block,
             request_deadline: None,
@@ -321,7 +329,6 @@ impl Batcher {
             capacity: self.options.queue_capacity,
             depth,
             max_batch_tuples: self.options.max_batch_tuples,
-            max_delay_us: self.options.max_delay.as_micros() as u64,
             policy: self.options.queue_policy.name().to_string(),
             deadline_ms: self
                 .options
@@ -352,10 +359,9 @@ impl Drop for Batcher {
     }
 }
 
-/// One worker: pop a seed job, collect companions until the batch is
-/// full or the delay budget is spent, serve the flush with the
-/// worker-owned scratch, repeat. Exits when the queue is closed *and*
-/// empty.
+/// One worker: wait for a seed job, take every job already queued
+/// behind it up to the tuple cap, serve the flush with the worker-owned
+/// scratch, repeat. Exits when the queue is closed *and* empty.
 fn worker_loop(
     shared: &Shared,
     registry: &ModelRegistry,
@@ -368,50 +374,30 @@ fn worker_loop(
         {
             let mut st = shared.lock();
             // Wait for a seed job (or a closed, drained queue).
-            loop {
+            let seed = loop {
                 if let Some(job) = st.jobs.pop_front() {
-                    shared.not_full.notify_one();
-                    flush.push(job);
-                    break;
+                    break job;
                 }
                 if !st.open {
                     return;
                 }
                 st = shared.wait(&shared.not_empty, st);
-            }
-            // Collect companions for up to `max_delay`, or until the
-            // flush holds `max_batch_tuples` tuples.
-            let deadline = Instant::now() + options.max_delay;
-            let mut total: usize = flush.iter().map(|j| j.tuples.len()).sum();
-            while total < options.max_batch_tuples {
-                if let Some(job) = st.jobs.pop_front() {
-                    shared.not_full.notify_one();
-                    total += job.tuples.len();
-                    flush.push(job);
-                    continue;
-                }
-                if !st.open {
+            };
+            let mut total = seed.tuples.len();
+            flush.push(seed);
+            shared.not_full.notify_one();
+            // Greedy drain: whatever queued while the workers were busy
+            // rides along, up to the cap. Nothing waits for company.
+            while let Some(next) = st.jobs.front() {
+                if total + next.tuples.len() > options.max_batch_tuples {
                     break;
                 }
-                let now = Instant::now();
-                let Some(remaining) = deadline
-                    .checked_duration_since(now)
-                    .filter(|d| !d.is_zero())
-                else {
-                    break;
-                };
-                let (guard, timed_out) = shared.wait_timeout(&shared.not_empty, st, remaining);
-                st = guard;
-                if timed_out {
-                    // One more opportunistic pop below, then flush.
-                    if let Some(job) = st.jobs.pop_front() {
-                        shared.not_full.notify_one();
-                        flush.push(job);
-                    }
-                    break;
-                }
+                total += next.tuples.len();
+                flush.extend(st.jobs.pop_front());
+                shared.not_full.notify_one();
             }
         }
+        metrics.record_flush(flush.len());
         // Fault hook: a slow worker (CPU contention, paging) — makes the
         // queue grow and request deadlines expire. Injected with no lock
         // held, after the flush is popped, so the waiting jobs age.
@@ -420,6 +406,38 @@ fn worker_loop(
         }
         serve_flush(flush, registry, metrics, options, &mut scratch);
     }
+}
+
+/// Refuses wire input the engine would answer confidently but wrongly,
+/// checked against the very snapshot that would classify it, so a hot
+/// swap to a model of another shape cannot slip past the check.
+/// `classify_batch` reads missing trailing attributes as unknown, and a
+/// categorical split only routes the categories it has children for, so
+/// a wrong arity or a categorical value over a different domain would
+/// otherwise get a renormalised answer.
+fn check_shape(model: &ServedModel, name: &str, tuples: &[Tuple]) -> Result<()> {
+    let expected = model.tree().n_attributes();
+    for (i, tuple) in tuples.iter().enumerate() {
+        if tuple.arity() != expected {
+            return Err(ServeError::Protocol(format!(
+                "tuple {i} has {} attributes but model `{name}` expects {expected}",
+                tuple.arity()
+            )));
+        }
+        for &(attribute, categories) in model.categorical_domains() {
+            let Some(value) = tuple.value(attribute).as_categorical() else {
+                continue;
+            };
+            if value.cardinality() != categories {
+                return Err(ServeError::Protocol(format!(
+                    "tuple {i} attribute {attribute} has {} categories but model `{name}` \
+                     splits it into {categories}",
+                    value.cardinality()
+                )));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Renders a panic payload for the structured error (panics carry
@@ -445,7 +463,7 @@ fn serve_flush(
     options: &BatchOptions,
     scratch: &mut BatchScratch,
 ) {
-    let mut snapshot: Option<(String, Arc<udt_tree::DecisionTree>)> = None;
+    let mut snapshot: Option<(String, Arc<ServedModel>)> = None;
     for job in flush {
         let waited = job.enqueued.elapsed();
         metrics.record_queue_wait(waited);
@@ -460,59 +478,39 @@ fn serve_flush(
                 continue;
             }
         }
-        let tree = match &snapshot {
-            Some((name, tree)) if *name == job.model => Ok(Arc::clone(tree)),
-            _ => registry.get(&job.model),
+        let model = match &snapshot {
+            Some((name, model)) if *name == job.model => Ok(Arc::clone(model)),
+            _ => registry.served(&job.model),
         };
-        let outcome = match tree {
-            Err(e) => Err(e),
-            Ok(tree) => {
-                snapshot = Some((job.model.clone(), Arc::clone(&tree)));
-                // `classify_batch` reads missing trailing attributes as
-                // unknown, so a wrong-arity tuple would get a confident
-                // answer. Wire input is checked here, against the very
-                // snapshot that would classify it, so a hot swap to a
-                // model of another arity cannot slip past the check.
-                let expected = tree.n_attributes();
-                if let Some((i, bad)) = job
-                    .tuples
-                    .iter()
-                    .enumerate()
-                    .find(|(_, t)| t.arity() != expected)
-                {
-                    Err(ServeError::Protocol(format!(
-                        "tuple {i} has {} attributes but model `{}` expects {expected}",
-                        bad.arity(),
-                        job.model
-                    )))
-                } else {
-                    // The panic boundary is per *job*, not per flush: one
-                    // poisoned request must not take down its batch
-                    // companions. The queue lock is never held here, so a
-                    // panic cannot poison it. `AssertUnwindSafe` is sound
-                    // because the only state crossing the boundary — the
-                    // scratch — is rebuilt from scratch on the panic path.
-                    let attempt = catch_unwind(AssertUnwindSafe(|| {
-                        if options.faults.fires(FaultPoint::PanicInWorker) {
-                            panic!("injected fault: panic_in_worker");
-                        }
-                        let distributions = classify_batch(&tree, &job.tuples, scratch)?;
-                        Ok(BatchReply {
-                            distributions,
-                            n_classes: tree.n_classes(),
-                        })
-                    }));
-                    match attempt {
-                        Ok(outcome) => outcome,
-                        Err(payload) => {
-                            *scratch = BatchScratch::new();
-                            metrics.record_worker_panic();
-                            Err(ServeError::WorkerPanic(panic_message(payload.as_ref())))
-                        }
-                    }
+        let outcome = model.and_then(|model| {
+            snapshot = Some((job.model.clone(), Arc::clone(&model)));
+            check_shape(&model, &job.model, &job.tuples)?;
+            let tree = model.tree();
+            // The panic boundary is per *job*, not per flush: one
+            // poisoned request must not take down its batch companions.
+            // The queue lock is never held here, so a panic cannot
+            // poison it. `AssertUnwindSafe` is sound because the only
+            // state crossing the boundary — the scratch — is rebuilt
+            // from scratch on the panic path.
+            let attempt = catch_unwind(AssertUnwindSafe(|| {
+                if options.faults.fires(FaultPoint::PanicInWorker) {
+                    panic!("injected fault: panic_in_worker");
+                }
+                let distributions = classify_batch(tree, &job.tuples, scratch)?;
+                Ok(BatchReply {
+                    distributions,
+                    n_classes: tree.n_classes(),
+                })
+            }));
+            match attempt {
+                Ok(outcome) => outcome,
+                Err(payload) => {
+                    *scratch = BatchScratch::new();
+                    metrics.record_worker_panic();
+                    Err(ServeError::WorkerPanic(panic_message(payload.as_ref())))
                 }
             }
-        };
+        });
         match &outcome {
             Ok(reply) => {
                 let served = reply.distributions.len() / reply.n_classes.max(1);
@@ -580,48 +578,113 @@ mod tests {
         batcher.shutdown();
     }
 
+    /// Polls `done` until it holds; panics with `what` if `give_up`
+    /// holds first.
+    fn wait_until(what: &str, mut done: impl FnMut() -> bool, give_up: impl Fn() -> bool) {
+        while !done() {
+            assert!(!give_up(), "gave up waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     #[test]
-    fn concurrent_submissions_are_coalesced_and_all_answered() {
+    fn a_backlog_is_served_in_the_fewest_flushes_the_cap_allows() {
+        const CAP: usize = 4;
+        // Tuple counts of the ten jobs that queue, in this order, behind
+        // a held one: 14 tuples. Packed in order under the cap they take
+        // at least ceil(14 / 4) = 4 flushes, and greedy packing reaches
+        // that: [1 1 1] [3 1] [1 1 1] [3 1]. A flush that took the
+        // 3-tuple job while still under the cap would overshoot it.
+        const SIZES: [usize; 10] = [1, 1, 1, 3, 1, 1, 1, 1, 3, 1];
         let reg = registry_with_toy();
-        // One worker + a generous delay forces genuine coalescing.
+        // One worker, held inside its first flush by an injected delay.
+        let plan = crate::faults::FaultPlan::parse("delay_in_worker:nth=1:1000ms", 0).unwrap();
+        let faults = FaultInjector::from_plan(&plan);
         let (batcher, metrics) = batcher(
             &reg,
             BatchOptions {
                 workers: 1,
-                max_batch_tuples: 1024,
-                max_delay: Duration::from_millis(5),
-                queue_capacity: 64,
+                max_batch_tuples: CAP,
+                faults: Arc::clone(&faults),
                 ..BatchOptions::default()
             },
         );
-        let data = toy::table1_dataset().unwrap();
+        let table = toy::table1_dataset().unwrap();
+        let jobs: Vec<Vec<Tuple>> = SIZES
+            .iter()
+            .enumerate()
+            .map(|(j, &size)| {
+                (0..size)
+                    .map(|k| table.tuples()[(j + k) % table.len()].clone())
+                    .collect()
+            })
+            .collect();
         let tree = reg.get("toy").unwrap();
         let mut scratch = BatchScratch::new();
-        let direct = classify_batch(&tree, data.tuples(), &mut scratch).unwrap();
-        let n = tree.n_classes();
 
         std::thread::scope(|scope| {
-            let handles: Vec<_> = data
-                .tuples()
+            let batcher = &batcher;
+            let held = scope.spawn(|| batcher.classify("toy", jobs[0][..1].to_vec()));
+            wait_until(
+                "the worker to take the held job",
+                || faults.counts()[0].fired == 1,
+                || held.is_finished(),
+            );
+            // One submitter at a time, so the queue order is SIZES'
+            // order. Depth j + 1 is only ever observed while the worker
+            // is held: once released it drains, and the queue can no
+            // longer reach the full backlog.
+            let handles: Vec<_> = jobs
                 .iter()
                 .enumerate()
-                .map(|(i, t)| {
-                    let batcher = &batcher;
-                    scope.spawn(move || (i, batcher.classify("toy", vec![t.clone()]).unwrap()))
+                .map(|(j, job)| {
+                    let handle = scope.spawn(move || batcher.classify("toy", job.clone()));
+                    wait_until(
+                        &format!("job {j} to queue behind the held worker"),
+                        || batcher.queue_stats().depth == j + 1,
+                        || held.is_finished(),
+                    );
+                    handle
                 })
                 .collect();
-            for handle in handles {
-                let (i, reply) = handle.join().unwrap();
-                let expected = &direct[i * n..(i + 1) * n];
-                assert_eq!(reply.distributions.len(), n);
-                for (a, b) in reply.distributions.iter().zip(expected) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "tuple {i}");
+            held.join().unwrap().unwrap();
+            for (j, handle) in handles.into_iter().enumerate() {
+                let reply = handle.join().unwrap().unwrap();
+                let direct = classify_batch(&tree, &jobs[j], &mut scratch).unwrap();
+                assert_eq!(reply.distributions.len(), direct.len());
+                for (a, b) in reply.distributions.iter().zip(&direct) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "job {j}");
                 }
             }
         });
-        let snap = metrics.snapshot();
-        assert_eq!(snap[0].requests, data.len() as u64);
-        assert_eq!(snap[0].tuples, data.len() as u64);
+        let health = metrics.health_snapshot();
+        assert_eq!(health.flushes, 1 + 4, "the held flush, then the backlog");
+        assert_eq!(health.flushed_jobs, 1 + SIZES.len() as u64);
+
+        // A single job over the cap is still served, alone.
+        assert!(table.len() > CAP);
+        let reply = batcher.classify("toy", table.tuples().to_vec()).unwrap();
+        assert_eq!(reply.distributions.len(), table.len() * tree.n_classes());
+        let health = metrics.health_snapshot();
+        assert_eq!(health.flushes, 1 + 4 + 1);
+        assert_eq!(health.flushed_jobs, 1 + SIZES.len() as u64 + 1);
+        batcher.shutdown();
+    }
+
+    #[test]
+    fn sequential_requests_on_an_idle_batcher_flush_one_job_each() {
+        const S: u64 = 25;
+        let reg = registry_with_toy();
+        let (batcher, metrics) = batcher(&reg, BatchOptions::default());
+        let t = toy::fig1_test_tuple().unwrap();
+        for _ in 0..S {
+            batcher.classify("toy", vec![t.clone()]).unwrap();
+        }
+        // Flushes are counted before they are served, so every reply
+        // above was preceded by its own flush record.
+        let health = metrics.health_snapshot();
+        assert_eq!(health.flushes, S);
+        assert_eq!(health.flushed_jobs, S);
         batcher.shutdown();
     }
 

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! udt-serve [--addr HOST:PORT] [--workers N] [--max-batch TUPLES]
-//!           [--max-delay-us MICROS] [--queue-capacity JOBS]
+//!           [--queue-capacity JOBS]
 //!           [--queue-policy block|shed] [--request-deadline-ms MS]
 //!           [--drain-deadline-ms MS] [--max-connections N]
 //!           [--idle-timeout-ms MS] [--write-timeout-ms MS]
@@ -36,7 +36,7 @@ fn main() -> ExitCode {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(
             "usage: udt-serve [--addr HOST:PORT] [--workers N] [--max-batch TUPLES] \
-             [--max-delay-us MICROS] [--queue-capacity JOBS] \
+             [--queue-capacity JOBS] \
              [--queue-policy block|shed] [--request-deadline-ms MS] \
              [--drain-deadline-ms MS] [--max-connections N] [--idle-timeout-ms MS] \
              [--write-timeout-ms MS] [--faults SPEC] [--fault-seed N] \

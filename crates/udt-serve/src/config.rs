@@ -17,7 +17,7 @@ use crate::Result;
 ///
 /// ```text
 /// udt-serve [--addr HOST:PORT] [--workers N] [--max-batch TUPLES]
-///           [--max-delay-us MICROS] [--queue-capacity JOBS]
+///           [--queue-capacity JOBS]
 ///           [--queue-policy block|shed] [--request-deadline-ms MS]
 ///           [--drain-deadline-ms MS] [--max-connections N]
 ///           [--idle-timeout-ms MS] [--write-timeout-ms MS]
@@ -36,10 +36,10 @@ pub struct ServeConfig {
     pub addr: String,
     /// Scheduler worker threads.
     pub workers: usize,
-    /// Micro-batch flush threshold in tuples.
+    /// Micro-batch cap in tuples. A worker flushes whatever is queued
+    /// the moment it picks up a job, up to this many tuples; it never
+    /// waits for company.
     pub max_batch_tuples: usize,
-    /// Micro-batch flush threshold in time.
-    pub max_delay: Duration,
     /// Bounded queue capacity in jobs.
     pub queue_capacity: usize,
     /// Admission behaviour when the queue is full: block or shed.
@@ -88,7 +88,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:7878".to_string(),
             workers: batch.workers,
             max_batch_tuples: batch.max_batch_tuples,
-            max_delay: batch.max_delay,
             queue_capacity: batch.queue_capacity,
             queue_policy: batch.queue_policy,
             request_deadline: batch.request_deadline,
@@ -114,7 +113,6 @@ impl ServeConfig {
         BatchOptions {
             workers: self.workers,
             max_batch_tuples: self.max_batch_tuples,
-            max_delay: self.max_delay,
             queue_capacity: self.queue_capacity,
             queue_policy: self.queue_policy,
             request_deadline: self.request_deadline,
@@ -176,10 +174,6 @@ impl ServeConfig {
                 "--workers" => config.workers = parse_num(&value_for("--workers")?, "--workers")?,
                 "--max-batch" => {
                     config.max_batch_tuples = parse_num(&value_for("--max-batch")?, "--max-batch")?
-                }
-                "--max-delay-us" => {
-                    let us: u64 = parse_num(&value_for("--max-delay-us")?, "--max-delay-us")?;
-                    config.max_delay = Duration::from_micros(us);
                 }
                 "--queue-capacity" => {
                     config.queue_capacity =
@@ -318,8 +312,6 @@ mod tests {
             "4",
             "--max-batch",
             "128",
-            "--max-delay-us",
-            "250",
             "--queue-capacity",
             "64",
             "--model",
@@ -337,7 +329,6 @@ mod tests {
         assert_eq!(c.addr, "127.0.0.1:0");
         assert_eq!(c.workers, 4);
         assert_eq!(c.max_batch_tuples, 128);
-        assert_eq!(c.max_delay, Duration::from_micros(250));
         assert_eq!(c.queue_capacity, 64);
         assert_eq!(c.models.len(), 2);
         assert_eq!(c.models[0].0, "iris");

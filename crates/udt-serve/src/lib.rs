@@ -14,11 +14,14 @@
 //! * [`batcher::Batcher`] — a bounded MPSC queue whose worker loops run
 //!   as long-lived tasks on a dedicated [`udt_tree::WorkerPool`] (the
 //!   same execution substrate the tree builder's parallel phases use).
-//!   Concurrent classification requests are coalesced into
-//!   micro-batches (flushed when `max_batch_tuples` accumulate or
-//!   `max_delay` elapses since the first queued job) and each worker owns
-//!   one `BatchScratch` for its whole lifetime, so steady-state serving
-//!   performs no per-request allocation in the classification engine.
+//!   Flushing is greedy: a worker that picks up a request also takes
+//!   every request already queued behind it, up to `max_batch_tuples`
+//!   tuples, and serves them at once. It never waits for company, so a
+//!   lone request is served immediately and coalescing comes only from
+//!   real backlog (`flushes` / `flushed_jobs` in `stats` show how much).
+//!   Each worker owns one `BatchScratch` for its whole lifetime, so
+//!   steady-state serving performs no per-request allocation in the
+//!   classification engine.
 //! * [`server::Server`] / [`client::Client`] — a newline-delimited-JSON
 //!   protocol over plain `std::net` TCP ([`protocol`]): `classify`,
 //!   `classify_batch`, `load_model`, `swap`, `stats` and `shutdown`
@@ -66,7 +69,9 @@
 //! formatting, and the scheduler never reorders the tuples *within* a
 //! request. The integration tests lock this in over a real socket. A
 //! request whose tuples do not carry exactly the model's attribute
-//! count gets a `bad_request` error rather than an answer.
+//! count, or whose categorical value has a different number of
+//! categories than the model's split on that attribute has children,
+//! gets a `bad_request` error rather than an answer.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

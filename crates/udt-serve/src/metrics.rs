@@ -109,6 +109,8 @@ struct HealthCounters {
     deadline_drops: u64,
     worker_panics: u64,
     rejected_connections: u64,
+    flushes: u64,
+    flushed_jobs: u64,
     queue_wait: LatencyHistogram,
 }
 
@@ -186,6 +188,14 @@ impl ServeMetrics {
         lock_recover(&self.health).rejected_connections += 1;
     }
 
+    /// Records one micro-batch a worker took off the queue, holding
+    /// `jobs` jobs (`flushed_jobs / flushes` is the mean coalescing).
+    pub fn record_flush(&self, jobs: usize) {
+        let mut h = lock_recover(&self.health);
+        h.flushes += 1;
+        h.flushed_jobs += jobs as u64;
+    }
+
     /// Records how long one admitted job waited between enqueue and
     /// dequeue (the admission-control signal: queue wait growing toward
     /// the deadline means sheds are imminent).
@@ -201,6 +211,8 @@ impl ServeMetrics {
             deadline_drops: h.deadline_drops,
             worker_panics: h.worker_panics,
             rejected_connections: h.rejected_connections,
+            flushes: h.flushes,
+            flushed_jobs: h.flushed_jobs,
             queue_wait_count: h.queue_wait.count(),
             queue_wait_p50_us: h.queue_wait.quantile_ns(0.50) as f64 / 1_000.0,
             queue_wait_p99_us: h.queue_wait.quantile_ns(0.99) as f64 / 1_000.0,
@@ -287,6 +299,16 @@ impl ServeMetrics {
                 "udt_serve_rejected_connections_total",
                 "Connections refused by the max-connections gate.",
                 health.rejected_connections,
+            ),
+            (
+                "udt_serve_flushes_total",
+                "Micro-batches the scheduler workers flushed.",
+                health.flushes,
+            ),
+            (
+                "udt_serve_flushed_jobs_total",
+                "Jobs served across all flushes (per flush: divide by udt_serve_flushes_total).",
+                health.flushed_jobs,
             ),
         ] {
             let _ = writeln!(out, "# HELP {name} {help}");
@@ -511,7 +533,6 @@ mod tests {
             capacity: 64,
             depth: 1,
             max_batch_tuples: 32,
-            max_delay_us: 500,
             policy: "block".into(),
             deadline_ms: 0,
         };
@@ -521,11 +542,15 @@ mod tests {
         m.record_worker_panic();
         m.record_rejected_connection();
         m.record_queue_wait(Duration::from_micros(1));
+        m.record_flush(1);
+        m.record_flush(4);
         let text = m.render_prometheus(&models, &queue, 9.5);
         assert!(text.contains("udt_serve_sheds_total 2"));
         assert!(text.contains("udt_serve_deadline_drops_total 1"));
         assert!(text.contains("udt_serve_worker_panics_total 1"));
         assert!(text.contains("udt_serve_rejected_connections_total 1"));
+        assert!(text.contains("udt_serve_flushes_total 2"));
+        assert!(text.contains("udt_serve_flushed_jobs_total 5"));
         assert!(text.contains("udt_serve_queue_wait_seconds_count 1"));
         assert!(text.contains("udt_serve_queue_wait_seconds_bucket{le=\"+Inf\"} 1"));
         assert!(text.contains("udt_serve_uptime_seconds 9.5"));
@@ -583,7 +608,6 @@ mod tests {
             capacity: 8,
             depth: 0,
             max_batch_tuples: 32,
-            max_delay_us: 500,
             policy: "block".into(),
             deadline_ms: 0,
         };
@@ -610,7 +634,6 @@ mod tests {
             capacity: 8,
             depth: 0,
             max_batch_tuples: 32,
-            max_delay_us: 500,
             policy: "block".into(),
             deadline_ms: 0,
         };
@@ -637,6 +660,7 @@ mod tests {
         let empty = m.health_snapshot();
         assert_eq!(empty.sheds, 0);
         assert_eq!(empty.queue_wait_count, 0);
+        assert_eq!((empty.flushes, empty.flushed_jobs), (0, 0));
         m.record_shed();
         m.record_deadline_drop();
         m.record_deadline_drop();
@@ -644,11 +668,15 @@ mod tests {
         m.record_rejected_connection();
         m.record_queue_wait(Duration::from_micros(10));
         m.record_queue_wait(Duration::from_millis(1));
+        m.record_flush(3);
+        m.record_flush(1);
         let h = m.health_snapshot();
         assert_eq!(h.sheds, 1);
         assert_eq!(h.deadline_drops, 2);
         assert_eq!(h.worker_panics, 1);
         assert_eq!(h.rejected_connections, 1);
+        assert_eq!(h.flushes, 2);
+        assert_eq!(h.flushed_jobs, 4);
         assert_eq!(h.queue_wait_count, 2);
         assert!(h.queue_wait_p50_us > 0.0);
         assert!(h.queue_wait_p99_us >= h.queue_wait_p50_us);

@@ -95,10 +95,8 @@ pub struct QueueStats {
     pub capacity: usize,
     /// Jobs waiting in the queue at snapshot time.
     pub depth: usize,
-    /// Flush threshold: tuples per micro-batch.
+    /// Flush cap: tuples per micro-batch.
     pub max_batch_tuples: usize,
-    /// Flush threshold: microseconds a batch may wait for company.
-    pub max_delay_us: u64,
     /// Admission policy when the queue is full: `"block"` or `"shed"`.
     pub policy: String,
     /// Request deadline in milliseconds (0 = no deadline): jobs older
@@ -122,6 +120,11 @@ pub struct HealthStats {
     pub worker_panics: u64,
     /// Connections refused by the max-in-flight-connections gate.
     pub rejected_connections: u64,
+    /// Micro-batches the scheduler workers flushed.
+    pub flushes: u64,
+    /// Jobs served across all flushes; `flushed_jobs / flushes` is the
+    /// mean coalescing (1 when every request flushes alone).
+    pub flushed_jobs: u64,
     /// Jobs that entered the queue (admitted; denominator for the drop
     /// counters above).
     pub queue_wait_count: u64,
@@ -567,7 +570,6 @@ mod tests {
                 capacity: 128,
                 depth: 0,
                 max_batch_tuples: 64,
-                max_delay_us: 500,
                 policy: "shed".into(),
                 deadline_ms: 250,
             },
@@ -576,6 +578,8 @@ mod tests {
                 deadline_drops: 1,
                 worker_panics: 0,
                 rejected_connections: 2,
+                flushes: 7,
+                flushed_jobs: 10,
                 queue_wait_count: 10,
                 queue_wait_p50_us: 8.0,
                 queue_wait_p99_us: 64.0,

@@ -11,20 +11,71 @@
 //! batch drops), requests that arrive after the swap see the new one,
 //! and no request ever observes a half-loaded model because loading and
 //! validation complete *before* the write lock is taken.
+//!
+//! Each registration also derives the input shape the tree's categorical
+//! splits expect ([`ServedModel`]), once per model generation, so the
+//! scheduler can refuse mismatched wire tuples without walking the arena
+//! per request.
 
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use udt_tree::{persist, DecisionTree};
+use udt_tree::{persist, DecisionTree, NodeKind};
 
 use crate::error::ServeError;
 use crate::protocol::ModelInfo;
 use crate::Result;
 
-struct Entry {
+/// A registered model as the scheduler serves it: the tree snapshot plus
+/// the category counts its categorical splits fan out over.
+#[derive(Debug)]
+pub struct ServedModel {
     tree: Arc<DecisionTree>,
+    /// `(attribute, children)` for every attribute some categorical
+    /// split tests, in attribute order. A trained tree splits one
+    /// attribute into as many children as its domain has categories.
+    categorical: Vec<(usize, usize)>,
+}
+
+impl ServedModel {
+    fn new(tree: DecisionTree) -> ServedModel {
+        let flat = tree.flat();
+        let mut children: Vec<Option<usize>> = vec![None; tree.n_attributes()];
+        for id in 0..flat.len() {
+            if flat.kind(id) == NodeKind::CategoricalSplit {
+                if let Some(slot) = children.get_mut(flat.attribute(id)) {
+                    slot.get_or_insert(flat.children_of(id).len());
+                }
+            }
+        }
+        let categorical = children
+            .into_iter()
+            .enumerate()
+            .filter_map(|(attribute, n)| Some((attribute, n?)))
+            .collect();
+        ServedModel {
+            tree: Arc::new(tree),
+            categorical,
+        }
+    }
+
+    /// The tree every job of this generation classifies against.
+    pub fn tree(&self) -> &Arc<DecisionTree> {
+        &self.tree
+    }
+
+    /// `(attribute, category count)` for each attribute the tree splits
+    /// categorically; a served tuple's categorical value there must have
+    /// exactly that many categories.
+    pub fn categorical_domains(&self) -> &[(usize, usize)] {
+        &self.categorical
+    }
+}
+
+struct Entry {
+    model: Arc<ServedModel>,
     /// 1 for the first load, bumped by every successful swap.
     generation: u64,
 }
@@ -53,7 +104,7 @@ impl ModelRegistry {
             return Err(ServeError::ModelExists(name.to_string()));
         }
         let entry = Entry {
-            tree: Arc::new(tree),
+            model: Arc::new(ServedModel::new(tree)),
             generation: 1,
         };
         let info = describe(name, &entry);
@@ -67,7 +118,7 @@ impl ModelRegistry {
         let mut map = self.models.write().expect("registry lock");
         let generation = map.get(name).map_or(1, |e| e.generation + 1);
         let entry = Entry {
-            tree: Arc::new(tree),
+            model: Arc::new(ServedModel::new(tree)),
             generation,
         };
         let info = describe(name, &entry);
@@ -96,11 +147,17 @@ impl ModelRegistry {
     /// returned `Arc` stays valid (and the arena stays allocated) for as
     /// long as the caller holds it, regardless of swaps.
     pub fn get(&self, name: &str) -> Result<Arc<DecisionTree>> {
+        self.served(name).map(|m| Arc::clone(m.tree()))
+    }
+
+    /// Like [`get`](Self::get), with the input shape derived at
+    /// registration — what the scheduler checks wire tuples against.
+    pub fn served(&self, name: &str) -> Result<Arc<ServedModel>> {
         self.models
             .read()
             .expect("registry lock")
             .get(name)
-            .map(|e| Arc::clone(&e.tree))
+            .map(|e| Arc::clone(&e.model))
             .ok_or_else(|| ServeError::UnknownModel(name.to_string()))
     }
 
@@ -135,7 +192,7 @@ impl ModelRegistry {
 }
 
 fn describe(name: &str, entry: &Entry) -> ModelInfo {
-    let tree = &entry.tree;
+    let tree = entry.model.tree();
     ModelInfo {
         name: name.to_string(),
         generation: entry.generation,
@@ -183,6 +240,46 @@ mod tests {
             reg.get("missing"),
             Err(ServeError::UnknownModel(_))
         ));
+    }
+
+    #[test]
+    fn categorical_domains_are_derived_once_per_registration() {
+        use udt_data::{Attribute, Dataset, Schema, Tuple, UncertainValue};
+        use udt_prob::DiscreteDist;
+
+        let reg = ModelRegistry::new();
+        reg.insert_tree("numeric", trained(Algorithm::UdtEs))
+            .unwrap();
+        assert!(reg
+            .served("numeric")
+            .unwrap()
+            .categorical_domains()
+            .is_empty());
+
+        let schema = Schema::new(vec![
+            Attribute::numerical("noise"),
+            Attribute::categorical("colour", 3),
+        ]);
+        let mut data = Dataset::new(schema, vec!["a".into(), "b".into(), "c".into()]);
+        for i in 0..30 {
+            let class = i % 3;
+            data.push(Tuple::new(
+                vec![
+                    UncertainValue::point((i % 5) as f64),
+                    UncertainValue::Categorical(DiscreteDist::certain(class, 3).unwrap()),
+                ],
+                class,
+            ))
+            .unwrap();
+        }
+        let tree = TreeBuilder::new(UdtConfig::new(Algorithm::UdtEs).with_postprune(false))
+            .build(&data)
+            .unwrap()
+            .tree;
+        reg.insert_tree("colour", tree).unwrap();
+        let served = reg.served("colour").unwrap();
+        assert_eq!(served.categorical_domains(), &[(1, 3)]);
+        assert!(Arc::ptr_eq(served.tree(), &reg.get("colour").unwrap()));
     }
 
     #[test]

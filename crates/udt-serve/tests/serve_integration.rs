@@ -14,10 +14,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use udt_data::{toy, Dataset};
+use udt_data::{toy, Attribute, Dataset, Schema, Tuple, UncertainValue};
+use udt_prob::DiscreteDist;
 use udt_serve::{Client, ModelRegistry, ServeConfig, Server};
 use udt_tree::{
-    classify_batch, persist, Algorithm, BatchScratch, DecisionTree, TreeBuilder, UdtConfig,
+    classify_batch, persist, Algorithm, BatchScratch, DecisionTree, FlatTree, NodeKind,
+    TreeBuilder, UdtConfig,
 };
 
 fn trained(algorithm: Algorithm) -> DecisionTree {
@@ -93,6 +95,81 @@ fn wrong_arity_tuples_are_bad_requests_not_confident_answers() {
     client
         .classify("toy", &good)
         .expect("well-formed tuples are served");
+
+    client.shutdown().expect("clean shutdown");
+    handle.join().expect("server thread");
+}
+
+/// A model whose root splits a two-category attribute (aligned with the
+/// class) next to a useless numerical one.
+fn two_category_model() -> DecisionTree {
+    let schema = Schema::new(vec![
+        Attribute::categorical("colour", 2),
+        Attribute::numerical("noise"),
+    ]);
+    let mut data = Dataset::new(schema, vec!["a".into(), "b".into()]);
+    for i in 0..20 {
+        let class = i % 2;
+        data.push(Tuple::new(
+            vec![
+                UncertainValue::Categorical(DiscreteDist::certain(class, 2).expect("category")),
+                UncertainValue::point((i % 5) as f64),
+            ],
+            class,
+        ))
+        .expect("schema-conforming tuple");
+    }
+    TreeBuilder::new(UdtConfig::new(Algorithm::UdtEs).with_postprune(false))
+        .build(&data)
+        .expect("categorical build")
+        .tree
+}
+
+#[test]
+fn categorical_domain_mismatches_are_bad_requests_not_confident_answers() {
+    let tree = two_category_model();
+    let flat = tree.flat();
+    assert_eq!(flat.kind(FlatTree::ROOT), NodeKind::CategoricalSplit);
+    assert_eq!(flat.attribute(FlatTree::ROOT), 0);
+    assert_eq!(flat.children_of(FlatTree::ROOT).len(), 2);
+    let with_colour = |probs: Vec<f64>| {
+        Tuple::new(
+            vec![
+                UncertainValue::Categorical(DiscreteDist::new(probs).expect("distribution")),
+                UncertainValue::point(1.0),
+            ],
+            0,
+        )
+    };
+    let wide = with_colour(vec![0.2, 0.3, 0.5]);
+    let narrow = with_colour(vec![1.0]);
+    let good = with_colour(vec![0.2, 0.8]);
+    // In process, the engine answers the three-category tuple anyway: the
+    // mass of category 2 has no child to go to and is silently dropped.
+    let mut scratch = BatchScratch::new();
+    let dropped = classify_batch(&tree, std::slice::from_ref(&wide), &mut scratch)
+        .expect("the in-process engine answers a wider domain");
+    assert_eq!(dropped.len(), tree.n_classes());
+    let direct = classify_batch(&tree, std::slice::from_ref(&good), &mut scratch).expect("good");
+
+    let (addr, handle) = start_server(vec![("colour", tree)]);
+    let mut client = Client::connect(addr).expect("connect");
+    for (shape, bad) in [("wide", &wide), ("narrow", &narrow)] {
+        let err = client
+            .classify("colour", bad)
+            .expect_err("a domain mismatch is refused");
+        assert_eq!(err.code(), "bad_request", "{shape} classify: {err}");
+        assert!(err.to_string().contains("categories"), "{shape}: {err}");
+        let err = client
+            .classify_batch("colour", &[good.clone(), bad.clone()])
+            .expect_err("a domain mismatch refuses the whole batch");
+        assert_eq!(err.code(), "bad_request", "{shape} classify_batch: {err}");
+    }
+    // The connection survives, and a matching domain is served exactly.
+    let (dist, _) = client.classify("colour", &good).expect("matching domain");
+    for (a, b) in dist.iter().zip(&direct) {
+        assert_eq!(a.to_bits(), b.to_bits());
+    }
 
     client.shutdown().expect("clean shutdown");
     handle.join().expect("server thread");

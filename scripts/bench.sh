@@ -10,8 +10,10 @@
 # points it at the respective output file and prints the headline
 # numbers afterwards: naive-vs-columnar and scalar-vs-simd-kernel for
 # split search, single-vs-batch for classification, wall-clock + bytes
-# allocated per depth for partitioning, and batched-vs-single-request
-# socket throughput for serving.
+# allocated per depth for partitioning, batched-vs-single-request
+# socket throughput for serving, and the serving concurrency axis
+# (closed-loop point clients over 1/8/64 connections: requests per
+# second and mean jobs per scheduler flush).
 #
 # Usage: scripts/bench.sh [extra cargo bench args...]
 
@@ -26,10 +28,14 @@ classify_out="$(pwd)/BENCH_classify.json"
 partition_out="$(pwd)/BENCH_partition.json"
 serve_out="$(pwd)/BENCH_serve.json"
 scaling_out="$(pwd)/BENCH_scaling.json"
+# The serve bench prints each concurrency point's jobs per flush; keep
+# its output to read them back below.
+serve_log="$(mktemp)"
+trap 'rm -f "$serve_log"' EXIT
 CRITERION_JSON="$split_out" cargo bench -p udt-bench --bench split_algorithms "$@"
 CRITERION_JSON="$classify_out" cargo bench -p udt-bench --bench classify_throughput "$@"
 CRITERION_JSON="$partition_out" cargo bench -p udt-bench --bench partition "$@"
-CRITERION_JSON="$serve_out" cargo bench -p udt-bench --bench serve "$@"
+CRITERION_JSON="$serve_out" cargo bench -p udt-bench --bench serve "$@" 2>&1 | tee "$serve_log"
 CRITERION_JSON="$scaling_out" cargo bench -p udt-bench --bench scaling "$@"
 
 echo
@@ -100,12 +106,14 @@ EOF
 
 echo
 echo "== $serve_out =="
-python3 - "$serve_out" <<'EOF'
+python3 - "$serve_out" "$serve_log" <<'EOF'
 import json
+import re
 import sys
 
 results = json.load(open(sys.argv[1]))["results"]
 by_key = {(r["group"], r["bench"]): r["median_ns"] for r in results}
+flush_lines = open(sys.argv[2]).read()
 
 def speedup(group, single, batch):
     a = by_key.get((group, single))
@@ -121,6 +129,16 @@ replica = by_key.get(("serve_failover", "replica_set_point"))
 if direct and replica:
     overhead = (replica / direct - 1.0) * 100.0
     print(f"serve_failover: replica_set_point / direct_point = {overhead:+.2f}% breaker overhead")
+
+axis = [r for r in results if r["group"] == "serve_concurrency"]
+if axis:
+    print("serve_concurrency (closed-loop point clients):")
+    print(f"  {'point':<14} {'requests/s':>12} {'jobs/flush':>11}")
+for r in axis:
+    per_s = r["throughput_elements"] / (r["median_ns"] / 1e9) if r["median_ns"] else 0.0
+    m = re.search(re.escape(f"serve_concurrency/{r['bench']}:") + r" ([0-9.]+) jobs per flush", flush_lines)
+    jobs = m.group(1) if m else "?"
+    print(f"  {r['bench']:<14} {per_s:>12.0f} {jobs:>11}")
 EOF
 
 echo
