@@ -94,6 +94,16 @@ pub static BUILD_GRAFT_NS: Counter = Counter::new(
     "udt_build_graft_nanoseconds_total",
     "Nanoseconds spent grafting subtree fragments and renumbering arenas, summed over builds.",
 );
+/// Per-node matrix bytes freshly allocated, summed over builds.
+pub static BUILD_MATRIX_BYTES_FRESH: Counter = Counter::new(
+    "udt_build_matrix_bytes_fresh_total",
+    "Bytes of per-node split-search matrix buffers freshly allocated, summed over builds.",
+);
+/// Per-node matrix bytes recycled within a build, summed over builds.
+pub static BUILD_MATRIX_BYTES_REUSED: Counter = Counter::new(
+    "udt_build_matrix_bytes_reused_total",
+    "Bytes of per-node split-search matrix buffers recycled from earlier nodes of the same build, summed over builds.",
+);
 /// Distribution of per-node split-search durations.
 pub static NODE_SEARCH_DURATION: Histogram = Histogram::new(
     "udt_build_node_search_seconds",
@@ -150,13 +160,15 @@ pub mod serve {
     );
 }
 
-static ALL_COUNTERS: [&Counter; 18] = [
+static ALL_COUNTERS: [&Counter; 20] = [
     &BUILD_TOTAL,
     &BUILD_NODES,
     &BUILD_PRESORT_NS,
     &BUILD_SEARCH_NS,
     &BUILD_PARTITION_NS,
     &BUILD_GRAFT_NS,
+    &BUILD_MATRIX_BYTES_FRESH,
+    &BUILD_MATRIX_BYTES_REUSED,
     &POOL_TASKS_EXECUTED,
     &POOL_TASKS_STOLEN,
     &POOL_INJECTOR_PUSHES,
@@ -198,13 +210,23 @@ pub fn histograms() -> &'static [&'static Histogram] {
 /// completed build (hot-path increments stay in the builder's private
 /// `SearchStats`, preserving the determinism contract; this is one
 /// batch of relaxed adds at the end).
-pub fn record_build(nodes: u64, presort_ns: u64, search_ns: u64, partition_ns: u64, graft_ns: u64) {
+pub fn record_build(
+    nodes: u64,
+    presort_ns: u64,
+    search_ns: u64,
+    partition_ns: u64,
+    graft_ns: u64,
+    matrix_bytes_fresh: u64,
+    matrix_bytes_reused: u64,
+) {
     BUILD_TOTAL.incr();
     BUILD_NODES.add(nodes);
     BUILD_PRESORT_NS.add(presort_ns);
     BUILD_SEARCH_NS.add(search_ns);
     BUILD_PARTITION_NS.add(partition_ns);
     BUILD_GRAFT_NS.add(graft_ns);
+    BUILD_MATRIX_BYTES_FRESH.add(matrix_bytes_fresh);
+    BUILD_MATRIX_BYTES_REUSED.add(matrix_bytes_reused);
 }
 
 /// Per-algorithm pruning-effectiveness counters — the paper's headline
@@ -443,6 +465,20 @@ mod tests {
         );
         let after = pruning::snapshot("other");
         assert_eq!(after.candidates - before.candidates, 5);
+    }
+
+    #[test]
+    fn record_build_flushes_matrix_buffer_bytes() {
+        let (fresh, reused) = (
+            BUILD_MATRIX_BYTES_FRESH.get(),
+            BUILD_MATRIX_BYTES_REUSED.get(),
+        );
+        record_build(3, 0, 0, 0, 0, 4096, 8192);
+        assert!(BUILD_MATRIX_BYTES_FRESH.get() - fresh >= 4096);
+        assert!(BUILD_MATRIX_BYTES_REUSED.get() - reused >= 8192);
+        let text = crate::render_prometheus();
+        assert!(text.contains("# TYPE udt_build_matrix_bytes_fresh_total counter"));
+        assert!(text.contains("# TYPE udt_build_matrix_bytes_reused_total counter"));
     }
 
     #[test]

@@ -58,7 +58,7 @@ use crate::categorical;
 use crate::columns::{self, NodeTuples, RootColumns, Scratch};
 use crate::config::{Algorithm, UdtConfig};
 use crate::counts::ClassCounts;
-use crate::events::AttributeEvents;
+use crate::events::{AttributeEvents, BufferPool};
 use crate::flat::FlatTree;
 use crate::fractional::FractionalTuple;
 use crate::kernel::KernelKind;
@@ -125,6 +125,12 @@ pub struct BuildSummary {
     pub candidates_pruned: u64,
     /// `candidates_pruned / candidates_total` (0 when no candidates).
     pub prune_fraction: f64,
+    /// Per-node matrix bytes freshly allocated
+    /// ([`SearchStats::matrix_bytes_fresh`]).
+    pub matrix_bytes_fresh: u64,
+    /// Per-node matrix bytes recycled within the build
+    /// ([`SearchStats::matrix_bytes_reused`]).
+    pub matrix_bytes_reused: u64,
 }
 
 impl BuildReport {
@@ -146,6 +152,8 @@ impl BuildReport {
             candidates_total: self.stats.candidate_points,
             candidates_pruned: self.stats.candidates_pruned(),
             prune_fraction: self.stats.prune_fraction(),
+            matrix_bytes_fresh: self.stats.matrix_bytes_fresh,
+            matrix_bytes_reused: self.stats.matrix_bytes_reused,
         }
     }
 }
@@ -239,11 +247,31 @@ impl TreeBuilder {
         // one relaxed load each and record nothing).
         let trace_target = self.trace_target();
         let tracing = trace_target.is_some() && trace::start(trace_depth_from_env());
+        let report = self.build_traced(data);
+        if tracing {
+            let events = trace::finish();
+            if let Some(path) = &trace_target {
+                if let Err(e) = trace::write_chrome_trace(path, &events) {
+                    eprintln!("udt: could not write trace to {}: {e}", path.display());
+                }
+            }
+        }
+        report
+    }
+
+    /// The body of [`build`](Self::build) between trace activation and
+    /// the trace flush, so that every return, errors included, passes
+    /// the flush.
+    fn build_traced(&self, data: &Dataset) -> Result<BuildReport> {
         let build_span = trace::span("build", "build");
         let averaged;
         let training: &Dataset = if self.config.algorithm.uses_distributions() {
             data
         } else {
+            // Averaging would turn a non-finite point into a panic.
+            if let Some(non_finite) = first_non_finite(data) {
+                return Err(non_finite);
+            }
             averaged = data.to_averaged();
             &averaged
         };
@@ -275,15 +303,26 @@ impl TreeBuilder {
         // strategies without threading a handle through their trait.
         let build_pool = WorkerPool::for_concurrency(self.config.threads.get());
         let _pool_guard = pool::enter(Arc::clone(&build_pool));
-        // The single O(E log E) presorting pass, fanned out across
-        // attributes on the pool; the root columns are immutable from
-        // here on and recursion below never sorts again — child nodes
-        // reference them through event-id views.
+        // The single presorting pass (one stable radix sort per
+        // attribute), fanned out across attributes on the pool; the root
+        // columns are immutable from here on and recursion below never
+        // sorts again — child nodes reference them through event-id
+        // views.
         let presort_span = trace::span("presort", "phase");
         let presort_started = Instant::now();
         let root_columns = columns::build_root_with(&tuples, &numerical, &build_pool);
         stats.presort_ns += presort_started.elapsed().as_nanos() as u64;
         drop(presort_span);
+        if let Some((attribute, tuple, value)) = root_columns.first_non_finite() {
+            return Err(TreeError::NonFiniteSample {
+                tuple,
+                attribute,
+                value,
+            });
+        }
+        // Recycles per-node matrix buffers across this build's nodes and
+        // pool tasks; dropped, buffers and all, once recursion is done.
+        let buffers = BufferPool::default();
         let ctx = BuildContext {
             tuples: &tuples,
             labels: &labels,
@@ -299,6 +338,7 @@ impl TreeBuilder {
             min_gain: self.config.min_gain,
             fork_depth: self.config.parallel_cutoff_depth,
             fork_min_tuples: self.config.parallel_min_fork_tuples,
+            buffers: &buffers,
         };
         let root_state = columns::root_state(&tuples, &root_columns);
         stats.partition_bytes += root_state.heap_bytes();
@@ -320,6 +360,17 @@ impl TreeBuilder {
                 let patches: Vec<usize> = jobs.iter().map(|j| j.patch).collect();
                 let subtree_span = trace::span("subtree-queue", "phase")
                     .map(|s| s.with_arg("jobs", patches.len() as u64));
+                // A subtree's columns only shrink below its root, so no
+                // queued node can ask for more than this: release the
+                // larger buffers of the top of the tree for the
+                // subtrees' own allocations to reuse.
+                let largest = jobs
+                    .iter()
+                    .flat_map(|job| &job.state.columns)
+                    .map(|column| column.len())
+                    .max()
+                    .unwrap_or(0);
+                buffers.release_above(columns::matrix_capacity(largest, ctx.n_classes));
                 let results = run_subtree_jobs(&ctx, jobs, &build_pool, tuples.len(), &mut scratch);
                 drop(subtree_span);
                 let graft_span = trace::span("graft", "phase");
@@ -345,6 +396,8 @@ impl TreeBuilder {
                 None,
             );
         }
+        (stats.matrix_bytes_fresh, stats.matrix_bytes_reused) = buffers.bytes();
+        drop(buffers);
         let mut tree = DecisionTree::from_flat(
             flat,
             training.n_attributes(),
@@ -364,6 +417,8 @@ impl TreeBuilder {
             stats.search_ns,
             stats.partition_ns,
             stats.graft_ns,
+            stats.matrix_bytes_fresh,
+            stats.matrix_bytes_reused,
         );
         catalog::pruning::record(
             self.config.algorithm.name(),
@@ -378,14 +433,6 @@ impl TreeBuilder {
             },
         );
         drop(build_span);
-        if tracing {
-            let events = trace::finish();
-            if let Some(path) = &trace_target {
-                if let Err(e) = trace::write_chrome_trace(path, &events) {
-                    eprintln!("udt: could not write trace to {}: {e}", path.display());
-                }
-            }
-        }
         Ok(BuildReport {
             tree,
             stats,
@@ -394,6 +441,32 @@ impl TreeBuilder {
             nodes_pruned,
         })
     }
+}
+
+/// The error for the first numerical sample point of `data` that is not
+/// finite, found by a full scan. Every pdf constructor rejects such
+/// points, but a derived `Deserialize` does not (JSON's `1e999` parses
+/// as infinity). Builds over the pdfs get the same error for free from
+/// [`RootColumns::first_non_finite`]; only the averaging path, which
+/// must not average them, pays for the scan.
+fn first_non_finite(data: &Dataset) -> Option<TreeError> {
+    data.tuples().iter().enumerate().find_map(|(tuple, t)| {
+        t.values()
+            .iter()
+            .enumerate()
+            .find_map(|(attribute, value)| {
+                let &value = value
+                    .as_numeric()?
+                    .points()
+                    .iter()
+                    .find(|x| !x.is_finite())?;
+                Some(TreeError::NonFiniteSample {
+                    tuple,
+                    attribute,
+                    value,
+                })
+            })
+    })
 }
 
 /// A deferred subtree: everything a worker needs to build it into a
@@ -488,6 +561,8 @@ struct BuildContext<'a> {
     fork_depth: usize,
     /// Minimum alive tuples for a child to be worth deferring.
     fork_min_tuples: usize,
+    /// The build's pool of per-node matrix buffers.
+    buffers: &'a BufferPool,
 }
 
 /// The best action available at a node.
@@ -744,13 +819,14 @@ impl BuildContext<'_> {
                         worker_scratch.load_weights(state);
                         let events = slots
                             .map(|slot| {
-                                columns::events_from_column_with(
+                                columns::events_from_column_in(
                                     &state.columns[slot],
                                     &self.root.columns[slot],
                                     self.labels,
                                     self.n_classes,
                                     worker_scratch,
                                     self.kernel,
+                                    self.buffers,
                                 )
                             })
                             .collect();
@@ -771,13 +847,14 @@ impl BuildContext<'_> {
             .iter()
             .zip(&self.root.columns)
             .filter_map(|(col, root_col)| {
-                columns::events_from_column_with(
+                columns::events_from_column_in(
                     col,
                     root_col,
                     self.labels,
                     self.n_classes,
                     scratch,
                     self.kernel,
+                    self.buffers,
                 )
                 .map(|e| (root_col.attribute, e))
             })
@@ -804,6 +881,9 @@ impl BuildContext<'_> {
                 split: c.split,
                 score: c.score,
             });
+        for (_, attribute_events) in events {
+            self.buffers.recycle(attribute_events);
+        }
 
         let mut best = numeric;
         for &(attribute, cardinality) in self.categorical {
@@ -1015,6 +1095,95 @@ mod tests {
         assert!(TreeBuilder::new(bad_config)
             .build(&separable_point_dataset())
             .is_err());
+    }
+
+    #[test]
+    fn non_finite_sample_points_from_json_are_typed_errors() {
+        // The serde_json shim parses `1e999` as infinity straight into
+        // the derived `Deserialize` of `Dataset`/`SampledPdf`, past
+        // every validating constructor.
+        let mut ds = Dataset::numerical(2, 2);
+        for i in 0..12 {
+            let point = [i as f64, 100.25 + i as f64];
+            ds.push(Tuple::from_points(&point, i % 2)).unwrap();
+        }
+        let json = serde_json::to_string(&ds).unwrap();
+        assert_eq!(json.matches("107.25").count(), 1, "tuple 7, attribute 1");
+        for (literal, want) in [("1e999", f64::INFINITY), ("-1e999", f64::NEG_INFINITY)] {
+            let data: Dataset = serde_json::from_str(&json.replace("107.25", literal)).unwrap();
+            for algorithm in Algorithm::all() {
+                match TreeBuilder::new(UdtConfig::new(algorithm)).build(&data) {
+                    Err(TreeError::NonFiniteSample {
+                        tuple,
+                        attribute,
+                        value,
+                    }) => {
+                        assert_eq!((tuple, attribute), (7, 1), "{algorithm:?}");
+                        assert_eq!(value, want, "{algorithm:?}");
+                    }
+                    other => panic!("{algorithm:?}: expected NonFiniteSample, got {other:?}"),
+                }
+            }
+        }
+        // A refused build still releases the trace collector it started
+        // and writes what it recorded.
+        let path = std::env::temp_dir().join(format!("udt-non-finite-{}.json", std::process::id()));
+        let data: Dataset = serde_json::from_str(&json.replace("107.25", "1e999")).unwrap();
+        let refused = TreeBuilder::new(UdtConfig::new(Algorithm::UdtEs))
+            .with_trace(&path)
+            .build(&data);
+        assert!(matches!(refused, Err(TreeError::NonFiniteSample { .. })));
+        assert!(!trace::active(), "the collector is released");
+        assert!(std::fs::read_to_string(&path).unwrap().contains("presort"));
+        let _ = std::fs::remove_file(&path);
+        let message = TreeError::NonFiniteSample {
+            tuple: 7,
+            attribute: 1,
+            value: f64::INFINITY,
+        }
+        .to_string();
+        assert!(message.contains("tuple 7") && message.contains("attribute 1"));
+    }
+
+    #[test]
+    fn matrix_buffers_are_recycled_within_a_build_and_released_after_it() {
+        use udt_data::synthetic::SyntheticSpec;
+        use udt_data::uncertainty::{inject_uncertainty, UncertaintySpec};
+        let mut spec = SyntheticSpec::small(33);
+        spec.tuples = 120;
+        spec.attributes = 4;
+        let data = inject_uncertainty(
+            &spec.generate().unwrap(),
+            &UncertaintySpec::baseline().with_s(12),
+        )
+        .unwrap();
+        // One thread: which node takes which buffer is deterministic.
+        let builder = TreeBuilder::new(
+            UdtConfig::new(Algorithm::UdtEs)
+                .with_postprune(false)
+                .with_threads(1),
+        );
+        let first = builder.build(&data).unwrap();
+        let second = builder.build(&data).unwrap();
+        assert!(first.stats.nodes_searched > 1, "a multi-node build");
+        assert!(first.stats.matrix_bytes_fresh > 0);
+        assert!(
+            first.stats.matrix_bytes_reused > 0,
+            "later nodes reuse earlier nodes' buffers"
+        );
+        // A pool kept across builds would serve the second build from
+        // the first one's buffers.
+        assert_eq!(
+            second.stats.matrix_bytes_fresh,
+            first.stats.matrix_bytes_fresh
+        );
+        assert_eq!(
+            second.stats.matrix_bytes_reused,
+            first.stats.matrix_bytes_reused
+        );
+        let summary = first.summary();
+        assert_eq!(summary.matrix_bytes_fresh, first.stats.matrix_bytes_fresh);
+        assert_eq!(summary.matrix_bytes_reused, first.stats.matrix_bytes_reused);
     }
 
     #[test]

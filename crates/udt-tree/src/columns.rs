@@ -2,10 +2,15 @@
 //!
 //! The classic SPRINT/C4.5 presorting idea applied to UDT's fractional
 //! tuples: every numerical attribute's pdf sample points are flattened
-//! into one sorted column **once at the root** (`O(n log n)` per
-//! attribute, [`build_root`]), and those [`RootColumns`] are **immutable**
-//! for the rest of the build. Tree recursion never rewrites them; a node
-//! is described by
+//! into one sorted column **once at the root** ([`build_root`]), and
+//! those [`RootColumns`] are **immutable** for the rest of the build.
+//! The presort is one linear-time pass per attribute: a stable LSD radix
+//! sort (11-bit digits, uniform digits skipped) over `(u64 total-order
+//! key, source index)` pairs, where the key folds `-0.0` onto `+0.0` so
+//! ties keep the order a stable comparator sort would give, and the
+//! column's `(x, tuple, mass)` arrays are then copied from the gathered
+//! source by index — stored bits are the sample points' own. Tree
+//! recursion never rewrites the root columns; a node is described by
 //!
 //! * a sparse list of alive tuples with their fractional weights
 //!   ([`NodeTuples::alive`] / [`NodeTuples::weights`]), and
@@ -38,14 +43,16 @@
 //! tuples, so deep narrow nodes no longer pay root-sized zeroing costs.
 
 use std::cell::RefCell;
+use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::counts::WEIGHT_EPSILON;
-use crate::events::AttributeEvents;
+use crate::events::{AttributeEvents, BufferPool};
 use crate::fractional::FractionalTuple;
 use crate::kernel::KernelKind;
 use crate::pool::WorkerPool;
 use crate::split::SearchStats;
+use udt_obs::trace;
 
 /// One attribute's root event column: parallel arrays sorted by position,
 /// built once and immutable thereafter.
@@ -90,6 +97,22 @@ pub struct RootColumns {
     /// One column per numerical attribute, in the builder's numerical
     /// attribute order.
     pub columns: Vec<AttrColumn>,
+}
+
+impl RootColumns {
+    /// The first column, in attribute order, holding a position that is
+    /// not finite, as `(attribute, owner tuple, position)`. The presort's
+    /// key sorts every such position to a column end (NaNs with the sign
+    /// bit set and `-inf` first, `+inf` and other NaNs last), so two
+    /// events per column are all this has to look at.
+    pub(crate) fn first_non_finite(&self) -> Option<(usize, usize, f64)> {
+        self.columns.iter().find_map(|col| {
+            let e = [0, col.len().saturating_sub(1)]
+                .into_iter()
+                .find(|&e| col.xs.get(e).is_some_and(|x| !x.is_finite()))?;
+            Some((col.attribute, col.tuple[e] as usize, col.xs[e]))
+        })
+    }
 }
 
 /// One attribute's state at one node: the surviving root event ids plus
@@ -345,36 +368,160 @@ fn alive_tuples(tuples: &[FractionalTuple]) -> Vec<u32> {
         .collect()
 }
 
-/// Builds one attribute's sorted root event column — the per-attribute
-/// unit of the root presort, independent of every other attribute and
-/// therefore freely parallel.
-fn build_attr_column(tuples: &[FractionalTuple], alive: &[u32], attribute: usize) -> AttrColumn {
-    let mut order: Vec<(f64, u32, f64)> = Vec::new();
-    for &t in alive {
-        let Some(pdf) = tuples[t as usize].values[attribute].as_numeric() else {
-            continue;
-        };
-        for (x, m) in pdf.iter() {
-            order.push((x, t, m));
+/// The presort's working buffers, reused from one attribute to the next
+/// within one presort call and dropped when it returns.
+#[derive(Default)]
+struct Presort {
+    /// Gathered `(position, owner tuple, mass)` per event, in gather
+    /// order (ascending tuple, then pdf order).
+    source: Vec<(f64, u32, f64)>,
+    /// `(sort key, index into source)` per event.
+    keyed: Vec<(u64, u32)>,
+    /// The radix sort's second buffer.
+    spare: Vec<(u64, u32)>,
+}
+
+impl Presort {
+    /// Builds one attribute's sorted root event column — the
+    /// per-attribute unit of the root presort, independent of every
+    /// other attribute and therefore freely parallel.
+    fn column(
+        &mut self,
+        tuples: &[FractionalTuple],
+        alive: &[u32],
+        attribute: usize,
+    ) -> AttrColumn {
+        let (xs, tuple, mass) = self.sorted_events(tuples, alive, attribute, radix_key);
+        let _unit_fast_span = trace::span("presort.unit_fast", "presort");
+        let unit_fast = unit_fast_structure(&xs, &tuple, &mass, tuples.len());
+        AttrColumn {
+            attribute,
+            xs,
+            tuple,
+            mass,
+            unit_fast,
         }
     }
-    order.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite sample points"));
-    let mut xs = Vec::with_capacity(order.len());
-    let mut tuple = Vec::with_capacity(order.len());
-    let mut mass = Vec::with_capacity(order.len());
-    for (x, t, m) in order {
-        xs.push(x);
-        tuple.push(t);
-        mass.push(m);
+
+    /// The presorted `(xs, tuple, mass)` arrays of one attribute: every
+    /// alive tuple's sample points gathered into the source buffer,
+    /// ordered by the stable [`radix_order`] over `key`, and copied from
+    /// the source by index into exactly reserved arrays — so stored bits
+    /// are the sample points' own (`-0.0` included) and equal keys keep
+    /// gather order, exactly as a stable comparator sort leaves them.
+    /// `key` is [`radix_key`] outside tests.
+    fn sorted_events(
+        &mut self,
+        tuples: &[FractionalTuple],
+        alive: &[u32],
+        attribute: usize,
+        key: impl Fn(f64) -> u64,
+    ) -> (Vec<f64>, Vec<u32>, Vec<f64>) {
+        let gather_span = trace::span("presort.gather", "presort");
+        let pdfs = || {
+            alive.iter().filter_map(move |&t| {
+                tuples[t as usize].values[attribute]
+                    .as_numeric()
+                    .map(|pdf| (t, pdf))
+            })
+        };
+        let n_events: usize = pdfs().map(|(_, pdf)| pdf.len()).sum();
+        let Presort {
+            source,
+            keyed,
+            spare,
+        } = self;
+        source.clear();
+        source.reserve_exact(n_events);
+        keyed.clear();
+        keyed.reserve_exact(n_events);
+        for (t, pdf) in pdfs() {
+            for (x, m) in pdf.iter() {
+                keyed.push((key(x), source.len() as u32));
+                source.push((x, t, m));
+            }
+        }
+        drop(gather_span);
+
+        let _sort_span = trace::span("presort.sort", "presort");
+        radix_order(keyed, spare);
+        let mut xs = Vec::with_capacity(n_events);
+        let mut tuple = Vec::with_capacity(n_events);
+        let mut mass = Vec::with_capacity(n_events);
+        for &(_, i) in keyed.iter() {
+            let (x, t, m) = source[i as usize];
+            xs.push(x);
+            tuple.push(t);
+            mass.push(m);
+        }
+        (xs, tuple, mass)
     }
-    let unit_fast = unit_fast_structure(&xs, &tuple, &mass, tuples.len());
-    AttrColumn {
-        attribute,
-        xs,
-        tuple,
-        mass,
-        unit_fast,
+}
+
+/// Digit width of the presort's LSD radix sort: 11 bits, so six passes
+/// cover a 64-bit key and each pass's 2048 counters stay in L1.
+const RADIX_BITS: u32 = 11;
+/// Buckets per radix pass.
+const RADIX_BUCKETS: usize = 1 << RADIX_BITS;
+/// Passes needed to cover a 64-bit key.
+const RADIX_PASSES: usize = 64_usize.div_ceil(RADIX_BITS as usize);
+
+/// The presort's unsigned sort key of a sample point: ascending keys are
+/// ascending positions (the IEEE total order: negative values with all
+/// bits flipped, non-negative ones with the sign bit set). `-0.0` folds
+/// onto `+0.0` first — the two compare equal, so they must share a key
+/// for the stable sort to keep them in gather order. Non-finite points
+/// sort to the ends, where [`RootColumns::first_non_finite`] finds them.
+#[inline]
+fn radix_key(x: f64) -> u64 {
+    let bits = if x == 0.0 { 0 } else { x.to_bits() };
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | (1 << 63)
     }
+}
+
+/// Stable LSD radix sort of `(key, source index)` pairs by key, 11-bit
+/// digits, with `spare` as the second buffer. One counting pass builds
+/// every digit's histogram up front; a pass whose digit is the same for
+/// every key would move nothing and is skipped.
+fn radix_order(items: &mut Vec<(u64, u32)>, spare: &mut Vec<(u64, u32)>) {
+    let n = items.len();
+    if n < 2 {
+        return;
+    }
+    let mut counts = [[0u32; RADIX_BUCKETS]; RADIX_PASSES];
+    for &(key, _) in items.iter() {
+        for (pass, hist) in counts.iter_mut().enumerate() {
+            hist[radix_digit(key, pass)] += 1;
+        }
+    }
+    spare.clear();
+    spare.resize(n, (0, 0));
+    for (pass, hist) in counts.iter_mut().enumerate() {
+        if hist[radix_digit(items[0].0, pass)] as usize == n {
+            continue;
+        }
+        let mut offset = 0u32;
+        for count in hist.iter_mut() {
+            let c = *count;
+            *count = offset;
+            offset += c;
+        }
+        for &item in items.iter() {
+            let slot = &mut hist[radix_digit(item.0, pass)];
+            spare[*slot as usize] = item;
+            *slot += 1;
+        }
+        std::mem::swap(items, spare);
+    }
+}
+
+/// Digit `pass` (least significant first) of a radix key.
+#[inline]
+fn radix_digit(key: u64, pass: usize) -> usize {
+    ((key >> (pass as u32 * RADIX_BITS)) as usize) & (RADIX_BUCKETS - 1)
 }
 
 /// Precomputes [`AttrColumn::unit_fast`]: `Some(end-point position
@@ -422,31 +569,43 @@ fn unit_fast_structure(
 }
 
 /// Builds the immutable [`RootColumns`]: per-attribute event columns
-/// sorted once — the single `O(E log E)` pass; recursion below only
-/// partitions. Sequential convenience over [`build_root_with`].
+/// sorted once — one stable radix pass per attribute; recursion below
+/// only partitions. Sequential convenience over [`build_root_with`].
 pub fn build_root(tuples: &[FractionalTuple], numerical: &[usize]) -> RootColumns {
     let alive = alive_tuples(tuples);
+    let mut presort = Presort::default();
     RootColumns {
         columns: numerical
             .iter()
-            .map(|&attribute| build_attr_column(tuples, &alive, attribute))
+            .map(|&attribute| presort.column(tuples, &alive, attribute))
             .collect(),
     }
 }
 
 /// Builds the immutable [`RootColumns`] with the per-attribute presort
-/// fanned out across `pool` (the columns come back in attribute order,
-/// and each column's construction is independent, so the result is
-/// bit-identical to [`build_root`] at every thread count).
+/// fanned out across `pool`, one task per attribute. A task takes a set
+/// of working buffers another task has finished with, so the presort
+/// allocates about one set per participating thread rather than one per
+/// attribute. The columns come back in attribute order and each
+/// column's construction is independent, so the result is bit-identical
+/// to [`build_root`] at every thread count.
 pub fn build_root_with(
     tuples: &[FractionalTuple],
     numerical: &[usize],
     pool: &WorkerPool,
 ) -> RootColumns {
     let alive = alive_tuples(tuples);
+    let idle: Mutex<Vec<Presort>> = Mutex::new(Vec::new());
     RootColumns {
         columns: pool.map(numerical.len(), |slot| {
-            build_attr_column(tuples, &alive, numerical[slot])
+            let mut presort = idle
+                .lock()
+                .expect("presort buffers lock")
+                .pop()
+                .unwrap_or_default();
+            let column = presort.column(tuples, &alive, numerical[slot]);
+            idle.lock().expect("presort buffers lock").push(presort);
+            column
         }),
     }
 }
@@ -514,9 +673,9 @@ pub fn events_from_column(
 ///
 /// One fused pass over the presorted column: filtering, aggregation and
 /// end-point tracking, with the per-class accumulator in registers/L1
-/// and row flushes as raw bounds-free writes (the aggregate `Vec`
-/// reserves exact capacity up front, and `n_pos <= n_events` by
-/// construction, so every write is in bounds). Arithmetic, gates and
+/// and row flushes as raw bounds-free writes (the aggregate buffers come
+/// with capacity for at least every event up front, and
+/// `n_pos <= n_events` by construction, so every write is in bounds). Arithmetic, gates and
 /// gate *order* mirror [`AttributeEvents::build`] exactly — the matrix
 /// is bit-for-bit the historical one under either kernel.
 pub fn events_from_column_with(
@@ -527,6 +686,32 @@ pub fn events_from_column_with(
     scratch: &mut Scratch,
     kernel: KernelKind,
 ) -> Option<AttributeEvents> {
+    events_from_column_in(
+        col,
+        root_col,
+        labels,
+        n_classes,
+        scratch,
+        kernel,
+        &BufferPool::default(),
+    )
+}
+
+/// [`events_from_column_with`] drawing the structure's `xs` and `cum`
+/// buffers from `buffers` — the builder passes its per-build pool, and
+/// gets the buffers of a column without a split candidate straight back.
+pub(crate) fn events_from_column_in(
+    col: &ColumnState,
+    root_col: &AttrColumn,
+    labels: &[u32],
+    n_classes: usize,
+    scratch: &mut Scratch,
+    kernel: KernelKind,
+    buffers: &BufferPool,
+) -> Option<AttributeEvents> {
+    if col.is_empty() {
+        return None;
+    }
     // Unit fast path: a node that keeps every root event (a full-length
     // view — views only ever drop events, so full length means identity)
     // at weight exactly 1 with no rescales, over a column whose events
@@ -538,7 +723,14 @@ pub fn events_from_column_with(
     // the same by definition.
     if let Some(end_point_idx) = &root_col.unit_fast {
         if scratch.unit_weights && col.scales.is_empty() && col.len() == root_col.xs.len() {
-            return build_events_unit_fast(root_col, labels, n_classes, end_point_idx, kernel);
+            return build_events_unit_fast(
+                root_col,
+                labels,
+                n_classes,
+                end_point_idx,
+                kernel,
+                buffers,
+            );
         }
     }
     // Columns with no ancestor split on this attribute (the common case:
@@ -554,17 +746,29 @@ pub fn events_from_column_with(
         // SAFETY: AVX2 support was just verified at runtime.
         return unsafe {
             if col.scales.is_empty() {
-                build_events_avx2::<false>(col, root_col, labels, n_classes, scratch, kernel)
+                build_events_avx2::<false>(
+                    col, root_col, labels, n_classes, scratch, kernel, buffers,
+                )
             } else {
-                build_events_avx2::<true>(col, root_col, labels, n_classes, scratch, kernel)
+                build_events_avx2::<true>(
+                    col, root_col, labels, n_classes, scratch, kernel, buffers,
+                )
             }
         };
     }
     if col.scales.is_empty() {
-        build_events_scalar::<false>(col, root_col, labels, n_classes, scratch, kernel)
+        build_events_scalar::<false>(col, root_col, labels, n_classes, scratch, kernel, buffers)
     } else {
-        build_events_scalar::<true>(col, root_col, labels, n_classes, scratch, kernel)
+        build_events_scalar::<true>(col, root_col, labels, n_classes, scratch, kernel, buffers)
     }
+}
+
+/// The largest `cum` buffer a column of `n_events` events asks the
+/// [`BufferPool`] for: one row per event plus 4 spare elements for the
+/// AVX2 kernels' final overlapping store. Every other request for the
+/// column (`xs`, the scalar kernel's `cum`) is smaller.
+pub(crate) fn matrix_capacity(n_events: usize, n_classes: usize) -> usize {
+    n_events * n_classes + 4
 }
 
 /// Stack capacity (in classes) of the running-accumulator array; wider
@@ -628,6 +832,7 @@ fn build_events_scalar<const HAS_SCALES: bool>(
     n_classes: usize,
     scratch: &mut Scratch,
     kernel: KernelKind,
+    buffers: &BufferPool,
 ) -> Option<AttributeEvents> {
     debug_assert_eq!(HAS_SCALES, !col.scales.is_empty());
     scratch.reset_touched();
@@ -636,8 +841,8 @@ fn build_events_scalar<const HAS_SCALES: bool>(
     scratch.load_scales(&col.scales);
     let k = n_classes;
     let n_events = col.len();
-    let mut xs: Vec<f64> = Vec::with_capacity(n_events);
-    let mut cum: Vec<f64> = Vec::with_capacity(n_events * k);
+    let mut xs: Vec<f64> = buffers.take(n_events);
+    let mut cum: Vec<f64> = buffers.take(n_events * k);
     let xs_ptr = xs.as_mut_ptr();
     let cum_ptr = cum.as_mut_ptr();
     let mut n_pos = 0usize;
@@ -717,7 +922,9 @@ fn build_events_scalar<const HAS_SCALES: bool>(
         }
     }
     scratch.unload_scales(&col.scales);
-    if n_pos == 0 {
+    if n_pos < 2 {
+        buffers.give(xs);
+        buffers.give(cum);
         return None;
     }
     let mut end_point_idx: Vec<usize> = scratch
@@ -760,6 +967,7 @@ unsafe fn build_events_avx2<const HAS_SCALES: bool>(
     n_classes: usize,
     scratch: &mut Scratch,
     kernel: KernelKind,
+    buffers: &BufferPool,
 ) -> Option<AttributeEvents> {
     use std::arch::x86_64::*;
     debug_assert!(n_classes <= 4);
@@ -770,8 +978,8 @@ unsafe fn build_events_avx2<const HAS_SCALES: bool>(
     scratch.load_scales(&col.scales);
     let k = n_classes;
     let n_events = col.len();
-    let mut xs: Vec<f64> = Vec::with_capacity(n_events);
-    let mut cum: Vec<f64> = Vec::with_capacity(n_events * k + 4);
+    let mut xs: Vec<f64> = buffers.take(n_events);
+    let mut cum: Vec<f64> = buffers.take(matrix_capacity(n_events, k));
     let xs_ptr = xs.as_mut_ptr();
     let cum_ptr = cum.as_mut_ptr();
     let mut n_pos = 0usize;
@@ -841,7 +1049,9 @@ unsafe fn build_events_avx2<const HAS_SCALES: bool>(
         }
     }
     scratch.unload_scales(&col.scales);
-    if n_pos == 0 {
+    if n_pos < 2 {
+        buffers.give(xs);
+        buffers.give(cum);
         return None;
     }
     let mut end_point_idx: Vec<usize> = scratch
@@ -871,14 +1081,16 @@ fn build_events_unit_fast(
     n_classes: usize,
     end_point_idx: &[usize],
     kernel: KernelKind,
+    buffers: &BufferPool,
 ) -> Option<AttributeEvents> {
     let n = root_col.xs.len();
-    if n == 0 {
+    if n < 2 {
         return None;
     }
     let k = n_classes;
-    // 4 spare elements for the AVX2 variant's final overlapping store.
-    let mut cum: Vec<f64> = Vec::with_capacity(n * k + 4);
+    let mut xs = buffers.take(n);
+    xs.extend_from_slice(&root_col.xs);
+    let mut cum: Vec<f64> = buffers.take(matrix_capacity(n, k));
     #[cfg(target_arch = "x86_64")]
     if kernel == KernelKind::Simd
         && k <= 4
@@ -890,22 +1102,10 @@ fn build_events_unit_fast(
             fill_unit_rows_avx2(root_col, labels, k, cum.as_mut_ptr());
             cum.set_len(n * k);
         }
-        return AttributeEvents::from_store(
-            root_col.xs.clone(),
-            cum,
-            n_classes,
-            end_point_idx.to_vec(),
-            kernel,
-        );
+        return AttributeEvents::from_store(xs, cum, n_classes, end_point_idx.to_vec(), kernel);
     }
     fill_unit_rows_scalar(root_col, labels, k, &mut cum);
-    AttributeEvents::from_store(
-        root_col.xs.clone(),
-        cum,
-        n_classes,
-        end_point_idx.to_vec(),
-        kernel,
-    )
+    AttributeEvents::from_store(xs, cum, n_classes, end_point_idx.to_vec(), kernel)
 }
 
 /// Portable prefix-sum fill of the unit fast path: row `e` stores the
@@ -1279,6 +1479,202 @@ mod tests {
             }
         });
         total
+    }
+
+    /// A pdf with exactly these points and masses, built the way a
+    /// derived `Deserialize` builds one — bypassing the validating
+    /// constructor, so ±inf, `-0.0` beside `+0.0` and unsorted points
+    /// all get through.
+    fn raw_pdf(points: &[f64], mass: &[f64]) -> SampledPdf {
+        let number = |v: f64| match v {
+            f64::INFINITY => "1e999".to_string(),
+            f64::NEG_INFINITY => "-1e999".to_string(),
+            v => format!("{v:?}"),
+        };
+        let list = |vs: &[f64]| vs.iter().map(|&v| number(v)).collect::<Vec<_>>().join(",");
+        let json = format!(
+            r#"{{"points":[{}],"mass":[{}],"cumulative":[{}]}}"#,
+            list(points),
+            list(mass),
+            list(mass)
+        );
+        serde_json::from_str(&json).expect("raw pdf parses")
+    }
+
+    /// The comparator presort the radix sort replaced, kept as the
+    /// oracle: gather in tuple order, then a stable `sort_by` on
+    /// `partial_cmp`.
+    fn comparator_presort(
+        tuples: &[FractionalTuple],
+        attribute: usize,
+    ) -> (Vec<u64>, Vec<u32>, Vec<u64>) {
+        let mut order: Vec<(f64, u32, f64)> = Vec::new();
+        for t in alive_tuples(tuples) {
+            if let Some(pdf) = tuples[t as usize].values[attribute].as_numeric() {
+                order.extend(pdf.iter().map(|(x, m)| (x, t, m)));
+            }
+        }
+        order.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaN in the oracle's input"));
+        (
+            order.iter().map(|e| e.0.to_bits()).collect(),
+            order.iter().map(|e| e.1).collect(),
+            order.iter().map(|e| e.2.to_bits()).collect(),
+        )
+    }
+
+    fn column_bits(xs: &[f64], tuple: &[u32], mass: &[f64]) -> (Vec<u64>, Vec<u32>, Vec<u64>) {
+        (
+            xs.iter().map(|x| x.to_bits()).collect(),
+            tuple.to_vec(),
+            mass.iter().map(|m| m.to_bits()).collect(),
+        )
+    }
+
+    /// Seeded tuples whose two numerical attributes mix `-0.0` and
+    /// `+0.0`, positions shared across tuples, subnormals, ±inf, and
+    /// negative and large magnitudes. Tuple 0 holds `+0.0` and tuple 1
+    /// `-0.0` on attribute 0, so a stable sort must keep `+0.0` first.
+    fn adversarial_tuples(seed: u64) -> Vec<FractionalTuple> {
+        use rand::{Rng, SeedableRng};
+        let palette = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE / 4.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            -f64::MAX,
+            -1e300,
+            1e300,
+            -2.5,
+            1.5,
+            3.0,
+        ];
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let mut tuples: Vec<FractionalTuple> = (0..80)
+            .map(|i| {
+                let values = (0..2)
+                    .map(|_| {
+                        let n = rng.gen_range(1..10usize);
+                        let points: Vec<f64> = (0..n)
+                            .map(|_| {
+                                if rng.gen_range(0..3usize) == 0 {
+                                    rng.gen_range(-50.0..50.0)
+                                } else {
+                                    palette[rng.gen_range(0..palette.len())]
+                                }
+                            })
+                            .collect();
+                        let mass: Vec<f64> = (0..n).map(|_| rng.gen_range(0.01..1.0)).collect();
+                        UncertainValue::Numeric(raw_pdf(&points, &mass))
+                    })
+                    .collect();
+                FractionalTuple {
+                    values,
+                    label: i % 3,
+                    // Every seventh tuple is dead and must not be gathered.
+                    weight: if i % 7 == 6 { 0.0 } else { 1.0 },
+                }
+            })
+            .collect();
+        tuples[0].values[0] = UncertainValue::Numeric(raw_pdf(&[0.0, 7.0], &[0.5, 0.5]));
+        tuples[1].values[0] = UncertainValue::Numeric(raw_pdf(&[-0.0, 7.0], &[0.5, 0.5]));
+        tuples
+    }
+
+    #[test]
+    fn radix_presort_matches_the_comparator_oracle_bit_for_bit() {
+        for seed in [1, 2, 3, 2009] {
+            let tuples = adversarial_tuples(seed);
+            let root = build_root(&tuples, &[0, 1]);
+            let pool = WorkerPool::for_concurrency(2);
+            assert_eq!(
+                format!("{:?}", build_root_with(&tuples, &[0, 1], &pool)),
+                format!("{root:?}"),
+                "seed {seed}: pooled and sequential presorts agree"
+            );
+            for (attribute, col) in root.columns.iter().enumerate() {
+                assert_eq!(col.attribute, attribute);
+                assert_eq!(
+                    column_bits(&col.xs, &col.tuple, &col.mass),
+                    comparator_presort(&tuples, attribute),
+                    "seed {seed}, attribute {attribute}"
+                );
+            }
+            // Both attributes hold infinities, which sit at the ends.
+            assert_eq!(
+                root.first_non_finite()
+                    .map(|(attribute, _, x)| (attribute, x)),
+                Some((0, f64::NEG_INFINITY))
+            );
+            // The fixture really contains what it claims to.
+            let xs = &root.columns[0].xs;
+            assert!(xs.iter().any(|x| x.to_bits() == (-0.0f64).to_bits()));
+            assert!(xs.iter().any(|x| x.to_bits() == 0.0f64.to_bits()));
+            assert!(xs.iter().any(|x| x.is_infinite()));
+            assert!(xs.iter().any(|x| x.is_subnormal()));
+        }
+    }
+
+    #[test]
+    fn a_radix_key_without_the_negative_zero_fold_fails_the_oracle() {
+        // The mutation the parity test must catch: the IEEE total-order
+        // key without folding `-0.0` onto `+0.0` sorts tuple 1's `-0.0`
+        // ahead of tuple 0's `+0.0`, which compare equal.
+        let unfolded = |x: f64| {
+            let bits = x.to_bits();
+            if bits >> 63 == 1 {
+                !bits
+            } else {
+                bits | (1 << 63)
+            }
+        };
+        let tuples = adversarial_tuples(1);
+        let alive = alive_tuples(&tuples);
+        let (xs, tuple, mass) = Presort::default().sorted_events(&tuples, &alive, 0, unfolded);
+        assert_ne!(
+            column_bits(&xs, &tuple, &mass),
+            comparator_presort(&tuples, 0)
+        );
+        let (xs, tuple, mass) = Presort::default().sorted_events(&tuples, &alive, 0, radix_key);
+        assert_eq!(
+            column_bits(&xs, &tuple, &mass),
+            comparator_presort(&tuples, 0)
+        );
+    }
+
+    #[test]
+    fn radix_order_is_stable_and_keys_follow_positions() {
+        // Keys differing only in their lowest digit (the other five
+        // passes are uniform and skipped): equal keys keep input order.
+        let mut items: Vec<(u64, u32)> = [5u64, 3, 5, 1, 3, 5]
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| ((7 << 60) | k, i as u32))
+            .collect();
+        radix_order(&mut items, &mut Vec::new());
+        let order: Vec<u32> = items.iter().map(|&(_, i)| i).collect();
+        assert_eq!(order, vec![3, 1, 4, 0, 2, 5]);
+        // Every key ordered like its position, across signs and zeros.
+        let xs = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -1.0,
+            -0.0,
+            0.0,
+            1e-310,
+            2.0,
+            f64::INFINITY,
+        ];
+        for w in xs.windows(2) {
+            assert!(radix_key(w[0]) <= radix_key(w[1]), "{} vs {}", w[0], w[1]);
+        }
+        assert_eq!(radix_key(-0.0), radix_key(0.0));
+        // NaNs land outside the infinities, at the column ends.
+        assert!(radix_key(f64::NAN) > radix_key(f64::INFINITY));
+        assert!(radix_key(-f64::NAN) < radix_key(f64::NEG_INFINITY));
     }
 
     #[test]

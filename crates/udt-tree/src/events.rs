@@ -21,6 +21,14 @@
 //! boundaries of §5.1) and the disjoint intervals they induce, each
 //! classified as empty, homogeneous or heterogeneous (Definitions 2–4),
 //! which is all the pruning algorithms need.
+//!
+//! The tree builder draws the `xs` and `cum` buffers of its per-node
+//! structures from a [`BufferPool`] owned by the build: a node's buffers
+//! go back to the pool once its split search is done and later nodes
+//! take them best-fit, so a steady-state build mostly writes into memory
+//! it has already touched instead of faulting in fresh pages per node.
+
+use std::sync::Mutex;
 
 use crate::counts::{clamp_residue, ClassCounts, CountsView, WEIGHT_EPSILON};
 use crate::fractional::FractionalTuple;
@@ -592,6 +600,85 @@ impl AttributeEvents {
     /// diagnostic helper).
     pub fn left_counts_owned(&self, i: usize) -> ClassCounts {
         self.left_counts(i).to_counts()
+    }
+}
+
+/// The per-build pool of `f64` buffers behind the columnar engine's
+/// [`AttributeEvents`] (`xs` and `cum`). The builder owns one per
+/// [`crate::TreeBuilder::build`] call and shares it with its pool tasks;
+/// it is dropped, with every buffer in it, when the build returns, so
+/// nothing is retained across builds. (Buffers larger than any queued
+/// subtree can use go earlier, when the subtrees below the fork depth
+/// are handed to the pool.) Buffers are handed out best-fit:
+/// the smallest free buffer whose capacity covers the request, else a
+/// fresh allocation of exactly the requested capacity.
+#[derive(Debug, Default)]
+pub(crate) struct BufferPool {
+    state: Mutex<BufferPoolState>,
+}
+
+#[derive(Debug, Default)]
+struct BufferPoolState {
+    /// Returned buffers, all empty.
+    free: Vec<Vec<f64>>,
+    /// Bytes requested that had to be freshly allocated.
+    fresh_bytes: u64,
+    /// Bytes requested that a free buffer covered.
+    reused_bytes: u64,
+}
+
+impl BufferPool {
+    /// An empty buffer with capacity for at least `capacity` elements.
+    pub(crate) fn take(&self, capacity: usize) -> Vec<f64> {
+        let bytes = (capacity * std::mem::size_of::<f64>()) as u64;
+        {
+            let mut state = self.state.lock().expect("buffer pool lock");
+            let best = state
+                .free
+                .iter()
+                .enumerate()
+                .filter(|(_, buffer)| buffer.capacity() >= capacity)
+                .min_by_key(|(_, buffer)| buffer.capacity())
+                .map(|(i, _)| i);
+            if let Some(i) = best {
+                state.reused_bytes += bytes;
+                return state.free.swap_remove(i);
+            }
+            state.fresh_bytes += bytes;
+        }
+        Vec::with_capacity(capacity)
+    }
+
+    /// Returns one buffer to the pool.
+    pub(crate) fn give(&self, mut buffer: Vec<f64>) {
+        buffer.clear();
+        self.state
+            .lock()
+            .expect("buffer pool lock")
+            .free
+            .push(buffer);
+    }
+
+    /// Returns both buffers of a structure whose search is done.
+    pub(crate) fn recycle(&self, events: AttributeEvents) {
+        self.give(events.xs);
+        self.give(events.cum);
+    }
+
+    /// Frees every pooled buffer with capacity for more than `capacity`
+    /// elements — for when no request still to come can be that large.
+    pub(crate) fn release_above(&self, capacity: usize) {
+        self.state
+            .lock()
+            .expect("buffer pool lock")
+            .free
+            .retain(|buffer| buffer.capacity() <= capacity);
+    }
+
+    /// `(fresh, reused)` bytes handed out so far.
+    pub(crate) fn bytes(&self) -> (u64, u64) {
+        let state = self.state.lock().expect("buffer pool lock");
+        (state.fresh_bytes, state.reused_bytes)
     }
 }
 

@@ -149,6 +149,13 @@ pub struct SearchStats {
     /// arena and renumbering it to canonical preorder. Recorded once on
     /// the build thread, so this is wall-clock.
     pub graft_ns: u64,
+    /// Bytes of per-node matrix buffers (`xs` and `cum` of every
+    /// [`crate::events::AttributeEvents`] the build constructed) that had
+    /// to be freshly allocated.
+    pub matrix_bytes_fresh: u64,
+    /// Bytes of per-node matrix buffers served by recycling an earlier
+    /// node's buffers within the same build.
+    pub matrix_bytes_reused: u64,
 }
 
 impl SearchStats {
@@ -190,6 +197,8 @@ impl SearchStats {
         self.search_ns += other.search_ns;
         self.partition_ns += other.partition_ns;
         self.graft_ns += other.graft_ns;
+        self.matrix_bytes_fresh += other.matrix_bytes_fresh;
+        self.matrix_bytes_reused += other.matrix_bytes_reused;
     }
 }
 
@@ -265,6 +274,8 @@ mod tests {
             search_ns: 11,
             partition_ns: 13,
             graft_ns: 17,
+            matrix_bytes_fresh: 19,
+            matrix_bytes_reused: 23,
         };
         let b = a;
         a.merge(&b);
@@ -286,5 +297,8 @@ mod tests {
         assert_eq!(a.search_ns, 22);
         assert_eq!(a.partition_ns, 26);
         assert_eq!(a.graft_ns, 34);
+        // Matrix buffer traffic adds.
+        assert_eq!(a.matrix_bytes_fresh, 38);
+        assert_eq!(a.matrix_bytes_reused, 46);
     }
 }
