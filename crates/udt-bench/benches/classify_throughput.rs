@@ -1,14 +1,16 @@
-//! Serving-path throughput: batch arena classification vs the per-tuple
-//! recursive reference.
+//! Serving-path throughput: one `classify_batch` call per slice with a
+//! reused scratch, against the per-call API.
 //!
-//! Both sides classify the same tuples through the same tree and produce
-//! bit-for-bit identical distributions (asserted by the regression tests
-//! in `udt-tree`); the difference is purely mechanical. The single-tuple
-//! path allocates its override table, accumulator and restricted-pdf
-//! clones per call, while `classify_batch` reuses a [`BatchScratch`]
-//! arena across tuples and skips pdf materialisation on one-sided splits.
+//! Both sides run the same arena walk (`predict_distribution` is
+//! `classify_batch` over a one-tuple slice) and produce bit-for-bit
+//! identical distributions. The `single_*` arms call the per-call API
+//! once per tuple, so every call builds a fresh [`BatchScratch`] (frame
+//! stack, pdf-override delta arena, accumulator) and a one-row result;
+//! the `batch_*` arms classify the whole slice through one scratch that
+//! stays warm across calls. The ratio is what holding a scratch across
+//! a batch saves, not a comparison of two engines.
 //! `scripts/bench.sh` writes these measurements to `BENCH_classify.json`
-//! and prints the batch-vs-single speedups.
+//! and prints the per-call-vs-batch ratios.
 
 use std::time::Duration;
 

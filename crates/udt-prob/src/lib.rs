@@ -19,7 +19,7 @@
 //!   intervals) shared across the workspace.
 //!
 //! All structures are deterministic and `Send + Sync`; randomness only
-//! enters through explicitly seeded [`rand`] RNGs in the callers.
+//! enters through explicitly seeded `rand` RNGs in the callers.
 
 // Negated float comparisons (`!(x > 0.0)`) are deliberate NaN guards
 // throughout this crate: a NaN parameter must take the rejection branch.

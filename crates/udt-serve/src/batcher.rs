@@ -37,8 +37,8 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use udt_data::Tuple;
-use udt_tree::{classify_batch, BatchScratch, WorkerPool};
+use udt_data::{Tuple, UncertainValue};
+use udt_tree::{classify_batch, BatchScratch, NodeKind, WorkerPool};
 
 use crate::error::ServeError;
 use crate::faults::{FaultInjector, FaultPoint};
@@ -411,10 +411,11 @@ fn worker_loop(
 /// Refuses wire input the engine would answer confidently but wrongly,
 /// checked against the very snapshot that would classify it, so a hot
 /// swap to a model of another shape cannot slip past the check.
-/// `classify_batch` reads missing trailing attributes as unknown, and a
-/// categorical split only routes the categories it has children for, so
-/// a wrong arity or a categorical value over a different domain would
-/// otherwise get a renormalised answer.
+/// `classify_batch` reads missing trailing attributes and values of the
+/// wrong kind as unknown, and a categorical split only routes the
+/// categories it has children for, so a wrong arity, a numeric value at
+/// a categorical split (or the reverse) or a categorical value over a
+/// different domain would otherwise get a renormalised answer.
 fn check_shape(model: &ServedModel, name: &str, tuples: &[Tuple]) -> Result<()> {
     let expected = model.tree().n_attributes();
     for (i, tuple) in tuples.iter().enumerate() {
@@ -423,6 +424,23 @@ fn check_shape(model: &ServedModel, name: &str, tuples: &[Tuple]) -> Result<()> 
                 "tuple {i} has {} attributes but model `{name}` expects {expected}",
                 tuple.arity()
             )));
+        }
+        for (attribute, value) in tuple.values().iter().enumerate() {
+            let wanted = match model.split_kind(attribute) {
+                Some(NodeKind::Split) => "numeric",
+                Some(NodeKind::CategoricalSplit) => "categorical",
+                Some(NodeKind::Leaf) | None => continue,
+            };
+            let given = match value {
+                UncertainValue::Numeric(_) => "numeric",
+                UncertainValue::Categorical(_) => "categorical",
+            };
+            if given != wanted {
+                return Err(ServeError::Protocol(format!(
+                    "tuple {i} attribute {attribute} is {given} but model `{name}` \
+                     splits it as {wanted}"
+                )));
+            }
         }
         for &(attribute, categories) in model.categorical_domains() {
             let Some(value) = tuple.value(attribute).as_categorical() else {

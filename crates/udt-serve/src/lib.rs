@@ -6,11 +6,12 @@
 //! [`udt_tree::BatchScratch`]. This crate turns that calling convention
 //! into a long-lived service:
 //!
-//! * [`registry::ModelRegistry`] — loads persisted (format v2 or legacy)
-//!   models by name, validates them, and hands out `Arc<DecisionTree>`
-//!   snapshots. Hot-swapping a model atomically replaces the `Arc`;
-//!   in-flight batches keep classifying against the snapshot they took,
-//!   so a reload never drops or corrupts outstanding requests.
+//! * [`registry::ModelRegistry`] — loads persisted (format v3, or
+//!   footer-less v2) models by name, validates them, and hands out
+//!   `Arc<DecisionTree>` snapshots. Hot-swapping a model atomically
+//!   replaces the `Arc`; in-flight batches keep classifying against the
+//!   snapshot they took, so a reload never drops or corrupts outstanding
+//!   requests.
 //! * [`batcher::Batcher`] — a bounded MPSC queue whose worker loops run
 //!   as long-lived tasks on a dedicated [`udt_tree::WorkerPool`] (the
 //!   same execution substrate the tree builder's parallel phases use).

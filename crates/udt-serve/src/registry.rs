@@ -1,8 +1,9 @@
 //! The hot-swap model registry.
 //!
 //! Models are loaded from the versioned persistence format
-//! ([`udt_tree::persist`] — v2 arenas are structurally validated on
-//! load, legacy boxed files convert transparently) and served as
+//! ([`udt_tree::persist`]: v3 files with a checksum footer, or
+//! footer-less v2 files; every arena is structurally validated on load)
+//! and served as
 //! `Arc<DecisionTree>` snapshots. The map itself lives behind an
 //! `RwLock`, but the lock is only held to clone or replace an `Arc` —
 //! classification never runs under it. Swapping a model is therefore
@@ -12,10 +13,11 @@
 //! and no request ever observes a half-loaded model because loading and
 //! validation complete *before* the write lock is taken.
 //!
-//! Each registration also derives the input shape the tree's categorical
-//! splits expect ([`ServedModel`]), once per model generation, so the
-//! scheduler can refuse mismatched wire tuples without walking the arena
-//! per request.
+//! Each registration also derives the input shape the tree's splits
+//! expect ([`ServedModel`]): the value kind each tested attribute needs
+//! and the category count of each categorical split. This happens once
+//! per model generation, so the scheduler can refuse mismatched wire
+//! tuples without walking the arena per request.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -29,7 +31,7 @@ use crate::protocol::ModelInfo;
 use crate::Result;
 
 /// A registered model as the scheduler serves it: the tree snapshot plus
-/// the category counts its categorical splits fan out over.
+/// the input shape its splits expect.
 #[derive(Debug)]
 pub struct ServedModel {
     tree: Arc<DecisionTree>,
@@ -37,15 +39,28 @@ pub struct ServedModel {
     /// split tests, in attribute order. A trained tree splits one
     /// attribute into as many children as its domain has categories.
     categorical: Vec<(usize, usize)>,
+    /// The kind of the first split (in arena order) testing each
+    /// attribute, `None` where no split tests it. The engine reads a
+    /// value of the other kind as missing.
+    split_kinds: Vec<Option<NodeKind>>,
 }
 
 impl ServedModel {
     fn new(tree: DecisionTree) -> ServedModel {
         let flat = tree.flat();
+        let mut split_kinds: Vec<Option<NodeKind>> = vec![None; tree.n_attributes()];
         let mut children: Vec<Option<usize>> = vec![None; tree.n_attributes()];
         for id in 0..flat.len() {
-            if flat.kind(id) == NodeKind::CategoricalSplit {
-                if let Some(slot) = children.get_mut(flat.attribute(id)) {
+            let kind = flat.kind(id);
+            if kind == NodeKind::Leaf {
+                continue;
+            }
+            let attribute = flat.attribute(id);
+            if let Some(slot) = split_kinds.get_mut(attribute) {
+                slot.get_or_insert(kind);
+            }
+            if kind == NodeKind::CategoricalSplit {
+                if let Some(slot) = children.get_mut(attribute) {
                     slot.get_or_insert(flat.children_of(id).len());
                 }
             }
@@ -58,6 +73,7 @@ impl ServedModel {
         ServedModel {
             tree: Arc::new(tree),
             categorical,
+            split_kinds,
         }
     }
 
@@ -71,6 +87,13 @@ impl ServedModel {
     /// exactly that many categories.
     pub fn categorical_domains(&self) -> &[(usize, usize)] {
         &self.categorical
+    }
+
+    /// How the tree splits `attribute`: [`NodeKind::Split`] wants a
+    /// numeric value there, [`NodeKind::CategoricalSplit`] a categorical
+    /// one, and `None` (no split tests it) accepts either.
+    pub(crate) fn split_kind(&self, attribute: usize) -> Option<NodeKind> {
+        self.split_kinds.get(attribute).copied().flatten()
     }
 }
 
@@ -250,11 +273,9 @@ mod tests {
         let reg = ModelRegistry::new();
         reg.insert_tree("numeric", trained(Algorithm::UdtEs))
             .unwrap();
-        assert!(reg
-            .served("numeric")
-            .unwrap()
-            .categorical_domains()
-            .is_empty());
+        let numeric = reg.served("numeric").unwrap();
+        assert!(numeric.categorical_domains().is_empty());
+        assert_eq!(numeric.split_kind(0), Some(NodeKind::Split));
 
         let schema = Schema::new(vec![
             Attribute::numerical("noise"),
@@ -279,6 +300,13 @@ mod tests {
         reg.insert_tree("colour", tree).unwrap();
         let served = reg.served("colour").unwrap();
         assert_eq!(served.categorical_domains(), &[(1, 3)]);
+        assert_eq!(served.split_kind(1), Some(NodeKind::CategoricalSplit));
+        assert_eq!(
+            served.split_kind(0),
+            None,
+            "the noise attribute is never tested"
+        );
+        assert_eq!(served.split_kind(2), None, "past the schema");
         assert!(Arc::ptr_eq(served.tree(), &reg.get("colour").unwrap()));
     }
 

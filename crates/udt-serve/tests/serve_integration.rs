@@ -151,8 +151,26 @@ fn categorical_domain_mismatches_are_bad_requests_not_confident_answers() {
         .expect("the in-process engine answers a wider domain");
     assert_eq!(dropped.len(), tree.n_classes());
     let direct = classify_batch(&tree, std::slice::from_ref(&good), &mut scratch).expect("good");
+    // A value of the wrong kind is read as missing by the engine, which
+    // then answers from the training proportions instead of refusing.
+    let numeric_colour = Tuple::new(
+        vec![UncertainValue::point(0.0), UncertainValue::point(1.0)],
+        0,
+    );
+    classify_batch(&tree, std::slice::from_ref(&numeric_colour), &mut scratch)
+        .expect("the in-process engine answers a numeric value at a categorical split");
+    let numeric_tree = trained(Algorithm::UdtEs);
+    assert_eq!(numeric_tree.flat().kind(FlatTree::ROOT), NodeKind::Split);
+    let categorical_x = Tuple::new(vec![UncertainValue::category(0, 2)], 0);
+    classify_batch(
+        &numeric_tree,
+        std::slice::from_ref(&categorical_x),
+        &mut scratch,
+    )
+    .expect("the in-process engine answers a categorical value at a numeric split");
+    let numeric_good = toy::fig1_test_tuple().expect("fig1 tuple");
 
-    let (addr, handle) = start_server(vec![("colour", tree)]);
+    let (addr, handle) = start_server(vec![("colour", tree), ("toy", numeric_tree)]);
     let mut client = Client::connect(addr).expect("connect");
     for (shape, bad) in [("wide", &wide), ("narrow", &narrow)] {
         let err = client
@@ -164,6 +182,20 @@ fn categorical_domain_mismatches_are_bad_requests_not_confident_answers() {
             .classify_batch("colour", &[good.clone(), bad.clone()])
             .expect_err("a domain mismatch refuses the whole batch");
         assert_eq!(err.code(), "bad_request", "{shape} classify_batch: {err}");
+    }
+    for (model, kind, ok, bad) in [
+        ("colour", "numeric", &good, &numeric_colour),
+        ("toy", "categorical", &numeric_good, &categorical_x),
+    ] {
+        let err = client
+            .classify(model, bad)
+            .expect_err("a kind mismatch is refused");
+        assert_eq!(err.code(), "bad_request", "{kind} at {model}: {err}");
+        assert!(err.to_string().contains(kind), "{kind} at {model}: {err}");
+        let err = client
+            .classify_batch(model, &[ok.clone(), bad.clone()])
+            .expect_err("a kind mismatch refuses the whole batch");
+        assert_eq!(err.code(), "bad_request", "{kind} batch at {model}: {err}");
     }
     // The connection survives, and a matching domain is served exactly.
     let (dist, _) = client.classify("colour", &good).expect("matching domain");

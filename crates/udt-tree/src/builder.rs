@@ -924,7 +924,7 @@ impl BuildContext<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::Node;
+    use crate::flat::NodeKind;
     use udt_data::{toy, Attribute, Schema, Tuple, UncertainValue};
     use udt_prob::DiscreteDist;
 
@@ -1238,17 +1238,14 @@ mod tests {
         let report = TreeBuilder::new(UdtConfig::new(Algorithm::UdtGp).with_postprune(false))
             .build(&ds)
             .unwrap();
-        match report.tree.root_node() {
-            Node::CategoricalSplit {
-                attribute,
-                children,
-                ..
-            } => {
-                assert_eq!(attribute, 0);
-                assert_eq!(children.len(), 3);
-            }
-            other => panic!("expected a categorical root split, got {other:?}"),
-        }
+        let flat = report.tree.flat();
+        assert_eq!(
+            flat.kind(FlatTree::ROOT),
+            NodeKind::CategoricalSplit,
+            "expected a categorical root split"
+        );
+        assert_eq!(flat.attribute(FlatTree::ROOT), 0);
+        assert_eq!(flat.children_of(FlatTree::ROOT).len(), 3);
         let correct = ds
             .tuples()
             .iter()

@@ -10,26 +10,24 @@
 //! accumulated weight is multiplied into the leaf's class distribution.
 //! The per-class sums over all leaves form the final distribution `P(c)`.
 //!
-//! ## The three engines
+//! ## One walk
 //!
-//! * [`predict_distribution`] — the single-tuple reference path: a
-//!   recursive walk over the arena that allocates its override table and
-//!   accumulator per call and always materialises restricted pdfs through
-//!   [`SampledPdf::split_at`]. Bit-for-bit identical to the pre-arena
-//!   boxed recursion (kept as [`predict_distribution_node`]).
-//! * [`classify_batch`] — the serving engine: an explicit-stack walk over
-//!   the arena for a whole slice of tuples that reuses every per-tuple
-//!   buffer (frame stack, pdf-override delta chain, accumulator) in a
-//!   [`BatchScratch`] arena, and skips pdf materialisation entirely when a
-//!   split is one-sided (`p_L` snaps to exactly `0.0` or `1.0`, and
-//!   `split_at` would have returned an unmodified clone — so reusing the
-//!   current pdf reference is bit-for-bit exact). Traversal order is the
-//!   same depth-first left-to-right order as the recursion, so the
-//!   floating-point accumulation is identical to the last ulp; the
-//!   regression tests in this module and in `tests/batch_regression.rs`
-//!   lock that in with `to_bits` equality.
-//! * [`predict_distribution_node`] — the pre-arena boxed recursion,
-//!   retained as the regression reference for both paths above.
+//! [`classify_batch`] is the only classification engine: an
+//! explicit-stack walk over the arena for a whole slice of tuples. It
+//! reuses every per-tuple buffer (frame stack, pdf-override delta chain,
+//! accumulator) in a [`BatchScratch`], and skips pdf materialisation
+//! entirely when a split is one-sided (`p_L` snaps to exactly `0.0` or
+//! `1.0`, where [`SampledPdf::split_at`] would return an unmodified
+//! clone, so reusing the current pdf reference is bit-for-bit exact).
+//! Frames are visited in the depth-first, left-to-right order of the
+//! recursive definition above, so the floating-point accumulation
+//! matches a straightforward recursion to the last ulp;
+//! `tests/batch_regression.rs` keeps such a recursion as a test oracle
+//! and compares against it with `to_bits` equality.
+//!
+//! [`predict_distribution`] (one tuple, fresh scratch) is a thin wrapper
+//! over the same walk, and so are [`DecisionTree::predict`] and
+//! [`DecisionTree::predict_batch`].
 
 use udt_data::Tuple;
 use udt_prob::pdf::MASS_EPSILON;
@@ -37,7 +35,7 @@ use udt_prob::SampledPdf;
 
 use crate::counts::WEIGHT_EPSILON;
 use crate::flat::{FlatTree, NodeKind};
-use crate::node::{DecisionTree, Node};
+use crate::node::DecisionTree;
 use crate::{Result, TreeError};
 
 /// The most probable class of a distribution (ties resolve to the highest
@@ -50,24 +48,10 @@ pub fn argmax_class(dist: &[f64]) -> usize {
         .unwrap_or(0)
 }
 
-/// Shared epilogue: normalises the accumulated per-leaf mass, falling
-/// back to the uniform distribution when (numerically) no mass reached
-/// any leaf.
-fn normalise(mut acc: Vec<f64>) -> Vec<f64> {
-    let total: f64 = acc.iter().sum();
-    if total > WEIGHT_EPSILON {
-        for p in &mut acc {
-            *p /= total;
-        }
-    } else {
-        let n = acc.len().max(1);
-        acc = vec![1.0 / n as f64; acc.len()];
-    }
-    acc
-}
-
 /// Classifies `tuple` with `tree`, returning the probability distribution
-/// over class labels.
+/// over class labels: [`classify_batch`] over a one-tuple slice with a
+/// fresh scratch. Callers classifying many tuples should hold a
+/// [`BatchScratch`] and call `classify_batch` directly.
 ///
 /// Tuples whose arity does not match the tree are classified using the
 /// overlapping attributes only (missing attributes send the whole weight
@@ -78,234 +62,9 @@ fn normalise(mut acc: Vec<f64>) -> Vec<f64> {
 /// # Errors
 ///
 /// [`TreeError::NoClasses`] when the tree distinguishes zero classes:
-/// previously this case silently produced an empty "uniform" vector
-/// (`vec![1.0 / n; 0]`), masking construction bugs.
+/// there is no distribution to return.
 pub fn predict_distribution(tree: &DecisionTree, tuple: &Tuple) -> Result<Vec<f64>> {
-    if tree.n_classes() == 0 {
-        return Err(TreeError::NoClasses);
-    }
-    let mut acc = vec![0.0; tree.n_classes()];
-    // Working copies of the numerical pdfs that get restricted on the way
-    // down; `None` means "use the tuple's original value".
-    let mut overrides: Vec<Option<SampledPdf>> = vec![None; tuple.arity()];
-    descend_flat(
-        tree.flat(),
-        FlatTree::ROOT,
-        tuple,
-        &mut overrides,
-        1.0,
-        &mut acc,
-    );
-    Ok(normalise(acc))
-}
-
-fn descend_flat(
-    flat: &FlatTree,
-    node: usize,
-    tuple: &Tuple,
-    overrides: &mut Vec<Option<SampledPdf>>,
-    weight: f64,
-    acc: &mut [f64],
-) {
-    if weight <= WEIGHT_EPSILON {
-        return;
-    }
-    match flat.kind(node) {
-        NodeKind::Leaf => {
-            for (c, p) in flat.distribution_of(node).iter().enumerate() {
-                acc[c] += weight * p;
-            }
-        }
-        NodeKind::Split => {
-            let attribute = flat.attribute(node);
-            let split = flat.split_point(node);
-            let left = flat.child(node, 0);
-            let right = flat.child(node, 1);
-            let pdf = if attribute < tuple.arity() {
-                overrides[attribute]
-                    .clone()
-                    .or_else(|| tuple.value(attribute).as_numeric().cloned())
-            } else {
-                None
-            };
-            let Some(pdf) = pdf else {
-                // Missing or non-numeric attribute: distribute the weight
-                // according to the training mass that went each way.
-                let left_w = flat.total_of(left);
-                let right_w = flat.total_of(right);
-                let denom = (left_w + right_w)
-                    .max(flat.total_of(node))
-                    .max(WEIGHT_EPSILON);
-                descend_flat(flat, left, tuple, overrides, weight * left_w / denom, acc);
-                descend_flat(flat, right, tuple, overrides, weight * right_w / denom, acc);
-                return;
-            };
-            let (p_left, left_pdf, right_pdf) = pdf.split_at(split);
-            if p_left > WEIGHT_EPSILON {
-                let saved = overrides[attribute].take();
-                overrides[attribute] = left_pdf;
-                descend_flat(flat, left, tuple, overrides, weight * p_left, acc);
-                overrides[attribute] = saved;
-            }
-            let p_right = 1.0 - p_left;
-            if p_right > WEIGHT_EPSILON {
-                let saved = overrides[attribute].take();
-                overrides[attribute] = right_pdf;
-                descend_flat(flat, right, tuple, overrides, weight * p_right, acc);
-                overrides[attribute] = saved;
-            }
-        }
-        NodeKind::CategoricalSplit => {
-            let attribute = flat.attribute(node);
-            let children = flat.children_of(node);
-            let dist = if attribute < tuple.arity() {
-                tuple.value(attribute).as_categorical()
-            } else {
-                None
-            };
-            match dist {
-                Some(d) => {
-                    for (v, &child) in children.iter().enumerate() {
-                        let p = d.prob(v);
-                        if p > WEIGHT_EPSILON {
-                            descend_flat(flat, child as usize, tuple, overrides, weight * p, acc);
-                        }
-                    }
-                }
-                None => {
-                    // Missing categorical value: weight children by their
-                    // training mass.
-                    let total: f64 = children
-                        .iter()
-                        .map(|&c| flat.total_of(c as usize))
-                        .sum::<f64>()
-                        .max(flat.total_of(node))
-                        .max(WEIGHT_EPSILON);
-                    for &child in children {
-                        let share = flat.total_of(child as usize) / total;
-                        if share > WEIGHT_EPSILON {
-                            descend_flat(
-                                flat,
-                                child as usize,
-                                tuple,
-                                overrides,
-                                weight * share,
-                                acc,
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The pre-arena recursive classification over boxed [`Node`]s, retained
-/// as the bit-for-bit regression reference for the arena paths.
-///
-/// # Errors
-///
-/// [`TreeError::NoClasses`] when `n_classes` is zero (see
-/// [`predict_distribution`]).
-pub fn predict_distribution_node(root: &Node, n_classes: usize, tuple: &Tuple) -> Result<Vec<f64>> {
-    if n_classes == 0 {
-        return Err(TreeError::NoClasses);
-    }
-    let mut acc = vec![0.0; n_classes];
-    let mut overrides: Vec<Option<SampledPdf>> = vec![None; tuple.arity()];
-    descend_node(root, tuple, &mut overrides, 1.0, &mut acc);
-    Ok(normalise(acc))
-}
-
-fn descend_node(
-    node: &Node,
-    tuple: &Tuple,
-    overrides: &mut Vec<Option<SampledPdf>>,
-    weight: f64,
-    acc: &mut [f64],
-) {
-    if weight <= WEIGHT_EPSILON {
-        return;
-    }
-    match node {
-        Node::Leaf { distribution, .. } => {
-            for (c, p) in distribution.iter().enumerate() {
-                acc[c] += weight * p;
-            }
-        }
-        Node::Split {
-            attribute,
-            split,
-            counts,
-            left,
-            right,
-        } => {
-            let pdf = if *attribute < tuple.arity() {
-                overrides[*attribute]
-                    .clone()
-                    .or_else(|| tuple.value(*attribute).as_numeric().cloned())
-            } else {
-                None
-            };
-            let Some(pdf) = pdf else {
-                let left_w = left.counts().total();
-                let right_w = right.counts().total();
-                let denom = (left_w + right_w).max(counts.total()).max(WEIGHT_EPSILON);
-                descend_node(left, tuple, overrides, weight * left_w / denom, acc);
-                descend_node(right, tuple, overrides, weight * right_w / denom, acc);
-                return;
-            };
-            let (p_left, left_pdf, right_pdf) = pdf.split_at(*split);
-            if p_left > WEIGHT_EPSILON {
-                let saved = overrides[*attribute].take();
-                overrides[*attribute] = left_pdf;
-                descend_node(left, tuple, overrides, weight * p_left, acc);
-                overrides[*attribute] = saved;
-            }
-            let p_right = 1.0 - p_left;
-            if p_right > WEIGHT_EPSILON {
-                let saved = overrides[*attribute].take();
-                overrides[*attribute] = right_pdf;
-                descend_node(right, tuple, overrides, weight * p_right, acc);
-                overrides[*attribute] = saved;
-            }
-        }
-        Node::CategoricalSplit {
-            attribute,
-            counts,
-            children,
-        } => {
-            let dist = if *attribute < tuple.arity() {
-                tuple.value(*attribute).as_categorical()
-            } else {
-                None
-            };
-            match dist {
-                Some(d) => {
-                    for (v, child) in children.iter().enumerate() {
-                        let p = d.prob(v);
-                        if p > WEIGHT_EPSILON {
-                            descend_node(child, tuple, overrides, weight * p, acc);
-                        }
-                    }
-                }
-                None => {
-                    let total: f64 = children
-                        .iter()
-                        .map(|c| c.counts().total())
-                        .sum::<f64>()
-                        .max(counts.total())
-                        .max(WEIGHT_EPSILON);
-                    for child in children {
-                        let share = child.counts().total() / total;
-                        if share > WEIGHT_EPSILON {
-                            descend_node(child, tuple, overrides, weight * share, acc);
-                        }
-                    }
-                }
-            }
-        }
-    }
+    classify_batch(tree, std::slice::from_ref(tuple), &mut BatchScratch::new())
 }
 
 // ------------------------------------------------------------ batch engine
@@ -324,11 +83,11 @@ struct Frame {
 
 /// One pdf restriction along a root→node path. Chains through `parent`
 /// form a cactus stack: each frame sees exactly the overrides its own
-/// ancestors installed, mirroring the save/restore discipline of the
-/// recursive walk. `pdf: None` records a restriction that produced no
-/// usable pdf — the recursion stores `None` in its override table then,
-/// which falls back to the tuple's original value, and the lookup here
-/// does the same.
+/// ancestors installed, mirroring the save/restore discipline of a
+/// recursive walk with a per-attribute override table. `pdf: None`
+/// records a restriction that produced no usable pdf; such an entry
+/// falls back to the tuple's original value, as an empty override slot
+/// would.
 #[derive(Debug)]
 struct Delta {
     parent: u32,
@@ -401,12 +160,11 @@ enum SplitStep {
 /// Classifies every tuple of `tuples` with `tree`, returning the class
 /// distributions as one row-major matrix (`tuples.len() × n_classes`).
 ///
-/// This is the serving path: an explicit-stack arena walk whose per-tuple
-/// buffers live in `scratch` and are reused across tuples and calls. The
-/// produced distributions are **bit-for-bit identical** to calling
-/// [`predict_distribution`] per tuple — traversal order, epsilon gates
-/// and every floating-point operation match the recursive path; the
-/// one-sided fast path only skips clones that cannot change any bit.
+/// This is the one classification walk (see the [module docs](self)): an
+/// explicit-stack arena walk whose per-tuple buffers live in `scratch`
+/// and are reused across tuples and calls. A tuple's row does not depend
+/// on the rest of the batch or on the scratch's history, so
+/// [`predict_distribution`] with a fresh scratch gives the same bits.
 ///
 /// # Errors
 ///
@@ -469,8 +227,7 @@ fn classify_one(flat: &FlatTree, tuple: &Tuple, scratch: &mut BatchScratch) {
                             Some(Some(p)) => Some(p),
                             // An ancestor stored an empty restriction, or
                             // nothing was restricted: both resolve to the
-                            // tuple's original value, exactly like the
-                            // recursion's `.or_else` fallback.
+                            // tuple's original value.
                             Some(None) | None => tuple.value(attribute).as_numeric(),
                         }
                     } else {
@@ -610,27 +367,32 @@ mod tests {
     use udt_prob::DiscreteDist;
 
     /// The two-level tree of the paper's Fig. 1: root split at −1, right
-    /// child split at +1.
+    /// child split at +1. Each leaf stores `(a, b)` as both its counts
+    /// and its distribution.
     fn fig1_tree() -> DecisionTree {
-        let leaf = |a: f64, b: f64| Node::Leaf {
-            distribution: vec![a, b],
-            counts: ClassCounts::from_vec(vec![a, b]),
-        };
-        let right = Node::Split {
-            attribute: 0,
-            split: 1.0,
-            counts: ClassCounts::from_vec(vec![1.0, 1.0]),
-            left: Box::new(leaf(0.8, 0.2)),
-            right: Box::new(leaf(0.3, 0.7)),
-        };
-        let root = Node::Split {
-            attribute: 0,
-            split: -1.0,
-            counts: ClassCounts::from_vec(vec![2.0, 2.0]),
-            left: Box::new(leaf(0.2, 0.8)),
-            right: Box::new(right),
-        };
-        DecisionTree::new(root, 1, vec!["A".into(), "B".into()])
+        let mut flat = FlatTree::new(2);
+        let root = flat.push_split(0, -1.0, &ClassCounts::from_vec(vec![2.0, 2.0]));
+        let left = flat.push_leaf_raw(&[0.2, 0.8], &[0.2, 0.8]);
+        flat.set_child(root, 0, left);
+        let right = flat.push_split(0, 1.0, &ClassCounts::from_vec(vec![1.0, 1.0]));
+        flat.set_child(root, 1, right);
+        let rl = flat.push_leaf_raw(&[0.8, 0.2], &[0.8, 0.2]);
+        flat.set_child(right, 0, rl);
+        let rr = flat.push_leaf_raw(&[0.3, 0.7], &[0.3, 0.7]);
+        flat.set_child(right, 1, rr);
+        DecisionTree::from_flat(flat, 1, vec!["A".into(), "B".into()])
+    }
+
+    /// A categorical root with one leaf per `(a, b)` row, stored as both
+    /// counts and distribution.
+    fn categorical_tree(root_counts: Vec<f64>, leaves: &[[f64; 2]]) -> DecisionTree {
+        let mut flat = FlatTree::new(2);
+        let root = flat.push_categorical(0, leaves.len(), &ClassCounts::from_vec(root_counts));
+        for (v, leaf) in leaves.iter().enumerate() {
+            let id = flat.push_leaf_raw(leaf, leaf);
+            flat.set_child(root, v, id);
+        }
+        DecisionTree::from_flat(flat, 1, vec!["A".into(), "B".into()])
     }
 
     #[test]
@@ -697,16 +459,7 @@ mod tests {
 
     #[test]
     fn categorical_tree_distributes_by_category_probability() {
-        let leaf = |a: f64, b: f64| Node::Leaf {
-            distribution: vec![a, b],
-            counts: ClassCounts::from_vec(vec![a, b]),
-        };
-        let root = Node::CategoricalSplit {
-            attribute: 0,
-            counts: ClassCounts::from_vec(vec![1.0, 1.0]),
-            children: vec![leaf(1.0, 0.0), leaf(0.0, 1.0)],
-        };
-        let tree = DecisionTree::new(root, 1, vec!["A".into(), "B".into()]);
+        let tree = categorical_tree(vec![1.0, 1.0], &[[1.0, 0.0], [0.0, 1.0]]);
         let tuple = udt_data::Tuple::new(
             vec![UncertainValue::Categorical(
                 DiscreteDist::new(vec![0.3, 0.7]).unwrap(),
@@ -728,7 +481,9 @@ mod tests {
         // A hand-assembled degenerate tree over zero classes used to
         // produce `vec![1.0 / n; 0]` silently; it is now an explicit
         // error on every classification path.
-        let tree = DecisionTree::new(Node::leaf(ClassCounts::new(0)), 1, vec![]);
+        let mut flat = FlatTree::new(0);
+        flat.push_leaf(&ClassCounts::new(0));
+        let tree = DecisionTree::from_flat(flat, 1, vec![]);
         let t = udt_data::Tuple::from_points(&[0.0], 0);
         assert!(matches!(
             predict_distribution(&tree, &t),
@@ -740,29 +495,6 @@ mod tests {
             classify_batch(&tree, std::slice::from_ref(&t), &mut scratch),
             Err(TreeError::NoClasses)
         ));
-        assert!(matches!(
-            predict_distribution_node(&Node::leaf(ClassCounts::new(0)), 0, &t),
-            Err(TreeError::NoClasses)
-        ));
-    }
-
-    #[test]
-    fn arena_recursion_matches_the_boxed_reference_bit_for_bit() {
-        let tree = fig1_tree();
-        let root = tree.root_node();
-        let tuples = vec![
-            toy::fig1_test_tuple().unwrap(),
-            udt_data::Tuple::from_points(&[-2.0], 0),
-            udt_data::Tuple::from_points(&[0.5], 0),
-            udt_data::Tuple::new(vec![], 0),
-        ];
-        for t in &tuples {
-            let flat_dist = predict_distribution(&tree, t).unwrap();
-            let boxed_dist = predict_distribution_node(&root, tree.n_classes(), t).unwrap();
-            for (a, b) in flat_dist.iter().zip(&boxed_dist) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
     }
 
     #[test]
@@ -792,16 +524,7 @@ mod tests {
 
     #[test]
     fn batch_on_a_categorical_tree_matches_single() {
-        let leaf = |a: f64, b: f64| Node::Leaf {
-            distribution: vec![a, b],
-            counts: ClassCounts::from_vec(vec![a, b]),
-        };
-        let root = Node::CategoricalSplit {
-            attribute: 0,
-            counts: ClassCounts::from_vec(vec![2.0, 2.0]),
-            children: vec![leaf(1.0, 0.5), leaf(0.5, 1.0), leaf(0.5, 0.5)],
-        };
-        let tree = DecisionTree::new(root, 1, vec!["A".into(), "B".into()]);
+        let tree = categorical_tree(vec![2.0, 2.0], &[[1.0, 0.5], [0.5, 1.0], [0.5, 0.5]]);
         let tuples = vec![
             udt_data::Tuple::new(
                 vec![UncertainValue::Categorical(

@@ -80,9 +80,8 @@ impl<'a> CountsView<'a> {
     }
 
     /// The class with the largest weight (lowest index wins ties).
-    /// [`ClassCounts::majority`] delegates here, so arena-based consumers
-    /// (post-pruning) and the boxed-node reference paths agree
-    /// structurally.
+    /// [`ClassCounts::majority`] delegates here, so consumers of owned
+    /// counts and of arena rows (post-pruning) agree structurally.
     pub fn majority(&self) -> usize {
         let mut best = 0;
         let mut best_w = f64::NEG_INFINITY;

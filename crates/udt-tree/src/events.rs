@@ -23,7 +23,7 @@
 //! which is all the pruning algorithms need.
 //!
 //! The tree builder draws the `xs` and `cum` buffers of its per-node
-//! structures from a [`BufferPool`] owned by the build: a node's buffers
+//! structures from a `BufferPool` owned by the build: a node's buffers
 //! go back to the pool once its split search is done and later nodes
 //! take them best-fit, so a steady-state build mostly writes into memory
 //! it has already touched instead of faulting in fresh pages per node.
@@ -577,7 +577,7 @@ impl AttributeEvents {
     /// The eq. 3 / eq. 4 lower bound over every split point in `[xs[lo],
     /// xs[hi]]`. Allocation-free: two borrowed cumulative rows plus the
     /// hoisted total row. The bound itself always uses the exact scalar
-    /// formula; under the simd kernel a [`SIMD_BOUND_MARGIN`] is
+    /// formula; under the simd kernel a `SIMD_BOUND_MARGIN` is
     /// subtracted so the bound stays safe against the batch kernel's
     /// polynomial-`log2` score jitter.
     #[inline]

@@ -1,12 +1,14 @@
 //! Flat arena representation of a decision tree.
 //!
-//! [`FlatTree`] is the canonical build **and** serve format: a structure
-//! of parallel arrays (node kind, tested attribute, split point, child
-//! index slab, per-node class-count slab, leaf-distribution slab) with
-//! the root at index 0. The recursive [`crate::node::Node`] enum is kept
-//! only as a conversion target — for tests that pattern-match on tree
-//! structure and for the legacy persistence format — via
-//! [`FlatTree::from_node`] / [`FlatTree::to_node`].
+//! [`FlatTree`] is the only tree representation: the builder emits it,
+//! post-pruning rewrites it, persistence serialises it and classification
+//! walks it. It is a structure of parallel arrays (node kind, tested
+//! attribute, split point, child index slab, per-node class-count slab,
+//! leaf-distribution slab) with the root at index 0. Hand-built trees
+//! (tests, examples) use the same `push_*` / [`set_child`] calls as the
+//! builder.
+//!
+//! [`set_child`]: FlatTree::set_child
 //!
 //! ## Layout invariants
 //!
@@ -19,7 +21,7 @@
 //!   Consumers exploit the ordering to walk bottom-up with a single
 //!   reverse index loop (see [`crate::postprune`]).
 //! * Leaves store an offset into the distribution slab; internal nodes
-//!   store the sentinel [`NO_DIST`].
+//!   store a sentinel offset instead.
 //! * Every node stores its (fractional) training class counts — a
 //!   `n_classes`-stride row of the counts slab — plus a cached total, so
 //!   post-pruning and missing-attribute classification never touch the
@@ -31,7 +33,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::counts::{ClassCounts, CountsView};
-use crate::node::Node;
 use crate::{Result, TreeError};
 
 /// Sentinel distribution offset marking an internal node.
@@ -145,8 +146,8 @@ impl FlatTree {
         id
     }
 
-    /// Appends a leaf derived from training counts, computing the
-    /// normalised class distribution exactly like [`Node::leaf`].
+    /// Appends a leaf derived from training counts, storing their
+    /// normalised class distribution.
     pub fn push_leaf(&mut self, counts: &ClassCounts) -> usize {
         let dist = counts.distribution();
         self.push_node(
@@ -161,7 +162,7 @@ impl FlatTree {
     }
 
     /// Appends a leaf copied verbatim (counts *and* stored distribution),
-    /// used when converting or compacting existing trees so that leaf
+    /// used when copying or compacting existing trees so that leaf
     /// distributions are never re-derived.
     pub fn push_leaf_raw(&mut self, counts: &[f64], dist: &[f64]) -> usize {
         let total = counts.iter().sum();
@@ -331,83 +332,6 @@ impl FlatTree {
                     .iter()
                     .map(|&c| self.size_of(c as usize))
                     .sum::<usize>()
-            }
-        }
-    }
-
-    // ----------------------------------------------------- conversions
-
-    /// Converts the subtree rooted at `id` into the recursive enum form.
-    pub fn to_node(&self, id: usize) -> Node {
-        match self.kinds[id] {
-            NodeKind::Leaf => Node::Leaf {
-                distribution: self.distribution_of(id).to_vec(),
-                counts: self.counts_of(id).to_counts(),
-            },
-            NodeKind::Split => Node::Split {
-                attribute: self.attribute(id),
-                split: self.split_point(id),
-                counts: self.counts_of(id).to_counts(),
-                left: Box::new(self.to_node(self.child(id, 0))),
-                right: Box::new(self.to_node(self.child(id, 1))),
-            },
-            NodeKind::CategoricalSplit => Node::CategoricalSplit {
-                attribute: self.attribute(id),
-                counts: self.counts_of(id).to_counts(),
-                children: self
-                    .children_of(id)
-                    .iter()
-                    .map(|&c| self.to_node(c as usize))
-                    .collect(),
-            },
-        }
-    }
-
-    /// Converts the whole tree into a boxed root [`Node`].
-    pub fn to_root_node(&self) -> Node {
-        self.to_node(Self::ROOT)
-    }
-
-    /// Builds an arena from a recursive tree, emitting strict preorder —
-    /// the same layout the sequential builder produces, so conversion
-    /// round trips are identities.
-    pub fn from_node(root: &Node, n_classes: usize) -> FlatTree {
-        let mut flat = FlatTree::new(n_classes);
-        flat.copy_node(root);
-        flat
-    }
-
-    fn copy_node(&mut self, node: &Node) -> usize {
-        match node {
-            Node::Leaf {
-                distribution,
-                counts,
-            } => self.push_leaf_raw(counts.as_slice(), distribution),
-            Node::Split {
-                attribute,
-                split,
-                counts,
-                left,
-                right,
-            } => {
-                let id = self.push_split(*attribute, *split, counts);
-                let l = self.copy_node(left);
-                self.set_child(id, 0, l);
-                let r = self.copy_node(right);
-                self.set_child(id, 1, r);
-                id
-            }
-            Node::CategoricalSplit {
-                attribute,
-                counts,
-                children,
-            } => {
-                let id = self.push_categorical(*attribute, children.len(), counts);
-                for (v, child) in children.iter().enumerate() {
-                    let c = self.copy_node(child);
-                    self.set_child(id, v, c);
-                }
-                id
             }
         }
     }
@@ -596,48 +520,37 @@ impl FlatTree {
 mod tests {
     use super::*;
 
-    fn leaf(counts: Vec<f64>) -> Node {
-        Node::leaf(ClassCounts::from_vec(counts))
-    }
-
-    fn sample_root() -> Node {
-        let lower = Node::Split {
-            attribute: 1,
-            split: 0.5,
-            counts: ClassCounts::from_vec(vec![2.0, 2.0]),
-            left: Box::new(leaf(vec![2.0, 0.0])),
-            right: Box::new(leaf(vec![0.0, 2.0])),
-        };
-        Node::CategoricalSplit {
-            attribute: 0,
-            counts: ClassCounts::from_vec(vec![3.0, 3.0]),
-            children: vec![lower, leaf(vec![1.0, 0.0]), leaf(vec![0.0, 1.0])],
-        }
-    }
-
-    #[test]
-    fn node_round_trip_is_identity() {
-        let root = sample_root();
-        let flat = FlatTree::from_node(&root, 2);
-        assert_eq!(flat.len(), 6);
-        assert_eq!(flat.n_leaves(), 4);
-        assert_eq!(flat.depth(), 3);
-        assert_eq!(flat.size_of(FlatTree::ROOT), 6);
-        assert_eq!(flat.to_root_node(), root);
-        // A second conversion pass produces the same arena bit for bit.
-        let again = FlatTree::from_node(&flat.to_root_node(), 2);
-        assert_eq!(flat, again);
-        flat.validate().unwrap();
+    /// A categorical root over three categories whose first child is a
+    /// binary split, built in preorder: 6 nodes, 4 leaves, depth 3.
+    fn sample_flat() -> FlatTree {
+        let counts = |v: Vec<f64>| ClassCounts::from_vec(v);
+        let mut flat = FlatTree::new(2);
+        let root = flat.push_categorical(0, 3, &counts(vec![3.0, 3.0]));
+        let lower = flat.push_split(1, 0.5, &counts(vec![2.0, 2.0]));
+        flat.set_child(root, 0, lower);
+        let l = flat.push_leaf(&counts(vec![2.0, 0.0]));
+        flat.set_child(lower, 0, l);
+        let r = flat.push_leaf(&counts(vec![0.0, 2.0]));
+        flat.set_child(lower, 1, r);
+        let c1 = flat.push_leaf(&counts(vec![1.0, 0.0]));
+        flat.set_child(root, 1, c1);
+        let c2 = flat.push_leaf(&counts(vec![0.0, 1.0]));
+        flat.set_child(root, 2, c2);
+        flat
     }
 
     #[test]
     fn preorder_renumbering_is_canonical() {
-        let root = sample_root();
-        let flat = FlatTree::from_node(&root, 2);
+        let flat = sample_flat();
+        assert_eq!(flat.len(), 6);
+        assert_eq!(flat.n_leaves(), 4);
+        assert_eq!(flat.depth(), 3);
+        assert_eq!(flat.size_of(FlatTree::ROOT), 6);
+        flat.validate().unwrap();
         // Identity on an already-preorder arena.
         assert_eq!(flat.to_preorder(), flat);
         // Grafting a fragment under a shell parent, then renumbering,
-        // reproduces the directly-converted arena.
+        // reproduces the same tree pushed directly in preorder.
         let mut shell = FlatTree::new(2);
         let counts = ClassCounts::from_vec(vec![4.0, 4.0]);
         let parent = shell.push_split(0, 1.0, &counts);
@@ -647,13 +560,18 @@ mod tests {
         let sub = shell.graft(&flat);
         shell.patch_child_slab(slab, sub);
         shell.validate().unwrap();
-        let direct = FlatTree::from_node(&shell.to_root_node(), 2);
+        let mut direct = FlatTree::new(2);
+        let parent = direct.push_split(0, 1.0, &counts);
+        let l = direct.push_leaf(&ClassCounts::from_vec(vec![1.0, 0.0]));
+        direct.set_child(parent, 0, l);
+        let sub = flat.copy_subtree(FlatTree::ROOT, &mut direct);
+        direct.set_child(parent, 1, sub);
         assert_eq!(shell.to_preorder(), direct);
     }
 
     #[test]
     fn accessors_expose_node_fields() {
-        let flat = FlatTree::from_node(&sample_root(), 2);
+        let flat = sample_flat();
         assert_eq!(flat.kind(0), NodeKind::CategoricalSplit);
         assert_eq!(flat.attribute(0), 0);
         assert_eq!(flat.children_of(0).len(), 3);
@@ -670,7 +588,7 @@ mod tests {
 
     #[test]
     fn heap_bytes_tracks_the_arena_layout() {
-        let flat = FlatTree::from_node(&sample_root(), 2);
+        let flat = sample_flat();
         // Exact expectation from the layout: 6 nodes over 2 classes with
         // 5 child slots (3 categorical + 2 binary) and 4 leaf
         // distributions of 2 floats each.
@@ -686,7 +604,8 @@ mod tests {
         assert_eq!(flat.heap_bytes(), expected);
         // A strictly larger tree has a strictly larger footprint, and a
         // round trip through persistence preserves the figure.
-        let single = FlatTree::from_node(&leaf(vec![1.0, 0.0]), 2);
+        let mut single = FlatTree::new(2);
+        single.push_leaf(&ClassCounts::from_vec(vec![1.0, 0.0]));
         assert!(single.heap_bytes() < flat.heap_bytes());
         assert!(single.heap_bytes() > 0);
         assert_eq!(flat.to_preorder().heap_bytes(), flat.heap_bytes());
@@ -694,7 +613,7 @@ mod tests {
 
     #[test]
     fn validation_rejects_corrupted_arenas() {
-        let flat = FlatTree::from_node(&sample_root(), 2);
+        let flat = sample_flat();
         // Dangling child.
         let mut bad = flat.clone();
         bad.children[0] = 999;

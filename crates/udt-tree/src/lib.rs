@@ -63,22 +63,23 @@
 //! ([`flat::FlatTree`]): node kinds, attributes, split points, a child
 //! index slab, a per-node class-count slab and a leaf-distribution slab,
 //! root at index 0, children always after their parent. The arena is the
-//! canonical build **and** serve format — [`TreeBuilder`] emits preorder
-//! directly into it, post-pruning runs bottom-up over it with one reverse
-//! index loop, and persistence serialises it (with a transparent loader
-//! for the legacy boxed format). The recursive [`Node`] enum remains as a
-//! conversion target for structural tests and legacy interop.
+//! only tree representation: [`TreeBuilder`] emits preorder directly into
+//! it, post-pruning runs bottom-up over it with one reverse index loop,
+//! persistence serialises it (formats 2 and 3, see [`persist`]) and
+//! classification walks it.
 //!
 //! ## Serving: batch classification
 //!
-//! [`classify::classify_batch`] classifies a whole slice of tuples with
-//! an explicit-stack walk over the arena, reusing every per-tuple buffer
-//! (frame stack, pdf-override delta chain, accumulator) in a
-//! [`classify::BatchScratch`] and skipping pdf materialisation whenever a
-//! split is one-sided. Results are bit-for-bit identical to the
-//! per-tuple recursive path ([`DecisionTree::predict_distribution`]) —
-//! asserted by regression tests — at a multiple of its throughput (see
-//! the `classify_throughput` bench).
+//! [`classify::classify_batch`] is the one classification walk. It
+//! classifies a whole slice of tuples with an explicit-stack walk over
+//! the arena, reusing every per-tuple buffer (frame stack, pdf-override
+//! delta chain, accumulator) in a [`classify::BatchScratch`] and skipping
+//! pdf materialisation whenever a split is one-sided.
+//! [`DecisionTree::predict_distribution`], [`DecisionTree::predict`] and
+//! [`DecisionTree::predict_batch`] are wrappers over it. Regression tests
+//! compare it bit for bit with a recursive oracle of the paper's §3.2
+//! definition; the `classify_throughput` bench measures what reusing one
+//! scratch across a batch saves over the per-call API.
 //!
 //! ## The execution pool
 //!
@@ -164,7 +165,7 @@ pub use error::TreeError;
 pub use flat::{FlatTree, NodeKind};
 pub use kernel::{CountsRepr, KernelKind};
 pub use measure::Measure;
-pub use node::{DecisionTree, Node};
+pub use node::DecisionTree;
 pub use pool::WorkerPool;
 pub use split::{SearchStats, SplitChoice};
 

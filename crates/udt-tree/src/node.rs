@@ -6,165 +6,19 @@
 //! probability distribution over class labels derived from the (fractional)
 //! training tuples that reached it.
 //!
-//! Since the arena refactor, [`DecisionTree`] stores its nodes in the flat
-//! SoA arena [`FlatTree`] — the canonical build/serve format. The recursive
-//! [`Node`] enum remains as a conversion target: tests pattern-match on it
-//! via [`DecisionTree::root_node`], and the legacy persistence format in
-//! [`crate::persist`] is its serde projection. Classification of an
-//! uncertain test tuple is implemented in [`crate::classify`] and surfaced
-//! here as [`DecisionTree::predict_distribution`] (single tuple) and
+//! [`DecisionTree`] stores its nodes in the flat arena [`FlatTree`], the
+//! one tree representation used to build, prune, persist and serve, plus
+//! the metadata a model needs (attribute count and class names).
+//! Classification of an uncertain test tuple is implemented once, in
+//! [`crate::classify::classify_batch`], and surfaced here as
+//! [`DecisionTree::predict_distribution`] (single tuple) and
 //! [`DecisionTree::predict_batch`] (serving batches).
 
-use serde::{Deserialize, Serialize};
 use udt_data::Tuple;
 
-use crate::counts::ClassCounts;
-use crate::flat::FlatTree;
+use crate::classify::argmax_class;
+use crate::flat::{FlatTree, NodeKind};
 use crate::Result;
-
-/// One node of a decision tree in recursive (boxed) form.
-///
-/// This is the conversion target kept for structural tests and the legacy
-/// persistence format; the canonical representation is [`FlatTree`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Node {
-    /// A leaf node carrying a class distribution.
-    Leaf {
-        /// Normalised class distribution `P_m(c)`.
-        distribution: Vec<f64>,
-        /// The (fractional) training class counts that produced it; kept so
-        /// that post-pruning can re-derive error estimates without touching
-        /// the training data again.
-        counts: ClassCounts,
-    },
-    /// An internal node testing `value(attribute) ≤ split`.
-    Split {
-        /// Attribute index tested.
-        attribute: usize,
-        /// Split point `z_n`.
-        split: f64,
-        /// Training class counts at this node (for post-pruning).
-        counts: ClassCounts,
-        /// Subtree for tuples passing the test (`v ≤ z`).
-        left: Box<Node>,
-        /// Subtree for tuples failing the test (`v > z`).
-        right: Box<Node>,
-    },
-    /// An internal node fanning out over the categories of a categorical
-    /// attribute (§7.2); child `v` handles tuples whose value is category
-    /// `v`.
-    CategoricalSplit {
-        /// Attribute index tested.
-        attribute: usize,
-        /// Training class counts at this node (for post-pruning).
-        counts: ClassCounts,
-        /// One child per category, in category order.
-        children: Vec<Node>,
-    },
-}
-
-impl Node {
-    /// Creates a leaf from training counts.
-    pub fn leaf(counts: ClassCounts) -> Node {
-        Node::Leaf {
-            distribution: counts.distribution(),
-            counts,
-        }
-    }
-
-    /// The training class counts recorded at this node.
-    pub fn counts(&self) -> &ClassCounts {
-        match self {
-            Node::Leaf { counts, .. }
-            | Node::Split { counts, .. }
-            | Node::CategoricalSplit { counts, .. } => counts,
-        }
-    }
-
-    /// Whether this node is a leaf.
-    pub fn is_leaf(&self) -> bool {
-        matches!(self, Node::Leaf { .. })
-    }
-
-    /// Number of nodes in the subtree rooted here.
-    pub fn size(&self) -> usize {
-        match self {
-            Node::Leaf { .. } => 1,
-            Node::Split { left, right, .. } => 1 + left.size() + right.size(),
-            Node::CategoricalSplit { children, .. } => {
-                1 + children.iter().map(Node::size).sum::<usize>()
-            }
-        }
-    }
-
-    /// Number of leaves in the subtree rooted here.
-    pub fn n_leaves(&self) -> usize {
-        match self {
-            Node::Leaf { .. } => 1,
-            Node::Split { left, right, .. } => left.n_leaves() + right.n_leaves(),
-            Node::CategoricalSplit { children, .. } => children.iter().map(Node::n_leaves).sum(),
-        }
-    }
-
-    /// Depth of the subtree rooted here (a single leaf has depth 1).
-    pub fn depth(&self) -> usize {
-        match self {
-            Node::Leaf { .. } => 1,
-            Node::Split { left, right, .. } => 1 + left.depth().max(right.depth()),
-            Node::CategoricalSplit { children, .. } => {
-                1 + children.iter().map(Node::depth).max().unwrap_or(0)
-            }
-        }
-    }
-
-    fn render(&self, class_names: &[String], indent: usize, out: &mut String) {
-        let pad = "  ".repeat(indent);
-        match self {
-            Node::Leaf { distribution, .. } => {
-                let best = distribution
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-                    .map(|(i, _)| i)
-                    .unwrap_or(0);
-                let name = class_names
-                    .get(best)
-                    .map(String::as_str)
-                    .unwrap_or("<unknown>");
-                out.push_str(&format!(
-                    "{pad}leaf: {name} {:?}\n",
-                    distribution
-                        .iter()
-                        .map(|p| (p * 100.0).round() / 100.0)
-                        .collect::<Vec<_>>()
-                ));
-            }
-            Node::Split {
-                attribute,
-                split,
-                left,
-                right,
-                ..
-            } => {
-                out.push_str(&format!("{pad}if A{attribute} <= {split:.4}:\n"));
-                left.render(class_names, indent + 1, out);
-                out.push_str(&format!("{pad}else:\n"));
-                right.render(class_names, indent + 1, out);
-            }
-            Node::CategoricalSplit {
-                attribute,
-                children,
-                ..
-            } => {
-                out.push_str(&format!("{pad}switch A{attribute}:\n"));
-                for (v, child) in children.iter().enumerate() {
-                    out.push_str(&format!("{pad}case {v}:\n"));
-                    child.render(class_names, indent + 1, out);
-                }
-            }
-        }
-    }
-}
 
 /// A trained decision tree, stored as a flat arena.
 #[derive(Debug, Clone, PartialEq)]
@@ -175,17 +29,6 @@ pub struct DecisionTree {
 }
 
 impl DecisionTree {
-    /// Assembles a tree from a recursive root node and metadata,
-    /// converting it into the canonical arena form.
-    pub fn new(root: Node, n_attributes: usize, class_names: Vec<String>) -> Self {
-        let flat = FlatTree::from_node(&root, class_names.len());
-        DecisionTree {
-            flat,
-            n_attributes,
-            class_names,
-        }
-    }
-
     /// Assembles a tree directly from its arena and metadata (the builder
     /// and the persistence loader use this).
     pub fn from_flat(flat: FlatTree, n_attributes: usize, class_names: Vec<String>) -> Self {
@@ -205,12 +48,6 @@ impl DecisionTree {
     /// Mutable access to the arena (used by post-pruning).
     pub fn flat_mut(&mut self) -> &mut FlatTree {
         &mut self.flat
-    }
-
-    /// Materialises the tree in recursive (boxed) form — a conversion for
-    /// structural tests and the legacy persistence format.
-    pub fn root_node(&self) -> Node {
-        self.flat.to_root_node()
     }
 
     /// Number of attributes the tree was trained on.
@@ -258,9 +95,7 @@ impl DecisionTree {
     /// probable class label, as the paper does when "a single result is
     /// desired".
     pub fn predict(&self, tuple: &Tuple) -> Result<usize> {
-        Ok(crate::classify::argmax_class(
-            &self.predict_distribution(tuple)?,
-        ))
+        Ok(argmax_class(&self.predict_distribution(tuple)?))
     }
 
     /// Classifies a batch of tuples with the arena engine, returning the
@@ -272,43 +107,67 @@ impl DecisionTree {
     pub fn predict_batch(&self, tuples: &[Tuple]) -> Result<Vec<usize>> {
         let mut scratch = crate::classify::BatchScratch::new();
         let dists = crate::classify::classify_batch(self, tuples, &mut scratch)?;
-        Ok(dists
-            .chunks(self.n_classes())
-            .map(crate::classify::argmax_class)
-            .collect())
+        Ok(dists.chunks(self.n_classes()).map(argmax_class).collect())
     }
 
     /// A human-readable rendering of the tree (one line per node).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.root_node().render(&self.class_names, 0, &mut out);
+        self.render_node(FlatTree::ROOT, 0, &mut out);
         out
+    }
+
+    fn render_node(&self, id: usize, indent: usize, out: &mut String) {
+        let flat = &self.flat;
+        let pad = "  ".repeat(indent);
+        let attribute = flat.attribute(id);
+        match flat.kind(id) {
+            NodeKind::Leaf => {
+                let distribution = flat.distribution_of(id);
+                let name = self
+                    .class_names
+                    .get(argmax_class(distribution))
+                    .map(String::as_str)
+                    .unwrap_or("<unknown>");
+                let rounded: Vec<f64> = distribution
+                    .iter()
+                    .map(|p| (p * 100.0).round() / 100.0)
+                    .collect();
+                out.push_str(&format!("{pad}leaf: {name} {rounded:?}\n"));
+            }
+            NodeKind::Split => {
+                let split = flat.split_point(id);
+                out.push_str(&format!("{pad}if A{attribute} <= {split:.4}:\n"));
+                self.render_node(flat.child(id, 0), indent + 1, out);
+                out.push_str(&format!("{pad}else:\n"));
+                self.render_node(flat.child(id, 1), indent + 1, out);
+            }
+            NodeKind::CategoricalSplit => {
+                out.push_str(&format!("{pad}switch A{attribute}:\n"));
+                for (v, &child) in flat.children_of(id).iter().enumerate() {
+                    out.push_str(&format!("{pad}case {v}:\n"));
+                    self.render_node(child as usize, indent + 1, out);
+                }
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counts::ClassCounts;
 
     fn sample_tree() -> DecisionTree {
         // The post-pruned tree of Fig. 2b: root split at 0, left leaf
         // mostly class B, right leaf mostly class A.
-        let left = Node::Leaf {
-            distribution: vec![0.212, 0.788],
-            counts: ClassCounts::from_vec(vec![0.636, 2.364]),
-        };
-        let right = Node::Leaf {
-            distribution: vec![0.80, 0.20],
-            counts: ClassCounts::from_vec(vec![2.4, 0.6]),
-        };
-        let root = Node::Split {
-            attribute: 0,
-            split: 0.0,
-            counts: ClassCounts::from_vec(vec![3.0, 3.0]),
-            left: Box::new(left),
-            right: Box::new(right),
-        };
-        DecisionTree::new(root, 1, vec!["A".into(), "B".into()])
+        let mut flat = FlatTree::new(2);
+        let root = flat.push_split(0, 0.0, &ClassCounts::from_vec(vec![3.0, 3.0]));
+        let left = flat.push_leaf_raw(&[0.636, 2.364], &[0.212, 0.788]);
+        flat.set_child(root, 0, left);
+        let right = flat.push_leaf_raw(&[2.4, 0.6], &[0.80, 0.20]);
+        flat.set_child(root, 1, right);
+        DecisionTree::from_flat(flat, 1, vec!["A".into(), "B".into()])
     }
 
     #[test]
@@ -319,21 +178,8 @@ mod tests {
         assert_eq!(tree.depth(), 2);
         assert_eq!(tree.n_attributes(), 1);
         assert_eq!(tree.n_classes(), 2);
-        assert!(!tree.root_node().is_leaf());
+        assert_eq!(tree.flat().kind(FlatTree::ROOT), NodeKind::Split);
         tree.flat().validate().unwrap();
-    }
-
-    #[test]
-    fn leaf_from_counts_normalises() {
-        let leaf = Node::leaf(ClassCounts::from_vec(vec![1.0, 3.0]));
-        match &leaf {
-            Node::Leaf { distribution, .. } => {
-                assert_eq!(distribution, &vec![0.25, 0.75]);
-            }
-            _ => panic!("expected leaf"),
-        }
-        assert_eq!(leaf.size(), 1);
-        assert_eq!(leaf.depth(), 1);
     }
 
     #[test]
@@ -367,26 +213,57 @@ mod tests {
     }
 
     #[test]
-    fn boxed_conversion_round_trips() {
-        let tree = sample_tree();
-        let rebuilt = DecisionTree::new(tree.root_node(), 1, tree.class_names().to_vec());
-        assert_eq!(tree, rebuilt);
+    fn render_text_is_pinned_for_numeric_and_categorical_splits() {
+        // A numeric root whose left child switches on a categorical
+        // attribute with a nested numeric split, hand-built in preorder.
+        let counts = |v: Vec<f64>| ClassCounts::from_vec(v);
+        let mut flat = FlatTree::new(2);
+        let root = flat.push_split(0, 0.5, &counts(vec![6.0, 6.0]));
+        let switch = flat.push_categorical(1, 3, &counts(vec![6.0, 4.0]));
+        flat.set_child(root, 0, switch);
+        let inner = flat.push_split(2, -1.25, &counts(vec![4.0, 3.0]));
+        flat.set_child(switch, 0, inner);
+        let l = flat.push_leaf(&counts(vec![3.0, 1.0]));
+        flat.set_child(inner, 0, l);
+        let r = flat.push_leaf(&counts(vec![1.0, 2.0]));
+        flat.set_child(inner, 1, r);
+        let c1 = flat.push_leaf(&counts(vec![1.0, 0.0]));
+        flat.set_child(switch, 1, c1);
+        let c2 = flat.push_leaf(&counts(vec![1.0, 1.0]));
+        flat.set_child(switch, 2, c2);
+        let right = flat.push_leaf(&counts(vec![0.0, 2.0]));
+        flat.set_child(root, 1, right);
+        flat.validate().unwrap();
+        let tree = DecisionTree::from_flat(flat, 3, vec!["a".into(), "b".into()]);
+        let expected = "\
+if A0 <= 0.5000:
+  switch A1:
+  case 0:
+    if A2 <= -1.2500:
+      leaf: a [0.75, 0.25]
+    else:
+      leaf: b [0.33, 0.67]
+  case 1:
+    leaf: a [1.0, 0.0]
+  case 2:
+    leaf: b [0.5, 0.5]
+else:
+  leaf: b [0.0, 1.0]
+";
+        assert_eq!(tree.render(), expected);
     }
 
     #[test]
     fn categorical_node_statistics() {
-        let children = vec![
-            Node::leaf(ClassCounts::from_vec(vec![1.0, 0.0])),
-            Node::leaf(ClassCounts::from_vec(vec![0.0, 1.0])),
-            Node::leaf(ClassCounts::from_vec(vec![0.5, 0.5])),
-        ];
-        let node = Node::CategoricalSplit {
-            attribute: 2,
-            counts: ClassCounts::from_vec(vec![1.5, 1.5]),
-            children,
-        };
-        assert_eq!(node.size(), 4);
-        assert_eq!(node.n_leaves(), 3);
-        assert_eq!(node.depth(), 2);
+        let mut flat = FlatTree::new(2);
+        let root = flat.push_categorical(2, 3, &ClassCounts::from_vec(vec![1.5, 1.5]));
+        for (v, counts) in [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]].into_iter().enumerate() {
+            let leaf = flat.push_leaf(&ClassCounts::from_vec(counts.to_vec()));
+            flat.set_child(root, v, leaf);
+        }
+        flat.validate().unwrap();
+        assert_eq!(flat.size_of(root), 4);
+        assert_eq!(flat.n_leaves(), 3);
+        assert_eq!(flat.depth(), 2);
     }
 }

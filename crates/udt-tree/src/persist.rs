@@ -20,16 +20,14 @@
 //!   ([`crate::flat::FlatTree`]) plus metadata, tagged with an explicit
 //!   `format_version` field, no footer. Written by [`to_json`]; every
 //!   loaded arena passes structural validation before it is served.
-//! * **Legacy** (pre-arena): the serde projection of the recursive
-//!   [`Node`] tree (`{"root": …, "n_attributes": …, "class_names": …}`).
-//!   [`from_json`] / [`load`] detect and convert it transparently, so
-//!   models written before the arena refactor keep loading;
-//!   [`to_legacy_json`] still writes it for interop with old readers.
+//!
+//! Nothing else is read: a pre-arena file (a boxed tree under a `"root"`
+//! key) fails with [`TreeError::Serde`] like any other wrong-shape input.
 
 use serde::{Deserialize, Serialize};
 
 use crate::flat::FlatTree;
-use crate::node::{DecisionTree, Node};
+use crate::node::DecisionTree;
 use crate::Result;
 use crate::TreeError;
 
@@ -96,7 +94,7 @@ fn corrupt(detail: String) -> TreeError {
 }
 
 /// Splits a version-3 string into its verified body, `Ok(None)` for a
-/// footer-less (version-2 / legacy) string, or [`TreeError::Corrupt`]
+/// footer-less (version-2) string, or [`TreeError::Corrupt`]
 /// when a footer is present but malformed, truncated, or mismatched.
 fn strip_verified_footer(json: &str) -> Result<Option<&str>> {
     if json.len() >= FOOTER_LEN {
@@ -146,15 +144,6 @@ struct PersistedModel {
     tree: FlatTree,
 }
 
-/// The legacy (pre-arena) on-disk projection: the old `DecisionTree`
-/// struct serialised field for field.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct LegacyModel {
-    root: Node,
-    n_attributes: usize,
-    class_names: Vec<String>,
-}
-
 /// Serialises a tree to a JSON string in the current (version 2, flat
 /// arena) format.
 pub fn to_json(tree: &DecisionTree) -> Result<String> {
@@ -180,68 +169,36 @@ pub fn to_json_v3(tree: &DecisionTree) -> Result<String> {
     Ok(body)
 }
 
-/// Serialises a tree to the legacy (boxed-node) JSON format, for interop
-/// with pre-arena readers.
-pub fn to_legacy_json(tree: &DecisionTree) -> Result<String> {
-    let model = LegacyModel {
-        root: tree.root_node(),
-        n_attributes: tree.n_attributes(),
-        class_names: tree.class_names().to_vec(),
-    };
-    serde_json::to_string(&model).map_err(|e| TreeError::Serde {
-        op: "serialisation",
-        detail: e.to_string(),
-    })
-}
-
 /// Deserialises a tree from a JSON string in any supported format.
 /// A version-3 checksum footer, when present, is verified first (any
 /// integrity failure is a typed [`TreeError::Corrupt`]); footer-less
-/// strings take the version-2 / legacy path unchanged. Arenas are
-/// structurally validated before being accepted.
+/// strings are read as version 2. A body that does not parse as a
+/// version-2 model is a [`TreeError::Serde`]. Arenas are structurally
+/// validated before being accepted.
 pub fn from_json(json: &str) -> Result<DecisionTree> {
     let json = match strip_verified_footer(json)? {
         Some(body) => body,
         None => json,
     };
-    match serde_json::from_str::<PersistedModel>(json) {
-        Ok(model) => {
-            if model.format_version > FORMAT_VERSION {
-                return Err(TreeError::InvalidModel {
-                    reason: "model was written by a newer format version",
-                });
-            }
-            if model.tree.n_classes() != model.class_names.len() {
-                return Err(TreeError::InvalidModel {
-                    reason: "class name count does not match the arena",
-                });
-            }
-            model.tree.validate()?;
-            return Ok(DecisionTree::from_flat(
-                model.tree,
-                model.n_attributes,
-                model.class_names,
-            ));
-        }
-        // A file carrying the version tag *is* a v2 model; surface its
-        // parse failure instead of a misleading legacy-format error.
-        Err(e) if json.contains("\"format_version\"") => {
-            return Err(TreeError::Serde {
-                op: "version-2 deserialisation",
-                detail: e.to_string(),
-            });
-        }
-        Err(_) => {}
-    }
-    // Fall back to the legacy boxed format.
-    let legacy: LegacyModel = serde_json::from_str(json).map_err(|e| TreeError::Serde {
-        op: "deserialisation",
+    let model: PersistedModel = serde_json::from_str(json).map_err(|e| TreeError::Serde {
+        op: "version-2 deserialisation",
         detail: e.to_string(),
     })?;
-    Ok(DecisionTree::new(
-        legacy.root,
-        legacy.n_attributes,
-        legacy.class_names,
+    if model.format_version > FORMAT_VERSION {
+        return Err(TreeError::InvalidModel {
+            reason: "model was written by a newer format version",
+        });
+    }
+    if model.tree.n_classes() != model.class_names.len() {
+        return Err(TreeError::InvalidModel {
+            reason: "class name count does not match the arena",
+        });
+    }
+    model.tree.validate()?;
+    Ok(DecisionTree::from_flat(
+        model.tree,
+        model.n_attributes,
+        model.class_names,
     ))
 }
 
@@ -282,7 +239,7 @@ pub fn save(tree: &DecisionTree, path: &std::path::Path) -> Result<()> {
 
 /// Reads a tree from a model file written by [`save`] — verifying the
 /// version-3 checksum footer when one is present — or by an older
-/// `save`, whose version-2 / legacy format is converted transparently.
+/// `save`, whose footer-less version-2 file is read as is.
 pub fn load(path: &std::path::Path) -> Result<DecisionTree> {
     let json = std::fs::read_to_string(path).map_err(|e| TreeError::Io {
         op: "read",
@@ -318,25 +275,6 @@ mod tests {
         let data = toy::table1_dataset().unwrap();
         for t in data.tuples() {
             assert_eq!(tree.predict(t).unwrap(), restored.predict(t).unwrap());
-            assert_eq!(
-                tree.predict_distribution(t).unwrap(),
-                restored.predict_distribution(t).unwrap()
-            );
-        }
-    }
-
-    #[test]
-    fn legacy_boxed_models_still_load() {
-        // A model written in the pre-arena format (boxed `Node` tree under
-        // a "root" key) loads transparently and predicts identically.
-        let tree = trained();
-        let legacy_json = to_legacy_json(&tree).unwrap();
-        assert!(legacy_json.contains("\"root\""));
-        assert!(!legacy_json.contains("format_version"));
-        let restored = from_json(&legacy_json).unwrap();
-        assert_eq!(tree, restored);
-        let data = toy::table1_dataset().unwrap();
-        for t in data.tuples() {
             assert_eq!(
                 tree.predict_distribution(t).unwrap(),
                 restored.predict_distribution(t).unwrap()
@@ -392,8 +330,7 @@ mod tests {
         assert!(from_json("{not json").is_err());
         assert!(from_json("{\"format_version\": 2}").is_err());
         assert!(load(std::path::Path::new("/no/such/model.json")).is_err());
-        // A truncated v2 file reports a v2 parse failure, not a confusing
-        // legacy-format one.
+        // A truncated v2 file reports a v2 parse failure.
         let json = to_json(&trained()).unwrap();
         let err = from_json(&json[..json.len() / 2]).unwrap_err();
         assert!(err.to_string().contains("version-2"), "got: {err}");
@@ -429,7 +366,7 @@ mod tests {
             from_json(&flipped).unwrap_err(),
             TreeError::Corrupt { detail } if detail.contains("mismatch")
         ));
-        // A footer that lost bytes is corrupt, not "legacy garbage".
+        // A footer that lost bytes is corrupt, not a parse failure.
         assert!(matches!(
             from_json(&v3[..v3.len() - 7]).unwrap_err(),
             TreeError::Corrupt { detail } if detail.contains("truncated")

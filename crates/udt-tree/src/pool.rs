@@ -498,7 +498,7 @@ impl Drop for PoolGuard {
 /// the duration of a build, so deeply nested phases — the split-search
 /// strategies in particular — can reach the pool without threading a
 /// handle through every signature. Subtree tasks do **not** re-enter
-/// the pool on worker threads: phases consult [`fanout`], which
+/// the pool on worker threads: phases consult `fanout`, which
 /// declines inside pool work anyway, so both the workers and the
 /// map-participating build thread take the same sequential path there.
 pub fn enter(pool: Arc<WorkerPool>) -> PoolGuard {

@@ -12,14 +12,14 @@
 //! Pruning operates **directly on the arena**: because children always
 //! carry larger indices than their parent (see [`FlatTree`]'s layout
 //! invariants), one reverse index loop visits every node after all of its
-//! descendants — the same bottom-up order as the old boxed recursion,
+//! descendants — the same bottom-up order as a children-first recursion,
 //! with the per-subtree error sums memoised instead of recomputed. The
-//! old recursive path over boxed [`Node`]s is retained as
-//! [`prune_boxed`], and an equivalence test pins the two to each other.
+//! test module keeps such a recursion over the arena as a reference, and
+//! an equivalence test pins the two to each other bit for bit.
 
 use crate::counts::CountsView;
 use crate::flat::{FlatTree, NodeKind};
-use crate::node::{DecisionTree, Node};
+use crate::node::DecisionTree;
 
 /// Pessimistic (upper-confidence) number of errors for a leaf holding
 /// `counts`, using the Wilson-style upper bound on the binomial error rate
@@ -93,8 +93,7 @@ pub fn prune_flat(flat: &mut FlatTree, z: f64) -> usize {
 }
 
 /// Rebuilds the arena in preorder, replacing every collapsed node by a
-/// leaf derived from its training counts (exactly like [`Node::leaf`])
-/// and dropping its descendants. Surviving leaves are copied verbatim.
+/// leaf derived from its training counts and dropping its descendants. Surviving leaves are copied verbatim.
 fn compact(flat: &FlatTree, collapsed: &[bool]) -> FlatTree {
     fn copy(flat: &FlatTree, id: usize, collapsed: &[bool], out: &mut FlatTree) -> usize {
         if collapsed[id] {
@@ -130,53 +129,81 @@ fn compact(flat: &FlatTree, collapsed: &[bool]) -> FlatTree {
     out
 }
 
-// ----------------------------------------------------- boxed reference
-
-/// Pessimistic error of the subtree rooted at `node` (sum over its leaves).
-fn subtree_errors(node: &Node, z: f64) -> f64 {
-    match node {
-        Node::Leaf { counts, .. } => pessimistic_errors(counts.as_view(), z),
-        Node::Split { left, right, .. } => subtree_errors(left, z) + subtree_errors(right, z),
-        Node::CategoricalSplit { children, .. } => {
-            children.iter().map(|c| subtree_errors(c, z)).sum()
-        }
-    }
-}
-
-/// The pre-arena recursive pruning over boxed [`Node`]s, retained as the
-/// regression reference for [`prune_flat`]; returns the number of nodes
-/// removed.
-pub fn prune_boxed(node: &mut Node, z: f64) -> usize {
-    let mut removed = 0;
-    match node {
-        Node::Leaf { .. } => return 0,
-        Node::Split { left, right, .. } => {
-            removed += prune_boxed(left, z);
-            removed += prune_boxed(right, z);
-        }
-        Node::CategoricalSplit { children, .. } => {
-            for child in children.iter_mut() {
-                removed += prune_boxed(child, z);
-            }
-        }
-    }
-    let as_subtree = subtree_errors(node, z);
-    let as_leaf = pessimistic_errors(node.counts().as_view(), z);
-    if as_leaf <= as_subtree + 1e-9 {
-        let size_before = node.size();
-        *node = Node::leaf(node.counts().clone());
-        removed += size_before - 1;
-    }
-    removed
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::counts::ClassCounts;
 
-    fn leaf(counts: Vec<f64>) -> Node {
-        Node::leaf(ClassCounts::from_vec(counts))
+    /// The recursive reference for [`prune_flat`]: prunes the subtree at
+    /// `id` children first into a standalone preorder fragment and
+    /// recomputes each subtree's pessimistic error from its leaves
+    /// instead of memoising it. Returns the fragment and the number of
+    /// nodes removed.
+    fn prune_reference(flat: &FlatTree, id: usize, z: f64) -> (FlatTree, usize) {
+        let mut out = FlatTree::new(flat.n_classes());
+        let counts = flat.counts_of(id).to_counts();
+        if flat.kind(id) == NodeKind::Leaf {
+            out.push_leaf_raw(counts.as_slice(), flat.distribution_of(id));
+            return (out, 0);
+        }
+        let mut removed = 0;
+        let children: Vec<FlatTree> = flat
+            .children_of(id)
+            .iter()
+            .map(|&c| {
+                let (fragment, r) = prune_reference(flat, c as usize, z);
+                removed += r;
+                fragment
+            })
+            .collect();
+        let as_subtree: f64 = children
+            .iter()
+            .map(|c| leaf_errors(c, FlatTree::ROOT, z))
+            .sum();
+        if pessimistic_errors(counts.as_view(), z) <= as_subtree + 1e-9 {
+            out.push_leaf(&counts);
+            removed += children.iter().map(FlatTree::len).sum::<usize>();
+            return (out, removed);
+        }
+        let parent = match flat.kind(id) {
+            NodeKind::Split => out.push_split(flat.attribute(id), flat.split_point(id), &counts),
+            _ => out.push_categorical(flat.attribute(id), children.len(), &counts),
+        };
+        for (slot, child) in children.iter().enumerate() {
+            let c = out.graft(child);
+            out.set_child(parent, slot, c);
+        }
+        (out, removed)
+    }
+
+    /// Pessimistic error of the subtree at `id`: the sum over its leaves.
+    fn leaf_errors(flat: &FlatTree, id: usize, z: f64) -> f64 {
+        match flat.kind(id) {
+            NodeKind::Leaf => pessimistic_errors(flat.counts_of(id), z),
+            _ => flat
+                .children_of(id)
+                .iter()
+                .map(|&c| leaf_errors(flat, c as usize, z))
+                .sum(),
+        }
+    }
+
+    /// Appends a binary split on attribute 0 with two leaf children;
+    /// `counts` holds the split's, the left leaf's and the right leaf's
+    /// class counts. Returns the split's id.
+    fn push_stump(flat: &mut FlatTree, split: f64, counts: [Vec<f64>; 3]) -> usize {
+        let [own, left, right] = counts;
+        let id = flat.push_split(0, split, &ClassCounts::from_vec(own));
+        let l = flat.push_leaf(&ClassCounts::from_vec(left));
+        flat.set_child(id, 0, l);
+        let r = flat.push_leaf(&ClassCounts::from_vec(right));
+        flat.set_child(id, 1, r);
+        id
+    }
+
+    fn tree(flat: FlatTree) -> DecisionTree {
+        flat.validate().unwrap();
+        DecisionTree::from_flat(flat, 1, vec!["a".into(), "b".into()])
     }
 
     #[test]
@@ -203,37 +230,29 @@ mod tests {
     fn useless_split_is_collapsed() {
         // Both children predict class 0; the split adds nothing, so it is
         // pruned away.
-        let mut tree = DecisionTree::new(
-            Node::Split {
-                attribute: 0,
-                split: 1.0,
-                counts: ClassCounts::from_vec(vec![8.0, 2.0]),
-                left: Box::new(leaf(vec![5.0, 1.0])),
-                right: Box::new(leaf(vec![3.0, 1.0])),
-            },
-            1,
-            vec!["a".into(), "b".into()],
+        let mut flat = FlatTree::new(2);
+        push_stump(
+            &mut flat,
+            1.0,
+            [vec![8.0, 2.0], vec![5.0, 1.0], vec![3.0, 1.0]],
         );
+        let mut tree = tree(flat);
         let removed = prune(&mut tree, 0.6745);
         assert_eq!(removed, 2);
-        assert!(tree.root_node().is_leaf());
+        assert_eq!(tree.flat().kind(FlatTree::ROOT), NodeKind::Leaf);
         tree.flat().validate().unwrap();
     }
 
     #[test]
     fn informative_split_is_kept() {
         // The split separates the classes perfectly: pruning must keep it.
-        let mut tree = DecisionTree::new(
-            Node::Split {
-                attribute: 0,
-                split: 1.0,
-                counts: ClassCounts::from_vec(vec![10.0, 10.0]),
-                left: Box::new(leaf(vec![10.0, 0.0])),
-                right: Box::new(leaf(vec![0.0, 10.0])),
-            },
-            1,
-            vec!["a".into(), "b".into()],
+        let mut flat = FlatTree::new(2);
+        push_stump(
+            &mut flat,
+            1.0,
+            [vec![10.0, 10.0], vec![10.0, 0.0], vec![0.0, 10.0]],
         );
+        let mut tree = tree(flat);
         let removed = prune(&mut tree, 0.6745);
         assert_eq!(removed, 0);
         assert_eq!(tree.size(), 3);
@@ -243,53 +262,44 @@ mod tests {
     fn pruning_is_bottom_up() {
         // A deep chain whose lower split is useless but whose upper split
         // is informative: only the lower one is collapsed.
-        let lower = Node::Split {
-            attribute: 0,
-            split: 5.0,
-            counts: ClassCounts::from_vec(vec![9.0, 1.0]),
-            left: Box::new(leaf(vec![5.0, 1.0])),
-            right: Box::new(leaf(vec![4.0, 0.0])),
-        };
-        let mut tree = DecisionTree::new(
-            Node::Split {
-                attribute: 0,
-                split: 10.0,
-                counts: ClassCounts::from_vec(vec![9.0, 11.0]),
-                left: Box::new(lower),
-                right: Box::new(leaf(vec![0.0, 10.0])),
-            },
-            1,
-            vec!["a".into(), "b".into()],
+        let mut flat = FlatTree::new(2);
+        let root = flat.push_split(0, 10.0, &ClassCounts::from_vec(vec![9.0, 11.0]));
+        let lower = push_stump(
+            &mut flat,
+            5.0,
+            [vec![9.0, 1.0], vec![5.0, 1.0], vec![4.0, 0.0]],
         );
+        flat.set_child(root, 0, lower);
+        let right = flat.push_leaf(&ClassCounts::from_vec(vec![0.0, 10.0]));
+        flat.set_child(root, 1, right);
+        let mut tree = tree(flat);
         let removed = prune(&mut tree, 0.6745);
         assert_eq!(removed, 2);
         assert_eq!(tree.size(), 3);
-        assert!(!tree.root_node().is_leaf());
+        assert_eq!(tree.flat().kind(FlatTree::ROOT), NodeKind::Split);
         tree.flat().validate().unwrap();
     }
 
     #[test]
     fn categorical_subtrees_are_pruned_too() {
-        let mut tree = DecisionTree::new(
-            Node::CategoricalSplit {
-                attribute: 0,
-                counts: ClassCounts::from_vec(vec![6.0, 2.0]),
-                children: vec![leaf(vec![3.0, 1.0]), leaf(vec![3.0, 1.0])],
-            },
-            1,
-            vec!["a".into(), "b".into()],
-        );
+        let mut flat = FlatTree::new(2);
+        let root = flat.push_categorical(0, 2, &ClassCounts::from_vec(vec![6.0, 2.0]));
+        for slot in 0..2 {
+            let leaf = flat.push_leaf(&ClassCounts::from_vec(vec![3.0, 1.0]));
+            flat.set_child(root, slot, leaf);
+        }
+        let mut tree = tree(flat);
         let removed = prune(&mut tree, 0.6745);
         assert_eq!(removed, 2);
-        assert!(tree.root_node().is_leaf());
+        assert_eq!(tree.flat().kind(FlatTree::ROOT), NodeKind::Leaf);
     }
 
     #[test]
     fn arena_pruning_is_equivalent_to_the_boxed_reference() {
         // Train an unpruned tree on realistic uncertain data, then prune
-        // it along both paths: the arena pass and the boxed recursion must
-        // remove the same number of nodes and produce identical trees, at
-        // several confidence levels.
+        // it along both paths: the arena pass and the recursive reference
+        // must remove the same number of nodes and produce bit-identical
+        // arenas, at several confidence levels.
         use crate::config::{Algorithm, UdtConfig};
         use crate::TreeBuilder;
         use udt_data::synthetic::SyntheticSpec;
@@ -309,10 +319,10 @@ mod tests {
         for z in [0.0, 0.6745, 1.5] {
             let mut arena_tree = unpruned.clone();
             let arena_removed = prune(&mut arena_tree, z);
-            let mut boxed_root = unpruned.root_node();
-            let boxed_removed = prune_boxed(&mut boxed_root, z);
-            assert_eq!(arena_removed, boxed_removed, "z = {z}");
-            assert_eq!(arena_tree.root_node(), boxed_root, "z = {z}");
+            let (reference, reference_removed) =
+                prune_reference(unpruned.flat(), FlatTree::ROOT, z);
+            assert_eq!(arena_removed, reference_removed, "z = {z}");
+            assert_eq!(arena_tree.flat(), &reference, "z = {z}");
             arena_tree.flat().validate().unwrap();
         }
     }

@@ -4,11 +4,11 @@
 //! would make `FlatTree` invariants unsound before a model goes live, so
 //! the failure modes are pinned here as integration tests: truncation at
 //! every prefix length, targeted corruption of v2 arenas, unknown or
-//! malformed version tags, and the legacy round trip
-//! `to_legacy_json → from_json` reconverging to the exact same arena.
+//! malformed version tags, footer damage, and the refusal of pre-arena
+//! (`{"root": …}`) files.
 
 use udt_data::toy;
-use udt_tree::persist::{from_json, to_json, to_json_v3, to_legacy_json};
+use udt_tree::persist::{from_json, to_json, to_json_v3};
 use udt_tree::{Algorithm, DecisionTree, TreeBuilder, TreeError, UdtConfig};
 
 fn trained() -> DecisionTree {
@@ -94,8 +94,7 @@ fn unknown_and_malformed_version_tags_are_refused() {
         other => panic!("expected InvalidModel, got {other:?}"),
     }
 
-    // …and a non-numeric tag is a v2 parse failure, not a silent fall
-    // back to the legacy decoder.
+    // …and a non-numeric tag is a v2 parse failure.
     let garbled = json.replace("\"format_version\":2", "\"format_version\":\"two\"");
     assert_ne!(garbled, json);
     match from_json(&garbled) {
@@ -104,33 +103,6 @@ fn unknown_and_malformed_version_tags_are_refused() {
         }
         other => panic!("expected a v2 parse error, got {other:?}"),
     }
-}
-
-#[test]
-fn legacy_round_trip_reconverges_to_the_same_arena() {
-    // Write the legacy (boxed Node) projection, reload it, and compare
-    // the reconstructed arena to the original column by column: the
-    // conversion Node → FlatTree emits strict preorder, which is the
-    // canonical layout the builder produced, so the arenas must be
-    // bit-for-bit equal — not merely predict-equivalent.
-    let tree = trained();
-    let legacy = to_legacy_json(&tree).unwrap();
-    assert!(legacy.contains("\"root\""));
-    assert!(!legacy.contains("format_version"));
-    let restored = from_json(&legacy).unwrap();
-    assert_eq!(
-        restored.flat(),
-        tree.flat(),
-        "arena equality after legacy round trip"
-    );
-    assert_eq!(restored.flat().heap_bytes(), tree.flat().heap_bytes());
-    assert_eq!(restored.n_attributes(), tree.n_attributes());
-    assert_eq!(restored.class_names(), tree.class_names());
-    restored.flat().validate().unwrap();
-
-    // And the re-serialised v2 text of the restored tree is identical to
-    // the original's: the legacy format loses no information.
-    assert_eq!(to_json(&restored).unwrap(), to_json(&tree).unwrap());
 }
 
 #[test]
@@ -194,25 +166,24 @@ fn single_bit_flips_in_body_and_footer_are_caught() {
 
 #[test]
 fn v2_and_legacy_files_reconverge_to_the_v3_arena() {
-    // Loading an old footer-less v2 file or a legacy boxed-node file and
-    // re-saving it as v3 must preserve the arena bit for bit: upgrade is
-    // re-foot, never re-train.
+    // Loading an old footer-less v2 file and re-saving it as v3 must
+    // preserve the arena bit for bit: upgrade is re-foot, never re-train.
     let tree = trained();
     let v2 = to_json(&tree).unwrap();
-    let legacy = to_legacy_json(&tree).unwrap();
     let v3 = to_json_v3(&tree).unwrap();
 
     let from_v2 = from_json(&v2).unwrap();
     assert_eq!(from_v2.flat(), tree.flat(), "v2 → v3 arena equality");
     assert_eq!(to_json_v3(&from_v2).unwrap(), v3);
 
-    let from_legacy = from_json(&legacy).unwrap();
-    assert_eq!(
-        from_legacy.flat(),
-        tree.flat(),
-        "legacy → v3 arena equality"
+    // A pre-arena file (a boxed tree under a "root" key) is not a
+    // supported format: it is a typed parse error, not a model.
+    let legacy = r#"{"root":{"Leaf":{"distribution":[1.0,0.0],"counts":[1.0,0.0]}},"n_attributes":1,"class_names":["A","B"]}"#;
+    assert!(
+        matches!(from_json(legacy), Err(TreeError::Serde { .. })),
+        "pre-arena file: {:?}",
+        from_json(legacy)
     );
-    assert_eq!(to_json_v3(&from_legacy).unwrap(), v3);
 }
 
 #[test]

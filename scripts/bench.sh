@@ -9,11 +9,11 @@
 # recording cpu count / arch / detected SIMD features); this script
 # points it at the respective output file and prints the headline
 # numbers afterwards: naive-vs-columnar and scalar-vs-simd-kernel for
-# split search, single-vs-batch for classification, wall-clock + bytes
-# allocated per depth for partitioning, batched-vs-single-request
-# socket throughput for serving, and the serving concurrency axis
-# (closed-loop point clients over 1/8/64 connections: requests per
-# second and mean jobs per scheduler flush).
+# split search, per-call-vs-batch (scratch reuse) for classification,
+# wall-clock + bytes allocated per depth for partitioning,
+# batched-vs-single-request socket throughput for serving, and the
+# serving concurrency axis (closed-loop point clients over 1/8/64
+# connections: requests per second and mean jobs per scheduler flush).
 #
 # Usage: scripts/bench.sh [extra cargo bench args...]
 
@@ -79,7 +79,8 @@ def speedup(group, single, batch):
     a = by_key.get((group, single))
     b = by_key.get((group, batch))
     if a and b:
-        print(f"{group}: {single} / {batch} = {a / b:.2f}x batch throughput")
+        print(f"{group}: {single} / {batch} = {a / b:.2f}x "
+              "(fresh scratch per call vs one reused scratch)")
 
 speedup("classify_throughput", "single_uncertain", "batch_uncertain")
 speedup("classify_throughput", "single_point", "batch_point")

@@ -3,7 +3,7 @@
 //! The build environment has no access to crates.io, so the workspace
 //! ships a minimal `serde` shim (see `shims/serde`) whose `Serialize` /
 //! `Deserialize` traits convert through an owned JSON-like
-//! [`serde::Value`] data model. This crate derives those traits with the
+//! `serde::Value` data model. This crate derives those traits with the
 //! raw [`proc_macro`] API — no `syn`, no `quote` — for the shapes the
 //! workspace actually uses:
 //!

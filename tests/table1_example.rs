@@ -6,7 +6,7 @@
 
 use udt_data::toy;
 use udt_eval::accuracy::evaluate;
-use udt_tree::{Algorithm, Node, TreeBuilder, UdtConfig};
+use udt_tree::{Algorithm, FlatTree, NodeKind, TreeBuilder, UdtConfig};
 
 fn build(algorithm: Algorithm) -> udt_tree::BuildReport {
     TreeBuilder::new(
@@ -49,20 +49,20 @@ fn distribution_based_tree_classifies_every_example_tuple() {
 #[test]
 fn every_leaf_distribution_is_normalised() {
     let report = build(Algorithm::Udt);
-    fn check(node: &Node) {
-        match node {
-            Node::Leaf { distribution, .. } => {
+    let flat = report.tree.flat();
+    let mut leaves = 0;
+    let mut stack = vec![FlatTree::ROOT];
+    while let Some(id) = stack.pop() {
+        match flat.kind(id) {
+            NodeKind::Leaf => {
+                let distribution = flat.distribution_of(id);
                 assert!((distribution.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+                leaves += 1;
             }
-            Node::Split { left, right, .. } => {
-                check(left);
-                check(right);
-            }
-            Node::CategoricalSplit { children, .. } => children.iter().for_each(check),
+            _ => stack.extend(flat.children_of(id).iter().map(|&c| c as usize)),
         }
     }
-    let root = report.tree.root_node();
-    check(&root);
+    assert_eq!(leaves, report.tree.n_leaves(), "every leaf is reachable");
 }
 
 #[test]
