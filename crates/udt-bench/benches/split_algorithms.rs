@@ -24,7 +24,7 @@ use udt_tree::baseline::{
 use udt_tree::columns::{self, Scratch};
 use udt_tree::fractional::FractionalTuple;
 use udt_tree::split::{es, exhaustive::ExhaustiveSearch, SearchStats, SplitSearch};
-use udt_tree::{Algorithm, KernelKind, Measure, TreeBuilder, UdtConfig};
+use udt_tree::{Algorithm, Measure, TreeBuilder, UdtConfig};
 
 fn bench_split_algorithms(c: &mut Criterion) {
     let data = baseline_workload(40);
@@ -150,30 +150,6 @@ fn bench_node_search_step(c: &mut Criterion) {
             es::search().find_best(&events, Measure::Entropy, &mut stats)
         });
     });
-    // The same node step under the simd kernel, which batch-scores
-    // candidates and vectorizes the matrix construction.
-    group.bench_function("es_columnar_simd", |b| {
-        b.iter(|| {
-            let events: Vec<(usize, udt_tree::events::AttributeEvents)> = root_state
-                .columns
-                .iter()
-                .zip(&root.columns)
-                .filter_map(|(col, root_col)| {
-                    columns::events_from_column_with(
-                        col,
-                        root_col,
-                        &labels,
-                        n_classes,
-                        &mut scratch,
-                        KernelKind::Simd,
-                    )
-                    .map(|e| (root_col.attribute, e))
-                })
-                .collect();
-            let mut stats = SearchStats::default();
-            es::search().find_best(&events, Measure::Entropy, &mut stats)
-        });
-    });
     group.bench_function("exhaustive_naive_rebuild", |b| {
         b.iter(|| {
             let events: Vec<(usize, NaiveAttributeEvents)> = numerical
@@ -201,11 +177,13 @@ fn bench_node_search_step(c: &mut Criterion) {
     group.finish();
 }
 
-/// The raw score-kernel axis: pure batch candidate scoring (no event
+/// The raw score-kernel axis: pure candidate scoring (no event
 /// construction, no search bookkeeping) over prebuilt root matrices,
-/// one bench per kernel, reported as candidates per second. This
-/// isolates the vectorized inner loop the `UDT_KERNEL` knob selects.
-/// The `_f64` suffix keeps the ids of the BENCH_split.json trajectory.
+/// reported as candidates per second. `scalar_f64` is a per-candidate
+/// [`score_at`](udt_tree::events::AttributeEvents::score_at) loop (the
+/// exact formula), `simd_f64` the batch entry point `score_range_into`,
+/// which hands each attribute to the batch kernel. The `_f64` suffix
+/// keeps the ids of the BENCH_split.json trajectory.
 fn bench_score_kernel(c: &mut Criterion) {
     let data = baseline_workload(100);
     let tuples: Vec<FractionalTuple> = data
@@ -214,10 +192,11 @@ fn bench_score_kernel(c: &mut Criterion) {
         .map(FractionalTuple::from_tuple)
         .collect();
     let n_classes = data.n_classes();
-    let base: Vec<udt_tree::events::AttributeEvents> = (0..data.n_attributes())
+    let events: Vec<udt_tree::events::AttributeEvents> = (0..data.n_attributes())
         .filter_map(|j| udt_tree::events::AttributeEvents::build(&tuples, j, n_classes))
         .collect();
-    let candidates: u64 = base.iter().map(|ev| (ev.n_positions() - 1) as u64).sum();
+    let candidates: u64 = events.iter().map(|ev| (ev.n_positions() - 1) as u64).sum();
+    let finite_sum = |scores: &[f64]| scores.iter().filter(|s| s.is_finite()).sum::<f64>();
 
     let mut group = c.benchmark_group("score_kernel");
     group
@@ -225,30 +204,29 @@ fn bench_score_kernel(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(500))
         .measurement_time(Duration::from_secs(2))
         .throughput(criterion::Throughput::Elements(candidates));
-    for (label, kernel) in [
-        ("scalar_f64", KernelKind::Scalar),
-        ("simd_f64", KernelKind::Simd),
-    ] {
-        let events: Vec<udt_tree::events::AttributeEvents> = base
-            .iter()
-            .map(|ev| ev.clone().with_kernel(kernel))
-            .collect();
-        group.bench_function(label, |b| {
-            let mut scores = Vec::new();
-            b.iter(|| {
-                let mut acc = 0.0f64;
-                for ev in &events {
-                    ev.score_range_into(0..ev.n_positions() - 1, Measure::Entropy, &mut scores);
-                    for &s in &scores {
-                        if s.is_finite() {
-                            acc += s;
-                        }
-                    }
-                }
-                acc
-            });
+    group.bench_function("scalar_f64", |b| {
+        let mut scores = Vec::new();
+        b.iter(|| {
+            let mut acc = 0.0f64;
+            for ev in &events {
+                scores.clear();
+                scores.extend((0..ev.n_positions() - 1).map(|i| ev.score_at(i, Measure::Entropy)));
+                acc += finite_sum(&scores);
+            }
+            acc
         });
-    }
+    });
+    group.bench_function("simd_f64", |b| {
+        let mut scores = Vec::new();
+        b.iter(|| {
+            let mut acc = 0.0f64;
+            for ev in &events {
+                ev.score_range_into(0..ev.n_positions() - 1, Measure::Entropy, &mut scores);
+                acc += finite_sum(&scores);
+            }
+            acc
+        });
+    });
     group.finish();
 }
 

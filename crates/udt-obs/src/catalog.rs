@@ -43,21 +43,16 @@ pub static POOL_IDLE_WAIT: Histogram = Histogram::new(
 // Score kernels (udt-tree/src/kernel/, events.rs)
 // ---------------------------------------------------------------------
 
-/// Candidate batches scored by the SIMD kernel.
+/// Candidate batches scored by the batch (SIMD) kernel.
 pub static KERNEL_SIMD_BATCHES: Counter = Counter::new(
     "udt_kernel_simd_batches_total",
-    "Candidate-score batches executed by the SIMD kernel.",
+    "Candidate-score batches executed by the SIMD batch kernel.",
 );
-/// Candidate batches scored by the scalar kernel (the default profile).
+/// Candidate batches shorter than the batch kernel's minimum, scored
+/// per candidate with the exact formula.
 pub static KERNEL_SCALAR_BATCHES: Counter = Counter::new(
     "udt_kernel_scalar_batches_total",
-    "Candidate-score batches executed by the scalar kernel.",
-);
-/// Batches that requested SIMD but fell back to scalar (below the
-/// minimum batch width).
-pub static KERNEL_SIMD_FALLBACK_BATCHES: Counter = Counter::new(
-    "udt_kernel_simd_fallback_batches_total",
-    "SIMD-profile batches that fell back to scalar scoring (batch shorter than the SIMD minimum).",
+    "Candidate-score batches shorter than the SIMD minimum, scored per candidate with the exact formula.",
 );
 /// Per-node cumulative count matrices built (always f64).
 pub static KERNEL_MATRIX_BUILDS_F64: Counter = Counter::new(
@@ -160,7 +155,7 @@ pub mod serve {
     );
 }
 
-static ALL_COUNTERS: [&Counter; 20] = [
+static ALL_COUNTERS: [&Counter; 19] = [
     &BUILD_TOTAL,
     &BUILD_NODES,
     &BUILD_PRESORT_NS,
@@ -175,7 +170,6 @@ static ALL_COUNTERS: [&Counter; 20] = [
     &POOL_IDLE_NS,
     &KERNEL_SIMD_BATCHES,
     &KERNEL_SCALAR_BATCHES,
-    &KERNEL_SIMD_FALLBACK_BATCHES,
     &KERNEL_MATRIX_BUILDS_F64,
     &serve::FAILOVERS,
     &serve::HEDGES_LAUNCHED,

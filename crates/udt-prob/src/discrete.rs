@@ -6,13 +6,14 @@
 //! with `Σ_x f_{i,j}(x) = 1`. [`DiscreteDist`] represents such a
 //! distribution over category indices `0..cardinality`.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::error::ProbError;
+use crate::pdf::MASS_EPSILON;
 use crate::Result;
 
 /// A discrete probability distribution over category indices.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DiscreteDist {
     /// `probs[v]` = probability that the attribute takes category `v`.
     probs: Vec<f64>,
@@ -21,19 +22,7 @@ pub struct DiscreteDist {
 impl DiscreteDist {
     /// Builds a distribution from (possibly unnormalised) category weights.
     pub fn new(weights: Vec<f64>) -> Result<Self> {
-        if weights.is_empty() {
-            return Err(ProbError::EmptySupport);
-        }
-        let mut total = 0.0;
-        for (i, &w) in weights.iter().enumerate() {
-            if !w.is_finite() || w < 0.0 {
-                return Err(ProbError::InvalidMass { index: i, value: w });
-            }
-            total += w;
-        }
-        if total <= 0.0 {
-            return Err(ProbError::ZeroMass { total });
-        }
+        let total = check_weights(&weights)?;
         Ok(DiscreteDist {
             probs: weights.into_iter().map(|w| w / total).collect(),
         })
@@ -113,6 +102,42 @@ impl DiscreteDist {
     }
 }
 
+/// The constructor's checks on raw category weights: at least one, each
+/// finite and non-negative, with a positive total, which is returned.
+fn check_weights(weights: &[f64]) -> Result<f64> {
+    if weights.is_empty() {
+        return Err(ProbError::EmptySupport);
+    }
+    let mut total = 0.0;
+    for (i, &w) in weights.iter().enumerate() {
+        if !w.is_finite() || w < 0.0 {
+            return Err(ProbError::InvalidMass { index: i, value: w });
+        }
+        total += w;
+    }
+    if total <= 0.0 {
+        return Err(ProbError::ZeroMass { total });
+    }
+    Ok(total)
+}
+
+/// Reads a distribution through the constructor's checks, without
+/// renormalising: the probabilities must already sum to 1 within
+/// [`MASS_EPSILON`]. A distribution that [`Serialize`] wrote reads back
+/// bit for bit.
+impl Deserialize for DiscreteDist {
+    fn deserialize(v: &Value) -> std::result::Result<Self, serde::Error> {
+        let probs: Vec<f64> = Vec::deserialize(serde::map_field(v, "probs", "DiscreteDist")?)?;
+        let total = check_weights(&probs).map_err(|e| serde::Error::custom(e.to_string()))?;
+        if !((total - 1.0).abs() <= MASS_EPSILON) {
+            return Err(serde::Error::custom(format!(
+                "category probabilities must sum to 1, got {total}"
+            )));
+        }
+        Ok(DiscreteDist { probs })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,6 +165,41 @@ mod tests {
             DiscreteDist::new(vec![0.0, 0.0]).unwrap_err(),
             ProbError::ZeroMass { .. }
         ));
+    }
+
+    /// Deserialises a distribution payload, rendering any refusal as text.
+    fn from_json(payload: &str) -> std::result::Result<DiscreteDist, String> {
+        serde_json::from_str(payload).map_err(|e| e.to_string())
+    }
+
+    #[test]
+    fn deserialization_reads_back_what_serialization_wrote() {
+        let d = DiscreteDist::new(vec![1.0, 2.0, 4.0]).unwrap();
+        let text = serde_json::to_string(&d).unwrap();
+        let back = from_json(&text).unwrap();
+        assert_eq!(back, d);
+        for (a, b) in back.probs().iter().zip(d.probs()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    #[test]
+    fn deserialization_rejects_an_empty_support() {
+        let err = from_json(r#"{"probs":[]}"#).unwrap_err();
+        assert!(err.contains("at least one category"), "{err}");
+    }
+
+    #[test]
+    fn deserialization_rejects_negative_probabilities() {
+        // Sums to 1, so only the sign check catches it.
+        let err = from_json(r#"{"probs":[3.0,-2.0]}"#).unwrap_err();
+        assert!(err.contains("index 1 is invalid"), "{err}");
+    }
+
+    #[test]
+    fn deserialization_rejects_unnormalised_probabilities() {
+        let err = from_json(r#"{"probs":[0.5,0.6]}"#).unwrap_err();
+        assert!(err.contains("sum to 1"), "{err}");
     }
 
     #[test]

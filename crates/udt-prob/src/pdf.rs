@@ -9,7 +9,7 @@
 //! interval probabilities — the dominant operation during tree construction
 //! — are answered with two binary searches and a subtraction (§4.2).
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::error::ProbError;
 use crate::Result;
@@ -19,12 +19,13 @@ pub const MASS_EPSILON: f64 = 1e-9;
 
 /// A bounded, discretised probability density function.
 ///
-/// Invariants (enforced at construction):
+/// Invariants (enforced at construction and at deserialization):
 /// * at least one sample point;
 /// * sample points strictly increasing and finite;
 /// * all masses finite and non-negative;
-/// * masses sum to 1 (the constructor normalises).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// * masses sum to 1 (the constructor normalises; deserialization
+///   requires it within [`MASS_EPSILON`]).
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SampledPdf {
     points: Vec<f64>,
     mass: Vec<f64>,
@@ -38,38 +39,9 @@ impl SampledPdf {
     /// The masses are normalised to sum to one. Points must be strictly
     /// increasing.
     pub fn new(points: Vec<f64>, mass: Vec<f64>) -> Result<Self> {
-        if points.is_empty() || points.len() != mass.len() {
-            return Err(ProbError::EmptyPdf);
-        }
-        for (i, w) in points.windows(2).enumerate() {
-            if !(w[0] < w[1]) || !w[0].is_finite() || !w[1].is_finite() {
-                return Err(ProbError::UnsortedPoints { index: i + 1 });
-            }
-        }
-        if !points[0].is_finite() {
-            return Err(ProbError::UnsortedPoints { index: 0 });
-        }
-        let mut total = 0.0;
-        for (i, &m) in mass.iter().enumerate() {
-            if !m.is_finite() || m < 0.0 {
-                return Err(ProbError::InvalidMass { index: i, value: m });
-            }
-            total += m;
-        }
-        if total <= 0.0 || !total.is_finite() {
-            return Err(ProbError::ZeroMass { total });
-        }
+        let total = check_samples(&points, &mass)?;
         let mass: Vec<f64> = mass.into_iter().map(|m| m / total).collect();
-        let mut cumulative = Vec::with_capacity(mass.len());
-        let mut acc = 0.0;
-        for &m in &mass {
-            acc += m;
-            cumulative.push(acc);
-        }
-        // Guard against floating point drift: pin the last entry to 1.
-        if let Some(last) = cumulative.last_mut() {
-            *last = 1.0;
-        }
+        let cumulative = cumulative_of(&mass);
         Ok(SampledPdf {
             points,
             mass,
@@ -320,6 +292,93 @@ impl SampledPdf {
     }
 }
 
+/// The constructor's checks on raw sample points and masses: both
+/// non-empty and of equal length, points finite and strictly increasing,
+/// masses finite and non-negative with a positive finite total, which is
+/// returned.
+fn check_samples(points: &[f64], mass: &[f64]) -> Result<f64> {
+    if points.is_empty() || points.len() != mass.len() {
+        return Err(ProbError::EmptyPdf);
+    }
+    for (i, w) in points.windows(2).enumerate() {
+        if !(w[0] < w[1]) || !w[0].is_finite() || !w[1].is_finite() {
+            return Err(ProbError::UnsortedPoints { index: i + 1 });
+        }
+    }
+    if !points[0].is_finite() {
+        return Err(ProbError::UnsortedPoints { index: 0 });
+    }
+    let mut total = 0.0;
+    for (i, &m) in mass.iter().enumerate() {
+        if !m.is_finite() || m < 0.0 {
+            return Err(ProbError::InvalidMass { index: i, value: m });
+        }
+        total += m;
+    }
+    if total <= 0.0 || !total.is_finite() {
+        return Err(ProbError::ZeroMass { total });
+    }
+    Ok(total)
+}
+
+/// The running sums of normalised masses, with the last entry pinned to 1
+/// against floating point drift.
+fn cumulative_of(mass: &[f64]) -> Vec<f64> {
+    let mut cumulative = Vec::with_capacity(mass.len());
+    let mut acc = 0.0;
+    for &m in mass {
+        acc += m;
+        cumulative.push(acc);
+    }
+    if let Some(last) = cumulative.last_mut() {
+        *last = 1.0;
+    }
+    cumulative
+}
+
+/// Reads a pdf through the constructor's checks, without renormalising:
+/// the masses must already sum to 1 within [`MASS_EPSILON`], and
+/// `cumulative` is recomputed from them exactly as [`SampledPdf::new`]
+/// computes it. A supplied `cumulative` of another length, or more than
+/// [`MASS_EPSILON`] away from the recomputed one, is refused. A pdf that
+/// [`Serialize`] wrote reads back bit for bit.
+impl Deserialize for SampledPdf {
+    fn deserialize(v: &Value) -> std::result::Result<Self, serde::Error> {
+        let field = |key: &str| -> std::result::Result<Vec<f64>, serde::Error> {
+            Vec::deserialize(serde::map_field(v, key, "SampledPdf")?)
+        };
+        let (points, mass, supplied) = (field("points")?, field("mass")?, field("cumulative")?);
+        let total =
+            check_samples(&points, &mass).map_err(|e| serde::Error::custom(e.to_string()))?;
+        if !((total - 1.0).abs() <= MASS_EPSILON) {
+            return Err(serde::Error::custom(format!(
+                "pdf masses must sum to 1, got {total}"
+            )));
+        }
+        let cumulative = cumulative_of(&mass);
+        if supplied.len() != cumulative.len() {
+            return Err(serde::Error::custom(format!(
+                "pdf has {} cumulative masses for {} sample points",
+                supplied.len(),
+                cumulative.len()
+            )));
+        }
+        if let Some(i) =
+            (0..cumulative.len()).find(|&i| !((supplied[i] - cumulative[i]).abs() <= MASS_EPSILON))
+        {
+            return Err(serde::Error::custom(format!(
+                "pdf cumulative mass {i} is {} but its masses give {}",
+                supplied[i], cumulative[i]
+            )));
+        }
+        Ok(SampledPdf {
+            points,
+            mass,
+            cumulative,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,6 +424,58 @@ mod tests {
             SampledPdf::new(vec![1.0, 2.0], vec![0.0, 0.0]).unwrap_err(),
             ProbError::ZeroMass { .. }
         ));
+    }
+
+    /// Deserialises a pdf payload, rendering any refusal as text.
+    fn from_json(payload: &str) -> std::result::Result<SampledPdf, String> {
+        serde_json::from_str(payload).map_err(|e| e.to_string())
+    }
+
+    #[test]
+    fn deserialization_rejects_an_empty_pdf() {
+        let err = from_json(r#"{"points":[],"mass":[],"cumulative":[]}"#).unwrap_err();
+        assert!(err.contains("at least one sample point"), "{err}");
+    }
+
+    #[test]
+    fn deserialization_rejects_mismatched_points_and_mass() {
+        let err = from_json(r#"{"points":[1.0,2.0],"mass":[1.0],"cumulative":[1.0]}"#).unwrap_err();
+        assert!(err.contains("at least one sample point"), "{err}");
+    }
+
+    #[test]
+    fn deserialization_rejects_unsorted_points() {
+        let err = from_json(r#"{"points":[2.0,1.0],"mass":[0.5,0.5],"cumulative":[0.5,1.0]}"#)
+            .unwrap_err();
+        assert!(err.contains("strictly increasing"), "{err}");
+    }
+
+    #[test]
+    fn deserialization_rejects_negative_mass() {
+        let err = from_json(r#"{"points":[1.0,2.0],"mass":[-0.5,1.5],"cumulative":[-0.5,1.0]}"#)
+            .unwrap_err();
+        assert!(err.contains("index 0 is invalid"), "{err}");
+    }
+
+    #[test]
+    fn deserialization_rejects_unnormalised_mass() {
+        let err = from_json(r#"{"points":[1.0,2.0],"mass":[0.5,0.6],"cumulative":[0.5,1.0]}"#)
+            .unwrap_err();
+        assert!(err.contains("sum to 1"), "{err}");
+    }
+
+    #[test]
+    fn deserialization_rejects_a_cumulative_of_the_wrong_length() {
+        let err =
+            from_json(r#"{"points":[1.0,2.0],"mass":[0.5,0.5],"cumulative":[1.0]}"#).unwrap_err();
+        assert!(err.contains("1 cumulative masses for 2"), "{err}");
+    }
+
+    #[test]
+    fn deserialization_rejects_a_cumulative_that_disagrees_with_the_mass() {
+        let err = from_json(r#"{"points":[1.0,2.0],"mass":[0.5,0.5],"cumulative":[0.9,1.0]}"#)
+            .unwrap_err();
+        assert!(err.contains("cumulative mass 0"), "{err}");
     }
 
     #[test]

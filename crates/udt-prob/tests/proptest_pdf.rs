@@ -5,7 +5,8 @@
 //! deterministic and reproducible from the seed. The invariants checked
 //! are the ones the decision-tree algorithms rely on: normalisation, cdf
 //! monotonicity, consistency between splitting and interval
-//! probabilities, and mean preservation under mixtures.
+//! probabilities, mean preservation under mixtures, and bit-exact
+//! serialisation round trips.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -158,5 +159,20 @@ fn raw_sample_pdf_mean_matches_sample_mean() {
         let pdf = SampledPdf::from_raw_samples(&values).unwrap();
         let mean = values.iter().sum::<f64>() / values.len() as f64;
         assert!((pdf.mean() - mean).abs() < 1e-6);
+    }
+}
+
+#[test]
+fn serde_round_trip_is_bit_identical() {
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut rng = ChaCha8Rng::seed_from_u64(0xA8);
+    for _ in 0..CASES {
+        let pdf = random_pdf(&mut rng);
+        let text = serde_json::to_string(&pdf).expect("pdf serialises");
+        let back: SampledPdf = serde_json::from_str(&text).expect("a serialised pdf reads back");
+        assert_eq!(bits(back.points()), bits(pdf.points()));
+        assert_eq!(bits(back.mass()), bits(pdf.mass()));
+        assert_eq!(bits(back.cumulative()), bits(pdf.cumulative()));
+        assert_eq!(serde_json::to_string(&back).expect("pdf serialises"), text);
     }
 }

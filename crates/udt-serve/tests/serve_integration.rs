@@ -208,6 +208,81 @@ fn categorical_domain_mismatches_are_bad_requests_not_confident_answers() {
 }
 
 #[test]
+fn invalid_distributions_are_bad_requests_not_confident_answers() {
+    // Payloads no constructor can produce, written on the wire by hand:
+    // an empty pdf, an unsorted pdf with negative mass, and a categorical
+    // value whose probabilities sum to 1 but include a negative one.
+    let (addr, handle) = start_server(vec![
+        ("toy", trained(Algorithm::UdtEs)),
+        ("colour", two_category_model()),
+    ]);
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut exchange = |request: String| {
+        stream
+            .write_all(format!("{request}\n").as_bytes())
+            .expect("write");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read");
+        line
+    };
+    let numeric = |pdf: &str| format!(r#"{{"values":[{{"Numeric":{pdf}}}],"label":0}}"#);
+    let colour = |probs: &str| {
+        format!(
+            r#"{{"values":[{{"Categorical":{{"probs":{probs}}}}},{{"Numeric":{POINT}}}],"label":0}}"#
+        )
+    };
+    const POINT: &str = r#"{"points":[1.0],"mass":[1.0],"cumulative":[1.0]}"#;
+    let cases = [
+        (
+            "empty pdf",
+            "toy",
+            numeric(r#"{"points":[],"mass":[],"cumulative":[]}"#),
+            numeric(POINT),
+        ),
+        (
+            "unsorted pdf with negative mass",
+            "toy",
+            numeric(r#"{"points":[2.0,1.0],"mass":[-0.5,1.5],"cumulative":[-0.5,1.0]}"#),
+            numeric(POINT),
+        ),
+        (
+            "negative category probability",
+            "colour",
+            colour("[3.0,-2.0]"),
+            colour("[0.2,0.8]"),
+        ),
+    ];
+    for (shape, model, bad, good) in &cases {
+        // The hand-written template is well-formed: the valid companion
+        // is served.
+        let reply = exchange(format!(
+            r#"{{"cmd":"classify","model":"{model}","tuple":{good}}}"#
+        ));
+        assert!(reply.contains(r#""ok":true"#), "{shape} companion: {reply}");
+        let reply = exchange(format!(
+            r#"{{"cmd":"classify","model":"{model}","tuple":{bad}}}"#
+        ));
+        assert!(reply.contains(r#""ok":false"#), "{shape} classify: {reply}");
+        assert!(
+            reply.contains(r#""code":"bad_request""#),
+            "{shape} classify: {reply}"
+        );
+        let reply = exchange(format!(
+            r#"{{"cmd":"classify_batch","model":"{model}","tuples":[{good},{bad}]}}"#
+        ));
+        assert!(
+            reply.contains(r#""code":"bad_request""#),
+            "{shape} classify_batch: {reply}"
+        );
+    }
+
+    let mut client = Client::connect(addr).expect("connect");
+    client.shutdown().expect("clean shutdown");
+    handle.join().expect("server thread");
+}
+
+#[test]
 fn socket_served_classifications_are_bit_for_bit_equal_to_classify_batch() {
     let tree = trained(Algorithm::UdtEs);
     let (_, tuples) = workload();

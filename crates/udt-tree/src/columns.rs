@@ -49,7 +49,6 @@ use std::time::Instant;
 use crate::counts::WEIGHT_EPSILON;
 use crate::events::{AttributeEvents, BufferPool};
 use crate::fractional::FractionalTuple;
-use crate::kernel::KernelKind;
 use crate::pool::WorkerPool;
 use crate::split::SearchStats;
 use udt_obs::trace;
@@ -145,9 +144,19 @@ impl ColumnState {
     /// mass; callers apply the per-tuple scale themselves.
     #[inline]
     pub fn for_each_event(&self, root: &AttrColumn, mut f: impl FnMut(f64, u32, f64)) {
-        for &e in &self.events {
-            let e = e as usize;
-            f(root.xs[e], root.tuple[e], root.mass[e]);
+        if self.events.len() == root.xs.len() {
+            // Event ids are a strictly increasing subset of `0..root len`,
+            // so a full-length column is the identity (true of every root
+            // column): walk the root arrays directly, without the
+            // per-event indirection.
+            for ((&x, &t), &m) in root.xs.iter().zip(&root.tuple).zip(&root.mass) {
+                f(x, t, m);
+            }
+        } else {
+            for &e in &self.events {
+                let e = e as usize;
+                f(root.xs[e], root.tuple[e], root.mass[e]);
+            }
         }
     }
 
@@ -648,8 +657,15 @@ pub fn root_state(tuples: &[FractionalTuple], root: &RootColumns) -> NodeTuples 
 /// [`Scratch::load_weights`]. Event masses are reconstructed as
 /// `root_mass * scale` and multiplied into the tuple weight here, at
 /// consumption time — the single place the kept-fraction chain meets the
-/// event weight. Scores under the default (scalar) kernel; see
-/// [`events_from_column_with`].
+/// event weight.
+///
+/// One fused pass over the presorted column: filtering, aggregation and
+/// end-point tracking, with the per-class accumulator in registers/L1
+/// and row flushes as raw bounds-free writes (the aggregate buffers come
+/// with capacity for at least every event up front, and
+/// `n_pos <= n_events` by construction, so every write is in bounds).
+/// Arithmetic, gates and gate *order* mirror [`AttributeEvents::build`]
+/// exactly — the matrix is bit-for-bit the historical one.
 pub fn events_from_column(
     col: &ColumnState,
     root_col: &AttrColumn,
@@ -657,47 +673,17 @@ pub fn events_from_column(
     n_classes: usize,
     scratch: &mut Scratch,
 ) -> Option<AttributeEvents> {
-    events_from_column_with(
-        col,
-        root_col,
-        labels,
-        n_classes,
-        scratch,
-        KernelKind::default(),
-    )
-}
-
-/// [`events_from_column`] under an explicit score kernel: the result
-/// carries the requested kernel, and under [`KernelKind::Simd`] the
-/// construction itself is vectorized.
-///
-/// One fused pass over the presorted column: filtering, aggregation and
-/// end-point tracking, with the per-class accumulator in registers/L1
-/// and row flushes as raw bounds-free writes (the aggregate buffers come
-/// with capacity for at least every event up front, and
-/// `n_pos <= n_events` by construction, so every write is in bounds). Arithmetic, gates and
-/// gate *order* mirror [`AttributeEvents::build`] exactly — the matrix
-/// is bit-for-bit the historical one under either kernel.
-pub fn events_from_column_with(
-    col: &ColumnState,
-    root_col: &AttrColumn,
-    labels: &[u32],
-    n_classes: usize,
-    scratch: &mut Scratch,
-    kernel: KernelKind,
-) -> Option<AttributeEvents> {
     events_from_column_in(
         col,
         root_col,
         labels,
         n_classes,
         scratch,
-        kernel,
         &BufferPool::default(),
     )
 }
 
-/// [`events_from_column_with`] drawing the structure's `xs` and `cum`
+/// [`events_from_column`] drawing the structure's `xs` and `cum`
 /// buffers from `buffers` — the builder passes its per-build pool, and
 /// gets the buffers of a column without a split candidate straight back.
 pub(crate) fn events_from_column_in(
@@ -706,7 +692,6 @@ pub(crate) fn events_from_column_in(
     labels: &[u32],
     n_classes: usize,
     scratch: &mut Scratch,
-    kernel: KernelKind,
     buffers: &BufferPool,
 ) -> Option<AttributeEvents> {
     if col.is_empty() {
@@ -717,20 +702,12 @@ pub(crate) fn events_from_column_in(
     // at weight exactly 1 with no rescales, over a column whose events
     // are all gate-clearing and distinct, produces a pure prefix sum over
     // the root arrays with the precomputed tree-invariant end points.
-    // Bit-identical to the classic loops under either kernel:
-    // `1.0 * m == m` exactly, every gate passes, one event lands per row
-    // so add-then-store equals flush-then-add, and the end-point set is
-    // the same by definition.
+    // Bit-identical to the classic loop: `1.0 * m == m` exactly, every
+    // gate passes, one event lands per row so add-then-store equals
+    // flush-then-add, and the end-point set is the same by definition.
     if let Some(end_point_idx) = &root_col.unit_fast {
         if scratch.unit_weights && col.scales.is_empty() && col.len() == root_col.xs.len() {
-            return build_events_unit_fast(
-                root_col,
-                labels,
-                n_classes,
-                end_point_idx,
-                kernel,
-                buffers,
-            );
+            return build_events_unit_fast(root_col, labels, n_classes, end_point_idx, buffers);
         }
     }
     // Columns with no ancestor split on this attribute (the common case:
@@ -738,100 +715,32 @@ pub(crate) fn events_from_column_in(
     // skipping the dense lookup is bitwise free (`m * 1.0 == m`). The
     // flag is a const-generic so the common no-scales loop carries no
     // per-event branch or scale load at all.
-    #[cfg(target_arch = "x86_64")]
-    if kernel == KernelKind::Simd
-        && n_classes <= 4
-        && crate::kernel::detected_backend() == crate::kernel::SimdBackend::Avx2
-    {
-        // SAFETY: AVX2 support was just verified at runtime.
-        return unsafe {
-            if col.scales.is_empty() {
-                build_events_avx2::<false>(
-                    col, root_col, labels, n_classes, scratch, kernel, buffers,
-                )
-            } else {
-                build_events_avx2::<true>(
-                    col, root_col, labels, n_classes, scratch, kernel, buffers,
-                )
-            }
-        };
-    }
     if col.scales.is_empty() {
-        build_events_scalar::<false>(col, root_col, labels, n_classes, scratch, kernel, buffers)
+        build_events::<false>(col, root_col, labels, n_classes, scratch, buffers)
     } else {
-        build_events_scalar::<true>(col, root_col, labels, n_classes, scratch, kernel, buffers)
+        build_events::<true>(col, root_col, labels, n_classes, scratch, buffers)
     }
 }
 
 /// The largest `cum` buffer a column of `n_events` events asks the
-/// [`BufferPool`] for: one row per event plus 4 spare elements for the
-/// AVX2 kernels' final overlapping store. Every other request for the
-/// column (`xs`, the scalar kernel's `cum`) is smaller.
+/// [`BufferPool`] for: one row per event. The column's `xs` request is
+/// smaller.
 pub(crate) fn matrix_capacity(n_events: usize, n_classes: usize) -> usize {
-    n_events * n_classes + 4
+    n_events * n_classes
 }
 
 /// Stack capacity (in classes) of the running-accumulator array; wider
 /// problems accumulate into the scratch's heap vector instead.
 const RUNNING_STACK_CLASSES: usize = 8;
 
-/// Expands the per-event visit over a column's surviving events with the
-/// body *inside* the calling function. The construction kernels cannot
-/// use [`ColumnState::for_each_event`]: a closure created in a
-/// `#[target_feature]` function inherits the caller's features and so
-/// can never be inlined into the feature-less generic visitor — every
-/// event would pay an outlined call. `continue` in the body skips to the
-/// next event.
-macro_rules! for_each_event_inline {
-    ($events:expr, $root:expr, |$x:ident, $t:ident, $m:ident| $body:block) => {{
-        let events: &[u32] = $events;
-        debug_assert!(events.iter().all(|&e| (e as usize) < $root.xs.len()));
-        if events.len() == $root.xs.len() {
-            // Event ids are a strictly increasing subset of `0..root len`,
-            // so a full-length column is the identity (true of every root
-            // column): iterate the root arrays directly and skip the
-            // per-event indirection load.
-            for e in 0..events.len() {
-                // SAFETY: `e < xs.len()` of the root's parallel arrays,
-                // which share their length.
-                let ($x, $t, $m) = unsafe {
-                    (
-                        *$root.xs.get_unchecked(e),
-                        *$root.tuple.get_unchecked(e),
-                        *$root.mass.get_unchecked(e),
-                    )
-                };
-                $body
-            }
-        } else {
-            for &e in events.iter() {
-                let e = e as usize;
-                // SAFETY: event ids are indices into the root column's
-                // parallel arrays by construction (they are produced by
-                // enumerating those arrays and only ever filtered, never
-                // remapped).
-                let ($x, $t, $m) = unsafe {
-                    (
-                        *$root.xs.get_unchecked(e),
-                        *$root.tuple.get_unchecked(e),
-                        *$root.mass.get_unchecked(e),
-                    )
-                };
-                $body
-            }
-        }
-    }};
-}
-
-/// The portable construction loop of [`events_from_column_with`],
-/// monomorphized on whether the column carries ancestor rescales.
-fn build_events_scalar<const HAS_SCALES: bool>(
+/// The construction loop of [`events_from_column`], monomorphized on
+/// whether the column carries ancestor rescales.
+fn build_events<const HAS_SCALES: bool>(
     col: &ColumnState,
     root_col: &AttrColumn,
     labels: &[u32],
     n_classes: usize,
     scratch: &mut Scratch,
-    kernel: KernelKind,
     buffers: &BufferPool,
 ) -> Option<AttributeEvents> {
     debug_assert_eq!(HAS_SCALES, !col.scales.is_empty());
@@ -842,7 +751,7 @@ fn build_events_scalar<const HAS_SCALES: bool>(
     let k = n_classes;
     let n_events = col.len();
     let mut xs: Vec<f64> = buffers.take(n_events);
-    let mut cum: Vec<f64> = buffers.take(n_events * k);
+    let mut cum: Vec<f64> = buffers.take(matrix_capacity(n_events, k));
     let xs_ptr = xs.as_mut_ptr();
     let cum_ptr = cum.as_mut_ptr();
     let mut n_pos = 0usize;
@@ -866,7 +775,7 @@ fn build_events_scalar<const HAS_SCALES: bool>(
         } else {
             running_heap.as_mut_slice()
         };
-        for_each_event_inline!(&col.events, root_col, |x, t, m_root| {
+        col.for_each_event(root_col, |x, t, m_root| {
             let t = t as usize;
             debug_assert!(t < weight.len() && t < labels.len());
             // SAFETY: tuple ids are `< n_tuples`, the length of every
@@ -874,7 +783,7 @@ fn build_events_scalar<const HAS_SCALES: bool>(
             // `< n_classes == running.len()`.
             let w = unsafe { *weight.get_unchecked(t) };
             if w <= WEIGHT_EPSILON {
-                continue;
+                return;
             }
             let event_weight = if HAS_SCALES {
                 w * (m_root * unsafe { *scale.get_unchecked(t) })
@@ -883,7 +792,7 @@ fn build_events_scalar<const HAS_SCALES: bool>(
             };
             if event_weight <= WEIGHT_EPSILON {
                 // Same denormal gate as AttributeEvents::build.
-                continue;
+                return;
             }
             if x != last_x {
                 if n_pos != 0 {
@@ -939,137 +848,10 @@ fn build_events_scalar<const HAS_SCALES: bool>(
         .collect();
     end_point_idx.sort_unstable();
     end_point_idx.dedup();
-    AttributeEvents::from_store(xs, cum, n_classes, end_point_idx, kernel)
+    AttributeEvents::from_store(xs, cum, n_classes, end_point_idx)
 }
 
-/// AVX2 variant of [`events_from_column_with`] for `n_classes <= 4`: the
-/// per-class running accumulator lives in one `__m256d` register, each
-/// event adds its weight to its label's lane through a lane mask, and
-/// rows are flushed with one (overlapping) 4-lane store instead of a
-/// per-class loop. Bit-identical to the scalar loop: the touched lane
-/// performs the same f64 add in the same event order, and the untouched
-/// lanes add `+0.0` — exact, because lanes hold sums of non-negative
-/// weights and are never `-0.0`. Overlapping stores are ordered (row `i`
-/// flushes before row `i+1`), so spilled lanes are overwritten by the
-/// next flush; the matrix reserves 4 spare elements for the final row's
-/// spill.
-///
-/// # Safety
-///
-/// The caller must have verified AVX2 support at runtime.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(unused_unsafe)] // for_each_event_inline!'s unsafe blocks expand inside this unsafe fn
-unsafe fn build_events_avx2<const HAS_SCALES: bool>(
-    col: &ColumnState,
-    root_col: &AttrColumn,
-    labels: &[u32],
-    n_classes: usize,
-    scratch: &mut Scratch,
-    kernel: KernelKind,
-    buffers: &BufferPool,
-) -> Option<AttributeEvents> {
-    use std::arch::x86_64::*;
-    debug_assert!(n_classes <= 4);
-    debug_assert_eq!(HAS_SCALES, !col.scales.is_empty());
-    scratch.reset_touched();
-    scratch.running.clear();
-    scratch.running.resize(n_classes, 0.0);
-    scratch.load_scales(&col.scales);
-    let k = n_classes;
-    let n_events = col.len();
-    let mut xs: Vec<f64> = buffers.take(n_events);
-    let mut cum: Vec<f64> = buffers.take(matrix_capacity(n_events, k));
-    let xs_ptr = xs.as_mut_ptr();
-    let cum_ptr = cum.as_mut_ptr();
-    let mut n_pos = 0usize;
-    let mut last_x = f64::NAN;
-    {
-        let lane_masks: [__m256d; 4] = [
-            _mm256_castsi256_pd(_mm256_set_epi64x(0, 0, 0, -1)),
-            _mm256_castsi256_pd(_mm256_set_epi64x(0, 0, -1, 0)),
-            _mm256_castsi256_pd(_mm256_set_epi64x(0, -1, 0, 0)),
-            _mm256_castsi256_pd(_mm256_set_epi64x(-1, 0, 0, 0)),
-        ];
-        let mut running = _mm256_setzero_pd();
-        let Scratch {
-            weight,
-            scale,
-            lo_idx,
-            hi_idx,
-            seen,
-            touched,
-            ..
-        } = scratch;
-        for_each_event_inline!(&col.events, root_col, |x, t, m_root| {
-            let t = t as usize;
-            debug_assert!(t < weight.len() && t < labels.len());
-            // SAFETY: tuple ids are `< n_tuples`, the length of every
-            // per-tuple scratch array and of `labels`; labels are
-            // `< n_classes <= 4`, indexing the four lane masks.
-            let w = *weight.get_unchecked(t);
-            if w <= WEIGHT_EPSILON {
-                continue;
-            }
-            let event_weight = if HAS_SCALES {
-                w * (m_root * *scale.get_unchecked(t))
-            } else {
-                w * m_root
-            };
-            if event_weight <= WEIGHT_EPSILON {
-                continue;
-            }
-            if x != last_x {
-                if n_pos != 0 {
-                    _mm256_storeu_pd(cum_ptr.add((n_pos - 1) * k), running);
-                }
-                xs_ptr.add(n_pos).write(x);
-                n_pos += 1;
-                last_x = x;
-            }
-            running = _mm256_add_pd(
-                running,
-                _mm256_and_pd(
-                    _mm256_set1_pd(event_weight),
-                    *lane_masks.get_unchecked(*labels.get_unchecked(t) as usize),
-                ),
-            );
-            let pos = (n_pos - 1) as u32;
-            if !*seen.get_unchecked(t) {
-                *seen.get_unchecked_mut(t) = true;
-                touched.push(t as u32);
-                *lo_idx.get_unchecked_mut(t) = pos;
-            }
-            *hi_idx.get_unchecked_mut(t) = pos;
-        });
-        if n_pos != 0 {
-            _mm256_storeu_pd(cum_ptr.add((n_pos - 1) * k), running);
-            xs.set_len(n_pos);
-            cum.set_len(n_pos * k);
-        }
-    }
-    scratch.unload_scales(&col.scales);
-    if n_pos < 2 {
-        buffers.give(xs);
-        buffers.give(cum);
-        return None;
-    }
-    let mut end_point_idx: Vec<usize> = scratch
-        .touched
-        .iter()
-        .flat_map(|&t| {
-            [
-                scratch.lo_idx[t as usize] as usize,
-                scratch.hi_idx[t as usize] as usize,
-            ]
-        })
-        .collect();
-    end_point_idx.sort_unstable();
-    end_point_idx.dedup();
-    AttributeEvents::from_store(xs, cum, n_classes, end_point_idx, kernel)
-}
-
-/// The unit fast path of [`events_from_column_with`]: the fused loop with
+/// The unit fast path of [`events_from_column`]: the fused loop with
 /// all its gates statically resolved (see the gate at the dispatcher).
 /// The output `xs` is the root array verbatim, the end points are the
 /// precomputed [`AttrColumn::unit_fast`] structure, and the matrix is a
@@ -1080,7 +862,6 @@ fn build_events_unit_fast(
     labels: &[u32],
     n_classes: usize,
     end_point_idx: &[usize],
-    kernel: KernelKind,
     buffers: &BufferPool,
 ) -> Option<AttributeEvents> {
     let n = root_col.xs.len();
@@ -1091,28 +872,15 @@ fn build_events_unit_fast(
     let mut xs = buffers.take(n);
     xs.extend_from_slice(&root_col.xs);
     let mut cum: Vec<f64> = buffers.take(matrix_capacity(n, k));
-    #[cfg(target_arch = "x86_64")]
-    if kernel == KernelKind::Simd
-        && k <= 4
-        && crate::kernel::detected_backend() == crate::kernel::SimdBackend::Avx2
-    {
-        // SAFETY: AVX2 support was just verified at runtime; the matrix
-        // capacity covers `n * k` plus the last store's lane spill.
-        unsafe {
-            fill_unit_rows_avx2(root_col, labels, k, cum.as_mut_ptr());
-            cum.set_len(n * k);
-        }
-        return AttributeEvents::from_store(xs, cum, n_classes, end_point_idx.to_vec(), kernel);
-    }
-    fill_unit_rows_scalar(root_col, labels, k, &mut cum);
-    AttributeEvents::from_store(xs, cum, n_classes, end_point_idx.to_vec(), kernel)
+    fill_unit_rows(root_col, labels, k, &mut cum);
+    AttributeEvents::from_store(xs, cum, n_classes, end_point_idx.to_vec())
 }
 
 /// Portable prefix-sum fill of the unit fast path: row `e` stores the
 /// running per-class totals after adding event `e`'s mass — exactly what
 /// the classic loop's flush produces when every event opens its own
 /// position.
-fn fill_unit_rows_scalar(root_col: &AttrColumn, labels: &[u32], k: usize, cum: &mut Vec<f64>) {
+fn fill_unit_rows(root_col: &AttrColumn, labels: &[u32], k: usize, cum: &mut Vec<f64>) {
     let n = root_col.xs.len();
     let cum_ptr = cum.as_mut_ptr();
     let mut running_stack = [0.0f64; RUNNING_STACK_CLASSES];
@@ -1141,45 +909,6 @@ fn fill_unit_rows_scalar(root_col: &AttrColumn, labels: &[u32], k: usize, cum: &
             }
         }
         cum.set_len(n * k);
-    }
-}
-
-/// AVX2 prefix-sum fill of the unit fast path for `k <= 4`: the running
-/// totals live in one `__m256d`, each event adds its mass to its label's
-/// lane through a lane mask, and every row is one (overlapping) 4-lane
-/// store. Same lane arithmetic as [`build_events_avx2`], so bit-identical
-/// to it and (untouched lanes add exact `+0.0`) to the scalar fill.
-///
-/// # Safety
-///
-/// The caller must have verified AVX2 support at runtime and reserved
-/// `n * k + 4` elements behind `cum_ptr`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn fill_unit_rows_avx2(root_col: &AttrColumn, labels: &[u32], k: usize, cum_ptr: *mut f64) {
-    use std::arch::x86_64::*;
-    debug_assert!(k <= 4);
-    let lane_masks: [__m256d; 4] = [
-        _mm256_castsi256_pd(_mm256_set_epi64x(0, 0, 0, -1)),
-        _mm256_castsi256_pd(_mm256_set_epi64x(0, 0, -1, 0)),
-        _mm256_castsi256_pd(_mm256_set_epi64x(0, -1, 0, 0)),
-        _mm256_castsi256_pd(_mm256_set_epi64x(-1, 0, 0, 0)),
-    ];
-    let mut running = _mm256_setzero_pd();
-    // SAFETY: tuple ids are `< n_tuples == labels.len()`, labels are
-    // `< k <= 4` (indexing the lane masks), and the caller's reservation
-    // covers every store.
-    for e in 0..root_col.xs.len() {
-        let t = *root_col.tuple.get_unchecked(e) as usize;
-        debug_assert!(t < labels.len());
-        running = _mm256_add_pd(
-            running,
-            _mm256_and_pd(
-                _mm256_set1_pd(*root_col.mass.get_unchecked(e)),
-                *lane_masks.get_unchecked(*labels.get_unchecked(t) as usize),
-            ),
-        );
-        _mm256_storeu_pd(cum_ptr.add(e * k), running);
     }
 }
 
@@ -1481,24 +1210,14 @@ mod tests {
         total
     }
 
-    /// A pdf with exactly these points and masses, built the way a
-    /// derived `Deserialize` builds one — bypassing the validating
-    /// constructor, so ±inf, `-0.0` beside `+0.0` and unsorted points
-    /// all get through.
-    fn raw_pdf(points: &[f64], mass: &[f64]) -> SampledPdf {
-        let number = |v: f64| match v {
-            f64::INFINITY => "1e999".to_string(),
-            f64::NEG_INFINITY => "-1e999".to_string(),
-            v => format!("{v:?}"),
-        };
-        let list = |vs: &[f64]| vs.iter().map(|&v| number(v)).collect::<Vec<_>>().join(",");
-        let json = format!(
-            r#"{{"points":[{}],"mass":[{}],"cumulative":[{}]}}"#,
-            list(points),
-            list(mass),
-            list(mass)
-        );
-        serde_json::from_str(&json).expect("raw pdf parses")
+    /// A valid pdf over these points: sorted, with points that compare
+    /// equal (`-0.0` beside `+0.0` among them) merged into the first.
+    fn sorted_pdf(points: &[f64], mass: &[f64]) -> SampledPdf {
+        let mut pairs: Vec<(f64, f64)> = points.iter().copied().zip(mass.iter().copied()).collect();
+        pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite points"));
+        pairs.dedup_by(|next, kept| next.0 == kept.0);
+        let (points, mass) = pairs.into_iter().unzip();
+        SampledPdf::new(points, mass).expect("valid pdf")
     }
 
     /// The comparator presort the radix sort replaced, kept as the
@@ -1531,8 +1250,8 @@ mod tests {
     }
 
     /// Seeded tuples whose two numerical attributes mix `-0.0` and
-    /// `+0.0`, positions shared across tuples, subnormals, ±inf, and
-    /// negative and large magnitudes. Tuple 0 holds `+0.0` and tuple 1
+    /// `+0.0`, positions shared across tuples, subnormals, and negative
+    /// and extreme magnitudes. Tuple 0 holds `+0.0` and tuple 1
     /// `-0.0` on attribute 0, so a stable sort must keep `+0.0` first.
     fn adversarial_tuples(seed: u64) -> Vec<FractionalTuple> {
         use rand::{Rng, SeedableRng};
@@ -1542,8 +1261,6 @@ mod tests {
             f64::from_bits(1),
             -f64::from_bits(1),
             f64::MIN_POSITIVE / 4.0,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
             f64::MAX,
             -f64::MAX,
             -1e300,
@@ -1568,7 +1285,7 @@ mod tests {
                             })
                             .collect();
                         let mass: Vec<f64> = (0..n).map(|_| rng.gen_range(0.01..1.0)).collect();
-                        UncertainValue::Numeric(raw_pdf(&points, &mass))
+                        UncertainValue::Numeric(sorted_pdf(&points, &mass))
                     })
                     .collect();
                 FractionalTuple {
@@ -1579,8 +1296,8 @@ mod tests {
                 }
             })
             .collect();
-        tuples[0].values[0] = UncertainValue::Numeric(raw_pdf(&[0.0, 7.0], &[0.5, 0.5]));
-        tuples[1].values[0] = UncertainValue::Numeric(raw_pdf(&[-0.0, 7.0], &[0.5, 0.5]));
+        tuples[0].values[0] = UncertainValue::Numeric(sorted_pdf(&[0.0, 7.0], &[0.5, 0.5]));
+        tuples[1].values[0] = UncertainValue::Numeric(sorted_pdf(&[-0.0, 7.0], &[0.5, 0.5]));
         tuples
     }
 
@@ -1603,19 +1320,32 @@ mod tests {
                     "seed {seed}, attribute {attribute}"
                 );
             }
-            // Both attributes hold infinities, which sit at the ends.
-            assert_eq!(
-                root.first_non_finite()
-                    .map(|(attribute, _, x)| (attribute, x)),
-                Some((0, f64::NEG_INFINITY))
-            );
+            // Validated pdfs hold finite points only.
+            assert_eq!(root.first_non_finite(), None);
             // The fixture really contains what it claims to.
             let xs = &root.columns[0].xs;
             assert!(xs.iter().any(|x| x.to_bits() == (-0.0f64).to_bits()));
             assert!(xs.iter().any(|x| x.to_bits() == 0.0f64.to_bits()));
-            assert!(xs.iter().any(|x| x.is_infinite()));
+            assert!(xs.contains(&f64::MAX));
             assert!(xs.iter().any(|x| x.is_subnormal()));
         }
+        // A column with infinities at its ends (where the presort key
+        // puts them) is reported by its first non-finite position.
+        let column = |attribute, xs: Vec<f64>| AttrColumn {
+            attribute,
+            tuple: (0..xs.len() as u32).collect(),
+            mass: vec![0.5; xs.len()],
+            xs,
+            unit_fast: None,
+        };
+        let root = RootColumns {
+            columns: vec![
+                column(0, vec![-1.0, 2.0]),
+                column(1, vec![-1.0, 2.0, f64::INFINITY]),
+                column(2, vec![f64::NEG_INFINITY, 0.0]),
+            ],
+        };
+        assert_eq!(root.first_non_finite(), Some((1, 2, f64::INFINITY)));
     }
 
     #[test]
@@ -1677,94 +1407,137 @@ mod tests {
         assert!(radix_key(-f64::NAN) < radix_key(f64::NEG_INFINITY));
     }
 
+    /// Six tuples over distinct positions (so the root column qualifies
+    /// for the unit fast path), labelled round-robin over `n_classes`.
+    fn spread_tuples(n_classes: usize) -> Vec<FractionalTuple> {
+        (0..6)
+            .map(|i| {
+                let lo = 0.75 * i as f64;
+                ft(
+                    &[lo, lo + 0.1, lo + 1.3],
+                    &[1.0, 2.0 + i as f64, 1.0],
+                    i % n_classes,
+                )
+            })
+            .collect()
+    }
+
+    fn matrix_bits(ev: &AttributeEvents) -> Vec<u64> {
+        ev.cum().iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn root_events_match_direct_build_in_both_modes() {
-        let tuples = vec![
-            ft(&[0.0, 1.0, 2.0], &[1.0, 2.0, 1.0], 0),
-            ft(&[1.5, 2.5, 3.5], &[1.0, 1.0, 2.0], 1),
-        ];
-        let root = build_root(&tuples, &[0]);
-        let direct = AttributeEvents::build(&tuples, 0, 2).unwrap();
-        // Both kernel modes: the simd kernel builds the matrix with its
-        // own (vectorized) construction loop.
-        for kernel in [KernelKind::Scalar, KernelKind::Simd] {
-            let state = root_state(&tuples, &root);
-            let mut scratch = Scratch::new(tuples.len());
-            scratch.load_weights(&state);
-            let from_col = events_from_column_with(
-                &state.columns[0],
-                &root.columns[0],
-                &labels(&tuples),
-                2,
-                &mut scratch,
-                kernel,
-            )
-            .unwrap();
-            assert_eq!(from_col.xs(), direct.xs());
-            assert_eq!(from_col.end_point_indices(), direct.end_point_indices());
-            for i in 0..direct.n_positions() {
+        // Both construction modes — the unit fast path (every weight 1)
+        // and the fused loop (fractional weights) — for a narrow and a
+        // wide class count.
+        for n_classes in [2, 6] {
+            for unit in [true, false] {
+                let mut tuples = spread_tuples(n_classes);
+                if !unit {
+                    for (i, t) in tuples.iter_mut().enumerate() {
+                        t.weight = 0.25 + 0.125 * i as f64;
+                    }
+                }
+                let root = build_root(&tuples, &[0]);
+                assert!(root.columns[0].unit_fast.is_some());
+                let direct = AttributeEvents::build(&tuples, 0, n_classes).unwrap();
+                let state = root_state(&tuples, &root);
+                let mut scratch = Scratch::new(tuples.len());
+                scratch.load_weights(&state);
+                assert_eq!(scratch.unit_weights, unit);
+                let from_col = events_from_column(
+                    &state.columns[0],
+                    &root.columns[0],
+                    &labels(&tuples),
+                    n_classes,
+                    &mut scratch,
+                )
+                .unwrap();
+                let case = format!("{n_classes} classes, unit {unit}");
+                assert_eq!(from_col.xs(), direct.xs(), "{case}");
                 assert_eq!(
-                    from_col.left_counts(i).as_slice(),
-                    direct.left_counts(i).as_slice(),
-                    "{kernel:?} row {i}"
+                    from_col.end_point_indices(),
+                    direct.end_point_indices(),
+                    "{case}"
                 );
-            }
-            for i in 0..direct.n_positions() - 1 {
-                assert_eq!(
-                    from_col.score_at(i, Measure::Entropy).to_bits(),
-                    direct.score_at(i, Measure::Entropy).to_bits(),
-                    "{kernel:?} score {i}"
-                );
+                assert_eq!(matrix_bits(&from_col), matrix_bits(&direct), "{case}");
+                for i in 0..direct.n_positions() - 1 {
+                    assert_eq!(
+                        from_col.score_at(i, Measure::Entropy).to_bits(),
+                        direct.score_at(i, Measure::Entropy).to_bits(),
+                        "{case}, score {i}"
+                    );
+                }
             }
         }
     }
 
+    /// The matrix a plain scalar loop over a node's scaled events gives:
+    /// `weight × (root mass × scale)` per event, events under the mass
+    /// gate dropped, one row per distinct position.
+    fn scalar_matrix(
+        node: &NodeTuples,
+        root_col: &AttrColumn,
+        labels: &[u32],
+        n_classes: usize,
+    ) -> (Vec<f64>, Vec<u64>) {
+        let weight = |t: u32| {
+            node.alive
+                .iter()
+                .position(|&a| a == t)
+                .map_or(0.0, |i| node.weights[i])
+        };
+        let (mut xs, mut cum) = (Vec::new(), Vec::new());
+        let mut running = vec![0.0f64; n_classes];
+        node.columns[0].for_each_scaled(root_col, |x, t, m| {
+            let w = weight(t);
+            if w <= WEIGHT_EPSILON || w * m <= WEIGHT_EPSILON {
+                return;
+            }
+            if xs.last() != Some(&x) {
+                if !xs.is_empty() {
+                    cum.extend_from_slice(&running);
+                }
+                xs.push(x);
+            }
+            running[labels[t as usize] as usize] += w * m;
+        });
+        cum.extend_from_slice(&running);
+        (xs, cum.iter().map(|v| v.to_bits()).collect())
+    }
+
     #[test]
     fn profile_construction_matches_scalar_bit_for_bit() {
-        let tuples = vec![
-            ft(&[0.0, 1.0, 2.0], &[1.0, 2.0, 1.0], 0),
-            ft(&[1.5, 2.5, 3.5], &[1.0, 1.0, 2.0], 1),
-            ft(&[0.5, 1.0, 2.5], &[1.0, 3.0, 1.0], 2),
-        ];
-        let root = build_root(&tuples, &[0]);
-        let state = root_state(&tuples, &root);
-        let mut scratch = Scratch::new(tuples.len());
-        let mut stats = SearchStats::default();
-        scratch.load_weights(&state);
-        // A numeric partition gives the left child non-trivial pdf scales,
-        // so the comparison below also exercises the has-scales path.
-        let (left, _right) = partition_numeric(&root, &state, 0, 1.5, &mut scratch, &mut stats);
-        scratch.unload_weights(&state);
-        assert!(!left.columns[0].scales.is_empty());
-        for node in [&state, &left] {
-            scratch.load_weights(node);
-            let base = events_from_column(
-                &node.columns[0],
-                &root.columns[0],
-                &labels(&tuples),
-                3,
-                &mut scratch,
-            )
-            .unwrap();
-            let want: Vec<u64> = base.cum().iter().map(|v| v.to_bits()).collect();
-            for kernel in [KernelKind::Scalar, KernelKind::Simd] {
-                let ev = events_from_column_with(
+        for n_classes in [3, 6] {
+            let tuples = spread_tuples(n_classes);
+            let labels = labels(&tuples);
+            let root = build_root(&tuples, &[0]);
+            let state = root_state(&tuples, &root);
+            let mut scratch = Scratch::new(tuples.len());
+            let mut stats = SearchStats::default();
+            scratch.load_weights(&state);
+            // A numeric partition gives the left child non-trivial pdf
+            // scales, so the comparison also exercises the has-scales
+            // loop.
+            let (left, _right) = partition_numeric(&root, &state, 0, 2.0, &mut scratch, &mut stats);
+            scratch.unload_weights(&state);
+            assert!(!left.columns[0].scales.is_empty());
+            for node in [&state, &left] {
+                scratch.load_weights(node);
+                let ev = events_from_column(
                     &node.columns[0],
                     &root.columns[0],
-                    &labels(&tuples),
-                    3,
+                    &labels,
+                    n_classes,
                     &mut scratch,
-                    kernel,
                 )
                 .unwrap();
-                assert_eq!(ev.kernel(), kernel);
-                assert_eq!(ev.xs(), base.xs(), "{kernel:?}");
-                assert_eq!(ev.end_point_indices(), base.end_point_indices());
-                // Stored matrices are bitwise the scalar matrix.
-                let got: Vec<u64> = ev.cum().iter().map(|v| v.to_bits()).collect();
-                assert_eq!(got, want, "{kernel:?}");
+                scratch.unload_weights(node);
+                let (xs, want) = scalar_matrix(node, &root.columns[0], &labels, n_classes);
+                assert_eq!(ev.xs(), xs.as_slice(), "{n_classes} classes");
+                assert_eq!(matrix_bits(&ev), want, "{n_classes} classes");
             }
-            scratch.unload_weights(node);
         }
     }
 

@@ -150,8 +150,10 @@ impl ThreadCount {
     /// variable (`auto` or an integer ≥ 1, parsed by the
     /// [`FromStr`](std::str::FromStr) impl) so CI can run the whole
     /// suite at a pinned thread count. Invalid values fall back to
-    /// [`ThreadCount::AUTO`] with a one-time warning on stderr —
-    /// mirroring [`KernelKind::from_env`].
+    /// [`ThreadCount::AUTO`] with a one-time warning on stderr — loud
+    /// enough that a typo'd run is visible in its logs, without letting
+    /// ambient process state abort library users inside a plain
+    /// [`UdtConfig::new`].
     pub fn from_env() -> ThreadCount {
         match std::env::var("UDT_THREADS") {
             Ok(v) => v.parse().unwrap_or_else(|_| {
@@ -255,10 +257,8 @@ pub struct UdtConfig {
     /// How recursion materialises child node state; always
     /// [`PartitionMode::View`].
     pub partition_mode: PartitionMode,
-    /// Which arithmetic kernel scores candidate splits (`UDT_KERNEL` env
-    /// override). The default [`KernelKind::Scalar`] is the bit-for-bit
-    /// determinism anchor; [`KernelKind::Simd`] chooses the same splits
-    /// at batch speed (see [`crate::kernel`]).
+    /// Which kernel scores candidate splits; always
+    /// [`KernelKind::Simd`] (see [`crate::kernel`]).
     pub kernel: KernelKind,
     /// How the cumulative count matrices are stored; always
     /// [`CountsRepr::F64`].
@@ -285,7 +285,7 @@ impl UdtConfig {
             parallel_min_fork_tuples: 8,
             threads: ThreadCount::from_env(),
             partition_mode: PartitionMode::View,
-            kernel: KernelKind::from_env(),
+            kernel: KernelKind::Simd,
             counts: CountsRepr::F64,
         }
     }
@@ -343,12 +343,6 @@ impl UdtConfig {
     /// (`usize` values convert; 0 means auto).
     pub fn with_threads(mut self, threads: impl Into<ThreadCount>) -> Self {
         self.threads = threads.into();
-        self
-    }
-
-    /// Returns a copy with a different score kernel.
-    pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
-        self.kernel = kernel;
         self
     }
 
@@ -479,8 +473,7 @@ mod tests {
             .with_parallel_subtrees(false)
             .with_parallel_cutoff_depth(6)
             .with_parallel_min_fork_tuples(32)
-            .with_threads(2)
-            .with_kernel(KernelKind::Simd);
+            .with_threads(2);
         assert_eq!(c.measure, Measure::Gini);
         assert!(!c.postprune);
         assert_eq!(c.max_depth, 5);
@@ -490,7 +483,6 @@ mod tests {
         assert_eq!(c.parallel_cutoff_depth, 6);
         assert_eq!(c.parallel_min_fork_tuples, 32);
         assert_eq!(c.threads, ThreadCount::fixed(2));
-        assert_eq!(c.kernel, KernelKind::Simd);
         assert!(c.validate().is_ok());
     }
 
@@ -529,13 +521,10 @@ mod tests {
 
     #[test]
     fn kernel_knobs_default_and_survive_legacy_serde() {
-        // Without the env override the config defaults to the
-        // determinism anchor.
-        if std::env::var("UDT_KERNEL").is_err() {
-            assert_eq!(UdtConfig::new(Algorithm::Udt).kernel, KernelKind::Scalar);
-        }
+        assert_eq!(UdtConfig::new(Algorithm::Udt).kernel, KernelKind::Simd);
+        assert_eq!(UdtConfig::default().counts, CountsRepr::F64);
         // The serde form round-trips the knobs faithfully.
-        let reference = UdtConfig::new(Algorithm::Udt).with_kernel(KernelKind::Simd);
+        let reference = UdtConfig::new(Algorithm::Udt);
         let round = UdtConfig::deserialize(&Serialize::serialize(&reference)).unwrap();
         assert_eq!(round, reference);
     }

@@ -41,15 +41,6 @@ pub enum TreeError {
         got: String,
     },
 
-    /// A textual score-kernel value was neither `scalar` nor `simd`
-    /// (see [`crate::KernelKind`]'s `FromStr` impl). Carries the
-    /// offending input, like [`TreeError::InvalidThreadCount`].
-    #[error("invalid score kernel `{got}`: expected 'scalar' or 'simd'")]
-    InvalidKernelKind {
-        /// The string that failed to parse.
-        got: String,
-    },
-
     /// A filesystem operation on a model file failed. Carries the
     /// underlying io error rendered to a string (the enum stays
     /// `Clone + PartialEq`), so callers see *why* — permission denied,

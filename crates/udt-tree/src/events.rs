@@ -32,7 +32,7 @@ use std::sync::Mutex;
 
 use crate::counts::{clamp_residue, ClassCounts, CountsView, WEIGHT_EPSILON};
 use crate::fractional::FractionalTuple;
-use crate::kernel::{simd, KernelKind};
+use crate::kernel::simd;
 use crate::measure::Measure;
 use udt_obs::catalog;
 
@@ -59,12 +59,19 @@ pub struct Interval {
     pub kind: IntervalKind,
 }
 
-/// Safety margin subtracted from interval lower bounds when the simd
-/// kernel scores candidates: batch scores differ from the exact scalar
-/// bound formula by polynomial-`log2` jitter (~1e-13), and a bound must
-/// never exceed a true score it covers. Matches the deterministic
-/// tie-break band of [`crate::split::SplitChoice::is_improved_by`].
+/// Safety margin subtracted from interval lower bounds: batch scores
+/// differ from the exact bound formula by polynomial-`log2` jitter
+/// (~1e-13), and a bound must never exceed a true score it covers.
+/// Matches the deterministic tie-break band of
+/// [`crate::split::SplitChoice::is_improved_by`].
 const SIMD_BOUND_MARGIN: f64 = 1e-12;
+
+/// Shortest batch the batch kernel scores. Its per-call setup (column
+/// constants, measure dispatch, backend detection) costs more than it
+/// saves on the tiny candidate runs that pruned searches leave behind, so
+/// shorter batches take the exact per-candidate formula, which is within
+/// the kernel's documented tolerance of it.
+const SIMD_MIN_BATCH: usize = 8;
 
 /// Sorted, aggregated per-attribute candidate-split structure in
 /// structure-of-arrays form.
@@ -82,8 +89,6 @@ pub struct AttributeEvents {
     /// Indices into `xs` of the end points `Q_j` (pdf domain boundaries),
     /// ascending and distinct.
     end_point_idx: Vec<usize>,
-    /// Which kernel scores candidates (see [`crate::kernel`]).
-    kernel: KernelKind,
     /// The final cumulative row, hoisted so no scoring path re-derives
     /// the per-class totals per candidate.
     total_row: Vec<f64>,
@@ -192,13 +197,7 @@ impl AttributeEvents {
             end_point_idx.push(last);
         }
 
-        Some(Self::assemble(
-            xs,
-            cum,
-            n_classes,
-            end_point_idx,
-            KernelKind::Scalar,
-        ))
+        Some(Self::assemble(xs, cum, n_classes, end_point_idx))
     }
 
     /// Assembles the structure from pre-aggregated parts — the zero-copy
@@ -227,25 +226,17 @@ impl AttributeEvents {
         if xs.len() < 2 {
             return None;
         }
-        Some(Self::assemble(
-            xs,
-            cum,
-            n_classes,
-            end_point_idx,
-            KernelKind::Scalar,
-        ))
+        Some(Self::assemble(xs, cum, n_classes, end_point_idx))
     }
 
-    /// Assembles the structure under an explicit score kernel — the
-    /// sibling of [`from_parts`](Self::from_parts) used by the columnar
-    /// engine, which builds every per-node matrix for the configured
-    /// kernel. Same invariants as [`from_parts`](Self::from_parts).
+    /// The sibling of [`from_parts`](Self::from_parts) used by the
+    /// columnar engine: same invariants, and the build counts it in
+    /// `KERNEL_MATRIX_BUILDS_F64`.
     pub(crate) fn from_store(
         xs: Vec<f64>,
         cum: Vec<f64>,
         n_classes: usize,
         end_point_idx: Vec<usize>,
-        kernel: KernelKind,
     ) -> Option<AttributeEvents> {
         debug_assert!(xs.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(end_point_idx.windows(2).all(|w| w[0] < w[1]));
@@ -255,21 +246,17 @@ impl AttributeEvents {
             return None;
         }
         catalog::KERNEL_MATRIX_BUILDS_F64.incr();
-        Some(Self::assemble(xs, cum, n_classes, end_point_idx, kernel))
+        Some(Self::assemble(xs, cum, n_classes, end_point_idx))
     }
 
     /// Finishes construction from a validated matrix, hoisting the total
-    /// row and the grand total (class-order f64 sum, matching the scalar
-    /// scoring path's accumulation order). The public constructors are
-    /// environment-independent and always start at the scalar
-    /// determinism anchor; callers opt in through
-    /// [`with_kernel`](Self::with_kernel).
+    /// row and the grand total (class-order f64 sum, matching the exact
+    /// formula's accumulation order).
     fn assemble(
         xs: Vec<f64>,
         cum: Vec<f64>,
         n_classes: usize,
         end_point_idx: Vec<usize>,
-        kernel: KernelKind,
     ) -> AttributeEvents {
         let last = xs.len() - 1;
         let total_row = cum[last * n_classes..(last + 1) * n_classes].to_vec();
@@ -279,28 +266,13 @@ impl AttributeEvents {
             cum,
             n_classes,
             end_point_idx,
-            kernel,
             total_row,
             grand_total,
         }
     }
 
-    /// Re-homes the structure under a score kernel.
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: KernelKind) -> AttributeEvents {
-        self.kernel = kernel;
-        self
-    }
-
-    /// The score kernel this structure carries (scalar unless
-    /// [`with_kernel`](Self::with_kernel) opted in).
-    pub fn kernel(&self) -> KernelKind {
-        self.kernel
-    }
-
     /// The raw cumulative matrix — crate-internal, for the construction
-    /// parity tests that compare stored matrices across kernels bit for
-    /// bit.
+    /// parity tests that compare stored matrices bit for bit.
     #[cfg(test)]
     pub(crate) fn cum(&self) -> &[f64] {
         &self.cum
@@ -376,10 +348,9 @@ impl AttributeEvents {
     /// Dispersion score (eq. 1) of splitting at `xs[i]`. Splits that leave
     /// one side without mass score `+∞` (they are not valid splits).
     /// Allocation-free: one borrowed cumulative row plus the hoisted
-    /// total row. Single candidates always take the exact scalar formula
-    /// — under the simd kernel only *batches*
-    /// ([`score_range_into`](Self::score_range_into)) take the vector
-    /// path, whose ~1e-14 cross-formula jitter the deterministic
+    /// total row. Single candidates always take the exact formula — only
+    /// *batches* ([`score_range_into`](Self::score_range_into)) take the
+    /// batch kernel, whose ~1e-14 cross-formula jitter the deterministic
     /// tie-break band absorbs.
     #[inline]
     pub fn score_at(&self, i: usize, measure: Measure) -> f64 {
@@ -388,11 +359,9 @@ impl AttributeEvents {
 
     /// Scores every candidate in `range` into `out` (cleared and resized
     /// to `range.len()`) — the batch entry point of the split strategies.
-    /// Under [`KernelKind::Scalar`] this is exactly a
-    /// [`score_at`](Self::score_at) loop, bit-for-bit the historical
-    /// per-candidate path; under [`KernelKind::Simd`] the whole range is
-    /// scored by the vector kernel (see [`crate::kernel`]) with the
-    /// per-column invariants hoisted once per call.
+    /// A range of at least eight candidates is scored by the batch kernel
+    /// (see [`crate::kernel`]) with the per-column invariants hoisted once
+    /// per call; a shorter one is a [`score_at`](Self::score_at) loop.
     pub fn score_range_into(
         &self,
         range: std::ops::Range<usize>,
@@ -404,61 +373,39 @@ impl AttributeEvents {
         if range.is_empty() {
             return;
         }
-        // Per-call setup of the vector kernel (column constants, measure
-        // dispatch, backend detection) costs more than it saves on the
-        // tiny candidate runs that pruned searches leave behind, so short
-        // batches take the scalar loop even under the simd kernel. The
-        // scalar formula is within the documented simd tolerance of the
-        // vector one, so callers observe no contract change.
-        const SIMD_MIN_BATCH: usize = 8;
-        match self.kernel {
-            KernelKind::Scalar => {
-                catalog::KERNEL_SCALAR_BATCHES.incr();
-                for (slot, i) in range.enumerate() {
-                    out[slot] = self.score_at(i, measure);
-                }
+        if range.len() < SIMD_MIN_BATCH {
+            catalog::KERNEL_SCALAR_BATCHES.incr();
+            for (slot, i) in range.enumerate() {
+                out[slot] = self.score_at(i, measure);
             }
-            KernelKind::Simd if range.len() < SIMD_MIN_BATCH => {
-                catalog::KERNEL_SIMD_FALLBACK_BATCHES.incr();
-                for (slot, i) in range.enumerate() {
-                    out[slot] = self.score_at(i, measure);
-                }
-            }
-            KernelKind::Simd => {
-                catalog::KERNEL_SIMD_BATCHES.incr();
-                simd::score_range_into(
-                    measure,
-                    &self.cum,
-                    self.n_classes,
-                    &self.total_row,
-                    self.grand_total,
-                    range,
-                    out,
-                );
-            }
+            return;
         }
+        catalog::KERNEL_SIMD_BATCHES.incr();
+        simd::score_range_into(
+            measure,
+            &self.cum,
+            self.n_classes,
+            &self.total_row,
+            self.grand_total,
+            range,
+            out,
+        );
     }
 
     /// Scores the scattered candidate positions `idx` into `out`
     /// (cleared and resized to `idx.len()`) — the batch entry point for
     /// end-point evaluation, where the candidates are not contiguous.
-    /// Under [`KernelKind::Scalar`] (or for short lists) this is exactly
-    /// a [`score_at`](Self::score_at) loop; under [`KernelKind::Simd`]
-    /// the indexed rows are gathered into one contiguous staging matrix
-    /// and scored by the vector kernel in a single call.
+    /// A list of at least eight candidates is gathered into one
+    /// contiguous staging matrix and scored by the batch kernel in a
+    /// single call; a shorter one is a [`score_at`](Self::score_at) loop.
     pub fn score_indices_into(&self, idx: &[usize], measure: Measure, out: &mut Vec<f64>) {
-        const SIMD_MIN_BATCH: usize = 8;
         out.clear();
         out.resize(idx.len(), 0.0);
         if idx.is_empty() {
             return;
         }
-        if self.kernel == KernelKind::Scalar || idx.len() < SIMD_MIN_BATCH {
-            if self.kernel == KernelKind::Scalar {
-                catalog::KERNEL_SCALAR_BATCHES.incr();
-            } else {
-                catalog::KERNEL_SIMD_FALLBACK_BATCHES.incr();
-            }
+        if idx.len() < SIMD_MIN_BATCH {
+            catalog::KERNEL_SCALAR_BATCHES.incr();
             for (slot, &i) in idx.iter().enumerate() {
                 out[slot] = self.score_at(i, measure);
             }
@@ -576,18 +523,14 @@ impl AttributeEvents {
 
     /// The eq. 3 / eq. 4 lower bound over every split point in `[xs[lo],
     /// xs[hi]]`. Allocation-free: two borrowed cumulative rows plus the
-    /// hoisted total row. The bound itself always uses the exact scalar
-    /// formula; under the simd kernel a `SIMD_BOUND_MARGIN` is
-    /// subtracted so the bound stays safe against the batch kernel's
+    /// hoisted total row. The bound itself uses the exact formula, less
+    /// `SIMD_BOUND_MARGIN` so it stays safe against the batch kernel's
     /// polynomial-`log2` score jitter.
     #[inline]
     pub fn interval_lower_bound(&self, lo: usize, hi: usize, measure: Measure) -> f64 {
-        let raw = measure.interval_lower_bound_cum(self.row(lo), self.row(hi), &self.total_row);
-        match self.kernel {
-            KernelKind::Scalar => raw,
-            // −∞ and +∞ pass through unchanged (∞ − margin == ∞).
-            KernelKind::Simd => raw - SIMD_BOUND_MARGIN,
-        }
+        // −∞ and +∞ pass through unchanged (∞ − margin == ∞).
+        measure.interval_lower_bound_cum(self.row(lo), self.row(hi), &self.total_row)
+            - SIMD_BOUND_MARGIN
     }
 
     /// Candidate indices strictly inside the interval `(xs[lo], xs[hi])` —

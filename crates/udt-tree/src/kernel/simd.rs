@@ -1,4 +1,4 @@
-//! Batch split-score arithmetic for the simd kernel.
+//! Batch split-score arithmetic: the batch kernel.
 //!
 //! Scores whole ranges of contiguous candidate rows per call. Three
 //! backends share one arithmetic definition: a 4-lane AVX2 path, a
@@ -15,7 +15,7 @@
 //! `l_c` the cumulative left counts of candidate row `i` and
 //! `r_c = total_c − l_c` (exact in IEEE arithmetic: cumulative rows are
 //! running sums of non-negative weights, so `total_c ≥ l_c` bitwise and
-//! the scalar path's `clamp_residue` is a no-op here):
+//! the exact formula's `clamp_residue` is a no-op here):
 //!
 //! * entropy  = `(f(nl) + f(nr) − Σf(l_c) − Σf(r_c)) · invT`
 //! * Gini     = `1 − (Σl_c²/nl + Σr_c²/nr) · invT`
@@ -38,7 +38,7 @@
 //! (|t| ≤ 0.172, truncation ≈ 1e-17) as a degree-9 Horner form in
 //! `t²` — no FMA anywhere, so every backend rounds identically. Accuracy
 //! is 1–2 ulp against libm, which keeps batch scores within ~1e-13 of
-//! the scalar kernel — inside the 1e-12 deterministic tie-break band of
+//! the exact formula — inside the 1e-12 deterministic tie-break band of
 //! [`crate::split::SplitChoice::is_improved_by`].
 
 use core::ops::Range;

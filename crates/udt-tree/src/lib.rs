@@ -42,14 +42,13 @@
 //!   [`measure::Measure::interval_lower_bound_cum`]): eq. 1 scores and
 //!   the §5.2 eq. 3/4 bounds are pure slice arithmetic; no counter is
 //!   cloned anywhere on the per-candidate path.
-//! * **Score kernels** ([`kernel`]): *how* candidates are scored is a
-//!   runtime knob. The default [`KernelKind::Scalar`] kernel is
-//!   bit-for-bit the historical per-candidate arithmetic; the opt-in
-//!   [`KernelKind::Simd`] kernel scores batches of contiguous candidate
-//!   rows with runtime-detected AVX2/SSE2 lanes (portable fallback
-//!   elsewhere) and builds the same arenas. `scalar` remains the
-//!   determinism anchor; `simd` is gated by a seeded parity suite
-//!   (`UDT_KERNEL` env override). Counts are always `f64`.
+//! * **One score kernel** ([`kernel`]): a batch of at least eight
+//!   candidates is scored by the batch kernel, with runtime-detected
+//!   AVX2/SSE2 lanes (a bit-identical portable path elsewhere); shorter
+//!   batches, single candidates and interval bounds use the exact
+//!   formula. Batch scores are within 1e-12 of the exact formula, and a
+//!   seeded parity suite pins the arena fingerprints of every algorithm
+//!   × measure. Counts are always `f64`.
 //! * **Baseline** ([`baseline`]): the pre-columnar engine (per-node
 //!   rebuild + re-sort, one owned counter per position, clone-based
 //!   scoring) is kept for regression tests — the columnar engine

@@ -34,10 +34,10 @@ impl SplitSearch for ExhaustiveSearch {
             // side), hence the paper's "m·s − 1".
             local.candidate_points += (n - 1) as u64;
             let mut best: Option<SplitChoice> = None;
-            // The whole attribute is one contiguous candidate batch; the
-            // scalar kernel scores it exactly like the historical
-            // per-candidate loop, the simd kernel vectorizes it. Every
-            // candidate counts one entropy calculation either way.
+            // The whole attribute is one contiguous candidate batch,
+            // scored by the batch kernel (or, below its minimum length,
+            // by the exact per-candidate formula). Every candidate counts
+            // one entropy calculation either way.
             let mut scores = Vec::new();
             ev.score_range_into(0..n - 1, measure, &mut scores);
             local.entropy_calculations += (n - 1) as u64;

@@ -8,8 +8,8 @@
 # benchmark when CRITERION_JSON names a file (under a "host" header
 # recording cpu count / arch / detected SIMD features); this script
 # points it at the respective output file and prints the headline
-# numbers afterwards: naive-vs-columnar and scalar-vs-simd-kernel for
-# split search, per-call-vs-batch (scratch reuse) for classification,
+# numbers afterwards: naive-vs-columnar and per-candidate-vs-batch
+# scoring for split search, per-call-vs-batch (scratch reuse) for classification,
 # wall-clock + bytes allocated per depth for partitioning,
 # batched-vs-single-request socket throughput for serving, and the
 # serving concurrency axis (closed-loop point clients over 1/8/64
@@ -60,7 +60,6 @@ def speedup(group, naive, fast):
 
 speedup("node_search_step", "es_naive_rebuild", "es_columnar")
 speedup("node_search_step", "exhaustive_naive_rebuild", "exhaustive_columnar")
-speedup("node_search_step", "es_columnar", "es_columnar_simd")
 speedup("score_kernel", "scalar_f64", "simd_f64")
 speedup("columnar_vs_naive", "udt_es_naive_rebuild", "udt_es_columnar")
 speedup("columnar_vs_naive", "udt_exhaustive_naive_rebuild", "udt_exhaustive_columnar")
