@@ -6,7 +6,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::{escape_label_value, render_counter_into, Counter, Gauge, Histogram};
+use crate::{
+    escape_label_value, render_counter_into, render_gauge_into, Counter, Gauge, Histogram,
+};
 
 // ---------------------------------------------------------------------
 // Work-stealing pool (udt-tree/src/pool.rs)
@@ -378,15 +380,12 @@ pub mod pruning {
             }
         }
         // The fraction is a derived gauge, rendered for convenience.
-        out.push_str(
-            "# HELP udt_split_prune_fraction Fraction of candidate split points pruned before scoring, by algorithm.\n# TYPE udt_split_prune_fraction gauge\n",
-        );
-        for (algorithm, snap) in &rows {
-            out.push_str(&format!(
-                "udt_split_prune_fraction{{algorithm=\"{}\"}} {:.6}\n",
-                escape_label_value(algorithm),
-                snap.prune_fraction()
-            ));
+        let help = "Fraction of candidate split points pruned before scoring, by algorithm.";
+        for (i, (algorithm, snap)) in rows.iter().enumerate() {
+            let label = format!("algorithm=\"{}\"", escape_label_value(algorithm));
+            let fraction = format_args!("{:.6}", snap.prune_fraction());
+            let help = if i == 0 { help } else { "" };
+            render_gauge_into(out, "udt_split_prune_fraction", help, &label, fraction);
         }
     }
 }

@@ -11,8 +11,11 @@
 //!   for level-style quantities (circuit breakers currently open,
 //!   connections active). Same relaxed-atomic cost model as counters.
 //! * [`Histogram`] — 48 log2-bucketed atomic counters over nanosecond
-//!   durations (bucket *i* covers `[2^i, 2^(i+1))` ns), mirroring the
-//!   latency histograms `udt-serve` already exposes.
+//!   durations (bucket *i* covers `[2^i, 2^(i+1))` ns). The build
+//!   engine records node-search and pool-idle times into it, and
+//!   `udt-serve` records its per-model request latency and queue wait
+//!   into it; quantiles are reported as the upper bound of the bucket
+//!   holding them ([`Histogram::quantile_ns`]).
 //! * spans ([`trace`]) — lightweight RAII guards that record Chrome
 //!   trace-event JSON (complete `X` events) when tracing is active.
 //!   When tracing is off — the default — a span site costs a single
@@ -26,10 +29,18 @@
 //! as Prometheus text exposition, which `udt-serve` appends to its own
 //! `stats --format prometheus` output so one endpoint exposes build,
 //! pool, kernel, and request metrics together.
+//!
+//! Every exposition line in the workspace is written by one of three
+//! writers — [`render_counter_into`], [`render_gauge_into`] and
+//! [`render_histogram_into`] — plus [`render_header_into`] for the
+//! `# HELP`/`# TYPE` pair. A labelled family writes its header once and
+//! then one sample per label set with an empty `help`.
 
 #![warn(missing_docs)]
 
+use std::fmt::Display;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::time::Duration;
 
 pub mod catalog;
 pub mod trace;
@@ -194,6 +205,12 @@ impl Histogram {
         self.total_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
+    /// Records one observation of `d`, saturating at `u64::MAX` ns.
+    #[inline]
+    pub fn record(&self, d: Duration) {
+        self.record_ns(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
+    }
+
     /// Number of observations recorded.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -211,6 +228,39 @@ impl Histogram {
             *slot = bucket.load(Ordering::Relaxed);
         }
         out
+    }
+
+    /// Mean observation in nanoseconds (0 when empty).
+    pub fn mean_ns(&self) -> f64 {
+        match self.count() {
+            0 => 0.0,
+            n => self.total_ns() as f64 / n as f64,
+        }
+    }
+
+    /// The duration (in nanoseconds) below which `q` of the observations
+    /// fall, reported as the upper bound of the bucket holding rank
+    /// `ceil(q·n)` (at least 1). Returns 0 when empty; `q` is clamped to
+    /// `[0, 1]`. `n` is the sum of one [`buckets`](Self::buckets)
+    /// snapshot, not [`count`](Self::count), so a concurrent
+    /// [`record_ns`](Self::record_ns) cannot push the rank past the
+    /// buckets scanned.
+    pub fn quantile_ns(&self, q: f64) -> u64 {
+        let buckets = self.buckets();
+        let n: u64 = buckets.iter().sum();
+        if n == 0 {
+            return 0;
+        }
+        let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as u64).max(1);
+        let mut seen = 0u64;
+        let i = buckets
+            .iter()
+            .position(|&c| {
+                seen += c;
+                seen >= rank
+            })
+            .unwrap_or(HISTOGRAM_BUCKETS - 1);
+        1u64 << (i + 1)
     }
 }
 
@@ -252,19 +302,18 @@ pub fn escape_label_value(value: &str) -> String {
     out
 }
 
-/// Renders one counter as Prometheus text exposition into `out`.
-/// `labels` is pre-rendered (e.g. `algorithm="UDT-ES"`) or empty.
-pub(crate) fn render_counter_into(
-    out: &mut String,
-    name: &str,
-    help: &str,
-    labels: &str,
-    value: u64,
-) {
-    let name = sanitize_metric_name(name);
+/// Writes the `# HELP`/`# TYPE` pair of family `name` (of Prometheus
+/// type `kind`) into `out`; nothing when `help` is empty.
+pub fn render_header_into(out: &mut String, name: &str, kind: &str, help: &str) {
     if !help.is_empty() {
-        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
+        let name = sanitize_metric_name(name);
+        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
     }
+}
+
+/// Writes one sample line `name{labels} value` (no braces when `labels`
+/// is empty).
+fn render_sample_into(out: &mut String, name: &str, labels: &str, value: impl Display) {
     if labels.is_empty() {
         out.push_str(&format!("{name} {value}\n"));
     } else {
@@ -272,24 +321,47 @@ pub(crate) fn render_counter_into(
     }
 }
 
-/// Renders one gauge as Prometheus text exposition into `out`.
-fn render_gauge_into(out: &mut String, g: &Gauge) {
-    let name = sanitize_metric_name(g.name());
-    out.push_str(&format!(
-        "# HELP {name} {}\n# TYPE {name} gauge\n{name} {}\n",
-        g.help(),
-        g.get()
-    ));
+/// Renders one counter sample into `out`, preceded by its header when
+/// `help` is non-empty. `labels` is pre-rendered (e.g.
+/// `algorithm="UDT-ES"`, values escaped with [`escape_label_value`]) or
+/// empty.
+pub fn render_counter_into(out: &mut String, name: &str, help: &str, labels: &str, value: u64) {
+    render_header_into(out, name, "counter", help);
+    render_sample_into(out, &sanitize_metric_name(name), labels, value);
+}
+
+/// Renders one gauge sample into `out`; `help` and `labels` as for
+/// [`render_counter_into`].
+pub fn render_gauge_into(
+    out: &mut String,
+    name: &str,
+    help: &str,
+    labels: &str,
+    value: impl Display,
+) {
+    render_header_into(out, name, "gauge", help);
+    render_sample_into(out, &sanitize_metric_name(name), labels, value);
 }
 
 /// Renders one histogram (seconds-valued, cumulative `le` buckets up to
-/// the last non-empty one, then `+Inf`, `_sum`, `_count`) into `out`.
-fn render_histogram_into(out: &mut String, h: &Histogram) {
-    let name = sanitize_metric_name(h.name());
-    out.push_str(&format!(
-        "# HELP {name} {}\n# TYPE {name} histogram\n",
-        h.help()
-    ));
+/// the last non-empty one, then `+Inf`, `_sum`, `_count`) into `out`;
+/// `help` and `labels` as for [`render_counter_into`]. The bucket lines,
+/// `+Inf` and `_count` come from one [`Histogram::buckets`] snapshot, so
+/// they agree with each other under concurrent recording.
+pub fn render_histogram_into(
+    out: &mut String,
+    name: &str,
+    help: &str,
+    labels: &str,
+    h: &Histogram,
+) {
+    render_header_into(out, name, "histogram", help);
+    let name = sanitize_metric_name(name);
+    let le_prefix = if labels.is_empty() {
+        String::new()
+    } else {
+        format!("{labels},")
+    };
     let buckets = h.buckets();
     let last = buckets.iter().rposition(|&c| c > 0);
     let mut cumulative = 0u64;
@@ -299,12 +371,21 @@ fn render_histogram_into(out: &mut String, h: &Histogram) {
             // Bucket i covers [2^i, 2^(i+1)) ns; its upper bound in
             // seconds is 2^(i+1) / 1e9.
             let le = (1u128 << (i + 1)) as f64 / 1e9;
-            out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cumulative}\n"));
+            out.push_str(&format!(
+                "{name}_bucket{{{le_prefix}le=\"{le}\"}} {cumulative}\n"
+            ));
         }
     }
-    out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", h.count()));
-    out.push_str(&format!("{name}_sum {}\n", h.total_ns() as f64 / 1e9));
-    out.push_str(&format!("{name}_count {}\n", h.count()));
+    out.push_str(&format!(
+        "{name}_bucket{{{le_prefix}le=\"+Inf\"}} {cumulative}\n"
+    ));
+    render_sample_into(
+        out,
+        &format!("{name}_sum"),
+        labels,
+        h.total_ns() as f64 / 1e9,
+    );
+    render_sample_into(out, &format!("{name}_count"), labels, cumulative);
 }
 
 /// Renders the whole [`catalog`] registry — counters, histograms, and
@@ -316,10 +397,10 @@ pub fn render_prometheus_into(out: &mut String) {
         render_counter_into(out, c.name(), c.help(), "", c.get());
     }
     for g in catalog::gauges() {
-        render_gauge_into(out, g);
+        render_gauge_into(out, g.name(), g.help(), "", g.get());
     }
     for h in catalog::histograms() {
-        render_histogram_into(out, h);
+        render_histogram_into(out, h.name(), h.help(), "", h);
     }
     catalog::pruning::render_into(out);
 }
@@ -356,7 +437,7 @@ mod tests {
         assert_eq!(G.get(), -2, "gauges may go negative");
         G.set(7);
         let mut out = String::new();
-        render_gauge_into(&mut out, &G);
+        render_gauge_into(&mut out, G.name(), G.help(), "", G.get());
         assert!(out.contains("# TYPE test_gauge gauge\ntest_gauge 7\n"));
     }
 
@@ -384,6 +465,92 @@ mod tests {
     }
 
     #[test]
+    fn empty_histogram_reports_zeroes() {
+        let h = Histogram::new("test_hist_empty", "");
+        assert_eq!(h.count(), 0);
+        assert_eq!(h.mean_ns(), 0.0);
+        assert_eq!(h.quantile_ns(0.5), 0);
+    }
+
+    #[test]
+    fn quantiles_land_in_the_right_bucket() {
+        let h = Histogram::new("test_hist_quantiles", "");
+        // 90 observations at ~1 µs, 10 at ~1 ms.
+        for _ in 0..90 {
+            h.record(Duration::from_micros(1));
+        }
+        for _ in 0..10 {
+            h.record(Duration::from_millis(1));
+        }
+        assert_eq!(h.count(), 100);
+        // 1 µs = 1000 ns lives in bucket 9 ([512, 1024)); its upper
+        // bound is 1024 ns.
+        assert_eq!(h.quantile_ns(0.50), 1024);
+        assert_eq!(h.quantile_ns(0.90), 1024);
+        // 1 ms = 1e6 ns lives in bucket 19 ([524288, 1048576)).
+        assert_eq!(h.quantile_ns(0.95), 1 << 20);
+        assert_eq!(h.quantile_ns(0.99), 1 << 20);
+        assert_eq!(h.quantile_ns(1.0), 1 << 20);
+        // Mean sits between the two modes.
+        assert!(h.mean_ns() > 1_000.0 && h.mean_ns() < 1_000_000.0);
+    }
+
+    #[test]
+    fn huge_latencies_saturate_the_last_bucket() {
+        let h = Histogram::new("test_hist_saturate", "");
+        h.record(Duration::from_secs(1_000_000_000));
+        assert_eq!(h.count(), 1);
+        assert!(h.quantile_ns(0.5) >= 1u64 << 48);
+    }
+
+    #[test]
+    fn durations_beyond_u64_nanoseconds_saturate() {
+        let h = Histogram::new("test_hist_duration_max", "");
+        h.record(Duration::MAX);
+        assert_eq!(h.buckets()[HISTOGRAM_BUCKETS - 1], 1);
+        assert_eq!(h.total_ns(), u64::MAX);
+    }
+
+    #[test]
+    fn quantiles_stay_in_range_under_concurrent_recording() {
+        use std::sync::atomic::AtomicBool;
+
+        // Recorded values span buckets 0..=19, so no quantile may exceed
+        // bucket 19's upper bound.
+        let largest_bound = 1u64 << 20;
+        let h = Histogram::new("test_hist_concurrent", "");
+        let stop = AtomicBool::new(false);
+        let mut worst = 0u64;
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let (h, stop) = (&h, &stop);
+                scope.spawn(move || {
+                    let mut k = t;
+                    while !stop.load(Ordering::Relaxed) {
+                        h.record_ns(1 << (k % 20));
+                        k += 1;
+                    }
+                });
+            }
+            while h.count() == 0 {
+                std::hint::spin_loop();
+            }
+            for _ in 0..1_000 {
+                // q = 1 ranks the newest observation: the first to fall
+                // past a stale bucket snapshot.
+                for q in [0.50, 0.99, 1.0] {
+                    worst = worst.max(h.quantile_ns(q));
+                }
+            }
+            // Assert only after the recorders stop, so a failure cannot
+            // leave the scope waiting on them.
+            stop.store(true, Ordering::Relaxed);
+        });
+        assert!(worst <= largest_bound, "a quantile reached {worst} ns");
+        assert_ne!(worst, 1u64 << 63);
+    }
+
+    #[test]
     fn metric_name_sanitization() {
         assert_eq!(sanitize_metric_name("udt_pool_tasks"), "udt_pool_tasks");
         assert_eq!(sanitize_metric_name("udt.pool-tasks"), "udt_pool_tasks");
@@ -405,7 +572,7 @@ mod tests {
     fn empty_histogram_renders_only_inf_bucket() {
         let h = Histogram::new("udt_test_empty_hist", "empty");
         let mut out = String::new();
-        render_histogram_into(&mut out, &h);
+        render_histogram_into(&mut out, h.name(), h.help(), "", &h);
         assert!(out.contains("# TYPE udt_test_empty_hist histogram"));
         assert!(out.contains("udt_test_empty_hist_bucket{le=\"+Inf\"} 0\n"));
         assert!(out.contains("udt_test_empty_hist_sum 0\n"));
@@ -421,7 +588,7 @@ mod tests {
         h.record_ns(2); // bucket 1
         h.record_ns(5); // bucket 2
         let mut out = String::new();
-        render_histogram_into(&mut out, &h);
+        render_histogram_into(&mut out, h.name(), h.help(), "", &h);
         // le for bucket 0 is 2ns = 2e-9 s.
         assert!(
             out.contains("le=\"0.000000002\"}} 1\n") || out.contains("le=\"2e-9\"}} 1\n") || {

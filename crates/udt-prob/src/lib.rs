@@ -10,8 +10,6 @@
 //!   binary searches and a subtraction (§4.2 of the paper).
 //! * [`ErrorModel`] — the Gaussian and uniform error models used to inject
 //!   controlled uncertainty into point-valued data sets (§4.3).
-//! * [`Histogram`] — pdf construction from raw repeated measurements, as
-//!   used for the "JapaneseVowel" data set (§4.3, §7.1).
 //! * [`DiscreteDist`] — discrete distributions for uncertain categorical
 //!   attributes (§7.2).
 //! * [`quantile`] — percentile pseudo-end-points for unbounded pdfs (§7.3).
@@ -29,7 +27,6 @@
 
 pub mod discrete;
 pub mod error;
-pub mod histogram;
 pub mod model;
 pub mod pdf;
 pub mod quantile;
@@ -37,7 +34,6 @@ pub mod stats;
 
 pub use discrete::DiscreteDist;
 pub use error::ProbError;
-pub use histogram::Histogram;
 pub use model::ErrorModel;
 pub use pdf::SampledPdf;
 

@@ -30,11 +30,14 @@
 //!   environment is offline and std-only, so there is deliberately no
 //!   async runtime — threads block on sockets and condvars.
 //! * [`metrics::ServeMetrics`] — per-model request/tuple/error counters
-//!   and log-bucketed latency histograms (p50/p95/p99), surfaced through
-//!   the `stats` response together with each model's arena footprint
-//!   ([`udt_tree::FlatTree::heap_bytes`]), and renderable as a
-//!   Prometheus text exposition (`stats` with `"format":"prometheus"`,
-//!   `udt-client stats --format prometheus`).
+//!   and latency histograms (p50/p95/p99), plus the server-wide health
+//!   counters and queue-wait histogram, all recorded into `udt_obs`
+//!   primitives ([`udt_obs::Histogram`], [`udt_obs::Counter`]). They are
+//!   surfaced through the `stats` response together with each model's
+//!   arena footprint ([`udt_tree::FlatTree::heap_bytes`]), and rendered
+//!   as a Prometheus text exposition (`stats` with
+//!   `"format":"prometheus"`, `udt-client stats --format prometheus`)
+//!   by the same `udt_obs` writers that render the workspace catalog.
 //!
 //! * [`faults`] — a deterministic fault-injection harness (seeded,
 //!   env/flag-driven) that the chaos suite uses to prove the survival

@@ -1,129 +1,92 @@
-//! Serving metrics: per-model counters and latency histograms.
+//! Serving metrics: per-model counters and latency histograms, plus the
+//! server-wide health counters.
 //!
-//! Worker threads record one observation per request after its batch
-//! completes (latency measured from enqueue to reply, so queueing delay
-//! is included — that is the figure a client actually experiences).
-//! Latencies go into a log₂-bucketed histogram: bucket `i` covers
-//! `[2^i, 2^(i+1))` nanoseconds, 48 buckets span ~1 ns to ~78 h, and a
-//! percentile is reported as the upper bound of the bucket holding it.
-//! The error is bounded by the bucket width (a factor of 2) — plenty for
-//! p50/p95/p99 dashboards — in exchange for constant memory and O(1)
-//! record cost under one short mutex hold.
-
-//! The same counters and buckets can be rendered as a Prometheus text
-//! exposition ([`ServeMetrics::render_prometheus`], served by the
-//! `stats` command with `"format":"prometheus"`): counters become
-//! `_total` series, the log₂ buckets become a cumulative
-//! `..._latency_seconds` histogram with `le` labels, and registry /
-//! queue gauges ride along — a read-only formatting of state the server
-//! already tracks.
+//! Every value is a `udt_obs` primitive. Worker threads record one
+//! observation per request after its batch completes (latency measured
+//! from enqueue to reply, so queueing delay is included — that is the
+//! figure a client actually experiences) into a [`udt_obs::Histogram`]:
+//! 48 log₂ buckets over nanoseconds, a percentile reported as the upper
+//! bound of the bucket holding it. The error is bounded by the bucket
+//! width (a factor of 2) — plenty for p50/p95/p99 dashboards — in
+//! exchange for constant memory and O(1) relaxed-atomic record cost.
+//! The health counters and the queue-wait histogram are lock-free
+//! [`udt_obs::Counter`] / [`udt_obs::Histogram`] fields. They live in
+//! each [`ServeMetrics`] rather than in the process-wide
+//! [`udt_obs::catalog`], so every server reports its own traffic even
+//! when several share one process.
+//!
+//! [`ServeMetrics::render_prometheus`] (served by the `stats` command
+//! with `"format":"prometheus"`) writes every line through `udt_obs`'s
+//! exposition writers — the same ones that render the workspace
+//! catalog, which it appends — so counters become `_total` series, the
+//! log₂ buckets become cumulative `..._seconds` histograms with `le`
+//! labels, and registry / queue gauges ride along.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use udt_obs::{
+    escape_label_value, render_counter_into, render_gauge_into, render_header_into,
+    render_histogram_into, Counter, Histogram,
+};
+
 use crate::protocol::{HealthStats, ModelInfo, ModelMetricsSnapshot, QueueStats};
 
-/// Number of log₂ latency buckets (`2^48` ns ≈ 78 hours).
-const BUCKETS: usize = 48;
+/// `(name, help)` of the per-model families.
+const REQUESTS: (&str, &str) = (
+    "udt_serve_requests_total",
+    "Requests served, including failed ones.",
+);
+const TUPLES: (&str, &str) = ("udt_serve_tuples_total", "Tuples classified.");
+const ERRORS: (&str, &str) = ("udt_serve_errors_total", "Requests that failed.");
+const LATENCY: (&str, &str) = (
+    "udt_serve_request_latency_seconds",
+    "Enqueue-to-reply latency (log2 buckets).",
+);
 
-/// A fixed-size log₂ histogram of nanosecond latencies.
-#[derive(Debug, Clone)]
-pub struct LatencyHistogram {
-    buckets: [u64; BUCKETS],
-    count: u64,
-    total_ns: u128,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram {
-            buckets: [0; BUCKETS],
-            count: 0,
-            total_ns: 0,
-        }
-    }
-}
-
-impl LatencyHistogram {
-    /// Records one latency observation.
-    pub fn record(&mut self, latency: Duration) {
-        let ns = latency.as_nanos().max(1) as u64;
-        let bucket = (ns.ilog2() as usize).min(BUCKETS - 1);
-        self.buckets[bucket] += 1;
-        self.count += 1;
-        self.total_ns += latency.as_nanos();
-    }
-
-    /// Number of recorded observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean latency in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_ns as f64 / self.count as f64
-        }
-    }
-
-    /// The latency (in nanoseconds) below which `q` of the observations
-    /// fall, reported as the upper bound of the matching bucket. Returns
-    /// 0 for an empty histogram; `q` is clamped to `[0, 1]`.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        // ceil(q * count), at least 1: the rank of the target observation.
-        let rank = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return 1u64 << (i + 1).min(63);
-            }
-        }
-        1u64 << 63
-    }
-}
-
-/// One model's mutable counters.
-#[derive(Debug, Clone, Default)]
+/// One model's counters. Every record and read of them holds the
+/// per-model map's mutex, so one `stats` snapshot reads `requests` and
+/// the latency count consistently.
+#[derive(Debug)]
 struct ModelCounters {
-    requests: u64,
-    tuples: u64,
-    errors: u64,
-    latency: LatencyHistogram,
+    requests: Counter,
+    tuples: Counter,
+    errors: Counter,
+    latency: Histogram,
 }
 
-/// Server-wide overload/failure counters (not per model: a shed request
-/// is rejected before its model name matters, and keying rejections by
-/// client-supplied strings would let an attacker grow the map).
-#[derive(Debug, Default)]
-struct HealthCounters {
-    sheds: u64,
-    deadline_drops: u64,
-    worker_panics: u64,
-    rejected_connections: u64,
-    flushes: u64,
-    flushed_jobs: u64,
-    queue_wait: LatencyHistogram,
+impl Default for ModelCounters {
+    fn default() -> Self {
+        ModelCounters {
+            requests: Counter::new(REQUESTS.0, REQUESTS.1),
+            tuples: Counter::new(TUPLES.0, TUPLES.1),
+            errors: Counter::new(ERRORS.0, ERRORS.1),
+            latency: Histogram::new(LATENCY.0, LATENCY.1),
+        }
+    }
 }
 
 /// Aggregated serving metrics, shared by every worker and connection
-/// thread. All mutation happens under one mutex; every critical section
-/// is a handful of integer operations. Locks recover from poisoning
-/// (`into_inner`): a panicking worker must not take the metrics — and
-/// with them every future `stats` response — down with it.
+/// thread. The per-model map sits behind one mutex whose critical
+/// sections are a handful of relaxed atomic adds, and its lock recovers
+/// from poisoning (`into_inner`): a panicking worker must not take the
+/// metrics — and with them every future `stats` response — down with
+/// it. The server-wide health counters are not per model (a shed request
+/// is rejected before its model name matters, and keying rejections by
+/// client-supplied strings would let an attacker grow the map); each is
+/// an independent relaxed atomic.
 #[derive(Debug)]
 pub struct ServeMetrics {
     started: Instant,
     per_model: Mutex<HashMap<String, ModelCounters>>,
-    health: Mutex<HealthCounters>,
+    sheds: Counter,
+    deadline_drops: Counter,
+    worker_panics: Counter,
+    rejected_connections: Counter,
+    flushes: Counter,
+    flushed_jobs: Counter,
+    queue_wait: Histogram,
 }
 
 impl Default for ServeMetrics {
@@ -131,16 +94,48 @@ impl Default for ServeMetrics {
         ServeMetrics {
             started: Instant::now(),
             per_model: Mutex::new(HashMap::new()),
-            health: Mutex::new(HealthCounters::default()),
+            sheds: Counter::new(
+                "udt_serve_sheds_total",
+                "Requests rejected at admission (queue full).",
+            ),
+            deadline_drops: Counter::new(
+                "udt_serve_deadline_drops_total",
+                "Accepted jobs dropped at dequeue past their deadline.",
+            ),
+            worker_panics: Counter::new(
+                "udt_serve_worker_panics_total",
+                "Worker panics caught and contained.",
+            ),
+            rejected_connections: Counter::new(
+                "udt_serve_rejected_connections_total",
+                "Connections refused by the max-connections gate.",
+            ),
+            flushes: Counter::new(
+                "udt_serve_flushes_total",
+                "Micro-batches the scheduler workers flushed.",
+            ),
+            flushed_jobs: Counter::new(
+                "udt_serve_flushed_jobs_total",
+                "Jobs served across all flushes (per flush: divide by udt_serve_flushes_total).",
+            ),
+            queue_wait: Histogram::new(
+                "udt_serve_queue_wait_seconds",
+                "Enqueue-to-dequeue wait (log2 buckets).",
+            ),
         }
     }
 }
 
 /// Locks a mutex, recovering the data from a poisoned lock: counters
-/// are plain integers, always valid, and losing observability during a
-/// failure is exactly when it hurts most.
+/// are always valid, and losing observability during a failure is
+/// exactly when it hurts most.
 fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The pre-rendered `model="…"` label of one model's series.
+fn model_label(name: &str) -> String {
+    format!("model=\"{}\"", escape_label_value(name))
 }
 
 impl ServeMetrics {
@@ -153,8 +148,8 @@ impl ServeMetrics {
     pub fn record(&self, model: &str, tuples: usize, latency: Duration) {
         let mut map = lock_recover(&self.per_model);
         let c = map.entry(model.to_string()).or_default();
-        c.requests += 1;
-        c.tuples += tuples as u64;
+        c.requests.incr();
+        c.tuples.add(tuples as u64);
         c.latency.record(latency);
     }
 
@@ -162,60 +157,58 @@ impl ServeMetrics {
     pub fn record_error(&self, model: &str) {
         let mut map = lock_recover(&self.per_model);
         let c = map.entry(model.to_string()).or_default();
-        c.requests += 1;
-        c.errors += 1;
+        c.requests.incr();
+        c.errors.incr();
     }
 
     /// Records one request rejected at admission (queue full, shed
     /// policy or bounded submit wait expired).
     pub fn record_shed(&self) {
-        lock_recover(&self.health).sheds += 1;
+        self.sheds.incr();
     }
 
     /// Records one accepted job dropped at dequeue because its deadline
     /// passed while it waited.
     pub fn record_deadline_drop(&self) {
-        lock_recover(&self.health).deadline_drops += 1;
+        self.deadline_drops.incr();
     }
 
     /// Records one caught-and-contained worker panic.
     pub fn record_worker_panic(&self) {
-        lock_recover(&self.health).worker_panics += 1;
+        self.worker_panics.incr();
     }
 
     /// Records one connection refused by the accept-loop gate.
     pub fn record_rejected_connection(&self) {
-        lock_recover(&self.health).rejected_connections += 1;
+        self.rejected_connections.incr();
     }
 
     /// Records one micro-batch a worker took off the queue, holding
     /// `jobs` jobs (`flushed_jobs / flushes` is the mean coalescing).
     pub fn record_flush(&self, jobs: usize) {
-        let mut h = lock_recover(&self.health);
-        h.flushes += 1;
-        h.flushed_jobs += jobs as u64;
+        self.flushes.incr();
+        self.flushed_jobs.add(jobs as u64);
     }
 
     /// Records how long one admitted job waited between enqueue and
     /// dequeue (the admission-control signal: queue wait growing toward
     /// the deadline means sheds are imminent).
     pub fn record_queue_wait(&self, wait: Duration) {
-        lock_recover(&self.health).queue_wait.record(wait);
+        self.queue_wait.record(wait);
     }
 
     /// A serialisable snapshot of the server-wide health counters.
     pub fn health_snapshot(&self) -> HealthStats {
-        let h = lock_recover(&self.health);
         HealthStats {
-            sheds: h.sheds,
-            deadline_drops: h.deadline_drops,
-            worker_panics: h.worker_panics,
-            rejected_connections: h.rejected_connections,
-            flushes: h.flushes,
-            flushed_jobs: h.flushed_jobs,
-            queue_wait_count: h.queue_wait.count(),
-            queue_wait_p50_us: h.queue_wait.quantile_ns(0.50) as f64 / 1_000.0,
-            queue_wait_p99_us: h.queue_wait.quantile_ns(0.99) as f64 / 1_000.0,
+            sheds: self.sheds.get(),
+            deadline_drops: self.deadline_drops.get(),
+            worker_panics: self.worker_panics.get(),
+            rejected_connections: self.rejected_connections.get(),
+            flushes: self.flushes.get(),
+            flushed_jobs: self.flushed_jobs.get(),
+            queue_wait_count: self.queue_wait.count(),
+            queue_wait_p50_us: self.queue_wait.quantile_ns(0.50) as f64 / 1_000.0,
+            queue_wait_p99_us: self.queue_wait.quantile_ns(0.99) as f64 / 1_000.0,
         }
     }
 
@@ -232,9 +225,9 @@ impl ServeMetrics {
             .iter()
             .map(|(name, c)| ModelMetricsSnapshot {
                 model: name.clone(),
-                requests: c.requests,
-                tuples: c.tuples,
-                errors: c.errors,
+                requests: c.requests.get(),
+                tuples: c.tuples.get(),
+                errors: c.errors.get(),
                 mean_us: c.latency.mean_ns() / 1_000.0,
                 p50_us: c.latency.quantile_ns(0.50) as f64 / 1_000.0,
                 p95_us: c.latency.quantile_ns(0.95) as f64 / 1_000.0,
@@ -245,11 +238,12 @@ impl ServeMetrics {
         out
     }
 
-    /// Renders the Prometheus text exposition: per-model request /
-    /// tuple / error counters, the latency histogram with cumulative
-    /// log₂ buckets (`le` upper bounds in seconds), and the registry /
-    /// queue gauges passed in. Models are emitted in name order so the
-    /// output is stable.
+    /// Renders the Prometheus text exposition: uptime and queue gauges,
+    /// the health counters and queue-wait histogram, the registry's
+    /// per-model gauges, the per-model request / tuple / error counters
+    /// and latency histograms, then the workspace [`udt_obs::catalog`].
+    /// Models are emitted in name order so the output is stable; a
+    /// labelled family with no models is written as its header alone.
     pub fn render_prometheus(
         &self,
         models: &[ModelInfo],
@@ -257,200 +251,87 @@ impl ServeMetrics {
         uptime_seconds: f64,
     ) -> String {
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "# HELP udt_serve_uptime_seconds Seconds since the server started."
+        render_gauge_into(
+            &mut out,
+            "udt_serve_uptime_seconds",
+            "Seconds since the server started.",
+            "",
+            uptime_seconds,
         );
-        let _ = writeln!(out, "# TYPE udt_serve_uptime_seconds gauge");
-        let _ = writeln!(out, "udt_serve_uptime_seconds {uptime_seconds}");
-        let _ = writeln!(
-            out,
-            "# HELP udt_serve_queue_depth Jobs waiting in the scheduler queue."
+        render_gauge_into(
+            &mut out,
+            "udt_serve_queue_depth",
+            "Jobs waiting in the scheduler queue.",
+            "",
+            queue.depth,
         );
-        let _ = writeln!(out, "# TYPE udt_serve_queue_depth gauge");
-        let _ = writeln!(out, "udt_serve_queue_depth {}", queue.depth);
-        let _ = writeln!(
-            out,
-            "# HELP udt_serve_queue_workers Scheduler worker threads."
+        render_gauge_into(
+            &mut out,
+            "udt_serve_queue_workers",
+            "Scheduler worker threads.",
+            "",
+            queue.workers,
         );
-        let _ = writeln!(out, "# TYPE udt_serve_queue_workers gauge");
-        let _ = writeln!(out, "udt_serve_queue_workers {}", queue.workers);
 
         // Server-wide overload/failure counters and the queue-wait
         // histogram (the admission-control signals).
-        let health = lock_recover(&self.health);
-        for (name, help, value) in [
-            (
-                "udt_serve_sheds_total",
-                "Requests rejected at admission (queue full).",
-                health.sheds,
-            ),
-            (
-                "udt_serve_deadline_drops_total",
-                "Accepted jobs dropped at dequeue past their deadline.",
-                health.deadline_drops,
-            ),
-            (
-                "udt_serve_worker_panics_total",
-                "Worker panics caught and contained.",
-                health.worker_panics,
-            ),
-            (
-                "udt_serve_rejected_connections_total",
-                "Connections refused by the max-connections gate.",
-                health.rejected_connections,
-            ),
-            (
-                "udt_serve_flushes_total",
-                "Micro-batches the scheduler workers flushed.",
-                health.flushes,
-            ),
-            (
-                "udt_serve_flushed_jobs_total",
-                "Jobs served across all flushes (per flush: divide by udt_serve_flushes_total).",
-                health.flushed_jobs,
-            ),
+        for c in [
+            &self.sheds,
+            &self.deadline_drops,
+            &self.worker_panics,
+            &self.rejected_connections,
+            &self.flushes,
+            &self.flushed_jobs,
         ] {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {value}");
+            render_counter_into(&mut out, c.name(), c.help(), "", c.get());
         }
-        let _ = writeln!(
-            out,
-            "# HELP udt_serve_queue_wait_seconds Enqueue-to-dequeue wait (log2 buckets)."
-        );
-        let _ = writeln!(out, "# TYPE udt_serve_queue_wait_seconds histogram");
-        let h = &health.queue_wait;
-        let mut cumulative = 0u64;
-        if let Some(last) = h.buckets.iter().rposition(|&n| n > 0) {
-            for (i, &n) in h.buckets.iter().enumerate().take(last + 1) {
-                cumulative += n;
-                let le = (1u128 << (i + 1)) as f64 / 1e9;
-                let _ = writeln!(
-                    out,
-                    "udt_serve_queue_wait_seconds_bucket{{le=\"{le}\"}} {cumulative}"
-                );
-            }
-        }
-        let _ = writeln!(
-            out,
-            "udt_serve_queue_wait_seconds_bucket{{le=\"+Inf\"}} {}",
-            h.count
-        );
-        let _ = writeln!(
-            out,
-            "udt_serve_queue_wait_seconds_sum {}",
-            h.total_ns as f64 / 1e9
-        );
-        let _ = writeln!(out, "udt_serve_queue_wait_seconds_count {}", h.count);
-        drop(health);
+        let h = &self.queue_wait;
+        render_histogram_into(&mut out, h.name(), h.help(), "", h);
 
         let mut sorted: Vec<&ModelInfo> = models.iter().collect();
         sorted.sort_by(|a, b| a.name.cmp(&b.name));
-        let _ = writeln!(
-            out,
-            "# HELP udt_serve_model_heap_bytes Arena heap footprint per model."
-        );
-        let _ = writeln!(out, "# TYPE udt_serve_model_heap_bytes gauge");
-        for m in &sorted {
-            let label = escape_label(&m.name);
-            let _ = writeln!(
-                out,
-                "udt_serve_model_heap_bytes{{model=\"{label}\"}} {}",
-                m.heap_bytes
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP udt_serve_model_generation Hot-swap generation per model."
-        );
-        let _ = writeln!(out, "# TYPE udt_serve_model_generation gauge");
-        for m in &sorted {
-            let label = escape_label(&m.name);
-            let _ = writeln!(
-                out,
-                "udt_serve_model_generation{{model=\"{label}\"}} {}",
-                m.generation
-            );
+        type ModelGauge = fn(&ModelInfo) -> u64;
+        let gauges: [(&str, &str, ModelGauge); 2] = [
+            (
+                "udt_serve_model_heap_bytes",
+                "Arena heap footprint per model.",
+                |m| m.heap_bytes as u64,
+            ),
+            (
+                "udt_serve_model_generation",
+                "Hot-swap generation per model.",
+                |m| m.generation,
+            ),
+        ];
+        for (name, help, get) in gauges {
+            render_header_into(&mut out, name, "gauge", help);
+            for m in &sorted {
+                render_gauge_into(&mut out, name, "", &model_label(&m.name), get(m));
+            }
         }
 
         let map = lock_recover(&self.per_model);
-        let mut names: Vec<&String> = map.keys().collect();
-        names.sort();
-        let _ = writeln!(
-            out,
-            "# HELP udt_serve_requests_total Requests served, including failed ones."
-        );
-        let _ = writeln!(out, "# TYPE udt_serve_requests_total counter");
-        for name in &names {
-            let label = escape_label(name);
-            let _ = writeln!(
-                out,
-                "udt_serve_requests_total{{model=\"{label}\"}} {}",
-                map[*name].requests
-            );
-        }
-        let _ = writeln!(out, "# HELP udt_serve_tuples_total Tuples classified.");
-        let _ = writeln!(out, "# TYPE udt_serve_tuples_total counter");
-        for name in &names {
-            let label = escape_label(name);
-            let _ = writeln!(
-                out,
-                "udt_serve_tuples_total{{model=\"{label}\"}} {}",
-                map[*name].tuples
-            );
-        }
-        let _ = writeln!(out, "# HELP udt_serve_errors_total Requests that failed.");
-        let _ = writeln!(out, "# TYPE udt_serve_errors_total counter");
-        for name in &names {
-            let label = escape_label(name);
-            let _ = writeln!(
-                out,
-                "udt_serve_errors_total{{model=\"{label}\"}} {}",
-                map[*name].errors
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP udt_serve_request_latency_seconds Enqueue-to-reply latency (log2 buckets)."
-        );
-        let _ = writeln!(out, "# TYPE udt_serve_request_latency_seconds histogram");
-        for name in &names {
-            let label = escape_label(name);
-            let h = &map[*name].latency;
-            // Cumulative buckets up to the last non-empty one, then +Inf
-            // — the standard Prometheus histogram shape without 48 empty
-            // series per model.
-            let last = h.buckets.iter().rposition(|&n| n > 0);
-            let mut cumulative = 0u64;
-            if let Some(last) = last {
-                for (i, &n) in h.buckets.iter().enumerate().take(last + 1) {
-                    cumulative += n;
-                    // Bucket i covers [2^i, 2^(i+1)) ns; `le` is the
-                    // upper bound in seconds.
-                    let le = (1u128 << (i + 1)) as f64 / 1e9;
-                    let _ = writeln!(
-                        out,
-                        "udt_serve_request_latency_seconds_bucket{{model=\"{label}\",le=\"{le}\"}} {cumulative}"
-                    );
-                }
+        let mut rows: Vec<(&String, &ModelCounters)> = map.iter().collect();
+        rows.sort_by(|a, b| a.0.cmp(b.0));
+        let rows: Vec<(String, &ModelCounters)> =
+            rows.into_iter().map(|(n, c)| (model_label(n), c)).collect();
+        type ModelCounter = fn(&ModelCounters) -> u64;
+        let counters: [((&str, &str), ModelCounter); 3] = [
+            (REQUESTS, |c| c.requests.get()),
+            (TUPLES, |c| c.tuples.get()),
+            (ERRORS, |c| c.errors.get()),
+        ];
+        for ((name, help), get) in counters {
+            render_header_into(&mut out, name, "counter", help);
+            for (label, c) in &rows {
+                render_counter_into(&mut out, name, "", label, get(c));
             }
-            let _ = writeln!(
-                out,
-                "udt_serve_request_latency_seconds_bucket{{model=\"{label}\",le=\"+Inf\"}} {}",
-                h.count
-            );
-            let _ = writeln!(
-                out,
-                "udt_serve_request_latency_seconds_sum{{model=\"{label}\"}} {}",
-                h.total_ns as f64 / 1e9
-            );
-            let _ = writeln!(
-                out,
-                "udt_serve_request_latency_seconds_count{{model=\"{label}\"}} {}",
-                h.count
-            );
         }
+        render_header_into(&mut out, LATENCY.0, "histogram", LATENCY.1);
+        for (label, c) in &rows {
+            render_histogram_into(&mut out, LATENCY.0, "", label, &c.latency);
+        }
+        drop(map);
 
         // Workspace-wide build/pool/kernel/pruning counters from
         // `udt-obs`: any tree built inside this process (warm-start
@@ -461,55 +342,9 @@ impl ServeMetrics {
     }
 }
 
-/// Escapes a model name for use inside a Prometheus label value.
-fn escape_label(name: &str) -> String {
-    name.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn empty_histogram_reports_zeroes() {
-        let h = LatencyHistogram::default();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.mean_ns(), 0.0);
-        assert_eq!(h.quantile_ns(0.5), 0);
-    }
-
-    #[test]
-    fn quantiles_land_in_the_right_bucket() {
-        let mut h = LatencyHistogram::default();
-        // 90 observations at ~1 µs, 10 at ~1 ms.
-        for _ in 0..90 {
-            h.record(Duration::from_micros(1));
-        }
-        for _ in 0..10 {
-            h.record(Duration::from_millis(1));
-        }
-        assert_eq!(h.count(), 100);
-        // 1 µs = 1000 ns lives in bucket 9 ([512, 1024)); its upper
-        // bound is 1024 ns.
-        assert_eq!(h.quantile_ns(0.50), 1024);
-        assert_eq!(h.quantile_ns(0.90), 1024);
-        // 1 ms = 1e6 ns lives in bucket 19 ([524288, 1048576)).
-        assert_eq!(h.quantile_ns(0.95), 1 << 20);
-        assert_eq!(h.quantile_ns(0.99), 1 << 20);
-        assert_eq!(h.quantile_ns(1.0), 1 << 20);
-        // Mean sits between the two modes.
-        assert!(h.mean_ns() > 1_000.0 && h.mean_ns() < 1_000_000.0);
-    }
-
-    #[test]
-    fn huge_latencies_saturate_the_last_bucket() {
-        let mut h = LatencyHistogram::default();
-        h.record(Duration::from_secs(1_000_000_000));
-        assert_eq!(h.count(), 1);
-        assert!(h.quantile_ns(0.5) >= 1u64 << 48);
-    }
 
     #[test]
     fn prometheus_exposition_renders_counters_and_buckets() {
@@ -581,6 +416,205 @@ mod tests {
             assert!(n >= prev, "cumulative buckets: {line}");
             prev = n;
         }
+    }
+
+    fn queue_stats(workers: usize, depth: usize) -> QueueStats {
+        QueueStats {
+            workers,
+            capacity: 64,
+            depth,
+            max_batch_tuples: 32,
+            policy: "block".into(),
+            deadline_ms: 0,
+        }
+    }
+
+    fn model_info(name: &str, generation: u64, heap_bytes: usize) -> ModelInfo {
+        ModelInfo {
+            name: name.into(),
+            generation,
+            nodes: 5,
+            leaves: 3,
+            depth: 2,
+            n_classes: 2,
+            n_attributes: 1,
+            heap_bytes,
+        }
+    }
+
+    /// The serve-owned part of the exposition: everything before the
+    /// workspace catalog, whose first family is `udt_builds_total`.
+    fn serve_part(text: &str) -> &str {
+        let end = text
+            .find("# HELP udt_builds_total ")
+            .expect("the catalog follows the serve families");
+        &text[..end]
+    }
+
+    #[test]
+    fn serve_exposition_is_pinned_byte_for_byte() {
+        let m = ServeMetrics::new();
+        m.record("toy", 4, Duration::from_micros(1));
+        m.record("toy", 2, Duration::from_millis(1));
+        m.record_error("toy");
+        // A model that only ever failed: its histogram is `+Inf` only.
+        m.record_error("a\"b");
+        m.record_shed();
+        m.record_shed();
+        m.record_deadline_drop();
+        m.record_worker_panic();
+        m.record_rejected_connection();
+        m.record_flush(1);
+        m.record_flush(4);
+        m.record_queue_wait(Duration::from_micros(3));
+        let models = vec![model_info("toy", 3, 512), model_info("a\"b", 1, 256)];
+        let text = m.render_prometheus(&models, &queue_stats(2, 1), 12.25);
+        let expected = r#"# HELP udt_serve_uptime_seconds Seconds since the server started.
+# TYPE udt_serve_uptime_seconds gauge
+udt_serve_uptime_seconds 12.25
+# HELP udt_serve_queue_depth Jobs waiting in the scheduler queue.
+# TYPE udt_serve_queue_depth gauge
+udt_serve_queue_depth 1
+# HELP udt_serve_queue_workers Scheduler worker threads.
+# TYPE udt_serve_queue_workers gauge
+udt_serve_queue_workers 2
+# HELP udt_serve_sheds_total Requests rejected at admission (queue full).
+# TYPE udt_serve_sheds_total counter
+udt_serve_sheds_total 2
+# HELP udt_serve_deadline_drops_total Accepted jobs dropped at dequeue past their deadline.
+# TYPE udt_serve_deadline_drops_total counter
+udt_serve_deadline_drops_total 1
+# HELP udt_serve_worker_panics_total Worker panics caught and contained.
+# TYPE udt_serve_worker_panics_total counter
+udt_serve_worker_panics_total 1
+# HELP udt_serve_rejected_connections_total Connections refused by the max-connections gate.
+# TYPE udt_serve_rejected_connections_total counter
+udt_serve_rejected_connections_total 1
+# HELP udt_serve_flushes_total Micro-batches the scheduler workers flushed.
+# TYPE udt_serve_flushes_total counter
+udt_serve_flushes_total 2
+# HELP udt_serve_flushed_jobs_total Jobs served across all flushes (per flush: divide by udt_serve_flushes_total).
+# TYPE udt_serve_flushed_jobs_total counter
+udt_serve_flushed_jobs_total 5
+# HELP udt_serve_queue_wait_seconds Enqueue-to-dequeue wait (log2 buckets).
+# TYPE udt_serve_queue_wait_seconds histogram
+udt_serve_queue_wait_seconds_bucket{le="0.000000002"} 0
+udt_serve_queue_wait_seconds_bucket{le="0.000000004"} 0
+udt_serve_queue_wait_seconds_bucket{le="0.000000008"} 0
+udt_serve_queue_wait_seconds_bucket{le="0.000000016"} 0
+udt_serve_queue_wait_seconds_bucket{le="0.000000032"} 0
+udt_serve_queue_wait_seconds_bucket{le="0.000000064"} 0
+udt_serve_queue_wait_seconds_bucket{le="0.000000128"} 0
+udt_serve_queue_wait_seconds_bucket{le="0.000000256"} 0
+udt_serve_queue_wait_seconds_bucket{le="0.000000512"} 0
+udt_serve_queue_wait_seconds_bucket{le="0.000001024"} 0
+udt_serve_queue_wait_seconds_bucket{le="0.000002048"} 0
+udt_serve_queue_wait_seconds_bucket{le="0.000004096"} 1
+udt_serve_queue_wait_seconds_bucket{le="+Inf"} 1
+udt_serve_queue_wait_seconds_sum 0.000003
+udt_serve_queue_wait_seconds_count 1
+# HELP udt_serve_model_heap_bytes Arena heap footprint per model.
+# TYPE udt_serve_model_heap_bytes gauge
+udt_serve_model_heap_bytes{model="a\"b"} 256
+udt_serve_model_heap_bytes{model="toy"} 512
+# HELP udt_serve_model_generation Hot-swap generation per model.
+# TYPE udt_serve_model_generation gauge
+udt_serve_model_generation{model="a\"b"} 1
+udt_serve_model_generation{model="toy"} 3
+# HELP udt_serve_requests_total Requests served, including failed ones.
+# TYPE udt_serve_requests_total counter
+udt_serve_requests_total{model="a\"b"} 1
+udt_serve_requests_total{model="toy"} 3
+# HELP udt_serve_tuples_total Tuples classified.
+# TYPE udt_serve_tuples_total counter
+udt_serve_tuples_total{model="a\"b"} 0
+udt_serve_tuples_total{model="toy"} 6
+# HELP udt_serve_errors_total Requests that failed.
+# TYPE udt_serve_errors_total counter
+udt_serve_errors_total{model="a\"b"} 1
+udt_serve_errors_total{model="toy"} 1
+# HELP udt_serve_request_latency_seconds Enqueue-to-reply latency (log2 buckets).
+# TYPE udt_serve_request_latency_seconds histogram
+udt_serve_request_latency_seconds_bucket{model="a\"b",le="+Inf"} 0
+udt_serve_request_latency_seconds_sum{model="a\"b"} 0
+udt_serve_request_latency_seconds_count{model="a\"b"} 0
+udt_serve_request_latency_seconds_bucket{model="toy",le="0.000000002"} 0
+udt_serve_request_latency_seconds_bucket{model="toy",le="0.000000004"} 0
+udt_serve_request_latency_seconds_bucket{model="toy",le="0.000000008"} 0
+udt_serve_request_latency_seconds_bucket{model="toy",le="0.000000016"} 0
+udt_serve_request_latency_seconds_bucket{model="toy",le="0.000000032"} 0
+udt_serve_request_latency_seconds_bucket{model="toy",le="0.000000064"} 0
+udt_serve_request_latency_seconds_bucket{model="toy",le="0.000000128"} 0
+udt_serve_request_latency_seconds_bucket{model="toy",le="0.000000256"} 0
+udt_serve_request_latency_seconds_bucket{model="toy",le="0.000000512"} 0
+udt_serve_request_latency_seconds_bucket{model="toy",le="0.000001024"} 1
+udt_serve_request_latency_seconds_bucket{model="toy",le="0.000002048"} 1
+udt_serve_request_latency_seconds_bucket{model="toy",le="0.000004096"} 1
+udt_serve_request_latency_seconds_bucket{model="toy",le="0.000008192"} 1
+udt_serve_request_latency_seconds_bucket{model="toy",le="0.000016384"} 1
+udt_serve_request_latency_seconds_bucket{model="toy",le="0.000032768"} 1
+udt_serve_request_latency_seconds_bucket{model="toy",le="0.000065536"} 1
+udt_serve_request_latency_seconds_bucket{model="toy",le="0.000131072"} 1
+udt_serve_request_latency_seconds_bucket{model="toy",le="0.000262144"} 1
+udt_serve_request_latency_seconds_bucket{model="toy",le="0.000524288"} 1
+udt_serve_request_latency_seconds_bucket{model="toy",le="0.001048576"} 2
+udt_serve_request_latency_seconds_bucket{model="toy",le="+Inf"} 2
+udt_serve_request_latency_seconds_sum{model="toy"} 0.001001
+udt_serve_request_latency_seconds_count{model="toy"} 2
+"#;
+        assert_eq!(serve_part(&text), expected);
+    }
+
+    #[test]
+    fn empty_serve_exposition_writes_family_headers_only() {
+        let m = ServeMetrics::new();
+        let text = m.render_prometheus(&[], &queue_stats(1, 0), 0.5);
+        let expected = r#"# HELP udt_serve_uptime_seconds Seconds since the server started.
+# TYPE udt_serve_uptime_seconds gauge
+udt_serve_uptime_seconds 0.5
+# HELP udt_serve_queue_depth Jobs waiting in the scheduler queue.
+# TYPE udt_serve_queue_depth gauge
+udt_serve_queue_depth 0
+# HELP udt_serve_queue_workers Scheduler worker threads.
+# TYPE udt_serve_queue_workers gauge
+udt_serve_queue_workers 1
+# HELP udt_serve_sheds_total Requests rejected at admission (queue full).
+# TYPE udt_serve_sheds_total counter
+udt_serve_sheds_total 0
+# HELP udt_serve_deadline_drops_total Accepted jobs dropped at dequeue past their deadline.
+# TYPE udt_serve_deadline_drops_total counter
+udt_serve_deadline_drops_total 0
+# HELP udt_serve_worker_panics_total Worker panics caught and contained.
+# TYPE udt_serve_worker_panics_total counter
+udt_serve_worker_panics_total 0
+# HELP udt_serve_rejected_connections_total Connections refused by the max-connections gate.
+# TYPE udt_serve_rejected_connections_total counter
+udt_serve_rejected_connections_total 0
+# HELP udt_serve_flushes_total Micro-batches the scheduler workers flushed.
+# TYPE udt_serve_flushes_total counter
+udt_serve_flushes_total 0
+# HELP udt_serve_flushed_jobs_total Jobs served across all flushes (per flush: divide by udt_serve_flushes_total).
+# TYPE udt_serve_flushed_jobs_total counter
+udt_serve_flushed_jobs_total 0
+# HELP udt_serve_queue_wait_seconds Enqueue-to-dequeue wait (log2 buckets).
+# TYPE udt_serve_queue_wait_seconds histogram
+udt_serve_queue_wait_seconds_bucket{le="+Inf"} 0
+udt_serve_queue_wait_seconds_sum 0
+udt_serve_queue_wait_seconds_count 0
+# HELP udt_serve_model_heap_bytes Arena heap footprint per model.
+# TYPE udt_serve_model_heap_bytes gauge
+# HELP udt_serve_model_generation Hot-swap generation per model.
+# TYPE udt_serve_model_generation gauge
+# HELP udt_serve_requests_total Requests served, including failed ones.
+# TYPE udt_serve_requests_total counter
+# HELP udt_serve_tuples_total Tuples classified.
+# TYPE udt_serve_tuples_total counter
+# HELP udt_serve_errors_total Requests that failed.
+# TYPE udt_serve_errors_total counter
+# HELP udt_serve_request_latency_seconds Enqueue-to-reply latency (log2 buckets).
+# TYPE udt_serve_request_latency_seconds histogram
+"#;
+        assert_eq!(serve_part(&text), expected);
     }
 
     #[test]

@@ -30,7 +30,7 @@
 
 use std::sync::Mutex;
 
-use crate::counts::{clamp_residue, ClassCounts, CountsView, WEIGHT_EPSILON};
+use crate::counts::{clamp_residue, CountsView, WEIGHT_EPSILON};
 use crate::fractional::FractionalTuple;
 use crate::kernel::simd;
 use crate::measure::Measure;
@@ -136,14 +136,13 @@ impl AttributeEvents {
         Self::from_sorted_events(&events, end_points, n_classes)
     }
 
-    /// Builds the structure from events already sorted by position — the
-    /// entry point used by the tree builder, which presorts every
-    /// attribute column once at the root and only repartitions (stably)
-    /// during recursion. `end_points` may arrive unsorted; end points
-    /// whose position carries no surviving mass are dropped (they bound
-    /// empty domain stretches and coarsen the interval decomposition at
-    /// most, which every pruning theorem tolerates).
-    pub fn from_sorted_events(
+    /// Builds the structure from events already sorted by position (the
+    /// back half of [`build`](Self::build)). `end_points` may arrive
+    /// unsorted; end points whose position carries no surviving mass are
+    /// dropped (they bound empty domain stretches and coarsen the
+    /// interval decomposition at most, which every pruning theorem
+    /// tolerates).
+    fn from_sorted_events(
         events: &[(f64, usize, f64)],
         mut end_points: Vec<f64>,
         n_classes: usize,
@@ -321,16 +320,6 @@ impl AttributeEvents {
         self.diff_into(i, self.xs.len() - 1, scratch)
     }
 
-    /// The per-class counts of mass at positions `> xs[i]` — the "right"
-    /// counts of a split at `xs[i]`. Allocates a fresh vector per call;
-    /// prefer [`right_counts_into`](Self::right_counts_into) with a
-    /// reused scratch on any repeated path.
-    pub fn right_counts_vec(&self, i: usize) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.right_counts_into(i, &mut out);
-        out
-    }
-
     /// Writes `row(hi) − row(lo)` (clamped) into `scratch` and returns a
     /// view of it. The shared kernel behind every materialised count
     /// helper, so all of them clamp drift identically.
@@ -498,27 +487,10 @@ impl AttributeEvents {
         self.diff_into(lo, hi, scratch)
     }
 
-    /// Per-class mass in `(xs[lo], xs[hi]]` (the `k_c` of §5.2).
-    /// Allocates a fresh vector per call; prefer
-    /// [`counts_in_into`](Self::counts_in_into) with a reused scratch.
-    pub fn counts_in_vec(&self, lo: usize, hi: usize) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.counts_in_into(lo, hi, &mut out);
-        out
-    }
-
     /// Per-class mass at positions `> xs[i]` (the `m_c` of §5.2 when `i`
     /// is an interval's right end point), written into `scratch`.
     pub fn counts_above_into<'a>(&self, i: usize, scratch: &'a mut Vec<f64>) -> CountsView<'a> {
         self.right_counts_into(i, scratch)
-    }
-
-    /// Per-class mass at positions `> xs[i]` (the `m_c` of §5.2).
-    /// Allocates a fresh vector per call; prefer
-    /// [`counts_above_into`](Self::counts_above_into) with a reused
-    /// scratch.
-    pub fn counts_above_vec(&self, i: usize) -> Vec<f64> {
-        self.right_counts_vec(i)
     }
 
     /// The eq. 3 / eq. 4 lower bound over every split point in `[xs[lo],
@@ -537,12 +509,6 @@ impl AttributeEvents {
     /// the points whose evaluation the pruning theorems avoid.
     pub fn interior_candidates(&self, interval: &Interval) -> std::ops::Range<usize> {
         (interval.lo_idx + 1)..interval.hi_idx
-    }
-
-    /// Copies the cumulative row at `i` into an owned counter (test and
-    /// diagnostic helper).
-    pub fn left_counts_owned(&self, i: usize) -> ClassCounts {
-        self.left_counts(i).to_counts()
     }
 }
 
@@ -628,6 +594,7 @@ impl BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counts::ClassCounts;
     use udt_data::UncertainValue;
     use udt_prob::SampledPdf;
 
@@ -660,7 +627,10 @@ mod tests {
         assert_eq!(ev.left_counts(0).as_slice(), &[0.5, 0.0]);
         assert_eq!(ev.left_counts(1).as_slice(), &[1.0, 0.5]);
         assert_eq!(ev.left_counts(2).as_slice(), &[1.0, 1.0]);
-        assert_eq!(ev.right_counts_vec(1), vec![0.0, 0.5]);
+        assert_eq!(
+            ev.right_counts_into(1, &mut Vec::new()).as_slice(),
+            &[0.0, 0.5]
+        );
     }
 
     #[test]
@@ -787,9 +757,16 @@ mod tests {
                 let sum = below.get(c) + inside.get(c) + above.get(c);
                 assert!((sum - ev.total().get(c)).abs() < 1e-9);
             }
-            // The allocating variants agree with the scratch variants.
-            assert_eq!(ev.counts_in_vec(w[0], w[1]), inside.as_slice());
-            assert_eq!(ev.counts_above_vec(w[1]), above.as_slice());
+            // A fresh scratch agrees with the reused ones.
+            let mut fresh = Vec::new();
+            assert_eq!(
+                ev.counts_in_into(w[0], w[1], &mut fresh).as_slice(),
+                inside.as_slice()
+            );
+            assert_eq!(
+                ev.counts_above_into(w[1], &mut fresh).as_slice(),
+                above.as_slice()
+            );
         }
     }
 

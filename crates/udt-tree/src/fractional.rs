@@ -9,7 +9,6 @@
 //! its side of the split.
 
 use udt_data::{Tuple, UncertainValue};
-use udt_prob::DiscreteDist;
 
 use crate::counts::{ClassCounts, WEIGHT_EPSILON};
 
@@ -84,36 +83,6 @@ impl FractionalTuple {
             });
         }
         (left, right)
-    }
-
-    /// Splits this tuple over the categories of categorical attribute
-    /// `attribute` (§7.2): the tuple is copied into bucket `v` with weight
-    /// `w · f(v)` whenever that weight is non-negligible, and the copied
-    /// value becomes certain at `v`.
-    pub fn split_categorical(&self, attribute: usize) -> Vec<(usize, FractionalTuple)> {
-        let dist: &DiscreteDist = match self.values[attribute].as_categorical() {
-            Some(d) => d,
-            None => return Vec::new(),
-        };
-        let cardinality = dist.cardinality();
-        let mut out = Vec::new();
-        for v in 0..cardinality {
-            let w = self.weight * dist.prob(v);
-            if w <= WEIGHT_EPSILON {
-                continue;
-            }
-            let mut values = self.values.clone();
-            values[attribute] = UncertainValue::category(v, cardinality);
-            out.push((
-                v,
-                FractionalTuple {
-                    values,
-                    label: self.label,
-                    weight: w,
-                },
-            ));
-        }
-        out
     }
 }
 
@@ -190,32 +159,6 @@ mod tests {
         let (ll, lr) = left.split_numeric(0, 0.0);
         assert!((ll.unwrap().weight - 0.25).abs() < 1e-12);
         assert!((lr.unwrap().weight - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn categorical_split_fans_out_by_probability() {
-        let dist = DiscreteDist::new(vec![0.5, 0.0, 0.5]).unwrap();
-        let t = FractionalTuple {
-            values: vec![UncertainValue::Categorical(dist)],
-            label: 2,
-            weight: 0.8,
-        };
-        let parts = t.split_categorical(0);
-        assert_eq!(parts.len(), 2, "zero-probability category is dropped");
-        assert_eq!(parts[0].0, 0);
-        assert_eq!(parts[1].0, 2);
-        for (v, p) in &parts {
-            assert!((p.weight - 0.4).abs() < 1e-12);
-            assert_eq!(p.label, 2);
-            assert_eq!(p.values[0].as_categorical().unwrap().mode(), *v);
-            assert!(p.values[0].as_categorical().unwrap().is_certain());
-        }
-    }
-
-    #[test]
-    fn categorical_split_on_numeric_value_is_empty() {
-        let t = uncertain_tuple(&[1.0, 2.0], &[0.5, 0.5], 0);
-        assert!(t.split_categorical(0).is_empty());
     }
 
     #[test]

@@ -6,8 +6,10 @@
 #      model file and additionally training an in-process toy model;
 #   3. classify a certain (point) tuple and an uncertain (uniform-pdf)
 #      tuple over the socket with `udt-client`;
-#   4. hot-swap the disk model and check `stats` reflects the bump;
-#   5. shut the server down cleanly and require a zero exit status.
+#   4. check the Prometheus exposition (counters, and every histogram's
+#      +Inf bucket equal to its _count);
+#   5. hot-swap the disk model and check `stats` reflects the bump;
+#   6. shut the server down cleanly and require a zero exit status.
 #
 # Usage: scripts/serve_smoke.sh  (from anywhere; builds in release mode)
 
@@ -84,6 +86,22 @@ echo "$prom_out" | head -n 4
 echo "$prom_out" | grep -q '^udt_serve_requests_total{model="toy"} 2$'
 echo "$prom_out" | grep -q '^udt_serve_model_generation{model="disk"} 1$'
 echo "$prom_out" | grep -q 'udt_serve_request_latency_seconds_bucket{model="toy",le="+Inf"} 2'
+
+# Every histogram closes with a +Inf bucket equal to its _count series
+# (both come from one bucket snapshot in the shared exposition writer).
+inf_equals_count() { # $1 = the +Inf bucket series, $2 = the _count series
+    local inf count
+    inf="$(echo "$prom_out" | awk -v k="$1" '$1 == k { print $2 }')"
+    count="$(echo "$prom_out" | awk -v k="$2" '$1 == k { print $2 }')"
+    if [ -z "$inf" ] || [ "$inf" != "$count" ]; then
+        echo "serve_smoke: $1 is '$inf' but $2 is '$count'" >&2
+        exit 1
+    fi
+}
+inf_equals_count 'udt_serve_request_latency_seconds_bucket{model="toy",le="+Inf"}' \
+    'udt_serve_request_latency_seconds_count{model="toy"}'
+inf_equals_count 'udt_serve_queue_wait_seconds_bucket{le="+Inf"}' \
+    'udt_serve_queue_wait_seconds_count'
 
 # Hot-swap the disk model in place and verify the generation bump.
 out="$(client swap disk results/table1_model.json)"
