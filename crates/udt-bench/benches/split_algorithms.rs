@@ -24,7 +24,7 @@ use udt_tree::baseline::{
 use udt_tree::columns::{self, Scratch};
 use udt_tree::fractional::FractionalTuple;
 use udt_tree::split::{es, exhaustive::ExhaustiveSearch, SearchStats, SplitSearch};
-use udt_tree::{Algorithm, Measure, TreeBuilder, UdtConfig};
+use udt_tree::{Algorithm, Measure, TreeBuilder, UdtConfig, WorkerPool};
 
 fn bench_split_algorithms(c: &mut Criterion) {
     let data = baseline_workload(40);
@@ -116,7 +116,7 @@ fn bench_node_search_step(c: &mut Criterion) {
     let labels: Vec<u32> = tuples.iter().map(|t| t.label as u32).collect();
     let numerical: Vec<usize> = data.schema().numerical_indices();
     let n_classes = data.n_classes();
-    let root = columns::build_root(&tuples, &numerical);
+    let root = columns::build_root_with(&tuples, &numerical, &WorkerPool::for_concurrency(1));
     let root_state = columns::root_state(&tuples, &root);
     let mut scratch = Scratch::new(tuples.len());
     scratch.load_weights(&root_state);

@@ -5,9 +5,11 @@
 //! `C`). It validates tuples against the schema at insertion time and
 //! provides the derived quantities the experiments need: per-attribute
 //! ranges (`|A_j|`, used to scale the uncertainty width `w·|A_j|`), class
-//! frequencies, and Averaging projections.
+//! frequencies, and Averaging projections. Deserialization runs the same
+//! checks, so a data set read from JSON holds no tuple that
+//! [`Dataset::push`] would refuse.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::attribute::{AttributeKind, Schema};
 use crate::error::DataError;
@@ -16,7 +18,7 @@ use crate::value::UncertainValue;
 use crate::Result;
 
 /// A labelled, schema-validated collection of tuples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Dataset {
     schema: Schema,
     class_names: Vec<String>,
@@ -205,6 +207,25 @@ impl Dataset {
     }
 }
 
+/// Reads a data set through [`Dataset::push`]'s checks: `schema` and
+/// `class_names` first, then every tuple in order. A tuple `push` refuses
+/// is an error naming the tuple's index and the [`DataError`].
+impl Deserialize for Dataset {
+    fn deserialize(v: &Value) -> std::result::Result<Self, serde::Error> {
+        let field = |key: &str| serde::map_field(v, key, "Dataset");
+        let mut ds = Dataset::new(
+            Schema::deserialize(field("schema")?)?,
+            Vec::deserialize(field("class_names")?)?,
+        );
+        let tuples: Vec<Tuple> = Vec::deserialize(field("tuples")?)?;
+        for (index, tuple) in tuples.into_iter().enumerate() {
+            ds.push(tuple)
+                .map_err(|e| serde::Error::custom(format!("tuple {index}: {e}")))?;
+        }
+        Ok(ds)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,5 +323,83 @@ mod tests {
         let avg = ds.to_averaged();
         assert_eq!(avg.total_samples(), 1);
         assert!((avg.tuple(0).value(0).expected() - 1.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn deserialization_round_trips_and_refuses_what_push_refuses() {
+        let table1 = crate::toy::table1_dataset().unwrap();
+        let json = serde_json::to_string(&table1).unwrap();
+        assert_eq!(serde_json::from_str::<Dataset>(&json).unwrap(), table1);
+
+        // One numerical and one 3-category attribute, two classes; tuple
+        // 0 is valid, tuple 1 is the hostile one.
+        let schema = Schema::new(vec![
+            Attribute::numerical("x"),
+            Attribute::categorical("c", 3),
+        ]);
+        let num = UncertainValue::point(1.5);
+        let cat = |n: usize| UncertainValue::Categorical(DiscreteDist::certain(0, n).unwrap());
+        let valid = Tuple::new(vec![num.clone(), cat(3)], 1);
+        let json = |hostile: Tuple| {
+            format!(
+                r#"{{"schema":{},"class_names":["a","b"],"tuples":{}}}"#,
+                serde_json::to_string(&schema).unwrap(),
+                serde_json::to_string(&vec![valid.clone(), hostile]).unwrap()
+            )
+        };
+        assert_eq!(
+            serde_json::from_str::<Dataset>(&json(valid.clone()))
+                .unwrap()
+                .len(),
+            2
+        );
+        let cases = [
+            (
+                "label out of range",
+                Tuple::new(vec![num.clone(), cat(3)], 7),
+                DataError::LabelOutOfRange {
+                    label: 7,
+                    classes: 2,
+                },
+            ),
+            (
+                "short arity",
+                Tuple::new(vec![num.clone()], 0),
+                DataError::ArityMismatch {
+                    expected: 2,
+                    found: 1,
+                },
+            ),
+            (
+                "long arity",
+                Tuple::new(vec![num.clone(), cat(3), num.clone()], 0),
+                DataError::ArityMismatch {
+                    expected: 2,
+                    found: 3,
+                },
+            ),
+            (
+                "kind swap",
+                Tuple::new(vec![cat(3), num.clone()], 0),
+                DataError::KindMismatch {
+                    attribute: 0,
+                    name: "x".into(),
+                },
+            ),
+            (
+                "categorical cardinality",
+                Tuple::new(vec![num.clone(), cat(2)], 0),
+                DataError::CategoryOutOfRange {
+                    attribute: 1,
+                    cardinality: 3,
+                },
+            ),
+        ];
+        for (case, hostile, error) in cases {
+            let err = serde_json::from_str::<Dataset>(&json(hostile))
+                .expect_err(case)
+                .to_string();
+            assert!(err.contains(&format!("tuple 1: {error}")), "{case}: {err}");
+        }
     }
 }

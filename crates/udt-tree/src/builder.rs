@@ -28,11 +28,10 @@
 //! [`SearchStats`] (`presort_ns`, `search_ns`, `partition_ns`,
 //! `graft_ns`) and surfaces through [`BuildSummary`].
 //!
-//! Nodes are appended to a [`FlatTree`] in preorder. When
-//! `parallel_subtrees` is enabled (the default), the builder expands the
-//! top of the tree sequentially and **defers** every subtree whose root
-//! lies at `parallel_cutoff_depth` or deeper (and is large enough per
-//! `parallel_min_fork_tuples`) onto a work queue; the deferred
+//! Nodes are appended to a [`FlatTree`] in preorder. The builder expands
+//! the top of the tree sequentially and **defers** every subtree whose
+//! root lies at `parallel_cutoff_depth` or deeper (and is large enough
+//! per `parallel_min_fork_tuples`) onto a work queue; the deferred
 //! [`NodeTuples`] states are independent and `Send` (they are just
 //! event-id lists and scale factors over the shared immutable root
 //! columns), so pool workers drain the queue, each building its
@@ -41,9 +40,10 @@
 //! order and the arena is renumbered to canonical preorder, which makes
 //! the result **bit-for-bit identical** to a sequential build at any
 //! thread count — the regression tests assert full `FlatTree` equality
-//! across thread counts and fork depths. At one thread
-//! the same queue is drained inline, so the machinery is exercised by
-//! every test run.
+//! across thread counts and fork depths, with a fork depth no node
+//! reaches (`usize::MAX`: nothing is deferred) as the sequential
+//! reference. At one thread the same queue is drained inline, so the
+//! machinery is exercised by every test run.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -343,56 +343,44 @@ impl TreeBuilder {
         stats.partition_peak_bytes = stats.partition_peak_bytes.max(root_state.heap_bytes());
         let mut scratch = Scratch::new(tuples.len());
         let mut flat = FlatTree::new(ctx.n_classes);
-        if self.config.parallel_subtrees {
-            let mut jobs: Vec<SubtreeJob> = Vec::new();
-            ctx.build_node(
-                &mut flat,
-                root_state,
-                1,
-                &HashSet::new(),
-                &mut stats,
-                &mut scratch,
-                Some(&mut jobs),
-            );
-            if !jobs.is_empty() {
-                let patches: Vec<usize> = jobs.iter().map(|j| j.patch).collect();
-                let subtree_span = trace::span("subtree-queue", "phase")
-                    .map(|s| s.with_arg("jobs", patches.len() as u64));
-                // A subtree's columns only shrink below its root, so no
-                // queued node can ask for more than this: release the
-                // larger buffers of the top of the tree for the
-                // subtrees' own allocations to reuse.
-                let largest = jobs
-                    .iter()
-                    .flat_map(|job| &job.state.columns)
-                    .map(|column| column.len())
-                    .max()
-                    .unwrap_or(0);
-                buffers.release_above(columns::matrix_capacity(largest, ctx.n_classes));
-                let results = run_subtree_jobs(&ctx, jobs, &build_pool, tuples.len(), &mut scratch);
-                drop(subtree_span);
-                let graft_span = trace::span("graft", "phase");
-                let graft_started = Instant::now();
-                for (patch, (fragment, job_stats)) in patches.into_iter().zip(results) {
-                    let root = flat.graft(&fragment);
-                    flat.patch_child_slab(patch, root);
-                    stats.merge(&job_stats);
-                }
-                // Canonical layout: bit-identical to a sequential build.
-                flat = flat.to_preorder();
-                stats.graft_ns += graft_started.elapsed().as_nanos() as u64;
-                drop(graft_span);
+        let mut jobs: Vec<SubtreeJob> = Vec::new();
+        ctx.build_node(
+            &mut flat,
+            root_state,
+            1,
+            &HashSet::new(),
+            &mut stats,
+            &mut scratch,
+            Some(&mut jobs),
+        );
+        if !jobs.is_empty() {
+            let patches: Vec<usize> = jobs.iter().map(|j| j.patch).collect();
+            let subtree_span = trace::span("subtree-queue", "phase")
+                .map(|s| s.with_arg("jobs", patches.len() as u64));
+            // A subtree's columns only shrink below its root, so no
+            // queued node can ask for more than this: release the larger
+            // buffers of the top of the tree for the subtrees' own
+            // allocations to reuse.
+            let largest = jobs
+                .iter()
+                .flat_map(|job| &job.state.columns)
+                .map(|column| column.len())
+                .max()
+                .unwrap_or(0);
+            buffers.release_above(columns::matrix_capacity(largest, ctx.n_classes));
+            let results = run_subtree_jobs(&ctx, jobs, &build_pool, tuples.len(), &mut scratch);
+            drop(subtree_span);
+            let graft_span = trace::span("graft", "phase");
+            let graft_started = Instant::now();
+            for (patch, (fragment, job_stats)) in patches.into_iter().zip(results) {
+                let root = flat.graft(&fragment);
+                flat.patch_child_slab(patch, root);
+                stats.merge(&job_stats);
             }
-        } else {
-            ctx.build_node(
-                &mut flat,
-                root_state,
-                1,
-                &HashSet::new(),
-                &mut stats,
-                &mut scratch,
-                None,
-            );
+            // Canonical layout: bit-identical to a sequential build.
+            flat = flat.to_preorder();
+            stats.graft_ns += graft_started.elapsed().as_nanos() as u64;
+            drop(graft_span);
         }
         (stats.matrix_bytes_fresh, stats.matrix_bytes_reused) = buffers.bytes();
         drop(buffers);
@@ -749,12 +737,12 @@ impl BuildContext<'_> {
         used_categorical: &HashSet<usize>,
         stats: &mut SearchStats,
         scratch: &mut Scratch,
-        jobs: Option<&mut Vec<SubtreeJob>>,
+        mut jobs: Option<&mut Vec<SubtreeJob>>,
     ) {
-        if let Some(jobs) = jobs {
+        if let Some(queue) = jobs.as_deref_mut() {
             if depth >= self.fork_depth && state.alive.len() >= self.fork_min_tuples {
                 let patch = arena.child_slab_slot(parent, slot);
-                jobs.push(SubtreeJob {
+                queue.push(SubtreeJob {
                     state,
                     depth,
                     used_categorical: used_categorical.clone(),
@@ -762,20 +750,9 @@ impl BuildContext<'_> {
                 });
                 return;
             }
-            let id = self.build_node(
-                arena,
-                state,
-                depth,
-                used_categorical,
-                stats,
-                scratch,
-                Some(jobs),
-            );
-            arena.set_child(parent, slot, id);
-        } else {
-            let id = self.build_node(arena, state, depth, used_categorical, stats, scratch, None);
-            arena.set_child(parent, slot, id);
         }
+        let id = self.build_node(arena, state, depth, used_categorical, stats, scratch, jobs);
+        arena.set_child(parent, slot, id);
     }
 
     /// Builds the per-attribute scoring structures for a node — fanned
@@ -1051,7 +1028,7 @@ mod tests {
             let sequential = TreeBuilder::new(
                 UdtConfig::new(algorithm)
                     .with_postprune(false)
-                    .with_parallel_subtrees(false),
+                    .with_parallel_cutoff_depth(usize::MAX),
             )
             .build(&data)
             .unwrap();
@@ -1074,6 +1051,58 @@ mod tests {
                 "{algorithm:?}: stats must aggregate identically"
             );
             parallel.tree.flat().validate().unwrap();
+        }
+    }
+
+    #[test]
+    fn pruning_counters_are_pinned_at_every_thread_count() {
+        // Golden search counters of a seeded uncertain data set. Which
+        // intervals the theorems and bounds prune depends on every node's
+        // end-point set, the root's included, so a matrix construction
+        // that moved one end point would move these counts even where the
+        // arena stays the same.
+        use udt_data::synthetic::SyntheticSpec;
+        use udt_data::uncertainty::{inject_uncertainty, UncertaintySpec};
+        let mut spec = SyntheticSpec::small(2009);
+        spec.tuples = 160;
+        let data = inject_uncertainty(
+            &spec.generate().unwrap(),
+            &UncertaintySpec::baseline().with_s(16),
+        )
+        .unwrap();
+        // entropy, bound, candidates, scored, intervals pruned, of them
+        // by a bound, nodes searched
+        let golden = [
+            (
+                Algorithm::UdtEs,
+                [10169, 2332, 66008, 10169, 2250, 1616, 38],
+            ),
+            (
+                Algorithm::UdtGp,
+                [14065, 4560, 66008, 14065, 6628, 4206, 38],
+            ),
+        ];
+        for (algorithm, want) in golden {
+            for threads in [1, 2] {
+                let stats = TreeBuilder::new(
+                    UdtConfig::new(algorithm)
+                        .with_postprune(false)
+                        .with_threads(threads),
+                )
+                .build(&data)
+                .unwrap()
+                .stats;
+                let got = [
+                    stats.entropy_calculations,
+                    stats.bound_calculations,
+                    stats.candidate_points,
+                    stats.candidates_scored,
+                    stats.intervals_pruned,
+                    stats.intervals_pruned_bound,
+                    stats.nodes_searched,
+                ];
+                assert_eq!(got, want, "{algorithm:?} at {threads} threads");
+            }
         }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! The classic SPRINT/C4.5 presorting idea applied to UDT's fractional
 //! tuples: every numerical attribute's pdf sample points are flattened
-//! into one sorted column **once at the root** ([`build_root`]), and
+//! into one sorted column **once at the root** ([`build_root_with`]), and
 //! those [`RootColumns`] are **immutable** for the rest of the build.
 //! The presort is one linear-time pass per attribute: a stable LSD radix
 //! sort (11-bit digits, uniform digits skipped) over `(u64 total-order
@@ -67,14 +67,6 @@ pub struct AttrColumn {
     /// tuple). Never rescaled — domain restrictions are carried by the
     /// per-node [`ColumnState::scales`] instead.
     pub mass: Vec<f64>,
-    /// Precomputed end-point position indices for the unit fast path —
-    /// `Some` iff every event clears the mass gate at unit weight/scale
-    /// and all positions are distinct, in which case a node that keeps
-    /// every event at weight exactly 1 and no scales (the root, always)
-    /// shares this tree-invariant end-point structure and its cumulative
-    /// matrix can be built by the gate-free fused loop
-    /// (`build_events_unit_fast`).
-    pub(crate) unit_fast: Option<Vec<usize>>,
 }
 
 impl AttrColumn {
@@ -263,9 +255,6 @@ pub struct Scratch {
     touched: Vec<u32>,
     /// Reusable running per-class totals (`n_classes`-sized).
     running: Vec<f64>,
-    /// Whether every weight loaded by [`load_weights`](Self::load_weights)
-    /// was exactly 1.0 — one precondition of the unit fast path.
-    unit_weights: bool,
 }
 
 impl Scratch {
@@ -283,7 +272,6 @@ impl Scratch {
             seen: vec![false; n_tuples],
             touched: Vec::with_capacity(n_tuples),
             running: Vec::new(),
-            unit_weights: false,
         }
     }
 
@@ -299,7 +287,6 @@ impl Scratch {
         for (&t, &w) in node.alive.iter().zip(&node.weights) {
             self.weight[t as usize] = w;
         }
-        self.unit_weights = node.weights.iter().all(|&w| w == 1.0);
     }
 
     /// Clears the dense weights loaded from `node`.
@@ -307,7 +294,6 @@ impl Scratch {
         for &t in &node.alive {
             self.weight[t as usize] = 0.0;
         }
-        self.unit_weights = false;
     }
 
     /// Loads a column's sparse scales into the dense `scale` array.
@@ -401,14 +387,11 @@ impl Presort {
         attribute: usize,
     ) -> AttrColumn {
         let (xs, tuple, mass) = self.sorted_events(tuples, alive, attribute, radix_key);
-        let _unit_fast_span = trace::span("presort.unit_fast", "presort");
-        let unit_fast = unit_fast_structure(&xs, &tuple, &mass, tuples.len());
         AttrColumn {
             attribute,
             xs,
             tuple,
             mass,
-            unit_fast,
         }
     }
 
@@ -533,71 +516,15 @@ fn radix_digit(key: u64, pass: usize) -> usize {
     ((key >> (pass as u32 * RADIX_BITS)) as usize) & (RADIX_BUCKETS - 1)
 }
 
-/// Precomputes [`AttrColumn::unit_fast`]: `Some(end-point position
-/// indices)` iff the fused construction loop over this column with every
-/// weight and scale exactly 1 would open a new position for every event
-/// and gate none out — i.e. all sample points are distinct and every
-/// mass clears `WEIGHT_EPSILON`. Under those preconditions position `p`
-/// *is* event `p`, so the per-tuple end points are the tuples'
-/// first/last event indices — a tree-invariant worth computing once at
-/// the root presort.
-fn unit_fast_structure(
-    xs: &[f64],
-    tuple: &[u32],
-    mass: &[f64],
-    n_tuples: usize,
-) -> Option<Vec<usize>> {
-    if xs.is_empty() {
-        return None;
-    }
-    let mut last = f64::NAN;
-    for (&x, &m) in xs.iter().zip(mass) {
-        if m <= WEIGHT_EPSILON || x == last {
-            return None;
-        }
-        last = x;
-    }
-    let mut lo = vec![u32::MAX; n_tuples];
-    let mut hi = vec![0u32; n_tuples];
-    for (e, &t) in tuple.iter().enumerate() {
-        let t = t as usize;
-        if lo[t] == u32::MAX {
-            lo[t] = e as u32;
-        }
-        hi[t] = e as u32;
-    }
-    let mut end: Vec<usize> = lo
-        .iter()
-        .zip(&hi)
-        .filter(|&(&l, _)| l != u32::MAX)
-        .flat_map(|(&l, &h)| [l as usize, h as usize])
-        .collect();
-    end.sort_unstable();
-    end.dedup();
-    Some(end)
-}
-
 /// Builds the immutable [`RootColumns`]: per-attribute event columns
 /// sorted once — one stable radix pass per attribute; recursion below
-/// only partitions. Sequential convenience over [`build_root_with`].
-pub fn build_root(tuples: &[FractionalTuple], numerical: &[usize]) -> RootColumns {
-    let alive = alive_tuples(tuples);
-    let mut presort = Presort::default();
-    RootColumns {
-        columns: numerical
-            .iter()
-            .map(|&attribute| presort.column(tuples, &alive, attribute))
-            .collect(),
-    }
-}
-
-/// Builds the immutable [`RootColumns`] with the per-attribute presort
-/// fanned out across `pool`, one task per attribute. A task takes a set
-/// of working buffers another task has finished with, so the presort
-/// allocates about one set per participating thread rather than one per
-/// attribute. The columns come back in attribute order and each
-/// column's construction is independent, so the result is bit-identical
-/// to [`build_root`] at every thread count.
+/// only partitions. The per-attribute presort fans out across `pool`,
+/// one task per attribute (`WorkerPool::for_concurrency(1)` runs it
+/// inline). A task takes a set of working buffers another task has
+/// finished with, so the presort allocates about one set per
+/// participating thread rather than one per attribute. The columns come
+/// back in attribute order and each column's construction is
+/// independent, so the result is bit-identical at every thread count.
 pub fn build_root_with(
     tuples: &[FractionalTuple],
     numerical: &[usize],
@@ -696,19 +623,6 @@ pub(crate) fn events_from_column_in(
 ) -> Option<AttributeEvents> {
     if col.is_empty() {
         return None;
-    }
-    // Unit fast path: a node that keeps every root event (a full-length
-    // view — views only ever drop events, so full length means identity)
-    // at weight exactly 1 with no rescales, over a column whose events
-    // are all gate-clearing and distinct, produces a pure prefix sum over
-    // the root arrays with the precomputed tree-invariant end points.
-    // Bit-identical to the classic loop: `1.0 * m == m` exactly, every
-    // gate passes, one event lands per row so add-then-store equals
-    // flush-then-add, and the end-point set is the same by definition.
-    if let Some(end_point_idx) = &root_col.unit_fast {
-        if scratch.unit_weights && col.scales.is_empty() && col.len() == root_col.xs.len() {
-            return build_events_unit_fast(root_col, labels, n_classes, end_point_idx, buffers);
-        }
     }
     // Columns with no ancestor split on this attribute (the common case:
     // every column at the root, most columns below) have all-1 scales;
@@ -848,68 +762,7 @@ fn build_events<const HAS_SCALES: bool>(
         .collect();
     end_point_idx.sort_unstable();
     end_point_idx.dedup();
-    AttributeEvents::from_store(xs, cum, n_classes, end_point_idx)
-}
-
-/// The unit fast path of [`events_from_column`]: the fused loop with
-/// all its gates statically resolved (see the gate at the dispatcher).
-/// The output `xs` is the root array verbatim, the end points are the
-/// precomputed [`AttrColumn::unit_fast`] structure, and the matrix is a
-/// straight per-class prefix sum — no per-tuple scratch traffic, no
-/// position bookkeeping, no end-point sort.
-fn build_events_unit_fast(
-    root_col: &AttrColumn,
-    labels: &[u32],
-    n_classes: usize,
-    end_point_idx: &[usize],
-    buffers: &BufferPool,
-) -> Option<AttributeEvents> {
-    let n = root_col.xs.len();
-    if n < 2 {
-        return None;
-    }
-    let k = n_classes;
-    let mut xs = buffers.take(n);
-    xs.extend_from_slice(&root_col.xs);
-    let mut cum: Vec<f64> = buffers.take(matrix_capacity(n, k));
-    fill_unit_rows(root_col, labels, k, &mut cum);
-    AttributeEvents::from_store(xs, cum, n_classes, end_point_idx.to_vec())
-}
-
-/// Portable prefix-sum fill of the unit fast path: row `e` stores the
-/// running per-class totals after adding event `e`'s mass — exactly what
-/// the classic loop's flush produces when every event opens its own
-/// position.
-fn fill_unit_rows(root_col: &AttrColumn, labels: &[u32], k: usize, cum: &mut Vec<f64>) {
-    let n = root_col.xs.len();
-    let cum_ptr = cum.as_mut_ptr();
-    let mut running_stack = [0.0f64; RUNNING_STACK_CLASSES];
-    let mut running_heap: Vec<f64> = if k > RUNNING_STACK_CLASSES {
-        vec![0.0; k]
-    } else {
-        Vec::new()
-    };
-    let running: &mut [f64] = if k <= RUNNING_STACK_CLASSES {
-        &mut running_stack[..k]
-    } else {
-        &mut running_heap
-    };
-    // SAFETY: tuple ids are `< n_tuples == labels.len()`, labels are
-    // `< k == running.len()`, and the caller reserved `n * k` elements.
-    unsafe {
-        for e in 0..n {
-            let t = *root_col.tuple.get_unchecked(e) as usize;
-            debug_assert!(t < labels.len());
-            let c = *labels.get_unchecked(t) as usize;
-            debug_assert!(c < k);
-            *running.get_unchecked_mut(c) += *root_col.mass.get_unchecked(e);
-            let dst = cum_ptr.add(e * k);
-            for ci in 0..k {
-                dst.add(ci).write(*running.get_unchecked(ci));
-            }
-        }
-        cum.set_len(n * k);
-    }
+    AttributeEvents::from_parts(xs, cum, n_classes, end_point_idx)
 }
 
 /// Copies the events of `column` whose tuples keep weight (per the dense
@@ -1305,12 +1158,12 @@ mod tests {
     fn radix_presort_matches_the_comparator_oracle_bit_for_bit() {
         for seed in [1, 2, 3, 2009] {
             let tuples = adversarial_tuples(seed);
-            let root = build_root(&tuples, &[0, 1]);
+            let root = build_root_with(&tuples, &[0, 1], &WorkerPool::for_concurrency(1));
             let pool = WorkerPool::for_concurrency(2);
             assert_eq!(
                 format!("{:?}", build_root_with(&tuples, &[0, 1], &pool)),
                 format!("{root:?}"),
-                "seed {seed}: pooled and sequential presorts agree"
+                "seed {seed}: presorts at 1 and 2 threads agree"
             );
             for (attribute, col) in root.columns.iter().enumerate() {
                 assert_eq!(col.attribute, attribute);
@@ -1336,7 +1189,6 @@ mod tests {
             tuple: (0..xs.len() as u32).collect(),
             mass: vec![0.5; xs.len()],
             xs,
-            unit_fast: None,
         };
         let root = RootColumns {
             columns: vec![
@@ -1407,8 +1259,8 @@ mod tests {
         assert!(radix_key(-f64::NAN) < radix_key(f64::NEG_INFINITY));
     }
 
-    /// Six tuples over distinct positions (so the root column qualifies
-    /// for the unit fast path), labelled round-robin over `n_classes`.
+    /// Six tuples over distinct positions (one event per matrix row at
+    /// unit weights), labelled round-robin over `n_classes`.
     fn spread_tuples(n_classes: usize) -> Vec<FractionalTuple> {
         (0..6)
             .map(|i| {
@@ -1428,9 +1280,8 @@ mod tests {
 
     #[test]
     fn root_events_match_direct_build_in_both_modes() {
-        // Both construction modes — the unit fast path (every weight 1)
-        // and the fused loop (fractional weights) — for a narrow and a
-        // wide class count.
+        // Unit and fractional root weights, for a narrow and a wide class
+        // count.
         for n_classes in [2, 6] {
             for unit in [true, false] {
                 let mut tuples = spread_tuples(n_classes);
@@ -1439,13 +1290,11 @@ mod tests {
                         t.weight = 0.25 + 0.125 * i as f64;
                     }
                 }
-                let root = build_root(&tuples, &[0]);
-                assert!(root.columns[0].unit_fast.is_some());
+                let root = build_root_with(&tuples, &[0], &WorkerPool::for_concurrency(1));
                 let direct = AttributeEvents::build(&tuples, 0, n_classes).unwrap();
                 let state = root_state(&tuples, &root);
                 let mut scratch = Scratch::new(tuples.len());
                 scratch.load_weights(&state);
-                assert_eq!(scratch.unit_weights, unit);
                 let from_col = events_from_column(
                     &state.columns[0],
                     &root.columns[0],
@@ -1512,7 +1361,7 @@ mod tests {
         for n_classes in [3, 6] {
             let tuples = spread_tuples(n_classes);
             let labels = labels(&tuples);
-            let root = build_root(&tuples, &[0]);
+            let root = build_root_with(&tuples, &[0], &WorkerPool::for_concurrency(1));
             let state = root_state(&tuples, &root);
             let mut scratch = Scratch::new(tuples.len());
             let mut stats = SearchStats::default();
@@ -1547,7 +1396,7 @@ mod tests {
             ft(&[0.0, 1.0, 2.0, 3.0], &[0.25, 0.25, 0.25, 0.25], 0),
             ft(&[2.0, 3.0, 4.0, 5.0], &[0.25, 0.25, 0.25, 0.25], 1),
         ];
-        let root = build_root(&tuples, &[0]);
+        let root = build_root_with(&tuples, &[0], &WorkerPool::for_concurrency(1));
         let state = root_state(&tuples, &root);
         let mut scratch = Scratch::new(tuples.len());
         let mut stats = SearchStats::default();
@@ -1600,7 +1449,7 @@ mod tests {
             ft(&[1.0, 2.0, 3.0, 4.0], &[1.0, 1.0, 1.0, 1.0], 1),
             ft(&[2.0, 3.0, 4.0, 5.0], &[2.0, 1.0, 1.0, 2.0], 0),
         ];
-        let root = build_root(&tuples, &[0]);
+        let root = build_root_with(&tuples, &[0], &WorkerPool::for_concurrency(1));
         let z = 2.0;
         // Reference: split every tuple fractionally, rebuild from scratch.
         let left_tuples: Vec<FractionalTuple> = tuples
@@ -1650,7 +1499,7 @@ mod tests {
             label: 0,
             weight: 0.8,
         }];
-        let root = build_root(&tuples, &[1]);
+        let root = build_root_with(&tuples, &[1], &WorkerPool::for_concurrency(1));
         let state = root_state(&tuples, &root);
         assert_eq!(state.weights, vec![0.8]);
         let mut scratch = Scratch::new(tuples.len());

@@ -237,14 +237,11 @@ pub struct UdtConfig {
     /// Theorem 3 hint: set when every pdf is known to be uniform, allowing
     /// UDT-BP to consider only interval end points.
     pub uniform_pdf_hint: bool,
-    /// Whether to build sibling subtrees through the work queue (the
-    /// arena layout is canonicalised afterwards, so the resulting tree is
-    /// bit-identical either way). With more than one thread the queue is
-    /// drained by the persistent build pool; at one thread, inline.
-    pub parallel_subtrees: bool,
     /// Subtrees rooted at this depth or deeper are deferred onto the work
     /// queue (the root has depth 1). Shallower levels are expanded
-    /// sequentially to create enough independent jobs.
+    /// sequentially to create enough independent jobs. A depth no node
+    /// reaches (`usize::MAX`) defers nothing, so the whole tree is built
+    /// by one sequential recursion; the arena is bit-identical either way.
     pub parallel_cutoff_depth: usize,
     /// Minimum number of alive tuples for a subtree to be worth deferring;
     /// smaller subtrees are built inline where they are.
@@ -280,7 +277,6 @@ impl UdtConfig {
             postprune_z: 0.6745,
             es_sample_rate: es::DEFAULT_SAMPLE_RATE,
             uniform_pdf_hint: false,
-            parallel_subtrees: true,
             parallel_cutoff_depth: 4,
             parallel_min_fork_tuples: 8,
             threads: ThreadCount::from_env(),
@@ -317,13 +313,6 @@ impl UdtConfig {
     /// Returns a copy with the Theorem 3 uniform-pdf hint set.
     pub fn with_uniform_pdf_hint(mut self, hint: bool) -> Self {
         self.uniform_pdf_hint = hint;
-        self
-    }
-
-    /// Returns a copy with work-queue subtree construction switched on or
-    /// off.
-    pub fn with_parallel_subtrees(mut self, parallel_subtrees: bool) -> Self {
-        self.parallel_subtrees = parallel_subtrees;
         self
     }
 
@@ -470,7 +459,6 @@ mod tests {
             .with_max_depth(5)
             .with_min_node_weight(4.0)
             .with_uniform_pdf_hint(true)
-            .with_parallel_subtrees(false)
             .with_parallel_cutoff_depth(6)
             .with_parallel_min_fork_tuples(32)
             .with_threads(2);
@@ -479,7 +467,6 @@ mod tests {
         assert_eq!(c.max_depth, 5);
         assert_eq!(c.min_node_weight, 4.0);
         assert!(c.uniform_pdf_hint);
-        assert!(!c.parallel_subtrees);
         assert_eq!(c.parallel_cutoff_depth, 6);
         assert_eq!(c.parallel_min_fork_tuples, 32);
         assert_eq!(c.threads, ThreadCount::fixed(2));

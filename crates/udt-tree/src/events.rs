@@ -202,36 +202,13 @@ impl AttributeEvents {
     /// Assembles the structure from pre-aggregated parts — the zero-copy
     /// entry point used by [`crate::columns::events_from_column`], which
     /// fuses filtering, aggregation and end-point tracking into a single
-    /// pass over a presorted column.
+    /// pass over a presorted column. Each structure it returns counts
+    /// once in `KERNEL_MATRIX_BUILDS_F64`.
     ///
     /// Invariants (checked in debug builds): `xs` ascending and distinct,
-    /// `cum` row-major with `xs.len()` rows of `n_classes`, each row
-    /// element-wise ≥ its predecessor, `end_point_idx` ascending indices
-    /// into `xs`.
+    /// `cum` row-major with `xs.len()` rows of `n_classes`,
+    /// `end_point_idx` ascending indices into `xs`.
     pub fn from_parts(
-        xs: Vec<f64>,
-        cum: Vec<f64>,
-        n_classes: usize,
-        end_point_idx: Vec<usize>,
-    ) -> Option<AttributeEvents> {
-        debug_assert_eq!(xs.len() * n_classes, cum.len());
-        debug_assert!(xs.windows(2).all(|w| w[0] < w[1]));
-        debug_assert!(cum
-            .chunks_exact(n_classes.max(1))
-            .zip(cum.chunks_exact(n_classes.max(1)).skip(1))
-            .all(|(prev, next)| prev.iter().zip(next).all(|(&p, &n)| p <= n)));
-        debug_assert!(end_point_idx.windows(2).all(|w| w[0] < w[1]));
-        debug_assert!(end_point_idx.iter().all(|&i| i < xs.len()));
-        if xs.len() < 2 {
-            return None;
-        }
-        Some(Self::assemble(xs, cum, n_classes, end_point_idx))
-    }
-
-    /// The sibling of [`from_parts`](Self::from_parts) used by the
-    /// columnar engine: same invariants, and the build counts it in
-    /// `KERNEL_MATRIX_BUILDS_F64`.
-    pub(crate) fn from_store(
         xs: Vec<f64>,
         cum: Vec<f64>,
         n_classes: usize,

@@ -38,6 +38,10 @@
 //!   final row is the total, so the "left" counts of any candidate are a
 //!   borrowed row ([`counts::CountsView`]) and the "right" counts are
 //!   derived in place from `total − left`.
+//! * **One construction loop** ([`columns::events_from_column`]): every
+//!   node's matrix, the root's included, comes from one fused pass over
+//!   the node's view of a presorted column that gates, aggregates and
+//!   tracks the interval end points `Q_j` together.
 //! * **Zero-allocation scoring** ([`measure::Measure::split_score_cum`],
 //!   [`measure::Measure::interval_lower_bound_cum`]): eq. 1 scores and
 //!   the §5.2 eq. 3/4 bounds are pure slice arithmetic; no counter is

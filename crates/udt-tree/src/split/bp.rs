@@ -4,8 +4,8 @@
 //! intervals, but skips the interiors of empty intervals (Theorem 1) and
 //! homogeneous intervals (Theorem 2). When the caller knows that all pdfs
 //! are uniform, Theorem 3 additionally allows skipping the interiors of
-//! heterogeneous intervals (enable with
-//! [`PrunedSearch::with_uniform_hint`]).
+//! heterogeneous intervals (enable with [`search`]`(true)`, which
+//! [`crate::UdtConfig::uniform_pdf_hint`] selects).
 
 use crate::split::pruned::{BoundingMode, PrunedSearch};
 

@@ -74,12 +74,6 @@ impl PrunedSearch {
         }
     }
 
-    /// Returns a copy with the Theorem 3 uniform-pdf hint enabled.
-    pub fn with_uniform_hint(mut self, hint: bool) -> Self {
-        self.uniform_pdf_hint = hint;
-        self
-    }
-
     /// The configured bounding mode.
     pub fn bounding(&self) -> BoundingMode {
         self.bounding
@@ -459,8 +453,7 @@ mod tests {
         let exhaustive = ExhaustiveSearch
             .find_best(&[(0, ev.clone())], Measure::Entropy, &mut ex)
             .unwrap();
-        let engine =
-            PrunedSearch::new(BoundingMode::None, None, false, "UDT-BP").with_uniform_hint(true);
+        let engine = PrunedSearch::new(BoundingMode::None, None, true, "UDT-BP");
         let mut stats = SearchStats::default();
         let found = engine
             .find_best(&[(0, ev.clone())], Measure::Entropy, &mut stats)

@@ -238,7 +238,7 @@ fn hand_built_trees_match_the_recursive_oracle_bit_for_bit() {
 fn parallel_and_sequential_pipelines_serve_identical_distributions() {
     let data = uncertain_iris(16);
     let sequential =
-        TreeBuilder::new(UdtConfig::new(Algorithm::UdtGp).with_parallel_subtrees(false))
+        TreeBuilder::new(UdtConfig::new(Algorithm::UdtGp).with_parallel_cutoff_depth(usize::MAX))
             .build(&data)
             .unwrap()
             .tree;

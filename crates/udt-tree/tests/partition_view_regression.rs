@@ -81,15 +81,16 @@ fn random_mixed_dataset(rng: &mut ChaCha8Rng) -> Dataset {
 }
 
 fn build(data: &Dataset, algorithm: Algorithm, parallel: bool) -> udt_tree::BuildReport {
-    let mut config = UdtConfig::new(algorithm)
-        .with_postprune(false)
-        .with_parallel_subtrees(parallel);
-    if parallel {
+    let config = UdtConfig::new(algorithm).with_postprune(false);
+    let config = if parallel {
         // Force real subtree jobs even on tiny trees.
-        config = config
+        config
             .with_parallel_cutoff_depth(2)
-            .with_parallel_min_fork_tuples(1);
-    }
+            .with_parallel_min_fork_tuples(1)
+    } else {
+        // A fork depth no node reaches: no subtree is deferred.
+        config.with_parallel_cutoff_depth(usize::MAX)
+    };
     TreeBuilder::new(config)
         .build(data)
         .expect("build succeeds")

@@ -4,8 +4,8 @@
 //! executed: for every thread count (1, 2, 4, 8) × fork depth (0 — every
 //! child of the root deferred; 2 — a realistic mid-tree cut; 64 — no
 //! forking at all within the depth cap), the work-queue build must
-//! equal, bit for bit, the reference build in the other mode (single
-//! thread, plain recursion with the work queue disabled entirely). The
+//! equal, bit for bit, the reference build (single thread, a fork depth
+//! no node reaches, so no subtree is ever deferred). The
 //! split-search counters must match too: no execution schedule may
 //! change *what* the search computed, only when and where.
 //!
@@ -44,7 +44,7 @@ fn builds_are_bit_identical_across_thread_counts_forks_and_modes() {
         for algorithm in [Algorithm::UdtEs, Algorithm::Udt] {
             let reference = TreeBuilder::new(
                 config(algorithm)
-                    .with_parallel_subtrees(false)
+                    .with_parallel_cutoff_depth(usize::MAX)
                     .with_threads(1),
             )
             .build(&data)
