@@ -103,9 +103,9 @@ fn bench_columnar_vs_naive(c: &mut Criterion) {
 /// search — prepare the per-attribute scoring structures, then find the
 /// best split. The naive engine pays a rebuild (sort + one `ClassCounts`
 /// allocation per position) every node; the columnar engine walks its
-/// presorted columns linearly into flat cumulative rows. The root sort is
-/// excluded from the columnar side because the production builder pays it
-/// exactly once per tree, not per node.
+/// presorted columns linearly into event runs and end-point rows. The
+/// root sort is excluded from the columnar side because the production
+/// builder pays it exactly once per tree, not per node.
 fn bench_node_search_step(c: &mut Criterion) {
     let data = baseline_workload(100);
     let tuples: Vec<FractionalTuple> = data

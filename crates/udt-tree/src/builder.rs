@@ -357,17 +357,20 @@ impl TreeBuilder {
             let patches: Vec<usize> = jobs.iter().map(|j| j.patch).collect();
             let subtree_span = trace::span("subtree-queue", "phase")
                 .map(|s| s.with_arg("jobs", patches.len() as u64));
-            // A subtree's columns only shrink below its root, so no
-            // queued node can ask for more than this: release the larger
-            // buffers of the top of the tree for the subtrees' own
-            // allocations to reuse.
+            // A subtree's columns and alive tuples only shrink below its
+            // root, so no queued node can ask for more than this: release
+            // the larger buffers of the top of the tree for the subtrees'
+            // own allocations to reuse.
             let largest = jobs
                 .iter()
-                .flat_map(|job| &job.state.columns)
-                .map(|column| column.len())
+                .flat_map(|job| {
+                    job.state.columns.iter().map(|column| {
+                        columns::largest_request(column.len(), job.state.alive.len(), ctx.n_classes)
+                    })
+                })
                 .max()
                 .unwrap_or(0);
-            buffers.release_above(columns::matrix_capacity(largest, ctx.n_classes));
+            buffers.release_above(largest);
             let results = run_subtree_jobs(&ctx, jobs, &build_pool, tuples.len(), &mut scratch);
             drop(subtree_span);
             let graft_span = trace::span("graft", "phase");
@@ -620,7 +623,7 @@ impl BuildContext<'_> {
         scratch.load_weights(&state);
         let search_span = trace::node_span(depth, "search", "node");
         let search_started = Instant::now();
-        let found = self.best_split(&state, used_categorical, stats, scratch);
+        let found = self.best_split(&state, depth, used_categorical, stats, scratch);
         let search_ns = search_started.elapsed().as_nanos() as u64;
         stats.search_ns += search_ns;
         catalog::NODE_SEARCH_DURATION.record_ns(search_ns);
@@ -833,16 +836,22 @@ impl BuildContext<'_> {
 
     /// Finds the best available split (numerical via the configured
     /// strategy over the node's presorted columns, categorical via §7.2
-    /// bucket evaluation).
+    /// bucket evaluation). The numerical search is two depth-gated
+    /// spans: building the node's count structures (`search.matrix`)
+    /// and scoring them (`search.score`).
     fn best_split(
         &self,
         state: &NodeTuples,
+        depth: usize,
         used_categorical: &HashSet<usize>,
         stats: &mut SearchStats,
         scratch: &mut Scratch,
     ) -> Option<NodeSplit> {
         stats.nodes_searched += 1;
+        let matrix_span = trace::node_span(depth, "search.matrix", "node");
         let events = self.node_events(state, scratch);
+        drop(matrix_span);
+        let score_span = trace::node_span(depth, "search.score", "node");
         let numeric = self
             .search
             .find_best(&events, self.measure, stats)
@@ -851,6 +860,7 @@ impl BuildContext<'_> {
                 split: c.split,
                 score: c.score,
             });
+        drop(score_span);
         for (_, attribute_events) in events {
             self.buffers.recycle(attribute_events);
         }
@@ -1188,6 +1198,50 @@ mod tests {
         let summary = first.summary();
         assert_eq!(summary.matrix_bytes_fresh, first.stats.matrix_bytes_fresh);
         assert_eq!(summary.matrix_bytes_reused, first.stats.matrix_bytes_reused);
+
+        // Per column the pool hands out three buffers — positions, event
+        // runs and end-point rows — and takes all three back.
+        let tuples: Vec<FractionalTuple> = data
+            .tuples()
+            .iter()
+            .map(FractionalTuple::from_tuple)
+            .collect();
+        let labels: Vec<u32> = tuples.iter().map(|t| t.label as u32).collect();
+        let k = data.n_classes();
+        let root = columns::build_root_with(&tuples, &[0], &WorkerPool::for_concurrency(1));
+        let state = columns::root_state(&tuples, &root);
+        let mut scratch = Scratch::new(tuples.len());
+        scratch.load_weights(&state);
+        let pool = BufferPool::default();
+        let mut build = || {
+            columns::events_from_column_in(
+                &state.columns[0],
+                &root.columns[0],
+                &labels,
+                k,
+                &mut scratch,
+                &pool,
+            )
+            .expect("a splittable column")
+        };
+        let events = build();
+        let n_events = state.columns[0].len();
+        let bytes = (8 * (3 * n_events + events.end_point_indices().len() * k)) as u64;
+        assert_eq!(pool.bytes(), (bytes, 0), "positions, runs, end rows");
+        pool.recycle(events);
+        pool.recycle(build());
+        assert_eq!(pool.bytes(), (bytes, bytes), "all three come back");
+        // The subtree-queue release at the column's largest request keeps
+        // them all; one element below it frees the largest, the runs.
+        let largest = columns::largest_request(n_events, state.alive.len(), k);
+        assert_eq!(largest, 2 * n_events);
+        pool.release_above(largest);
+        pool.recycle(build());
+        assert_eq!(pool.bytes(), (bytes, 2 * bytes));
+        pool.release_above(largest - 1);
+        pool.recycle(build());
+        let runs = (8 * largest) as u64;
+        assert_eq!(pool.bytes(), (bytes + runs, 3 * bytes - runs));
     }
 
     #[test]

@@ -47,7 +47,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::counts::WEIGHT_EPSILON;
-use crate::events::{AttributeEvents, BufferPool};
+use crate::events::{event_tag, position_end, AttributeEvents, BufferPool};
 use crate::fractional::FractionalTuple;
 use crate::pool::WorkerPool;
 use crate::split::SearchStats;
@@ -253,8 +253,6 @@ pub struct Scratch {
     seen: Vec<bool>,
     /// Touched tuples, for cheap resets.
     touched: Vec<u32>,
-    /// Reusable running per-class totals (`n_classes`-sized).
-    running: Vec<f64>,
 }
 
 impl Scratch {
@@ -271,7 +269,6 @@ impl Scratch {
             hi_idx: vec![0; n_tuples],
             seen: vec![false; n_tuples],
             touched: Vec::with_capacity(n_tuples),
-            running: Vec::new(),
         }
     }
 
@@ -586,13 +583,16 @@ pub fn root_state(tuples: &[FractionalTuple], root: &RootColumns) -> NodeTuples 
 /// consumption time — the single place the kept-fraction chain meets the
 /// event weight.
 ///
-/// One fused pass over the presorted column: filtering, aggregation and
-/// end-point tracking, with the per-class accumulator in registers/L1
-/// and row flushes as raw bounds-free writes (the aggregate buffers come
-/// with capacity for at least every event up front, and
-/// `n_pos <= n_events` by construction, so every write is in bounds).
-/// Arithmetic, gates and gate *order* mirror [`AttributeEvents::build`]
-/// exactly — the matrix is bit-for-bit the historical one.
+/// One fused pass over the presorted column does the filtering,
+/// aggregation and end-point tracking: it writes each position once and
+/// each surviving event as a `(class, weight)` run entry, as raw
+/// bounds-free writes (the buffers come with capacity for every event up
+/// front, and `n_pos <= n_kept <= n_events` by construction, so every
+/// write is in bounds). A second, running-sum pass over the runs then
+/// stores the cumulative rows of the end points only
+/// ([`AttributeEvents`] replays every other row on demand). Arithmetic,
+/// gates and gate *order* mirror [`AttributeEvents::build`] exactly, so
+/// every row, stored or replayed, is bit-for-bit the historical one.
 pub fn events_from_column(
     col: &ColumnState,
     root_col: &AttrColumn,
@@ -610,9 +610,9 @@ pub fn events_from_column(
     )
 }
 
-/// [`events_from_column`] drawing the structure's `xs` and `cum`
-/// buffers from `buffers` — the builder passes its per-build pool, and
-/// gets the buffers of a column without a split candidate straight back.
+/// [`events_from_column`] drawing the structure's buffers from
+/// `buffers` — the builder passes its per-build pool, and gets the
+/// buffers of a column without a split candidate straight back.
 pub(crate) fn events_from_column_in(
     col: &ColumnState,
     root_col: &AttrColumn,
@@ -636,16 +636,13 @@ pub(crate) fn events_from_column_in(
     }
 }
 
-/// The largest `cum` buffer a column of `n_events` events asks the
-/// [`BufferPool`] for: one row per event. The column's `xs` request is
-/// smaller.
-pub(crate) fn matrix_capacity(n_events: usize, n_classes: usize) -> usize {
-    n_events * n_classes
+/// The largest buffer a column of `n_events` events over `n_tuples`
+/// alive tuples asks the [`BufferPool`] for: its event runs (two slots
+/// per event) or its end-point rows (at most two end points per tuple
+/// and one per event, `n_classes` wide). Its positions ask for less.
+pub(crate) fn largest_request(n_events: usize, n_tuples: usize, n_classes: usize) -> usize {
+    (2 * n_events).max(n_events.min(2 * n_tuples) * n_classes)
 }
-
-/// Stack capacity (in classes) of the running-accumulator array; wider
-/// problems accumulate into the scratch's heap vector instead.
-const RUNNING_STACK_CLASSES: usize = 8;
 
 /// The construction loop of [`events_from_column`], monomorphized on
 /// whether the column carries ancestor rescales.
@@ -659,21 +656,18 @@ fn build_events<const HAS_SCALES: bool>(
 ) -> Option<AttributeEvents> {
     debug_assert_eq!(HAS_SCALES, !col.scales.is_empty());
     scratch.reset_touched();
-    scratch.running.clear();
-    scratch.running.resize(n_classes, 0.0);
     scratch.load_scales(&col.scales);
-    let k = n_classes;
     let n_events = col.len();
     let mut xs: Vec<f64> = buffers.take(n_events);
-    let mut cum: Vec<f64> = buffers.take(matrix_capacity(n_events, k));
+    let mut runs: Vec<f64> = buffers.take(2 * n_events);
     let xs_ptr = xs.as_mut_ptr();
-    let cum_ptr = cum.as_mut_ptr();
+    let runs_ptr = runs.as_mut_ptr();
     let mut n_pos = 0usize;
+    let mut n_kept = 0usize;
     // NaN start: the first event always opens a position, and thereafter
     // `x != last_x` is exactly `xs.last() != Some(&x)`.
     let mut last_x = f64::NAN;
     {
-        let mut running_stack = [0.0f64; RUNNING_STACK_CLASSES];
         let Scratch {
             weight,
             scale,
@@ -681,20 +675,13 @@ fn build_events<const HAS_SCALES: bool>(
             hi_idx,
             seen,
             touched,
-            running: running_heap,
             ..
         } = scratch;
-        let running: &mut [f64] = if k <= RUNNING_STACK_CLASSES {
-            &mut running_stack[..k]
-        } else {
-            running_heap.as_mut_slice()
-        };
         col.for_each_event(root_col, |x, t, m_root| {
             let t = t as usize;
             debug_assert!(t < weight.len() && t < labels.len());
             // SAFETY: tuple ids are `< n_tuples`, the length of every
-            // per-tuple scratch array and of `labels`; labels are
-            // `< n_classes == running.len()`.
+            // per-tuple scratch array and of `labels`.
             let w = unsafe { *weight.get_unchecked(t) };
             if w <= WEIGHT_EPSILON {
                 return;
@@ -708,23 +695,26 @@ fn build_events<const HAS_SCALES: bool>(
                 // Same denormal gate as AttributeEvents::build.
                 return;
             }
-            if x != last_x {
-                if n_pos != 0 {
-                    // Flush the finished row.
-                    unsafe {
-                        let dst = cum_ptr.add((n_pos - 1) * k);
-                        for c in 0..k {
-                            dst.add(c).write(running[c]);
-                        }
+            // SAFETY: at most `n_events` events are kept, each opening at
+            // most one position, within the buffers' capacities.
+            unsafe {
+                if x != last_x {
+                    if n_kept != 0 {
+                        // The previous event ends the finished position.
+                        let tag = runs_ptr.add(2 * (n_kept - 1));
+                        tag.write(position_end(*tag));
                     }
+                    xs_ptr.add(n_pos).write(x);
+                    n_pos += 1;
+                    last_x = x;
                 }
-                unsafe { xs_ptr.add(n_pos).write(x) };
-                n_pos += 1;
-                last_x = x;
+                let slot = runs_ptr.add(2 * n_kept);
+                slot.write(event_tag(*labels.get_unchecked(t)));
+                slot.add(1).write(event_weight);
             }
+            n_kept += 1;
             let pos = (n_pos - 1) as u32;
             unsafe {
-                *running.get_unchecked_mut(*labels.get_unchecked(t) as usize) += event_weight;
                 if !*seen.get_unchecked(t) {
                     *seen.get_unchecked_mut(t) = true;
                     touched.push(t as u32);
@@ -733,21 +723,20 @@ fn build_events<const HAS_SCALES: bool>(
                 *hi_idx.get_unchecked_mut(t) = pos;
             }
         });
-        if n_pos != 0 {
+        if n_kept != 0 {
+            // SAFETY: as above; the writes initialised every element.
             unsafe {
-                let dst = cum_ptr.add((n_pos - 1) * k);
-                for c in 0..k {
-                    dst.add(c).write(running[c]);
-                }
+                let tag = runs_ptr.add(2 * (n_kept - 1));
+                tag.write(position_end(*tag));
                 xs.set_len(n_pos);
-                cum.set_len(n_pos * k);
+                runs.set_len(2 * n_kept);
             }
         }
     }
     scratch.unload_scales(&col.scales);
     if n_pos < 2 {
         buffers.give(xs);
-        buffers.give(cum);
+        buffers.give(runs);
         return None;
     }
     let mut end_point_idx: Vec<usize> = scratch
@@ -762,7 +751,14 @@ fn build_events<const HAS_SCALES: bool>(
         .collect();
     end_point_idx.sort_unstable();
     end_point_idx.dedup();
-    AttributeEvents::from_parts(xs, cum, n_classes, end_point_idx)
+    let end_rows = buffers.take(end_point_idx.len() * n_classes);
+    Some(AttributeEvents::from_runs(
+        xs,
+        runs,
+        n_classes,
+        end_point_idx,
+        end_rows,
+    ))
 }
 
 /// Copies the events of `column` whose tuples keep weight (per the dense
@@ -1390,6 +1386,189 @@ mod tests {
         }
     }
 
+    /// Tuples whose event weights span about 2^53 in magnitude (tuple
+    /// weights 2^40 and 2^-8 times normalised masses from about 1/84 to
+    /// 1/2), on a quarter grid
+    /// where every position holds several events of each class, so the
+    /// order a running sum adds them in changes its rounding. Long pdfs
+    /// between sparse end points leave interiors of up to 19 positions
+    /// (batch-kernel ranges); short pdfs inside them leave interiors of
+    /// one and three (exact-formula ranges).
+    fn order_sensitive_tuples() -> Vec<FractionalTuple> {
+        (0..24)
+            .map(|i| {
+                let lo = 5.0 * (i % 3) as f64;
+                let (first, n) = if i % 4 == 0 { (lo + 1.0, 3) } else { (lo, 21) };
+                let points: Vec<f64> = (0..n).map(|j| first + 0.25 * j as f64).collect();
+                let mass: Vec<f64> = (0..n).map(|j| 1.0 + ((i * 5 + j * 3) % 7) as f64).collect();
+                let mut tuple = ft(&points, &mass, i % 3);
+                tuple.weight = if i % 2 == 0 {
+                    2f64.powi(40)
+                } else {
+                    2f64.powi(-8)
+                };
+                tuple
+            })
+            .collect()
+    }
+
+    /// The root and the rescaled left child of a split of
+    /// [`order_sensitive_tuples`], with the root column and the labels.
+    fn order_sensitive_nodes() -> (RootColumns, Vec<u32>, Vec<NodeTuples>) {
+        let tuples = order_sensitive_tuples();
+        let root = build_root_with(&tuples, &[0], &WorkerPool::for_concurrency(1));
+        let state = root_state(&tuples, &root);
+        let mut scratch = Scratch::new(tuples.len());
+        let mut stats = SearchStats::default();
+        scratch.load_weights(&state);
+        let (left, _right) = partition_numeric(&root, &state, 0, 7.3, &mut scratch, &mut stats);
+        scratch.unload_weights(&state);
+        assert!(!left.columns[0].scales.is_empty(), "the child is rescaled");
+        (root, labels(&tuples), vec![state, left])
+    }
+
+    /// The node's structure and its dense oracle matrix (row-major, `k`
+    /// wide, from [`scalar_matrix`]).
+    fn structure_and_oracle(
+        node: &NodeTuples,
+        root: &RootColumns,
+        labels: &[u32],
+    ) -> (AttributeEvents, Vec<f64>) {
+        let mut scratch = Scratch::new(labels.len());
+        scratch.load_weights(node);
+        let ev = events_from_column(&node.columns[0], &root.columns[0], labels, 3, &mut scratch)
+            .expect("a splittable column");
+        scratch.unload_weights(node);
+        let (xs, bits) = scalar_matrix(node, &root.columns[0], labels, 3);
+        assert_eq!(ev.xs(), xs.as_slice());
+        (ev, bits.into_iter().map(f64::from_bits).collect())
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Rows replayed by a test-local running sum that adds each
+    /// position's events in `order`, from zero.
+    fn replay_with_order(ev: &AttributeEvents, reverse: bool) -> Vec<f64> {
+        let mut running = vec![0.0f64; ev.n_classes()];
+        let mut rows = Vec::new();
+        for mut events in ev.position_events() {
+            if reverse {
+                events.reverse();
+            }
+            for (class, weight) in events {
+                running[class] += weight;
+            }
+            rows.extend_from_slice(&running);
+        }
+        rows
+    }
+
+    /// Rows derived by subtracting each position's later events from the
+    /// stored row of the next end point at or above it.
+    fn replay_from_the_right(ev: &AttributeEvents, oracle: &[f64]) -> Vec<f64> {
+        let k = ev.n_classes();
+        let positions = ev.position_events();
+        let mut rows = oracle.to_vec();
+        for w in ev.end_point_indices().windows(2) {
+            let mut running = oracle[w[1] * k..(w[1] + 1) * k].to_vec();
+            for i in (w[0] + 1..w[1]).rev() {
+                for &(class, weight) in &positions[i + 1] {
+                    running[class] -= weight;
+                }
+                rows[i * k..(i + 1) * k].copy_from_slice(&running);
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn replayed_and_end_point_rows_match_the_dense_oracle_bit_for_bit() {
+        let (root, labels, nodes) = order_sensitive_nodes();
+        for (which, node) in ["root", "child"].iter().zip(&nodes) {
+            let (ev, oracle) = structure_and_oracle(node, &root, &labels);
+            let k = ev.n_classes();
+            assert_eq!(bits(&ev.cum()), bits(&oracle), "{which}: replayed matrix");
+            // Every row through the public accessor: stored at the end
+            // points, replayed everywhere else.
+            let ends = ev.end_point_indices().to_vec();
+            assert!(ends.len() >= 4 && ends.len() < ev.n_positions() / 2);
+            let mut scratch = Vec::new();
+            for i in 0..ev.n_positions() {
+                let row = ev.counts_below_into(i, &mut scratch);
+                assert_eq!(
+                    bits(row.as_slice()),
+                    bits(&oracle[i * k..(i + 1) * k]),
+                    "{which}: row {i} (end point: {})",
+                    ends.contains(&i)
+                );
+            }
+            // Every interval's interior, scored as the search scores it,
+            // against the same scoring of the oracle's rows.
+            let total = &oracle[oracle.len() - k..];
+            let grand_total: f64 = total.iter().sum();
+            let (mut short, mut long) = (0, 0);
+            let mut got = Vec::new();
+            for measure in [Measure::Entropy, Measure::Gini, Measure::GainRatio] {
+                for interval in ev.intervals() {
+                    let range = ev.interior_candidates(&interval);
+                    if range.is_empty() {
+                        continue;
+                    }
+                    ev.score_range_into(range.clone(), measure, &mut got);
+                    let mut want = vec![0.0; range.len()];
+                    if range.len() >= crate::events::SIMD_MIN_BATCH {
+                        long += 1;
+                        crate::kernel::simd::score_range_into(
+                            measure,
+                            &oracle,
+                            k,
+                            total,
+                            grand_total,
+                            range.clone(),
+                            &mut want,
+                        );
+                    } else {
+                        short += 1;
+                        for (slot, i) in want.iter_mut().zip(range.clone()) {
+                            *slot = measure.split_score_cum(&oracle[i * k..(i + 1) * k], total);
+                        }
+                    }
+                    assert_eq!(bits(&got), bits(&want), "{which}: {measure:?} {range:?}");
+                }
+            }
+            assert!(short > 0 && long > 0, "{which}: both scoring paths ran");
+        }
+    }
+
+    #[test]
+    fn replays_in_another_summation_order_fail_the_oracle() {
+        // The mutations the oracle test must catch: adding a position's
+        // events in reverse order, or deriving interior rows by
+        // subtracting from the right end point, rounds differently on
+        // this column. Column-order summation from zero passes.
+        let (root, labels, nodes) = order_sensitive_nodes();
+        for (which, node) in ["root", "child"].iter().zip(&nodes) {
+            let (ev, oracle) = structure_and_oracle(node, &root, &labels);
+            assert_eq!(
+                bits(&replay_with_order(&ev, false)),
+                bits(&oracle),
+                "{which}"
+            );
+            assert_ne!(
+                bits(&replay_with_order(&ev, true)),
+                bits(&oracle),
+                "{which}: reversed within positions"
+            );
+            assert_ne!(
+                bits(&replay_from_the_right(&ev, &oracle)),
+                bits(&oracle),
+                "{which}: subtracted from the right"
+            );
+        }
+    }
+
     #[test]
     fn numeric_partition_matches_fractional_split() {
         let tuples = vec![
@@ -1474,9 +1653,10 @@ mod tests {
         .unwrap();
         scratch.unload_weights(&left);
         assert_eq!(got.xs(), reference.xs());
+        let (mut got_scratch, mut reference_scratch) = (Vec::new(), Vec::new());
         for i in 0..reference.n_positions() {
-            let g = got.left_counts(i);
-            let r = reference.left_counts(i);
+            let g = got.counts_below_into(i, &mut got_scratch);
+            let r = reference.counts_below_into(i, &mut reference_scratch);
             for c in 0..2 {
                 assert!(
                     (g.get(c) - r.get(c)).abs() < 1e-12,

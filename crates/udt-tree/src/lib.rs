@@ -33,15 +33,17 @@
 //!   chain of §3.2's fractional splits) — reconstructing event mass on
 //!   the fly as `root_mass * scale`. A child column is a list of `4`-byte
 //!   event ids; nothing per event is ever copied.
-//! * **Flat cumulative rows** ([`events::AttributeEvents`]): per-position
-//!   per-class masses live in a single row-major `Vec<f64>` matrix whose
-//!   final row is the total, so the "left" counts of any candidate are a
-//!   borrowed row ([`counts::CountsView`]) and the "right" counts are
-//!   derived in place from `total − left`.
+//! * **End-point count rows** ([`events::AttributeEvents`]): a column
+//!   keeps its events as `(class, weight)` runs and stores the
+//!   cumulative per-class rows only at the interval end points `Q_j`,
+//!   which are all the pruning theorems and bounds read; any other row
+//!   is replayed from the nearest end-point row in column order, bit
+//!   for bit the dense running sum. The "right" counts are derived in
+//!   place from `total − left`.
 //! * **One construction loop** ([`columns::events_from_column`]): every
-//!   node's matrix, the root's included, comes from one fused pass over
-//!   the node's view of a presorted column that gates, aggregates and
-//!   tracks the interval end points `Q_j` together.
+//!   node's count structure, the root's included, comes from one fused
+//!   pass over the node's view of a presorted column that gates,
+//!   aggregates and tracks the interval end points together.
 //! * **Zero-allocation scoring** ([`measure::Measure::split_score_cum`],
 //!   [`measure::Measure::interval_lower_bound_cum`]): eq. 1 scores and
 //!   the §5.2 eq. 3/4 bounds are pure slice arithmetic; no counter is
@@ -93,7 +95,7 @@
 //! per-worker deques and stealing). Three phases fan out:
 //!
 //! 1. the per-attribute root presort ([`columns::build_root_with`]) and
-//!    the per-attribute cumulative-matrix construction at large nodes;
+//!    the per-attribute count-structure construction at large nodes;
 //! 2. the per-attribute split search inside
 //!    [`split::SplitSearch::find_best`];
 //! 3. sibling subtrees below a configurable fork depth, deferred onto a

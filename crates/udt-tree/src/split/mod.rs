@@ -149,9 +149,9 @@ pub struct SearchStats {
     /// arena and renumbering it to canonical preorder. Recorded once on
     /// the build thread, so this is wall-clock.
     pub graft_ns: u64,
-    /// Bytes of per-node matrix buffers (`xs` and `cum` of every
-    /// [`crate::events::AttributeEvents`] the build constructed) that had
-    /// to be freshly allocated.
+    /// Bytes of per-node matrix buffers (positions, event runs and
+    /// end-point rows of every [`crate::events::AttributeEvents`] the
+    /// build constructed) that had to be freshly allocated.
     pub matrix_bytes_fresh: u64,
     /// Bytes of per-node matrix buffers served by recycling an earlier
     /// node's buffers within the same build.

@@ -19,13 +19,22 @@ use udt_tree::{ClassCounts, Measure};
 
 const MEASURES: [Measure; 3] = [Measure::Entropy, Measure::Gini, Measure::GainRatio];
 
-/// Builds an events structure over positions `0, 1, …` from explicit
-/// cumulative rows.
+/// Builds an events structure over positions `0, 1, …` whose
+/// cumulative rows are `rows`: position `i` carries one event per class,
+/// weighing that class's step from row `i − 1` (zero included, so every
+/// row keeps its position). Only the two extreme positions are end
+/// points.
 fn events(rows: &[Vec<f64>]) -> AttributeEvents {
-    let xs: Vec<f64> = (0..rows.len()).map(|i| i as f64).collect();
-    let cum: Vec<f64> = rows.concat();
-    AttributeEvents::from_parts(xs, cum, rows[0].len(), vec![0, rows.len() - 1])
-        .expect("at least two positions")
+    let k = rows[0].len();
+    let mut previous = vec![0.0; k];
+    let mut steps = Vec::new();
+    for (i, row) in rows.iter().enumerate() {
+        for (c, (&now, before)) in row.iter().zip(&mut previous).enumerate() {
+            steps.push((i as f64, c, now - *before));
+            *before = now;
+        }
+    }
+    AttributeEvents::from_sorted_events(&steps, Vec::new(), k).expect("at least two positions")
 }
 
 /// Scores the full candidate range of `ev` into a fresh vector.
@@ -42,7 +51,8 @@ fn empty_side_candidates_score_infinite() {
     // empty; candidates 2–8 are regular splits. (An all-zero leading row
     // cannot come out of the event pipeline, which mass-gates events,
     // but the scoring layer must still gate it — it reaches the kernel
-    // through `from_parts` and through sub-epsilon partition residues.)
+    // through `from_sorted_events` and through sub-epsilon partition
+    // residues.)
     let mut rows = vec![vec![0.0, 0.0], vec![5e-10, 0.0]];
     rows.extend((0..7).map(|i| vec![1.0, 0.25 * i as f64]));
     rows.extend([vec![1.0, 2.0], vec![1.0, 2.0]]);
