@@ -42,11 +42,11 @@
 //!
 //! ## Replica sets, hedging and health
 //!
-//! `--replicas H1:P1,H2:P2,...` (env `UDT_REPLICAS`; the flag wins)
+//! `--replicas H1:P1,H2:P2,...`
 //! routes `classify` and `health` through a
 //! [`udt_serve::client::ReplicaSet`]: per-endpoint circuit breakers,
 //! failover to the next healthy replica on transient failures, and —
-//! with `--hedge-ms MS` (env `UDT_HEDGE_MS`, `0` disables) — a hedged
+//! with `--hedge-ms MS` (`0` disables) — a hedged
 //! second attempt for point classifies that have not answered in time.
 //! `--repeat N` streams `N` classifies through the same replica set and
 //! reports `replies: N/N` plus the failover/hedge counters, which the
@@ -208,19 +208,6 @@ fn run() -> Result<String, CliError> {
         }
     }
     let command = parse_command(&command).map_err(CliError::Usage)?;
-    // Flags win over env for the replica knobs, matching udt-serve.
-    let replicas = replicas.or_else(|| std::env::var("UDT_REPLICAS").ok());
-    let hedge_ms = match hedge_ms {
-        Some(ms) => Some(ms),
-        None => match std::env::var("UDT_HEDGE_MS") {
-            Ok(raw) => Some(
-                raw.trim()
-                    .parse()
-                    .map_err(|_| usage(format!("UDT_HEDGE_MS: `{raw}` is not an integer")))?,
-            ),
-            Err(_) => None,
-        },
-    };
     let endpoints: Vec<String> = match &replicas {
         Some(raw) => {
             let list: Vec<String> = raw

@@ -19,9 +19,7 @@
 //! model directory cannot take a whole replica down), optionally trains
 //! the paper's Table 1 toy model in-process, prints one
 //! `udt-serve listening on ADDR` line (scripts wait for it), and
-//! serves until a `shutdown` request arrives. The robustness knobs are
-//! also env-settable (`UDT_QUEUE_POLICY`, `UDT_REQUEST_DEADLINE_MS`,
-//! `UDT_DRAIN_DEADLINE_MS`, `UDT_FAULTS`, `UDT_FAULT_SEED`); flags win.
+//! serves until a `shutdown` request arrives.
 
 use std::io::Write;
 use std::path::Path;

@@ -25,10 +25,6 @@ use crate::Result;
 ///           [--model NAME=PATH]... [--preload NAME=PATH]...
 ///           [--train-toy NAME] [--threads auto|N]
 /// ```
-///
-/// `from_args` also honours the env knobs `UDT_QUEUE_POLICY`,
-/// `UDT_REQUEST_DEADLINE_MS`, `UDT_DRAIN_DEADLINE_MS`, `UDT_FAULTS` and
-/// `UDT_FAULT_SEED` (flags win over env).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Listen address (`127.0.0.1:7878` by default; port 0 asks the OS
@@ -120,36 +116,6 @@ impl ServeConfig {
         }
     }
 
-    /// Applies the serving env knobs (`UDT_QUEUE_POLICY`,
-    /// `UDT_REQUEST_DEADLINE_MS`, `UDT_DRAIN_DEADLINE_MS`, `UDT_FAULTS`,
-    /// `UDT_FAULT_SEED`). Malformed values are configuration errors —
-    /// refusing to start beats silently serving with the wrong policy.
-    pub fn apply_env(&mut self) -> Result<()> {
-        if let Ok(raw) = std::env::var("UDT_QUEUE_POLICY") {
-            self.queue_policy = raw.parse().map_err(|_| {
-                ServeError::Config(format!(
-                    "UDT_QUEUE_POLICY must be `block` or `shed`, got `{raw}`"
-                ))
-            })?;
-        }
-        if let Ok(raw) = std::env::var("UDT_REQUEST_DEADLINE_MS") {
-            let ms: u64 = raw.trim().parse().map_err(|_| {
-                ServeError::Config(format!(
-                    "UDT_REQUEST_DEADLINE_MS: `{raw}` is not an integer"
-                ))
-            })?;
-            self.request_deadline = (ms > 0).then(|| Duration::from_millis(ms));
-        }
-        if let Ok(raw) = std::env::var("UDT_DRAIN_DEADLINE_MS") {
-            let ms: u64 = raw.trim().parse().map_err(|_| {
-                ServeError::Config(format!("UDT_DRAIN_DEADLINE_MS: `{raw}` is not an integer"))
-            })?;
-            self.drain_deadline = Duration::from_millis(ms);
-        }
-        self.faults = FaultPlan::from_env()?;
-        Ok(())
-    }
-
     /// Parses CLI flags (everything after the program name). Unknown
     /// flags, missing values and malformed numbers are configuration
     /// errors naming the offending flag.
@@ -159,7 +125,6 @@ impl ServeConfig {
         S: AsRef<str>,
     {
         let mut config = ServeConfig::default();
-        config.apply_env()?;
         let mut fault_seed: Option<u64> = None;
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
@@ -192,8 +157,7 @@ impl ServeConfig {
                         &value_for("--request-deadline-ms")?,
                         "--request-deadline-ms",
                     )?;
-                    // 0 disables, so scripts can override an env deadline
-                    // away without unsetting the var.
+                    // 0 disables.
                     config.request_deadline = (ms > 0).then(|| Duration::from_millis(ms));
                 }
                 "--drain-deadline-ms" => {

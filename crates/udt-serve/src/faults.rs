@@ -3,7 +3,7 @@
 //! A [`FaultPlan`] is a parsed description of *what* to break and
 //! *when* — e.g. "panic in a worker on the 2nd batch", "stall the
 //! connection reader with probability 0.3". Plans come from the
-//! `UDT_FAULTS` env var (or the `--faults` flag) and are armed into a
+//! `--faults` flag of `udt-serve` and are armed into a
 //! [`FaultInjector`] that the batcher, server and registry paths consult
 //! at their injection points. With no plan configured every check is a
 //! single branch on an empty slice — serving pays nothing.
@@ -11,7 +11,7 @@
 //! **Determinism**: triggers are either counter-based (`nth=N`,
 //! `every=N` — exact, independent of thread interleaving per point) or
 //! probability-based with a per-point SplitMix64 stream seeded from
-//! `UDT_FAULT_SEED` (the decision *sequence* per point reproduces given
+//! `--fault-seed` (the decision *sequence* per point reproduces given
 //! the same seed and per-point hit order). The chaos suite
 //! (`tests/chaos.rs`) uses counter triggers so every run exercises the
 //! same failure.
@@ -19,7 +19,7 @@
 //! ## Spec grammar
 //!
 //! ```text
-//! UDT_FAULTS="point:trigger[:delay],point:trigger[:delay],…"
+//! --faults "point:trigger[:delay],point:trigger[:delay],…"
 //!
 //! point   := delay_in_worker | panic_in_worker | truncate_frame
 //!          | stall_reader | fail_model_load
@@ -27,7 +27,7 @@
 //! delay   := <millis>ms        (delay_in_worker / stall_reader only)
 //! ```
 //!
-//! Example: `UDT_FAULTS="panic_in_worker:nth=2,stall_reader:every=3:50ms"`.
+//! Example: `--faults "panic_in_worker:nth=2,stall_reader:every=3:50ms"`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -124,26 +124,6 @@ impl FaultPlan {
             specs.push(parse_spec(part)?);
         }
         Ok(FaultPlan { specs, seed })
-    }
-
-    /// Builds the plan from `UDT_FAULTS` / `UDT_FAULT_SEED` (absent vars
-    /// mean no faults / seed 0). A malformed value is a configuration
-    /// error — better to refuse to start than to silently skip the chaos
-    /// a test asked for.
-    pub fn from_env() -> Result<FaultPlan> {
-        let seed = match std::env::var("UDT_FAULT_SEED") {
-            Ok(raw) => raw.trim().parse().map_err(|_| {
-                ServeError::Config(format!("UDT_FAULT_SEED: `{raw}` is not an integer"))
-            })?,
-            Err(_) => 0,
-        };
-        match std::env::var("UDT_FAULTS") {
-            Ok(raw) => FaultPlan::parse(&raw, seed),
-            Err(_) => Ok(FaultPlan {
-                specs: Vec::new(),
-                seed,
-            }),
-        }
     }
 
     /// Whether the plan injects nothing.

@@ -105,7 +105,7 @@ impl PartitionMode {
 /// parallel phase is a deterministic index-ordered map over the same
 /// work (see [`crate::pool`]), builds are **arena-bit-identical for
 /// every thread count**, so the knob is purely about speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct ThreadCount {
     /// 0 = auto; otherwise the exact total thread count (`1..=MAX`).
     count: usize,
@@ -174,6 +174,16 @@ impl ThreadCount {
 impl Default for ThreadCount {
     fn default() -> Self {
         ThreadCount::AUTO
+    }
+}
+
+/// Reads a thread count through [`ThreadCount::fixed`], so a stored
+/// count above [`ThreadCount::MAX`] is capped exactly like a requested
+/// one.
+impl Deserialize for ThreadCount {
+    fn deserialize(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
+        let count = usize::deserialize(serde::map_field(v, "count", "ThreadCount")?)?;
+        Ok(ThreadCount::fixed(count))
     }
 }
 
@@ -504,6 +514,23 @@ mod tests {
             Ok(ThreadCount::fixed(ThreadCount::MAX))
         );
         assert_eq!(ThreadCount::fixed(usize::MAX).get(), ThreadCount::MAX);
+    }
+
+    #[test]
+    fn thread_count_deserialization_caps_at_max() {
+        let huge: ThreadCount = serde_json::from_str(r#"{"count":5000}"#).unwrap();
+        assert_eq!(huge, ThreadCount::fixed(ThreadCount::MAX));
+        assert_eq!(huge.get(), ThreadCount::MAX);
+        let auto: ThreadCount = serde_json::from_str(r#"{"count":0}"#).unwrap();
+        assert_eq!(auto, ThreadCount::AUTO);
+        // The cap also holds for a count read back inside a config.
+        let config = UdtConfig::new(Algorithm::Udt).with_threads(3);
+        let text = serde_json::to_string(&config).unwrap();
+        assert!(text.contains(r#""count":3"#), "{text}");
+        let read: UdtConfig =
+            serde_json::from_str(&text.replace(r#""count":3"#, r#""count":5000"#)).unwrap();
+        assert_eq!(read.threads.get(), ThreadCount::MAX);
+        assert!(serde_json::from_str::<ThreadCount>("{}").is_err());
     }
 
     #[test]

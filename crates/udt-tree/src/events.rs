@@ -88,8 +88,8 @@ const SIMD_BOUND_MARGIN: f64 = 1e-12;
 /// the kernel's documented tolerance of it.
 pub(crate) const SIMD_MIN_BATCH: usize = 8;
 
-/// Rows replayed per staging chunk: a multiple of the kernel's 4-row
-/// AVX2 block, small enough that the staged rows stay in L1.
+/// Rows replayed per staging chunk: a multiple of the batch kernel's
+/// 4-row lane block, small enough that the staged rows stay in L1.
 const STAGE_ROWS: usize = 64;
 
 /// Tag bit of an event: set on the last event of its position, where a

@@ -1,13 +1,17 @@
 //! Batch split-score arithmetic: the batch kernel.
 //!
-//! Scores whole ranges of contiguous candidate rows per call. Three
-//! backends share one arithmetic definition: a 4-lane AVX2 path, a
-//! 2-lane SSE2 path, and a portable scalar path (`score_rows_portable`)
-//! that also serves the vector tails and every non-x86 target. The
-//! portable path replays the vector lanes' exact operation sequence —
-//! including the polynomial `log2` below — so all three produce
-//! **bit-identical** scores; which backend runs is purely a speed
-//! choice, never a results choice.
+//! Scores whole ranges of contiguous candidate rows per call, four rows
+//! in lockstep. The arithmetic is written once, as safe code over
+//! `[f64; N]` lane arrays in which every step is one lane-wise
+//! expression: `N = 4` for the blocks, `N = 1` for the tail rows and the
+//! scalar reference. LLVM vectorises the blocks for whichever target the
+//! code is compiled for, and it is compiled twice: for the baseline
+//! target ([`SimdBackend::Portable`]; SSE2 on x86_64) and, through one
+//! `#[target_feature(enable = "avx2")]` wrapper, for AVX2
+//! ([`SimdBackend::Avx2`]). Rust never contracts `a·b + c` into an FMA
+//! and only AVX2 (never `fma`) is enabled, so both builds round every
+//! operation identically and produce **bit-identical** scores; which
+//! backend runs is purely a speed choice, never a results choice.
 //!
 //! # Arithmetic
 //!
@@ -27,29 +31,26 @@
 //! `nl ≤ ε` or `nr ≤ ε` score `+∞` — mirroring the gates of
 //! [`crate::Measure::split_score_cum`]. The per-column invariants
 //! (`invT`, and for gain ratio `h_parent` and `log2 T`) are hoisted into
-//! [`ColumnConsts`], computed once per call with the same portable
-//! polynomial.
+//! [`ColumnConsts`], computed once per call with the same polynomial.
 //!
 //! # `log2` polynomial
 //!
-//! `plog2` decomposes a normal positive double into exponent and
+//! `log2_lanes` decomposes a normal positive double into exponent and
 //! mantissa `m ∈ [√2/2, √2)`, then evaluates the atanh series
 //! `log2(m) = (2/ln2)·(t + t³/3 + … + t¹⁹/19)` with `t = (m−1)/(m+1)`
 //! (|t| ≤ 0.172, truncation ≈ 1e-17) as a degree-9 Horner form in
-//! `t²` — no FMA anywhere, so every backend rounds identically. Accuracy
+//! `t²` — no FMA anywhere, so both builds round identically. Accuracy
 //! is 1–2 ulp against libm, which keeps batch scores within ~1e-13 of
 //! the exact formula — inside the 1e-12 deterministic tie-break band of
 //! [`crate::split::SplitChoice::is_improved_by`].
 
+use core::array::from_fn;
 use core::ops::Range;
 
 use crate::counts::WEIGHT_EPSILON;
 use crate::measure::Measure;
 
 use super::SimdBackend;
-
-#[cfg(target_arch = "x86_64")]
-use core::arch::x86_64::*;
 
 /// Measure selector for the const-generic kernels: entropy.
 const M_ENTROPY: u8 = 0;
@@ -80,50 +81,59 @@ const C7: f64 = TWO_OVER_LN2 / 15.0;
 const C8: f64 = TWO_OVER_LN2 / 17.0;
 const C9: f64 = TWO_OVER_LN2 / 19.0;
 
-/// Polynomial `log2` for a **normal positive** double; the scalar mirror
-/// of the vector lanes (identical operation sequence → identical bits).
-#[inline]
-pub(crate) fn plog2(x: f64) -> f64 {
-    let bits = x.to_bits();
-    let e_bits = (bits >> 52) & 0x7ff;
-    let mut m = f64::from_bits((bits & MANT_MASK) | ONE_BITS);
-    let ge = m >= SQRT2;
-    m *= if ge { 0.5 } else { 1.0 };
-    let conv = f64::from_bits(e_bits | EXP_MAGIC);
-    let mut e_f = conv - TWO52;
-    e_f -= 1023.0;
-    e_f += if ge { 1.0 } else { 0.0 };
-    let t = (m - 1.0) / (m + 1.0);
-    let u = t * t;
-    let mut p = C9;
-    p = p * u + C8;
-    p = p * u + C7;
-    p = p * u + C6;
-    p = p * u + C5;
-    p = p * u + C4;
-    p = p * u + C3;
-    p = p * u + C2;
-    p = p * u + C1;
-    p = p * u + C0;
-    e_f + t * p
+/// Polynomial `log2` of `N` **normal positive** doubles. Each step is
+/// one lane-wise array expression, small enough for LLVM to unroll and
+/// vectorise; `N = 1` is the scalar form.
+#[inline(always)]
+fn log2_lanes<const N: usize>(x: [f64; N]) -> [f64; N] {
+    let bits = x.map(f64::to_bits);
+    let m: [f64; N] = from_fn(|j| f64::from_bits((bits[j] & MANT_MASK) | ONE_BITS));
+    let ge = m.map(|m| m >= SQRT2);
+    let m: [f64; N] = from_fn(|j| m[j] * if ge[j] { 0.5 } else { 1.0 });
+    let e: [f64; N] = from_fn(|j| {
+        let conv = f64::from_bits(((bits[j] >> 52) & 0x7ff) | EXP_MAGIC);
+        conv - TWO52 - 1023.0 + if ge[j] { 1.0 } else { 0.0 }
+    });
+    let t: [f64; N] = from_fn(|j| (m[j] - 1.0) / (m[j] + 1.0));
+    let u = t.map(|t| t * t);
+    let mut p = [C9; N];
+    for c in [C8, C7, C6, C5, C4, C3, C2, C1, C0] {
+        p = from_fn(|j| p[j] * u[j] + c);
+    }
+    from_fn(|j| e[j] + t[j] * p[j])
 }
 
-/// Polynomial `x·log2(x)` with `x < MIN_POSITIVE` (zero, denormals)
-/// mapping to `0`, exactly like the vector lanes' final blend.
-#[inline]
-pub(crate) fn pxlog2x(x: f64) -> f64 {
-    if x < f64::MIN_POSITIVE {
-        0.0
-    } else {
-        x * plog2(x)
-    }
+/// Polynomial `x·log2(x)` of `N` lanes, with `x < MIN_POSITIVE` (zero,
+/// denormals) mapping to `+0`. Branch-free: the product is computed for
+/// every lane and the gate selects afterwards.
+#[inline(always)]
+fn xlog2x_lanes<const N: usize>(x: [f64; N]) -> [f64; N] {
+    let log2 = log2_lanes(x);
+    from_fn(|j| {
+        let r = x[j] * log2[j];
+        if x[j] < f64::MIN_POSITIVE {
+            0.0
+        } else {
+            r
+        }
+    })
+}
+
+/// Scalar [`log2_lanes`].
+fn plog2(x: f64) -> f64 {
+    log2_lanes([x])[0]
+}
+
+/// Scalar [`xlog2x_lanes`].
+fn pxlog2x(x: f64) -> f64 {
+    xlog2x_lanes([x])[0]
 }
 
 // --- per-column constants --------------------------------------------
 
 /// Per-column invariants hoisted out of the candidate loop, computed
-/// once per [`score_range_with_backend`] call with the portable
-/// polynomial so every backend shares the same values.
+/// once per [`score_range_with_backend`] call (in the caller's build) so
+/// both backends share the same values.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ColumnConsts {
     /// Total mass `T` of the column (f64 sum of the total row).
@@ -163,254 +173,92 @@ pub(crate) fn column_consts(measure: Measure, total: &[f64], grand_total: f64) -
     consts
 }
 
-// --- portable path ---------------------------------------------------
+// --- lane kernel -----------------------------------------------------
 
-/// Scores one candidate row; the lane-exact scalar reference all vector
-/// backends are checked against bitwise.
+/// Candidate rows scored in lockstep by [`score_rows_lanes`]: one AVX2
+/// register of `f64`, two SSE2 registers.
+const LANES: usize = 4;
+
+/// Scores `N` candidate rows in lockstep (`rows[j]` holds row `j`'s
+/// cumulative left counts, one per class of `total`).
 #[inline(always)]
-fn score_one_row<const M: u8>(
-    cum: &[f64],
-    k: usize,
-    base: usize,
+fn score_block<const M: u8, const N: usize>(
+    rows: [&[f64]; N],
     total: &[f64],
     consts: &ColumnConsts,
-) -> f64 {
-    let mut nl = 0.0f64;
-    let mut acc_a = 0.0f64;
-    let mut acc_b = 0.0f64;
+) -> [f64; N] {
+    // Equal lengths let the class loop run without bounds checks.
+    let k = total.len();
+    let rows = rows.map(|row| &row[..k]);
+    let mut nl = [0.0f64; N];
+    let mut acc_a = [0.0f64; N];
+    let mut acc_b = [0.0f64; N];
     for c in 0..k {
-        // Safety: the dispatcher asserts rows.end * k <= cum.len() and
-        // total.len() == k before any row is scored.
-        let l = unsafe { *cum.get_unchecked(base + c) };
-        let r = unsafe { *total.get_unchecked(c) } - l;
-        nl += l;
+        let l: [f64; N] = from_fn(|j| rows[j][c]);
+        let r = l.map(|l| total[c] - l);
+        nl = from_fn(|j| nl[j] + l[j]);
         if M == M_GINI {
-            acc_a += l * l;
-            acc_b += r * r;
+            acc_a = from_fn(|j| acc_a[j] + l[j] * l[j]);
+            acc_b = from_fn(|j| acc_b[j] + r[j] * r[j]);
         } else {
-            acc_a += pxlog2x(l);
-            acc_b += pxlog2x(r);
+            let (fl, fr) = (xlog2x_lanes(l), xlog2x_lanes(r));
+            acc_a = from_fn(|j| acc_a[j] + fl[j]);
+            acc_b = from_fn(|j| acc_b[j] + fr[j]);
         }
     }
-    let nr = consts.grand_total - nl;
-    if nl <= WEIGHT_EPSILON || nr <= WEIGHT_EPSILON {
-        return f64::INFINITY;
-    }
-    match M {
-        M_ENTROPY => {
-            let f_nl_nr = pxlog2x(nl) + pxlog2x(nr);
-            ((f_nl_nr - acc_a) - acc_b) * consts.inv_t
-        }
-        M_GINI => 1.0 - (acc_a / nl + acc_b / nr) * consts.inv_t,
-        _ => {
-            let f_nl_nr = pxlog2x(nl) + pxlog2x(nr);
-            let child = ((f_nl_nr - acc_a) - acc_b) * consts.inv_t;
-            let gain = consts.h_parent - child;
-            let split_info = consts.log2_t - f_nl_nr * consts.inv_t;
-            if split_info <= 0.0 {
-                return f64::INFINITY;
-            }
-            -(gain / split_info)
-        }
-    }
+    finish::<M, N>(nl, acc_a, acc_b, consts)
 }
 
-/// Portable batch scorer: the non-x86 backend and the tail path of both
-/// vector kernels.
-fn score_rows_portable<const M: u8>(
-    cum: &[f64],
-    k: usize,
-    total: &[f64],
-    consts: &ColumnConsts,
-    rows: Range<usize>,
-    out: &mut [f64],
-) {
-    for (slot, i) in rows.enumerate() {
-        out[slot] = score_one_row::<M>(cum, k, i * k, total, consts);
-    }
-}
-
-// --- AVX2 path -------------------------------------------------------
-
-/// 4-lane `x·log2(x)`; same operation sequence as [`pxlog2x`].
-#[cfg(target_arch = "x86_64")]
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn vxlog2x_avx2(x: __m256d) -> __m256d {
-    {
-        let bits = _mm256_castpd_si256(x);
-        let e_bits = _mm256_and_si256(_mm256_srli_epi64::<52>(bits), _mm256_set1_epi64x(0x7ff));
-        let m_bits = _mm256_or_si256(
-            _mm256_and_si256(bits, _mm256_set1_epi64x(MANT_MASK as i64)),
-            _mm256_set1_epi64x(ONE_BITS as i64),
-        );
-        let mut m = _mm256_castsi256_pd(m_bits);
-        let one = _mm256_set1_pd(1.0);
-        let ge = _mm256_cmp_pd::<_CMP_GE_OQ>(m, _mm256_set1_pd(SQRT2));
-        m = _mm256_mul_pd(m, _mm256_blendv_pd(one, _mm256_set1_pd(0.5), ge));
-        let conv = _mm256_castsi256_pd(_mm256_or_si256(
-            e_bits,
-            _mm256_set1_epi64x(EXP_MAGIC as i64),
-        ));
-        let mut e_f = _mm256_sub_pd(conv, _mm256_set1_pd(TWO52));
-        e_f = _mm256_sub_pd(e_f, _mm256_set1_pd(1023.0));
-        e_f = _mm256_add_pd(e_f, _mm256_and_pd(one, ge));
-        let t = _mm256_div_pd(_mm256_sub_pd(m, one), _mm256_add_pd(m, one));
-        let u = _mm256_mul_pd(t, t);
-        let mut p = _mm256_set1_pd(C9);
-        p = _mm256_add_pd(_mm256_mul_pd(p, u), _mm256_set1_pd(C8));
-        p = _mm256_add_pd(_mm256_mul_pd(p, u), _mm256_set1_pd(C7));
-        p = _mm256_add_pd(_mm256_mul_pd(p, u), _mm256_set1_pd(C6));
-        p = _mm256_add_pd(_mm256_mul_pd(p, u), _mm256_set1_pd(C5));
-        p = _mm256_add_pd(_mm256_mul_pd(p, u), _mm256_set1_pd(C4));
-        p = _mm256_add_pd(_mm256_mul_pd(p, u), _mm256_set1_pd(C3));
-        p = _mm256_add_pd(_mm256_mul_pd(p, u), _mm256_set1_pd(C2));
-        p = _mm256_add_pd(_mm256_mul_pd(p, u), _mm256_set1_pd(C1));
-        p = _mm256_add_pd(_mm256_mul_pd(p, u), _mm256_set1_pd(C0));
-        let log2 = _mm256_add_pd(e_f, _mm256_mul_pd(t, p));
-        let r = _mm256_mul_pd(x, log2);
-        let tiny = _mm256_cmp_pd::<_CMP_LT_OQ>(x, _mm256_set1_pd(f64::MIN_POSITIVE));
-        _mm256_andnot_pd(tiny, r)
-    }
-}
-
-/// AVX2 batch scorer: 4 candidate rows per iteration, portable tail.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn score_rows_avx2<const M: u8>(
-    cum: &[f64],
-    k: usize,
-    total: &[f64],
-    consts: &ColumnConsts,
-    rows: Range<usize>,
-    out: &mut [f64],
-) {
-    unsafe {
-        let n = rows.len();
-        let chunks = n / 4;
-        let eps = _mm256_set1_pd(WEIGHT_EPSILON);
-        let inf = _mm256_set1_pd(f64::INFINITY);
-        let inv_t = _mm256_set1_pd(consts.inv_t);
-        let t_total = _mm256_set1_pd(consts.grand_total);
-        for ch in 0..chunks {
-            let b0 = (rows.start + ch * 4) * k;
-            let b1 = b0 + k;
-            let b2 = b1 + k;
-            let b3 = b2 + k;
-            let mut nl = _mm256_setzero_pd();
-            let mut acc_a = _mm256_setzero_pd();
-            let mut acc_b = _mm256_setzero_pd();
-            for c in 0..k {
-                // Strided gather: k is runtime-variable, so four scalar
-                // loads beat a hardware gather here.
-                let l = _mm256_set_pd(
-                    *cum.get_unchecked(b3 + c),
-                    *cum.get_unchecked(b2 + c),
-                    *cum.get_unchecked(b1 + c),
-                    *cum.get_unchecked(b0 + c),
-                );
-                let tc = _mm256_set1_pd(*total.get_unchecked(c));
-                let r = _mm256_sub_pd(tc, l);
-                nl = _mm256_add_pd(nl, l);
-                if M == M_GINI {
-                    acc_a = _mm256_add_pd(acc_a, _mm256_mul_pd(l, l));
-                    acc_b = _mm256_add_pd(acc_b, _mm256_mul_pd(r, r));
-                } else {
-                    acc_a = _mm256_add_pd(acc_a, vxlog2x_avx2(l));
-                    acc_b = _mm256_add_pd(acc_b, vxlog2x_avx2(r));
-                }
-            }
-            let nr = _mm256_sub_pd(t_total, nl);
-            let mut bad = _mm256_or_pd(
-                _mm256_cmp_pd::<_CMP_LE_OQ>(nl, eps),
-                _mm256_cmp_pd::<_CMP_LE_OQ>(nr, eps),
-            );
-            let score = if M == M_GINI {
-                let s = _mm256_add_pd(_mm256_div_pd(acc_a, nl), _mm256_div_pd(acc_b, nr));
-                _mm256_sub_pd(_mm256_set1_pd(1.0), _mm256_mul_pd(s, inv_t))
-            } else {
-                let f_nl_nr = _mm256_add_pd(vxlog2x_avx2(nl), vxlog2x_avx2(nr));
-                let child =
-                    _mm256_mul_pd(_mm256_sub_pd(_mm256_sub_pd(f_nl_nr, acc_a), acc_b), inv_t);
-                if M == M_ENTROPY {
-                    child
-                } else {
-                    let gain = _mm256_sub_pd(_mm256_set1_pd(consts.h_parent), child);
-                    let split_info =
-                        _mm256_sub_pd(_mm256_set1_pd(consts.log2_t), _mm256_mul_pd(f_nl_nr, inv_t));
-                    bad = _mm256_or_pd(
-                        bad,
-                        _mm256_cmp_pd::<_CMP_LE_OQ>(split_info, _mm256_setzero_pd()),
-                    );
-                    _mm256_xor_pd(_mm256_div_pd(gain, split_info), _mm256_set1_pd(-0.0))
-                }
-            };
-            let score = _mm256_blendv_pd(score, inf, bad);
-            _mm256_storeu_pd(out.as_mut_ptr().add(ch * 4), score);
-        }
-        let done = chunks * 4;
-        score_rows_portable::<M>(
-            cum,
-            k,
-            total,
-            consts,
-            rows.start + done..rows.end,
-            &mut out[done..],
-        );
-    }
-}
-
-// --- SSE2 path -------------------------------------------------------
-
-/// `blendv` on plain SSE2 (no SSE4.1): `mask ? b : a`, valid for the
-/// all-ones/all-zeros masks produced by `_mm_cmp*_pd`.
-#[cfg(target_arch = "x86_64")]
+/// Scores one candidate row: the tail path of [`score_rows_lanes`] and
+/// the scalar reference its lanes are checked against bitwise.
 #[inline(always)]
-unsafe fn blend_sse2(a: __m128d, b: __m128d, mask: __m128d) -> __m128d {
-    unsafe { _mm_or_pd(_mm_and_pd(mask, b), _mm_andnot_pd(mask, a)) }
+fn score_one_row<const M: u8>(row: &[f64], total: &[f64], consts: &ColumnConsts) -> f64 {
+    score_block::<M, 1>([row], total, consts)[0]
 }
 
-/// 2-lane `x·log2(x)`; same operation sequence as [`pxlog2x`].
-#[cfg(target_arch = "x86_64")]
-#[inline]
-unsafe fn vxlog2x_sse2(x: __m128d) -> __m128d {
-    unsafe {
-        let bits = _mm_castpd_si128(x);
-        let e_bits = _mm_and_si128(_mm_srli_epi64::<52>(bits), _mm_set1_epi64x(0x7ff));
-        let m_bits = _mm_or_si128(
-            _mm_and_si128(bits, _mm_set1_epi64x(MANT_MASK as i64)),
-            _mm_set1_epi64x(ONE_BITS as i64),
-        );
-        let mut m = _mm_castsi128_pd(m_bits);
-        let one = _mm_set1_pd(1.0);
-        let ge = _mm_cmpge_pd(m, _mm_set1_pd(SQRT2));
-        m = _mm_mul_pd(m, blend_sse2(one, _mm_set1_pd(0.5), ge));
-        let conv = _mm_castsi128_pd(_mm_or_si128(e_bits, _mm_set1_epi64x(EXP_MAGIC as i64)));
-        let mut e_f = _mm_sub_pd(conv, _mm_set1_pd(TWO52));
-        e_f = _mm_sub_pd(e_f, _mm_set1_pd(1023.0));
-        e_f = _mm_add_pd(e_f, _mm_and_pd(one, ge));
-        let t = _mm_div_pd(_mm_sub_pd(m, one), _mm_add_pd(m, one));
-        let u = _mm_mul_pd(t, t);
-        let mut p = _mm_set1_pd(C9);
-        p = _mm_add_pd(_mm_mul_pd(p, u), _mm_set1_pd(C8));
-        p = _mm_add_pd(_mm_mul_pd(p, u), _mm_set1_pd(C7));
-        p = _mm_add_pd(_mm_mul_pd(p, u), _mm_set1_pd(C6));
-        p = _mm_add_pd(_mm_mul_pd(p, u), _mm_set1_pd(C5));
-        p = _mm_add_pd(_mm_mul_pd(p, u), _mm_set1_pd(C4));
-        p = _mm_add_pd(_mm_mul_pd(p, u), _mm_set1_pd(C3));
-        p = _mm_add_pd(_mm_mul_pd(p, u), _mm_set1_pd(C2));
-        p = _mm_add_pd(_mm_mul_pd(p, u), _mm_set1_pd(C1));
-        p = _mm_add_pd(_mm_mul_pd(p, u), _mm_set1_pd(C0));
-        let log2 = _mm_add_pd(e_f, _mm_mul_pd(t, p));
-        let r = _mm_mul_pd(x, log2);
-        let tiny = _mm_cmplt_pd(x, _mm_set1_pd(f64::MIN_POSITIVE));
-        _mm_andnot_pd(tiny, r)
-    }
+/// Turns per-row accumulators into scores, gating after the arithmetic:
+/// rows with `nl ≤ ε` or `nr ≤ ε` (and, for gain ratio, a non-positive
+/// split info) score `+∞`.
+#[inline(always)]
+fn finish<const M: u8, const N: usize>(
+    nl: [f64; N],
+    acc_a: [f64; N],
+    acc_b: [f64; N],
+    consts: &ColumnConsts,
+) -> [f64; N] {
+    let nr: [f64; N] = from_fn(|j| consts.grand_total - nl[j]);
+    // Entropy and Gini have no split-info gate: a positive placeholder.
+    let (score, split_info): ([f64; N], [f64; N]) = if M == M_GINI {
+        let score = from_fn(|j| 1.0 - (acc_a[j] / nl[j] + acc_b[j] / nr[j]) * consts.inv_t);
+        (score, [1.0; N])
+    } else {
+        let (f_nl, f_nr) = (xlog2x_lanes(nl), xlog2x_lanes(nr));
+        let f_nl_nr: [f64; N] = from_fn(|j| f_nl[j] + f_nr[j]);
+        let child: [f64; N] = from_fn(|j| ((f_nl_nr[j] - acc_a[j]) - acc_b[j]) * consts.inv_t);
+        if M == M_ENTROPY {
+            (child, [1.0; N])
+        } else {
+            let split_info: [f64; N] = from_fn(|j| consts.log2_t - f_nl_nr[j] * consts.inv_t);
+            let score = from_fn(|j| -((consts.h_parent - child[j]) / split_info[j]));
+            (score, split_info)
+        }
+    };
+    from_fn(|j| {
+        let bad = nl[j] <= WEIGHT_EPSILON || nr[j] <= WEIGHT_EPSILON || split_info[j] <= 0.0;
+        if bad {
+            f64::INFINITY
+        } else {
+            score[j]
+        }
+    })
 }
 
-/// SSE2 batch scorer: 2 candidate rows per iteration, portable tail.
-#[cfg(target_arch = "x86_64")]
-unsafe fn score_rows_sse2<const M: u8>(
+/// The batch scorer: blocks of [`LANES`] candidate rows, then the
+/// remaining rows one at a time through [`score_one_row`]. Safe code that
+/// LLVM vectorises for whichever target it is compiled for;
+/// [`score_rows_avx2`] compiles it for AVX2.
+#[inline(always)]
+fn score_rows_lanes<const M: u8>(
     cum: &[f64],
     k: usize,
     total: &[f64],
@@ -418,63 +266,34 @@ unsafe fn score_rows_sse2<const M: u8>(
     rows: Range<usize>,
     out: &mut [f64],
 ) {
-    unsafe {
-        let n = rows.len();
-        let chunks = n / 2;
-        let eps = _mm_set1_pd(WEIGHT_EPSILON);
-        let inf = _mm_set1_pd(f64::INFINITY);
-        let inv_t = _mm_set1_pd(consts.inv_t);
-        let t_total = _mm_set1_pd(consts.grand_total);
-        for ch in 0..chunks {
-            let b0 = (rows.start + ch * 2) * k;
-            let b1 = b0 + k;
-            let mut nl = _mm_setzero_pd();
-            let mut acc_a = _mm_setzero_pd();
-            let mut acc_b = _mm_setzero_pd();
-            for c in 0..k {
-                let l = _mm_set_pd(*cum.get_unchecked(b1 + c), *cum.get_unchecked(b0 + c));
-                let tc = _mm_set1_pd(*total.get_unchecked(c));
-                let r = _mm_sub_pd(tc, l);
-                nl = _mm_add_pd(nl, l);
-                if M == M_GINI {
-                    acc_a = _mm_add_pd(acc_a, _mm_mul_pd(l, l));
-                    acc_b = _mm_add_pd(acc_b, _mm_mul_pd(r, r));
-                } else {
-                    acc_a = _mm_add_pd(acc_a, vxlog2x_sse2(l));
-                    acc_b = _mm_add_pd(acc_b, vxlog2x_sse2(r));
-                }
-            }
-            let nr = _mm_sub_pd(t_total, nl);
-            let mut bad = _mm_or_pd(_mm_cmple_pd(nl, eps), _mm_cmple_pd(nr, eps));
-            let score = if M == M_GINI {
-                let s = _mm_add_pd(_mm_div_pd(acc_a, nl), _mm_div_pd(acc_b, nr));
-                _mm_sub_pd(_mm_set1_pd(1.0), _mm_mul_pd(s, inv_t))
-            } else {
-                let f_nl_nr = _mm_add_pd(vxlog2x_sse2(nl), vxlog2x_sse2(nr));
-                let child = _mm_mul_pd(_mm_sub_pd(_mm_sub_pd(f_nl_nr, acc_a), acc_b), inv_t);
-                if M == M_ENTROPY {
-                    child
-                } else {
-                    let gain = _mm_sub_pd(_mm_set1_pd(consts.h_parent), child);
-                    let split_info =
-                        _mm_sub_pd(_mm_set1_pd(consts.log2_t), _mm_mul_pd(f_nl_nr, inv_t));
-                    bad = _mm_or_pd(bad, _mm_cmple_pd(split_info, _mm_setzero_pd()));
-                    _mm_xor_pd(_mm_div_pd(gain, split_info), _mm_set1_pd(-0.0))
-                }
-            };
-            let score = blend_sse2(score, inf, bad);
-            _mm_storeu_pd(out.as_mut_ptr().add(ch * 2), score);
-        }
-        let done = chunks * 2;
-        score_rows_portable::<M>(
-            cum,
-            k,
-            total,
-            consts,
-            rows.start + done..rows.end,
-            &mut out[done..],
-        );
+    let mut rest = &cum[rows.start * k..rows.end * k];
+    let mut blocks = out.chunks_exact_mut(LANES);
+    for out_block in &mut blocks {
+        let (block, tail) = rest.split_at(LANES * k);
+        rest = tail;
+        let rows = from_fn(|j| &block[j * k..(j + 1) * k]);
+        out_block.copy_from_slice(&score_block::<M, LANES>(rows, total, consts));
     }
+    for slot in blocks.into_remainder() {
+        let (row, tail) = rest.split_at(k);
+        rest = tail;
+        *slot = score_one_row::<M>(row, total, consts);
+    }
+}
+
+/// [`score_rows_lanes`] compiled for AVX2 (never FMA: contracting a lane
+/// product would break bit-identity with the baseline build).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn score_rows_avx2<const M: u8>(
+    cum: &[f64],
+    k: usize,
+    total: &[f64],
+    consts: &ColumnConsts,
+    rows: Range<usize>,
+    out: &mut [f64],
+) {
+    score_rows_lanes::<M>(cum, k, total, consts, rows, out);
 }
 
 // --- dispatch --------------------------------------------------------
@@ -490,22 +309,24 @@ fn run<const M: u8>(
 ) {
     assert_eq!(out.len(), rows.len(), "output slot per candidate row");
     assert_eq!(total.len(), k, "one total per class");
-    assert!(rows.end * k <= cum.len(), "rows within the matrix");
     match backend {
         #[cfg(target_arch = "x86_64")]
-        // Safety: Avx2 is only returned (or forced in tests) when the
-        // host reports the feature; bounds are asserted above.
-        SimdBackend::Avx2 => unsafe { score_rows_avx2::<M>(cum, k, total, consts, rows, out) },
-        #[cfg(target_arch = "x86_64")]
-        // Safety: SSE2 is baseline on x86_64; bounds asserted above.
-        SimdBackend::Sse2 => unsafe { score_rows_sse2::<M>(cum, k, total, consts, rows, out) },
-        _ => score_rows_portable::<M>(cum, k, total, consts, rows, out),
+        SimdBackend::Avx2 => {
+            assert!(
+                std::arch::is_x86_feature_detected!("avx2"),
+                "the AVX2 backend needs an AVX2 host"
+            );
+            // SAFETY: the host supports AVX2 (asserted above), the only
+            // feature `score_rows_avx2` enables.
+            unsafe { score_rows_avx2::<M>(cum, k, total, consts, rows, out) }
+        }
+        _ => score_rows_lanes::<M>(cum, k, total, consts, rows, out),
     }
 }
 
 /// Scores candidate rows `rows` of a row-major cumulative matrix into
-/// `out` on an explicit backend. On non-x86 targets the vector backends
-/// degrade to the (bit-identical) portable path.
+/// `out` on an explicit backend. On non-x86 targets [`SimdBackend::Avx2`]
+/// runs the (bit-identical) baseline build.
 ///
 /// `total` is the total row (length `n_classes`) and `grand_total` its
 /// f64 class-order sum, both provided by the caller so they are hoisted
@@ -555,42 +376,98 @@ pub(crate) fn score_range_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::detected_backend;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     const ALL_MEASURES: [Measure; 3] = [Measure::Entropy, Measure::Gini, Measure::GainRatio];
 
+    /// Class counts the bitwise and tolerance tests cover: every `k` up
+    /// to PenDigits' 10 and beyond, plus a wide 26-class column.
+    const CLASS_COUNTS: [usize; 13] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 26];
+
     fn backends_to_test() -> Vec<SimdBackend> {
+        let mut v = vec![SimdBackend::Portable];
         #[cfg(target_arch = "x86_64")]
-        {
-            let mut v = vec![SimdBackend::Portable, SimdBackend::Sse2];
-            if std::arch::is_x86_feature_detected!("avx2") {
-                v.push(SimdBackend::Avx2);
-            }
-            v
+        if std::arch::is_x86_feature_detected!("avx2") {
+            v.push(SimdBackend::Avx2);
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            vec![SimdBackend::Portable]
+        v
+    }
+
+    /// A random row-monotone cumulative matrix with `n` positions and `k`
+    /// classes, plus its total row and grand total.
+    struct Case {
+        k: usize,
+        n: usize,
+        cum: Vec<f64>,
+        total: Vec<f64>,
+        grand_total: f64,
+    }
+
+    impl Case {
+        /// Some cells stay zero, and with `tiny_class` one class only
+        /// ever gains sub-`MIN_POSITIVE` weight, so its cells (and their
+        /// right-hand residues) are zero or denormal.
+        fn random(rng: &mut ChaCha8Rng, n: usize, k: usize, tiny_class: Option<usize>) -> Case {
+            let mut cum = vec![0.0f64; n * k];
+            let mut running = vec![0.0f64; k];
+            for i in 0..n {
+                // A few zero-increment rows exercise repeated counts.
+                let events = rng.gen_range(0..4usize);
+                for _ in 0..events {
+                    let c = rng.gen_range(0..k);
+                    running[c] += if Some(c) == tiny_class {
+                        f64::MIN_POSITIVE * rng.gen_range(0.01..0.1f64)
+                    } else {
+                        rng.gen_range(0.01..2.0f64)
+                    };
+                }
+                cum[i * k..(i + 1) * k].copy_from_slice(&running);
+            }
+            let total: Vec<f64> = cum[(n - 1) * k..].to_vec();
+            let grand_total: f64 = total.iter().sum();
+            Case {
+                k,
+                n,
+                cum,
+                total,
+                grand_total,
+            }
+        }
+
+        fn row(&self, i: usize) -> &[f64] {
+            &self.cum[i * self.k..(i + 1) * self.k]
+        }
+
+        /// Scores `rows` on `backend`.
+        fn scores(&self, backend: SimdBackend, measure: Measure, rows: Range<usize>) -> Vec<f64> {
+            let mut out = vec![f64::NAN; rows.len()];
+            score_range_with_backend(
+                backend,
+                measure,
+                &self.cum,
+                self.k,
+                &self.total,
+                self.grand_total,
+                rows,
+                &mut out,
+            );
+            out
         }
     }
 
-    /// Builds a random row-monotone cumulative matrix with `n` positions
-    /// and `k` classes, plus its widened total row and grand total.
-    fn random_matrix(rng: &mut ChaCha8Rng, n: usize, k: usize) -> (Vec<f64>, Vec<f64>, f64) {
-        let mut cum = vec![0.0f64; n * k];
-        let mut running = vec![0.0f64; k];
-        for i in 0..n {
-            // A few zero-increment rows exercise repeated counts.
-            let events = rng.gen_range(0..4usize);
-            for _ in 0..events {
-                running[rng.gen_range(0..k)] += rng.gen_range(0.01..2.0f64);
+    /// Random cases over every class count of [`CLASS_COUNTS`].
+    fn cases(rng: &mut ChaCha8Rng, per_k: usize) -> Vec<Case> {
+        let mut out = Vec::new();
+        for k in CLASS_COUNTS {
+            for _ in 0..per_k {
+                let n = rng.gen_range(2..40usize);
+                let tiny_class = rng.gen_bool(0.5).then(|| rng.gen_range(0..k));
+                out.push(Case::random(rng, n, k, tiny_class));
             }
-            cum[i * k..(i + 1) * k].copy_from_slice(&running);
         }
-        let total: Vec<f64> = cum[(n - 1) * k..].to_vec();
-        let grand_total: f64 = total.iter().sum();
-        (cum, total, grand_total)
+        out
     }
 
     #[test]
@@ -615,53 +492,53 @@ mod tests {
 
     #[test]
     fn pxlog2x_zeroes_tiny_inputs() {
-        assert_eq!(pxlog2x(0.0), 0.0);
-        assert_eq!(pxlog2x(f64::MIN_POSITIVE / 2.0), 0.0, "denormal");
+        let tiny = [0.0, -0.0, f64::MIN_POSITIVE / 2.0, f64::from_bits(1)];
+        for x in tiny {
+            assert_eq!(pxlog2x(x).to_bits(), 0, "pxlog2x({x:e}) is +0");
+        }
+        for (x, got) in tiny.iter().zip(xlog2x_lanes(tiny)) {
+            assert_eq!(got.to_bits(), 0, "lane select of {x:e} is +0");
+        }
         assert!(pxlog2x(1.0).abs() < 1e-15);
         assert!((pxlog2x(4.0) - 8.0).abs() < 1e-13);
+    }
+
+    /// One row through the tail path, [`score_one_row`].
+    fn scalar_reference(
+        measure: Measure,
+        row: &[f64],
+        total: &[f64],
+        consts: &ColumnConsts,
+    ) -> f64 {
+        match measure {
+            Measure::Entropy => score_one_row::<M_ENTROPY>(row, total, consts),
+            Measure::Gini => score_one_row::<M_GINI>(row, total, consts),
+            Measure::GainRatio => score_one_row::<M_GAIN_RATIO>(row, total, consts),
+        }
     }
 
     #[test]
     fn all_backends_are_bitwise_identical() {
         let mut rng = ChaCha8Rng::seed_from_u64(0xC1);
-        for case in 0..40 {
-            let k = rng.gen_range(1..7usize);
-            let n = rng.gen_range(2..40usize);
-            let (cum, total, grand_total) = random_matrix(&mut rng, n, k);
+        for (i, case) in cases(&mut rng, 4).iter().enumerate() {
             for measure in ALL_MEASURES {
-                for lo in [0usize, 1, n / 2] {
-                    let rows = lo..n;
-                    let mut want = vec![0.0f64; rows.len()];
-                    score_range_with_backend(
-                        SimdBackend::Portable,
-                        measure,
-                        &cum,
-                        k,
-                        &total,
-                        grand_total,
-                        rows.clone(),
-                        &mut want,
-                    );
+                let consts = column_consts(measure, &case.total, case.grand_total);
+                for lo in [0usize, 1, case.n / 2] {
+                    let rows = lo..case.n;
+                    let want: Vec<f64> = rows
+                        .clone()
+                        .map(|r| scalar_reference(measure, case.row(r), &case.total, &consts))
+                        .collect();
                     for backend in backends_to_test() {
-                        let mut got = vec![f64::NAN; rows.len()];
-                        score_range_with_backend(
-                            backend,
-                            measure,
-                            &cum,
-                            k,
-                            &total,
-                            grand_total,
-                            rows.clone(),
-                            &mut got,
-                        );
+                        let got = case.scores(backend, measure, rows.clone());
                         for (slot, (g, w)) in got.iter().zip(&want).enumerate() {
                             assert_eq!(
                                 g.to_bits(),
                                 w.to_bits(),
-                                "case {case} {measure:?} {:?} row {} on {:?}: {g} vs {w}",
-                                rows,
+                                "case {i} k={} {measure:?} {rows:?} row {} on {backend:?}: \
+                                 {g} vs {w}",
+                                case.k,
                                 rows.start + slot,
-                                backend,
                             );
                         }
                     }
@@ -670,26 +547,52 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the bits of every score of a fixed set of cases.
+    fn score_bits_digest(backend: SimdBackend) -> u64 {
+        let mut rng = ChaCha8Rng::seed_from_u64(0xC3);
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for case in cases(&mut rng, 2) {
+            for measure in ALL_MEASURES {
+                for s in case.scores(backend, measure, 0..case.n) {
+                    digest = (digest ^ s.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        digest
+    }
+
+    /// Pins the kernel's arithmetic to the bit. The digest was recorded
+    /// from the hand-written AVX2, SSE2 and scalar kernels this one
+    /// replaced (all three agreed); any change to the operation sequence
+    /// (a reordered sum, an FMA contraction, another `log2`) moves it,
+    /// even one shared by every backend.
+    #[test]
+    fn scores_match_pinned_bits() {
+        for backend in backends_to_test() {
+            assert_eq!(
+                score_bits_digest(backend),
+                12_264_607_526_312_070_173,
+                "{backend:?}"
+            );
+        }
+    }
+
     #[test]
     fn batch_scores_match_scalar_measure_within_tolerance() {
         let mut rng = ChaCha8Rng::seed_from_u64(0xC2);
-        for _ in 0..60 {
-            let k = rng.gen_range(1..7usize);
-            let n = rng.gen_range(2..40usize);
-            let (cum, total, grand_total) = random_matrix(&mut rng, n, k);
+        for case in cases(&mut rng, 5) {
             for measure in ALL_MEASURES {
-                let mut got = vec![0.0f64; n];
-                score_range_into(measure, &cum, k, &total, grand_total, 0..n, &mut got);
-                for i in 0..n {
-                    let want = measure.split_score_cum(&cum[i * k..(i + 1) * k], &total);
+                let got = case.scores(detected_backend(), measure, 0..case.n);
+                for (i, got) in got.into_iter().enumerate() {
+                    let want = measure.split_score_cum(case.row(i), &case.total);
                     if want.is_finite() {
                         assert!(
-                            (got[i] - want).abs() <= 1e-12,
-                            "{measure:?} row {i}: batch {} vs scalar {want}",
-                            got[i]
+                            (got - want).abs() <= 1e-12,
+                            "k={} {measure:?} row {i}: batch {got} vs scalar {want}",
+                            case.k
                         );
                     } else {
-                        assert_eq!(got[i], want, "{measure:?} row {i}: gates agree");
+                        assert_eq!(got, want, "k={} {measure:?} row {i}: gates agree", case.k);
                     }
                 }
             }

@@ -49,8 +49,9 @@
 //!   the §5.2 eq. 3/4 bounds are pure slice arithmetic; no counter is
 //!   cloned anywhere on the per-candidate path.
 //! * **One score kernel** ([`kernel`]): a batch of at least eight
-//!   candidates is scored by the batch kernel, with runtime-detected
-//!   AVX2/SSE2 lanes (a bit-identical portable path elsewhere); shorter
+//!   candidates is scored by the batch kernel, one safe 4-row lane
+//!   definition compiled twice: for AVX2 (used when the CPU has it) and
+//!   for the baseline target, with bit-identical results. Shorter
 //!   batches, single candidates and interval bounds use the exact
 //!   formula. Batch scores are within 1e-12 of the exact formula, and a
 //!   seeded parity suite pins the arena fingerprints of every algorithm

@@ -101,8 +101,8 @@ fn single_class_columns_score_zero_everywhere() {
 fn every_tail_lane_shape_matches_the_scalar_kernel() {
     // 17 positions → 16 candidates, scored through every sub-range of
     // length 1..=12 at every offset. Ranges of 8 or more go to the batch
-    // kernel and cover full AVX2 blocks (4 rows), SSE2 pairs and 1–3-row
-    // tails; shorter ones take the exact formula.
+    // kernel and cover full 4-row lane blocks and 1–3-row tails;
+    // shorter ones take the exact formula.
     let n = 17usize;
     let k = 3usize;
     let mut running = [0.0f64; 3];

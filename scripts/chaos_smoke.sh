@@ -3,13 +3,13 @@
 # harness, structured error codes, client retry and exit-code contract,
 # exercised against the real release binaries over a real socket.
 #
-#   Run 1 — wire faults (env-armed: UDT_FAULTS/UDT_FAULT_SEED):
+#   Run 1 — wire faults (armed with --faults/--fault-seed):
 #     * a truncated response frame is a *transport* failure: exit 2;
 #     * `--retries` reconnects and recovers the exact same request;
 #     * a server-reported error (unknown model) is exit 3;
 #     * a usage error never touches the network and is exit 1.
 #
-#   Run 2 — overload (env-armed: UDT_QUEUE_POLICY=shed + slow workers):
+#   Run 2 — overload (--queue-policy shed + slow workers):
 #     * a burst against a one-slot queue splits into successes and
 #       structured rejections — every client exits 0 or 3, none hang;
 #     * the health counters and Prometheus exposition record the sheds;
@@ -34,8 +34,8 @@ cleanup() {
 trap cleanup EXIT
 
 start_server() {
-    # Args are extra server flags; env (UDT_FAULTS, UDT_QUEUE_POLICY, ...)
-    # is expected to be set by the caller. Sets $server_pid and $addr.
+    # Args are extra server flags (--faults, --queue-policy, ...). Sets
+    # $server_pid and $addr.
     : >"$server_log"
     target/release/udt-serve \
         --addr 127.0.0.1:0 \
@@ -80,8 +80,8 @@ client() {
 
 # ---------------------------------------------------------------- Run 1
 echo "chaos_smoke: run 1 — truncated frame, retry recovery, exit codes"
-UDT_FAULTS="truncate_frame:nth=1" UDT_FAULT_SEED=7 \
-    start_server --workers 2 --max-batch 1
+start_server --faults "truncate_frame:nth=1" --fault-seed 7 \
+    --workers 2 --max-batch 1
 grep -q "1 fault(s) armed (seed 7)" "$server_log"
 
 # The first response frame is severed mid-line: without retries that is
@@ -130,9 +130,9 @@ echo "chaos_smoke: run 1 OK"
 
 # ---------------------------------------------------------------- Run 2
 echo "chaos_smoke: run 2 — shed policy under a burst, drain under chaos"
-UDT_FAULTS="delay_in_worker:always:60ms" UDT_FAULT_SEED=11 \
-    UDT_QUEUE_POLICY=shed \
-    start_server --workers 1 --max-batch 1 --queue-capacity 1
+start_server --faults "delay_in_worker:always:60ms" --fault-seed 11 \
+    --queue-policy shed \
+    --workers 1 --max-batch 1 --queue-capacity 1
 grep -q "queue policy shed" "$server_log"
 
 # An 8-way burst against a one-slot queue with a deliberately slow

@@ -54,8 +54,8 @@ wait_for_addr() {
 
 # Replica A: the preferred endpoint, slowed to ~2 ms per classify so the
 # stream is still in flight when the SIGKILL lands. Replica B: clean.
-UDT_FAULTS="delay_in_worker:always:2ms" UDT_FAULT_SEED=3 \
-    target/release/udt-serve --addr 127.0.0.1:0 --train-toy toy \
+target/release/udt-serve --addr 127.0.0.1:0 --train-toy toy \
+    --faults "delay_in_worker:always:2ms" --fault-seed 3 \
     --workers 1 --max-batch 1 >"$log_a" 2>&1 &
 pid_a=$!
 target/release/udt-serve --addr 127.0.0.1:0 --train-toy toy \
