@@ -1,5 +1,5 @@
 //! The workspace-wide metric registry: every counter and histogram the
-//! build engine, work-stealing pool, score kernels, and pruning
+//! build engine, build pool, score kernels, and pruning
 //! searches record into. Entries are `static`, so hot-path recording is
 //! a direct relaxed atomic op with no lookup; [`counters`] and
 //! [`histograms`] enumerate them for rendering and snapshots.
@@ -11,7 +11,7 @@ use crate::{
 };
 
 // ---------------------------------------------------------------------
-// Work-stealing pool (udt-tree/src/pool.rs)
+// Build pool (udt-tree/src/pool.rs)
 // ---------------------------------------------------------------------
 
 /// Tasks executed across all pools (workers and map-participating
@@ -20,12 +20,13 @@ pub static POOL_TASKS_EXECUTED: Counter = Counter::new(
     "udt_pool_tasks_executed_total",
     "Pool tasks executed, including by map-participating caller threads.",
 );
-/// Tasks a thread popped from another worker's deque.
+/// Always 0: the pool has one shared queue, so no task is stolen. Kept
+/// so that existing readers of the series keep finding it.
 pub static POOL_TASKS_STOLEN: Counter = Counter::new(
     "udt_pool_tasks_stolen_total",
     "Pool tasks stolen from another worker's deque.",
 );
-/// Tasks pushed onto the shared injector (external submissions).
+/// Tasks pushed onto a pool's queue.
 pub static POOL_INJECTOR_PUSHES: Counter = Counter::new(
     "udt_pool_injector_pushes_total",
     "Tasks pushed onto a pool's shared injector queue by non-worker threads.",

@@ -24,7 +24,7 @@
 //!
 //! The [`catalog`] module holds the workspace-wide registry: every
 //! counter and histogram the build engine (`udt-tree`), the
-//! work-stealing pool, the score kernels, and the pruning searches
+//! build pool, the score kernels, and the pruning searches
 //! record into. [`render_prometheus_into`] renders the whole registry
 //! as Prometheus text exposition, which `udt-serve` appends to its own
 //! `stats --format prometheus` output so one endpoint exposes build,

@@ -5,9 +5,8 @@
 //! (Tsang, Kao, Yip, Ho, Lee — ICDE 2009 / TKDE 2011):
 //!
 //! * [`SampledPdf`] — the paper's numerical pdf representation: `s` sample
-//!   points over a bounded interval `[a, b]`, stored together with a
-//!   cumulative mass array so that interval probabilities reduce to two
-//!   binary searches and a subtraction (§4.2 of the paper).
+//!   points over a bounded interval `[a, b]` and their masses (§3.2 of the
+//!   paper). Interval probabilities are running sums over the masses.
 //! * [`ErrorModel`] — the Gaussian and uniform error models used to inject
 //!   controlled uncertainty into point-valued data sets (§4.3).
 //! * [`DiscreteDist`] — discrete distributions for uncertain categorical

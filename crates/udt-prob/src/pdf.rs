@@ -5,9 +5,10 @@
 //! §3.2 of the paper: "it would be implemented numerically by storing a set
 //! of `s` sample points `x ∈ [a, b]` with the associated value `f(x)`,
 //! effectively approximating `f` by a discrete distribution with `s`
-//! possible values". The cumulative mass array is stored alongside so that
-//! interval probabilities — the dominant operation during tree construction
-//! — are answered with two binary searches and a subtraction (§4.2).
+//! possible values". Only the points and their masses are stored: a
+//! cumulative probability is a running sum over the masses, computed when
+//! it is asked for (classification, quantiles, serialization). Tree
+//! construction reads presorted columns instead (see `udt-tree`).
 
 use serde::{Deserialize, Serialize, Value};
 
@@ -25,12 +26,10 @@ pub const MASS_EPSILON: f64 = 1e-9;
 /// * all masses finite and non-negative;
 /// * masses sum to 1 (the constructor normalises; deserialization
 ///   requires it within [`MASS_EPSILON`]).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SampledPdf {
     points: Vec<f64>,
     mass: Vec<f64>,
-    /// `cumulative[i]` = P[X <= points[i]].
-    cumulative: Vec<f64>,
 }
 
 impl SampledPdf {
@@ -41,12 +40,7 @@ impl SampledPdf {
     pub fn new(points: Vec<f64>, mass: Vec<f64>) -> Result<Self> {
         let total = check_samples(&points, &mass)?;
         let mass: Vec<f64> = mass.into_iter().map(|m| m / total).collect();
-        let cumulative = cumulative_of(&mass);
-        Ok(SampledPdf {
-            points,
-            mass,
-            cumulative,
-        })
+        Ok(SampledPdf { points, mass })
     }
 
     /// Builds a pdf giving equal mass to every sample value. Duplicate
@@ -110,9 +104,15 @@ impl SampledPdf {
         &self.mass
     }
 
-    /// The cumulative masses, parallel to [`points`](Self::points).
-    pub fn cumulative(&self) -> &[f64] {
-        &self.cumulative
+    /// `P[X <= points[i]]` for each `i` in order: the running sums of the
+    /// masses, added in index order, with the last pinned to exactly 1
+    /// against floating-point drift.
+    pub(crate) fn cumulative(&self) -> impl Iterator<Item = f64> + '_ {
+        let last = self.mass.len() - 1;
+        self.mass.iter().enumerate().scan(0.0, move |acc, (i, &m)| {
+            *acc += m;
+            Some(if i == last { 1.0 } else { *acc })
+        })
     }
 
     /// Lower end of the pdf domain (`a` in the paper).
@@ -148,25 +148,15 @@ impl SampledPdf {
 
     /// `P[X <= x]`, the "left probability" of a split at `x`.
     ///
-    /// Computed as the cumulative mass of the last sample point `<= x`
-    /// (binary search), which matches the paper's convention that a tuple
-    /// passes the test `v <= z` when its value is at most the split point.
+    /// Computed as the cumulative mass of the last sample point `<= x`,
+    /// which matches the paper's convention that a tuple passes the test
+    /// `v <= z` when its value is at most the split point. It is `0.0`
+    /// below [`lo`](Self::lo) and exactly `1.0` at or above
+    /// [`hi`](Self::hi); in between it sums the masses up to that point.
     pub fn prob_le(&self, x: f64) -> f64 {
-        match self
-            .points
-            .binary_search_by(|p| p.partial_cmp(&x).expect("finite"))
-        {
-            Ok(mut i) => {
-                // Step over duplicates is unnecessary (points are strictly
-                // increasing) but binary_search may land on any equal
-                // element in general; with strict ordering `i` is unique.
-                while i + 1 < self.points.len() && self.points[i + 1] <= x {
-                    i += 1;
-                }
-                self.cumulative[i]
-            }
-            Err(0) => 0.0,
-            Err(i) => self.cumulative[i - 1],
+        match self.points.partition_point(|&p| p <= x) {
+            0 => 0.0,
+            n => self.cumulative().nth(n - 1).expect("n <= len"),
         }
     }
 
@@ -202,7 +192,7 @@ impl SampledPdf {
     /// Like [`split_at`](Self::split_at) but reuses an already-computed
     /// `p_left`, which **must** equal `self.prob_le(z)`. Callers that have
     /// just evaluated the CDF (e.g. the batch classification engine's
-    /// one-sided fast-path check) avoid a second binary search this way;
+    /// one-sided fast-path check) avoid evaluating it twice this way;
     /// the arithmetic is identical to `split_at`.
     pub fn split_at_with(
         &self,
@@ -321,27 +311,28 @@ fn check_samples(points: &[f64], mass: &[f64]) -> Result<f64> {
     Ok(total)
 }
 
-/// The running sums of normalised masses, with the last entry pinned to 1
-/// against floating point drift.
-fn cumulative_of(mass: &[f64]) -> Vec<f64> {
-    let mut cumulative = Vec::with_capacity(mass.len());
-    let mut acc = 0.0;
-    for &m in mass {
-        acc += m;
-        cumulative.push(acc);
+/// Writes `points`, `mass` and the cumulative masses `P[X <= points[i]]`,
+/// in that order: the wire and model formats carry the cumulative array
+/// even though the pdf does not store it.
+impl Serialize for SampledPdf {
+    fn serialize(&self) -> Value {
+        Value::Map(vec![
+            ("points".to_string(), self.points.serialize()),
+            ("mass".to_string(), self.mass.serialize()),
+            (
+                "cumulative".to_string(),
+                Value::Seq(self.cumulative().map(Value::Num).collect()),
+            ),
+        ])
     }
-    if let Some(last) = cumulative.last_mut() {
-        *last = 1.0;
-    }
-    cumulative
 }
 
 /// Reads a pdf through the constructor's checks, without renormalising:
-/// the masses must already sum to 1 within [`MASS_EPSILON`], and
-/// `cumulative` is recomputed from them exactly as [`SampledPdf::new`]
-/// computes it. A supplied `cumulative` of another length, or more than
-/// [`MASS_EPSILON`] away from the recomputed one, is refused. A pdf that
-/// [`Serialize`] wrote reads back bit for bit.
+/// the masses must already sum to 1 within [`MASS_EPSILON`]. The supplied
+/// `cumulative` is checked against the running sums of the masses and then
+/// dropped: one of another length, or an entry more than [`MASS_EPSILON`]
+/// away from its running sum, is refused. A pdf that [`Serialize`] wrote
+/// reads back bit for bit.
 impl Deserialize for SampledPdf {
     fn deserialize(v: &Value) -> std::result::Result<Self, serde::Error> {
         let field = |key: &str| -> std::result::Result<Vec<f64>, serde::Error> {
@@ -355,27 +346,25 @@ impl Deserialize for SampledPdf {
                 "pdf masses must sum to 1, got {total}"
             )));
         }
-        let cumulative = cumulative_of(&mass);
-        if supplied.len() != cumulative.len() {
+        if supplied.len() != mass.len() {
             return Err(serde::Error::custom(format!(
                 "pdf has {} cumulative masses for {} sample points",
                 supplied.len(),
-                cumulative.len()
+                mass.len()
             )));
         }
-        if let Some(i) =
-            (0..cumulative.len()).find(|&i| !((supplied[i] - cumulative[i]).abs() <= MASS_EPSILON))
+        let pdf = SampledPdf { points, mass };
+        if let Some((i, (s, c))) = supplied
+            .iter()
+            .zip(pdf.cumulative())
+            .enumerate()
+            .find(|(_, (s, c))| !((*s - c).abs() <= MASS_EPSILON))
         {
             return Err(serde::Error::custom(format!(
-                "pdf cumulative mass {i} is {} but its masses give {}",
-                supplied[i], cumulative[i]
+                "pdf cumulative mass {i} is {s} but its masses give {c}"
             )));
         }
-        Ok(SampledPdf {
-            points,
-            mass,
-            cumulative,
-        })
+        Ok(pdf)
     }
 }
 
@@ -391,7 +380,7 @@ mod tests {
     fn construction_normalises_mass() {
         let p = pdf(&[1.0, 2.0, 3.0], &[2.0, 2.0, 4.0]);
         assert_eq!(p.mass(), &[0.25, 0.25, 0.5]);
-        assert_eq!(p.cumulative(), &[0.25, 0.5, 1.0]);
+        assert_eq!(p.cumulative().collect::<Vec<_>>(), [0.25, 0.5, 1.0]);
         assert_eq!(p.lo(), 1.0);
         assert_eq!(p.hi(), 3.0);
         assert_eq!(p.len(), 3);

@@ -14,13 +14,14 @@ use crate::pdf::SampledPdf;
 /// with `P[X <= x] >= q`. `q` is clamped into `[0, 1]`.
 pub fn quantile(pdf: &SampledPdf, q: f64) -> f64 {
     let q = q.clamp(0.0, 1.0);
-    let cum = pdf.cumulative();
-    // First index whose cumulative mass reaches q.
-    match cum.binary_search_by(|c| c.partial_cmp(&q).expect("cumulative masses are finite")) {
-        Ok(i) => pdf.points()[i],
-        Err(i) if i < cum.len() => pdf.points()[i],
-        Err(_) => pdf.hi(),
-    }
+    // The first point whose cumulative mass reaches q. Zero-mass points
+    // leave the cumulative mass flat, so the scan must stop at the first
+    // one that reaches it, not at any one that equals it.
+    pdf.points()
+        .iter()
+        .zip(pdf.cumulative())
+        .find(|&(_, c)| c >= q)
+        .map_or(pdf.hi(), |(&x, _)| x)
 }
 
 /// Returns deciles (10 %, 20 %, …, 90 %) of a pdf — the paper's suggested
@@ -106,6 +107,15 @@ mod tests {
             assert!(q >= prev);
             prev = q;
         }
+    }
+
+    #[test]
+    fn quantile_skips_zero_mass_points_where_the_cumulative_mass_is_flat() {
+        // P[X <= 1] = 0.5 already, so the median is 1, not the zero-mass 2.
+        let p = SampledPdf::new(vec![1.0, 2.0, 3.0], vec![0.5, 0.0, 0.5]).unwrap();
+        assert_eq!(quantile(&p, 0.5), 1.0);
+        assert_eq!(quantile(&p, 0.0), 1.0);
+        assert_eq!(quantile(&p, 0.75), 3.0);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use udt_prob::model::ErrorModel;
-use udt_prob::pdf::SampledPdf;
+use udt_prob::pdf::{SampledPdf, MASS_EPSILON};
 use udt_prob::quantile::quantile;
 use udt_prob::stats::Summary;
 
@@ -34,7 +34,7 @@ fn mass_is_normalised() {
         let pdf = random_pdf(&mut rng);
         let total: f64 = pdf.mass().iter().sum();
         assert!((total - 1.0).abs() < 1e-9);
-        assert!((pdf.cumulative().last().unwrap() - 1.0).abs() < 1e-12);
+        assert!((pdf.prob_le(pdf.hi()) - 1.0).abs() < 1e-12);
     }
 }
 
@@ -172,7 +172,146 @@ fn serde_round_trip_is_bit_identical() {
         let back: SampledPdf = serde_json::from_str(&text).expect("a serialised pdf reads back");
         assert_eq!(bits(back.points()), bits(pdf.points()));
         assert_eq!(bits(back.mass()), bits(pdf.mass()));
-        assert_eq!(bits(back.cumulative()), bits(pdf.cumulative()));
+        let cdf = |p: &SampledPdf| p.points().iter().map(|&x| p.prob_le(x)).collect::<Vec<_>>();
+        assert_eq!(bits(&cdf(&back)), bits(&cdf(&pdf)));
         assert_eq!(serde_json::to_string(&back).expect("pdf serialises"), text);
+    }
+}
+
+/// The cumulative masses as pdfs once stored them: running sums in index
+/// order, with the last entry pinned to 1. The oracle for the tests below.
+fn cumulative_of(mass: &[f64]) -> Vec<f64> {
+    let mut cumulative = Vec::with_capacity(mass.len());
+    let mut acc = 0.0;
+    for &m in mass {
+        acc += m;
+        cumulative.push(acc);
+    }
+    if let Some(last) = cumulative.last_mut() {
+        *last = 1.0;
+    }
+    cumulative
+}
+
+/// `P[X <= x]` read from the oracle's cumulative masses by binary search.
+fn oracle_prob_le(pdf: &SampledPdf, x: f64) -> f64 {
+    let cumulative = cumulative_of(pdf.mass());
+    match pdf
+        .points()
+        .binary_search_by(|p| p.partial_cmp(&x).expect("finite"))
+    {
+        Ok(i) => cumulative[i],
+        Err(0) => 0.0,
+        Err(i) => cumulative[i - 1],
+    }
+}
+
+/// `split_at` with the oracle's `P[X <= z]`.
+fn oracle_split_at(pdf: &SampledPdf, z: f64) -> (f64, Option<SampledPdf>, Option<SampledPdf>) {
+    let p_left = oracle_prob_le(pdf, z);
+    if p_left <= MASS_EPSILON {
+        return (0.0, None, Some(pdf.clone()));
+    }
+    if p_left >= 1.0 - MASS_EPSILON {
+        return (1.0, Some(pdf.clone()), None);
+    }
+    let side = |left: bool| {
+        let (points, mass): (Vec<f64>, Vec<f64>) = pdf
+            .iter()
+            .filter(|&(x, m)| m > 0.0 && (x <= z) == left)
+            .unzip();
+        SampledPdf::new(points, mass).ok()
+    };
+    (p_left, side(true), side(false))
+}
+
+/// The serialized form pdfs had when they stored their cumulative masses.
+#[derive(serde::Serialize)]
+struct StoredPdf {
+    points: Vec<f64>,
+    mass: Vec<f64>,
+    cumulative: Vec<f64>,
+}
+
+/// Random pdfs plus the edge cases the generator does not reach:
+/// zero-mass points, a single point and denormal masses.
+fn oracle_cases() -> Vec<SampledPdf> {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xA9);
+    let mut cases: Vec<SampledPdf> = (0..CASES).map(|_| random_pdf(&mut rng)).collect();
+    let fixed: [(&[f64], &[f64]); 5] = [
+        (&[1.0, 2.0, 3.0], &[0.5, 0.0, 0.5]),
+        (&[-4.0, -1.0, 0.0, 2.5], &[0.0, 0.3, 0.0, 0.7]),
+        (&[7.0], &[1.0]),
+        (&[0.0, 1.0, 2.0], &[5e-324, 1.0, 1e-310]),
+        (&[-1.0, 1.0], &[1e-308, 1e-320]),
+    ];
+    for (points, mass) in fixed {
+        cases.push(SampledPdf::new(points.to_vec(), mass.to_vec()).expect("valid pdf"));
+    }
+    for _ in 0..CASES {
+        let mut pdf = random_pdf(&mut rng);
+        let mass: Vec<f64> = pdf
+            .mass()
+            .iter()
+            .map(|&m| if rng.gen::<bool>() { 0.0 } else { m })
+            .collect();
+        if let Ok(zeroed) = SampledPdf::new(pdf.points().to_vec(), mass) {
+            pdf = zeroed;
+        }
+        cases.push(pdf);
+    }
+    cases
+}
+
+#[test]
+fn probabilities_and_splits_match_the_stored_cumulative_bit_for_bit() {
+    let bits = |p: &Option<SampledPdf>| {
+        p.as_ref().map(|p| {
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            (bits(p.points()), bits(p.mass()))
+        })
+    };
+    for pdf in oracle_cases() {
+        let points = pdf.points();
+        let mut queries = vec![pdf.lo() - 1.0, pdf.hi() + 1.0];
+        queries.extend_from_slice(points);
+        queries.extend(points.windows(2).map(|w| w[0] + (w[1] - w[0]) / 2.0));
+        for &x in &queries {
+            let expected = oracle_prob_le(&pdf, x);
+            assert_eq!(
+                pdf.prob_le(x).to_bits(),
+                expected.to_bits(),
+                "{pdf:?} at {x}"
+            );
+            let gt = (1.0 - expected).max(0.0);
+            assert_eq!(pdf.prob_gt(x).to_bits(), gt.to_bits(), "{pdf:?} at {x}");
+            for &y in &queries {
+                if x <= y {
+                    let within = (oracle_prob_le(&pdf, y) - expected).max(0.0);
+                    let got = pdf.prob_in(x, y).expect("a valid interval");
+                    assert_eq!(got.to_bits(), within.to_bits(), "{pdf:?} in ({x}, {y}]");
+                }
+            }
+            let (p_left, left, right) = pdf.split_at(x);
+            let (e_left, e_left_pdf, e_right_pdf) = oracle_split_at(&pdf, x);
+            assert_eq!(p_left.to_bits(), e_left.to_bits(), "{pdf:?} split at {x}");
+            assert_eq!(bits(&left), bits(&e_left_pdf), "{pdf:?} split at {x}");
+            assert_eq!(bits(&right), bits(&e_right_pdf), "{pdf:?} split at {x}");
+        }
+    }
+}
+
+#[test]
+fn serialized_bytes_match_the_stored_cumulative_and_read_back() {
+    for pdf in oracle_cases() {
+        let text = serde_json::to_string(&pdf).expect("pdf serialises");
+        let stored = StoredPdf {
+            points: pdf.points().to_vec(),
+            mass: pdf.mass().to_vec(),
+            cumulative: cumulative_of(pdf.mass()),
+        };
+        assert_eq!(text, serde_json::to_string(&stored).expect("serialises"));
+        let back: SampledPdf = serde_json::from_str(&text).expect("a serialised pdf reads back");
+        assert_eq!(back, pdf);
     }
 }

@@ -52,7 +52,7 @@ impl NaiveAttributeEvents {
     /// positions); both engines now share the `WEIGHT_EPSILON` gate so
     /// their outputs stay comparable position for position.
     pub fn build(
-        tuples: &[FractionalTuple],
+        tuples: &[FractionalTuple<'_>],
         attribute: usize,
         n_classes: usize,
     ) -> Option<NaiveAttributeEvents> {
@@ -359,7 +359,7 @@ pub fn naive_build_splits(
     min_node_weight: f64,
     min_gain: f64,
 ) -> usize {
-    let tuples: Vec<FractionalTuple> = data
+    let tuples: Vec<FractionalTuple<'_>> = data
         .tuples()
         .iter()
         .map(FractionalTuple::from_tuple)
@@ -380,7 +380,7 @@ pub fn naive_build_splits(
 
 #[allow(clippy::too_many_arguments)]
 fn naive_build_node(
-    tuples: Vec<FractionalTuple>,
+    tuples: Vec<FractionalTuple<'_>>,
     numerical: &[usize],
     n_classes: usize,
     measure: Measure,
@@ -461,11 +461,12 @@ mod tests {
     use udt_data::{Tuple, UncertainValue};
     use udt_prob::SampledPdf;
 
-    fn ft(points: &[f64], mass: &[f64], label: usize) -> FractionalTuple {
+    fn ft(points: &[f64], mass: &[f64], label: usize) -> FractionalTuple<'static> {
         FractionalTuple {
             values: vec![UncertainValue::Numeric(
                 SampledPdf::new(points.to_vec(), mass.to_vec()).unwrap(),
-            )],
+            )]
+            .into(),
             label,
             weight: 1.0,
         }

@@ -19,7 +19,7 @@
 //!
 //! ## The build pipeline on the persistent pool
 //!
-//! Every parallel phase runs on the persistent work-stealing pool of
+//! Every parallel phase runs on the persistent build pool of
 //! [`crate::pool`], sized by [`UdtConfig::threads`] (`UDT_THREADS`):
 //! the per-attribute root presort fans out first, large nodes fan their
 //! per-attribute event-structure construction and split search out
@@ -276,7 +276,7 @@ impl TreeBuilder {
         };
 
         let start = Instant::now();
-        let tuples: Vec<FractionalTuple> = training
+        let tuples: Vec<FractionalTuple<'_>> = training
             .tuples()
             .iter()
             .map(FractionalTuple::from_tuple)
@@ -490,7 +490,7 @@ fn run_subtree_job(
 
 /// Drains the subtree work queue on the persistent build pool,
 /// returning `(fragment, stats)` per job in queue order. With more than
-/// one thread the jobs become pool tasks — idle workers steal the next
+/// one thread the jobs become pool tasks — idle workers claim the next
 /// unclaimed job — each built with a thread-cached [`Scratch`]; at one
 /// thread the queue is drained inline with the caller's scratch, so the
 /// machinery (and the graft discipline above it) is exercised by every
@@ -527,9 +527,10 @@ fn run_subtree_jobs(
 /// Immutable context shared by the recursive construction (and by the
 /// pool's subtree workers — every field is `Sync`).
 struct BuildContext<'a> {
-    /// The root fractional tuples (never mutated; categorical
-    /// distributions and labels are read through them).
-    tuples: &'a [FractionalTuple],
+    /// The root fractional tuples, borrowing the training set (never
+    /// mutated; categorical distributions and labels are read through
+    /// them).
+    tuples: &'a [FractionalTuple<'a>],
     /// Per-tuple class labels.
     labels: &'a [u32],
     /// The immutable presorted root event columns, shared by the whole
@@ -1201,7 +1202,7 @@ mod tests {
 
         // Per column the pool hands out three buffers — positions, event
         // runs and end-point rows — and takes all three back.
-        let tuples: Vec<FractionalTuple> = data
+        let tuples: Vec<FractionalTuple<'_>> = data
             .tuples()
             .iter()
             .map(FractionalTuple::from_tuple)

@@ -22,7 +22,7 @@ use crate::measure::Measure;
 /// materialising per-node tuple vectors — and, being sparse, never
 /// touches a root-sized array.
 pub fn bucket_counts_weighted(
-    tuples: &[FractionalTuple],
+    tuples: &[FractionalTuple<'_>],
     alive: &[u32],
     weights: &[f64],
     attribute: usize,
@@ -50,7 +50,7 @@ pub fn bucket_counts_weighted(
 /// `alive`/`weights` pairs. Returns `None` when the attribute cannot
 /// discriminate (fewer than two buckets receive mass).
 pub fn evaluate_weighted(
-    tuples: &[FractionalTuple],
+    tuples: &[FractionalTuple<'_>],
     alive: &[u32],
     weights: &[f64],
     attribute: usize,
@@ -72,18 +72,19 @@ mod tests {
     use udt_data::UncertainValue;
     use udt_prob::DiscreteDist;
 
-    fn cat_tuple(probs: Vec<f64>, label: usize, weight: f64) -> FractionalTuple {
+    fn cat_tuple(probs: Vec<f64>, label: usize, weight: f64) -> FractionalTuple<'static> {
         FractionalTuple {
             values: vec![UncertainValue::Categorical(
                 DiscreteDist::new(probs).unwrap(),
-            )],
+            )]
+            .into(),
             label,
             weight,
         }
     }
 
     /// All tuples alive with their own weights — the root-node view.
-    fn node_view(tuples: &[FractionalTuple]) -> (Vec<u32>, Vec<f64>) {
+    fn node_view(tuples: &[FractionalTuple<'_>]) -> (Vec<u32>, Vec<f64>) {
         (
             (0..tuples.len() as u32).collect(),
             tuples.iter().map(|t| t.weight).collect(),
@@ -154,7 +155,7 @@ mod tests {
         assert!(evaluate_weighted(&tuples, &alive, &weights, 0, 2, 2, Measure::Entropy).is_none());
         // Numeric values are ignored entirely.
         let numeric = vec![FractionalTuple {
-            values: vec![UncertainValue::point(1.0)],
+            values: vec![UncertainValue::point(1.0)].into(),
             label: 0,
             weight: 1.0,
         }];

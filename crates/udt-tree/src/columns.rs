@@ -351,7 +351,7 @@ pub(crate) fn with_scratch<R>(n_tuples: usize, f: impl FnOnce(&mut Scratch) -> R
 
 /// Tuples with non-negligible weight, ascending — the shared alive list
 /// every root column is built over.
-fn alive_tuples(tuples: &[FractionalTuple]) -> Vec<u32> {
+fn alive_tuples(tuples: &[FractionalTuple<'_>]) -> Vec<u32> {
     tuples
         .iter()
         .enumerate()
@@ -379,7 +379,7 @@ impl Presort {
     /// other attribute and therefore freely parallel.
     fn column(
         &mut self,
-        tuples: &[FractionalTuple],
+        tuples: &[FractionalTuple<'_>],
         alive: &[u32],
         attribute: usize,
     ) -> AttrColumn {
@@ -401,7 +401,7 @@ impl Presort {
     /// `key` is [`radix_key`] outside tests.
     fn sorted_events(
         &mut self,
-        tuples: &[FractionalTuple],
+        tuples: &[FractionalTuple<'_>],
         alive: &[u32],
         attribute: usize,
         key: impl Fn(f64) -> u64,
@@ -523,7 +523,7 @@ fn radix_digit(key: u64, pass: usize) -> usize {
 /// back in attribute order and each column's construction is
 /// independent, so the result is bit-identical at every thread count.
 pub fn build_root_with(
-    tuples: &[FractionalTuple],
+    tuples: &[FractionalTuple<'_>],
     numerical: &[usize],
     pool: &WorkerPool,
 ) -> RootColumns {
@@ -546,7 +546,7 @@ pub fn build_root_with(
 /// Builds the root [`NodeTuples`] over the given root columns: every
 /// tuple with non-negligible weight is alive, no scales, and each column
 /// is the identity view of its root column.
-pub fn root_state(tuples: &[FractionalTuple], root: &RootColumns) -> NodeTuples {
+pub fn root_state(tuples: &[FractionalTuple<'_>], root: &RootColumns) -> NodeTuples {
     let mut alive = Vec::with_capacity(tuples.len());
     let mut weights = Vec::with_capacity(tuples.len());
     for (t, tuple) in tuples.iter().enumerate() {
@@ -968,7 +968,7 @@ fn partition_columns(
 pub fn partition_categorical(
     root: &RootColumns,
     node: &NodeTuples,
-    tuples: &[FractionalTuple],
+    tuples: &[FractionalTuple<'_>],
     attribute: usize,
     cardinality: usize,
     scratch: &mut Scratch,
@@ -1034,17 +1034,18 @@ mod tests {
     use udt_data::UncertainValue;
     use udt_prob::SampledPdf;
 
-    fn ft(points: &[f64], mass: &[f64], label: usize) -> FractionalTuple {
+    fn ft(points: &[f64], mass: &[f64], label: usize) -> FractionalTuple<'static> {
         FractionalTuple {
             values: vec![UncertainValue::Numeric(
                 SampledPdf::new(points.to_vec(), mass.to_vec()).unwrap(),
-            )],
+            )]
+            .into(),
             label,
             weight: 1.0,
         }
     }
 
-    fn labels(tuples: &[FractionalTuple]) -> Vec<u32> {
+    fn labels(tuples: &[FractionalTuple<'_>]) -> Vec<u32> {
         tuples.iter().map(|t| t.label as u32).collect()
     }
 
@@ -1073,7 +1074,7 @@ mod tests {
     /// oracle: gather in tuple order, then a stable `sort_by` on
     /// `partial_cmp`.
     fn comparator_presort(
-        tuples: &[FractionalTuple],
+        tuples: &[FractionalTuple<'_>],
         attribute: usize,
     ) -> (Vec<u64>, Vec<u32>, Vec<u64>) {
         let mut order: Vec<(f64, u32, f64)> = Vec::new();
@@ -1102,7 +1103,7 @@ mod tests {
     /// `+0.0`, positions shared across tuples, subnormals, and negative
     /// and extreme magnitudes. Tuple 0 holds `+0.0` and tuple 1
     /// `-0.0` on attribute 0, so a stable sort must keep `+0.0` first.
-    fn adversarial_tuples(seed: u64) -> Vec<FractionalTuple> {
+    fn adversarial_tuples(seed: u64) -> Vec<FractionalTuple<'static>> {
         use rand::{Rng, SeedableRng};
         let palette = [
             0.0,
@@ -1119,7 +1120,7 @@ mod tests {
             3.0,
         ];
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        let mut tuples: Vec<FractionalTuple> = (0..80)
+        let mut tuples: Vec<FractionalTuple<'_>> = (0..80)
             .map(|i| {
                 let values = (0..2)
                     .map(|_| {
@@ -1145,8 +1146,10 @@ mod tests {
                 }
             })
             .collect();
-        tuples[0].values[0] = UncertainValue::Numeric(sorted_pdf(&[0.0, 7.0], &[0.5, 0.5]));
-        tuples[1].values[0] = UncertainValue::Numeric(sorted_pdf(&[-0.0, 7.0], &[0.5, 0.5]));
+        tuples[0].values.to_mut()[0] =
+            UncertainValue::Numeric(sorted_pdf(&[0.0, 7.0], &[0.5, 0.5]));
+        tuples[1].values.to_mut()[0] =
+            UncertainValue::Numeric(sorted_pdf(&[-0.0, 7.0], &[0.5, 0.5]));
         tuples
     }
 
@@ -1257,7 +1260,7 @@ mod tests {
 
     /// Six tuples over distinct positions (one event per matrix row at
     /// unit weights), labelled round-robin over `n_classes`.
-    fn spread_tuples(n_classes: usize) -> Vec<FractionalTuple> {
+    fn spread_tuples(n_classes: usize) -> Vec<FractionalTuple<'static>> {
         (0..6)
             .map(|i| {
                 let lo = 0.75 * i as f64;
@@ -1394,7 +1397,7 @@ mod tests {
     /// between sparse end points leave interiors of up to 19 positions
     /// (batch-kernel ranges); short pdfs inside them leave interiors of
     /// one and three (exact-formula ranges).
-    fn order_sensitive_tuples() -> Vec<FractionalTuple> {
+    fn order_sensitive_tuples() -> Vec<FractionalTuple<'static>> {
         (0..24)
             .map(|i| {
                 let lo = 5.0 * (i % 3) as f64;
@@ -1631,7 +1634,7 @@ mod tests {
         let root = build_root_with(&tuples, &[0], &WorkerPool::for_concurrency(1));
         let z = 2.0;
         // Reference: split every tuple fractionally, rebuild from scratch.
-        let left_tuples: Vec<FractionalTuple> = tuples
+        let left_tuples: Vec<FractionalTuple<'_>> = tuples
             .iter()
             .filter_map(|t| t.split_numeric(0, z).0)
             .collect();
@@ -1675,7 +1678,8 @@ mod tests {
             values: vec![
                 UncertainValue::Categorical(DiscreteDist::new(vec![0.5, 0.0, 0.5]).unwrap()),
                 UncertainValue::point(1.0),
-            ],
+            ]
+            .into(),
             label: 0,
             weight: 0.8,
         }];

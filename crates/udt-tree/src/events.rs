@@ -146,7 +146,7 @@ impl AttributeEvents {
     /// or only a single distinct position (in which case no split is
     /// possible).
     pub fn build(
-        tuples: &[FractionalTuple],
+        tuples: &[FractionalTuple<'_>],
         attribute: usize,
         n_classes: usize,
     ) -> Option<AttributeEvents> {
@@ -895,17 +895,18 @@ mod tests {
     use udt_data::UncertainValue;
     use udt_prob::SampledPdf;
 
-    fn ft(points: &[f64], mass: &[f64], label: usize, weight: f64) -> FractionalTuple {
+    fn ft(points: &[f64], mass: &[f64], label: usize, weight: f64) -> FractionalTuple<'static> {
         FractionalTuple {
             values: vec![UncertainValue::Numeric(
                 SampledPdf::new(points.to_vec(), mass.to_vec()).unwrap(),
-            )],
+            )]
+            .into(),
             label,
             weight,
         }
     }
 
-    fn point(v: f64, label: usize) -> FractionalTuple {
+    fn point(v: f64, label: usize) -> FractionalTuple<'static> {
         ft(&[v], &[1.0], label, 1.0)
     }
 

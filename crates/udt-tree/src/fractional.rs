@@ -7,6 +7,12 @@
 //! is restricted to the child's sub-domain and renormalised, and carries a
 //! weight equal to the parent weight multiplied by the probability mass on
 //! its side of the split.
+//!
+//! A whole training tuple borrows its values from the [`Tuple`] it wraps,
+//! so the builder's root conversion copies no pdf. A fraction owns its
+//! values: only a split produces one, and it replaces a pdf.
+
+use std::borrow::Cow;
 
 use udt_data::{Tuple, UncertainValue};
 
@@ -14,22 +20,22 @@ use crate::counts::{ClassCounts, WEIGHT_EPSILON};
 
 /// A weighted (possibly fractional) training tuple.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FractionalTuple {
-    /// The tuple's attribute values. The split attribute's pdf is replaced
-    /// by its restricted/renormalised version every time the tuple is
-    /// fractionally split.
-    pub values: Vec<UncertainValue>,
+pub struct FractionalTuple<'a> {
+    /// The tuple's attribute values: borrowed from the training tuple
+    /// while it is whole, owned once a split has replaced the split
+    /// attribute's pdf by its restricted/renormalised version.
+    pub values: Cow<'a, [UncertainValue]>,
     /// Class label index.
     pub label: usize,
     /// The tuple's weight `w ∈ (0, 1]` (1 for whole tuples).
     pub weight: f64,
 }
 
-impl FractionalTuple {
-    /// Wraps a whole training tuple with weight 1.
-    pub fn from_tuple(tuple: &Tuple) -> Self {
+impl<'a> FractionalTuple<'a> {
+    /// Wraps a whole training tuple with weight 1, borrowing its values.
+    pub fn from_tuple(tuple: &'a Tuple) -> Self {
         FractionalTuple {
-            values: tuple.values().to_vec(),
+            values: Cow::Borrowed(tuple.values()),
             label: tuple.label(),
             weight: 1.0,
         }
@@ -48,7 +54,7 @@ impl FractionalTuple {
         &self,
         attribute: usize,
         split: f64,
-    ) -> (Option<FractionalTuple>, Option<FractionalTuple>) {
+    ) -> (Option<FractionalTuple<'a>>, Option<FractionalTuple<'a>>) {
         let pdf = match self.values[attribute].as_numeric() {
             Some(pdf) => pdf,
             // A categorical value cannot be split on a numerical test; the
@@ -62,7 +68,7 @@ impl FractionalTuple {
         if p_left * self.weight > WEIGHT_EPSILON {
             let mut values = self.values.clone();
             if let Some(lp) = left_pdf {
-                values[attribute] = UncertainValue::Numeric(lp);
+                values.to_mut()[attribute] = UncertainValue::Numeric(lp);
             }
             left = Some(FractionalTuple {
                 values,
@@ -74,7 +80,7 @@ impl FractionalTuple {
         if p_right * self.weight > WEIGHT_EPSILON {
             let mut values = self.values.clone();
             if let Some(rp) = right_pdf {
-                values[attribute] = UncertainValue::Numeric(rp);
+                values.to_mut()[attribute] = UncertainValue::Numeric(rp);
             }
             right = Some(FractionalTuple {
                 values,
@@ -87,7 +93,7 @@ impl FractionalTuple {
 }
 
 /// Sums the weights of a set of fractional tuples into per-class counts.
-pub fn class_counts(tuples: &[FractionalTuple], n_classes: usize) -> ClassCounts {
+pub fn class_counts(tuples: &[FractionalTuple<'_>], n_classes: usize) -> ClassCounts {
     let mut counts = ClassCounts::new(n_classes);
     for t in tuples {
         counts.add(t.label, t.weight);
@@ -100,10 +106,10 @@ mod tests {
     use super::*;
     use udt_prob::SampledPdf;
 
-    fn uncertain_tuple(points: &[f64], mass: &[f64], label: usize) -> FractionalTuple {
+    fn uncertain_tuple(points: &[f64], mass: &[f64], label: usize) -> FractionalTuple<'static> {
         let pdf = SampledPdf::new(points.to_vec(), mass.to_vec()).unwrap();
         FractionalTuple {
-            values: vec![UncertainValue::Numeric(pdf)],
+            values: vec![UncertainValue::Numeric(pdf)].into(),
             label,
             weight: 1.0,
         }
@@ -116,6 +122,10 @@ mod tests {
         assert_eq!(f.weight, 1.0);
         assert_eq!(f.label, 1);
         assert_eq!(f.values.len(), 2);
+        assert!(
+            matches!(f.values, Cow::Borrowed(_)),
+            "a whole tuple is not copied"
+        );
     }
 
     #[test]

@@ -89,11 +89,11 @@
 //!
 //! ## The execution pool
 //!
-//! Every parallel build phase runs on one **persistent work-stealing
-//! thread pool** ([`pool::WorkerPool`]), sized at runtime by
-//! [`UdtConfig::threads`] (`UDT_THREADS` env override; the build
-//! environment has no rayon, so the pool is built on `std` threads with
-//! per-worker deques and stealing). Three phases fan out:
+//! Every parallel build phase runs on one **persistent thread pool**
+//! ([`pool::WorkerPool`]), sized at runtime by [`UdtConfig::threads`]
+//! (`UDT_THREADS` env override; the build environment has no rayon, so
+//! the pool is built on `std` threads sharing one task queue). Three
+//! phases fan out:
 //!
 //! 1. the per-attribute root presort ([`columns::build_root_with`]) and
 //!    the per-attribute count-structure construction at large nodes;

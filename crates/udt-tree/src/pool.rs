@@ -1,16 +1,18 @@
-//! The persistent work-stealing build pool.
+//! The persistent build pool.
 //!
 //! Every parallel phase of tree construction — per-attribute root
 //! presort, per-attribute split search, per-attribute event-structure
 //! construction and the subtree work queue — runs on one reusable
 //! execution substrate instead of spawning fresh `std::thread::scope`
 //! threads per call. A [`WorkerPool`] owns a fixed set of long-lived
-//! worker threads, each with its own task deque; tasks submitted from a
-//! worker land on that worker's deque, tasks submitted from outside land
-//! on a shared injector queue, and an idle worker that finds its own
-//! deque empty **steals** from the injector and from its siblings. Pools
-//! are cached process-wide by concurrency ([`WorkerPool::for_concurrency`]),
-//! so repeated builds reuse the same threads — the pool is persistent.
+//! worker threads that pop tasks, first in first out, from one shared
+//! queue. Pools are cached process-wide by concurrency
+//! ([`WorkerPool::for_concurrency`]), so repeated builds reuse the same
+//! threads — the pool is persistent.
+//!
+//! One shared queue is enough: a map issued inside pool work runs inline
+//! (see below), so the build never submits a task from a worker, and a
+//! per-worker queue would stay empty.
 //!
 //! ## The deterministic parallel map
 //!
@@ -62,74 +64,24 @@ use udt_obs::catalog;
 /// A unit of work queued on the pool.
 type Task = Box<dyn FnOnce() + Send>;
 
-/// How long an idle worker parks before re-scanning the queues. The
-/// wake protocol is precise — submitters notify under the idle lock
-/// and workers re-check for work under it before waiting — so this
-/// timeout is pure insurance; it is long so that a process holding
+/// How long an idle worker parks before re-checking the queue. The
+/// wake protocol is precise — submitters push and notify under the
+/// queue lock, and workers check the queue under it before waiting — so
+/// this timeout is pure insurance; it is long so that a process holding
 /// cached idle pools burns effectively no background CPU.
 const IDLE_PARK: Duration = Duration::from_secs(10);
 
 /// State shared between the pool handle and its worker threads.
+#[derive(Default)]
 struct Shared {
-    /// `queues[0]` is the injector (submissions from non-worker
-    /// threads); `queues[1 + i]` is worker `i`'s local deque.
-    queues: Vec<Mutex<VecDeque<Task>>>,
-    /// Guards the sleep/wake protocol for idle workers.
-    idle: Mutex<()>,
-    /// Signalled (under `idle`) whenever a task is queued.
+    queue: Mutex<VecDeque<Task>>,
+    /// Signalled (under the queue lock) whenever a task is queued.
     wake: Condvar,
-    /// Set by `Drop`; workers exit once the queues are drained.
+    /// Set by `Drop`; workers exit once the queue is drained.
     shutdown: AtomicBool,
 }
 
-impl Shared {
-    /// Pool identity for the worker thread-local (pointer of the shared
-    /// allocation — stable for the pool's lifetime).
-    fn id(self: &Arc<Self>) -> usize {
-        Arc::as_ptr(self) as usize
-    }
-
-    /// Whether any queue currently holds a task. Called under the
-    /// `idle` lock by parking workers, so a submission between a
-    /// worker's last scan and its wait cannot be missed.
-    fn has_work(&self) -> bool {
-        self.queues
-            .iter()
-            .any(|q| !q.lock().expect("pool queue lock").is_empty())
-    }
-
-    /// Pops a task: own queue first, then the injector and siblings
-    /// (stealing), front-first everywhere so queue order is roughly
-    /// FIFO.
-    fn find_task(&self, own: usize) -> Option<Task> {
-        if let Some(t) = self.queues[own]
-            .lock()
-            .expect("pool queue lock")
-            .pop_front()
-        {
-            return Some(t);
-        }
-        for (q, queue) in self.queues.iter().enumerate() {
-            if q == own {
-                continue;
-            }
-            if let Some(t) = queue.lock().expect("pool queue lock").pop_front() {
-                // Popping another worker's deque is a steal; claiming
-                // from the injector (queue 0) is ordinary intake.
-                if q != 0 {
-                    catalog::POOL_TASKS_STOLEN.incr();
-                }
-                return Some(t);
-            }
-        }
-        None
-    }
-}
-
 thread_local! {
-    /// `(pool id, queue index)` when the current thread is a pool
-    /// worker — routes submissions to the worker's own deque.
-    static WORKER: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
     /// Stack of pools "entered" on this thread (see [`enter`]); the
     /// innermost one is what [`current`] reports to the build phases.
     static CURRENT: RefCell<Vec<Arc<WorkerPool>>> = const { RefCell::new(Vec::new()) };
@@ -155,40 +107,40 @@ impl Drop for DepthGuard {
     }
 }
 
-fn worker_main(shared: Arc<Shared>, slot: usize) {
-    let own = 1 + slot;
-    WORKER.with(|w| w.set(Some((shared.id(), own))));
+fn worker_main(shared: Arc<Shared>) {
+    let mut queue = shared.queue.lock().expect("pool queue lock");
     loop {
-        if let Some(task) = shared.find_task(own) {
-            // Tasks are panic-wrapped at submission; they never unwind.
-            let _depth = DepthGuard::enter();
-            task();
+        if let Some(task) = queue.pop_front() {
+            drop(queue);
+            {
+                // Tasks are panic-wrapped at submission; they never unwind.
+                let _depth = DepthGuard::enter();
+                task();
+            }
             catalog::POOL_TASKS_EXECUTED.incr();
+            queue = shared.queue.lock().expect("pool queue lock");
             continue;
         }
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
-        let guard = shared.idle.lock().expect("pool idle lock");
-        // Re-check under the lock: submitters notify while holding it,
-        // so a task queued after the scan above cannot slip past the
-        // wait below.
-        if shared.has_work() || shared.shutdown.load(Ordering::Acquire) {
-            continue;
-        }
+        // The queue and the shutdown flag were checked under the lock that
+        // submitters and `Drop` notify under, so neither a task nor the
+        // shutdown can slip past this wait.
         let parked = Instant::now();
-        let _ = shared
+        queue = shared
             .wake
-            .wait_timeout(guard, IDLE_PARK)
-            .expect("pool idle lock");
+            .wait_timeout(queue, IDLE_PARK)
+            .expect("pool queue lock")
+            .0;
         let idle_ns = parked.elapsed().as_nanos() as u64;
         catalog::POOL_IDLE_NS.add(idle_ns);
         catalog::POOL_IDLE_WAIT.record_ns(idle_ns);
     }
 }
 
-/// A persistent pool of worker threads with per-worker task deques and
-/// work stealing. See the module docs for the execution model.
+/// A persistent pool of worker threads sharing one task queue. See the
+/// module docs for the execution model.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     handles: Mutex<Vec<JoinHandle<()>>>,
@@ -213,18 +165,13 @@ impl WorkerPool {
     /// to start — possibly none — with a one-line warning, instead of
     /// aborting the build that asked for a generous thread count.
     pub fn named(workers: usize, name: &str) -> WorkerPool {
-        let shared = Arc::new(Shared {
-            queues: (0..=workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            idle: Mutex::new(()),
-            wake: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-        });
+        let shared = Arc::new(Shared::default());
         let mut handles = Vec::with_capacity(workers);
         for i in 0..workers {
             let cloned = Arc::clone(&shared);
             match std::thread::Builder::new()
                 .name(format!("{name}-{i}"))
-                .spawn(move || worker_main(cloned, i))
+                .spawn(move || worker_main(cloned))
             {
                 Ok(handle) => handles.push(handle),
                 Err(e) => {
@@ -276,26 +223,11 @@ impl WorkerPool {
         self.workers
     }
 
-    /// Queues one task: onto the submitting worker's own deque when
-    /// called from a pool worker, onto the injector otherwise.
+    /// Queues one task and wakes one parked worker for it.
     fn push_task(&self, task: Task) {
-        let own = match WORKER.with(Cell::get) {
-            Some((id, own)) if id == self.shared.id() => own,
-            _ => 0,
-        };
-        if own == 0 {
-            catalog::POOL_INJECTOR_PUSHES.incr();
-        }
-        self.shared.queues[own]
-            .lock()
-            .expect("pool queue lock")
-            .push_back(task);
-        // One task needs one worker: notify_one avoids waking the whole
-        // parked pool per push (each wakeup re-scans every queue). A
-        // worker that misses the notification because it was between
-        // its queue scan and its wait re-checks `has_work` under the
-        // idle lock before sleeping, so the task cannot be stranded.
-        let _guard = self.shared.idle.lock().expect("pool idle lock");
+        catalog::POOL_INJECTOR_PUSHES.incr();
+        let mut queue = self.shared.queue.lock().expect("pool queue lock");
+        queue.push_back(task);
         self.shared.wake.notify_one();
     }
 
@@ -471,7 +403,7 @@ impl Drop for WorkerPool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
         {
-            let _guard = self.shared.idle.lock().expect("pool idle lock");
+            let _queue = self.shared.queue.lock().expect("pool queue lock");
             self.shared.wake.notify_all();
         }
         for handle in self.handles.lock().expect("pool handle lock").drain(..) {

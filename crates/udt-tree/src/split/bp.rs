@@ -25,11 +25,12 @@ mod tests {
     use udt_data::UncertainValue;
     use udt_prob::SampledPdf;
 
-    fn ft(points: &[f64], label: usize) -> FractionalTuple {
+    fn ft(points: &[f64], label: usize) -> FractionalTuple<'static> {
         FractionalTuple {
             values: vec![UncertainValue::Numeric(
                 SampledPdf::new(points.to_vec(), vec![1.0; points.len()]).unwrap(),
-            )],
+            )]
+            .into(),
             label,
             weight: 1.0,
         }
@@ -37,7 +38,7 @@ mod tests {
 
     /// Well-separated classes produce many empty/homogeneous intervals, the
     /// case where BP shines.
-    fn separated_tuples() -> Vec<FractionalTuple> {
+    fn separated_tuples() -> Vec<FractionalTuple<'static>> {
         let mut tuples = Vec::new();
         for i in 0..6 {
             let class = i % 2;

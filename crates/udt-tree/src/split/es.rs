@@ -34,7 +34,7 @@ mod tests {
     use udt_data::UncertainValue;
     use udt_prob::SampledPdf;
 
-    fn many_tuples() -> Vec<FractionalTuple> {
+    fn many_tuples() -> Vec<FractionalTuple<'static>> {
         // Enough tuples that 10 % end-point sampling is meaningful
         // (2 end points per tuple per attribute).
         let mut out = Vec::new();
@@ -46,7 +46,8 @@ mod tests {
             out.push(FractionalTuple {
                 values: vec![UncertainValue::Numeric(
                     SampledPdf::new(points, mass).unwrap(),
-                )],
+                )]
+                .into(),
                 label: class,
                 weight: 1.0,
             });

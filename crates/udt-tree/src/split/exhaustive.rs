@@ -79,17 +79,18 @@ mod tests {
     use udt_data::UncertainValue;
     use udt_prob::SampledPdf;
 
-    fn ft(points: &[f64], mass: &[f64], label: usize) -> FractionalTuple {
+    fn ft(points: &[f64], mass: &[f64], label: usize) -> FractionalTuple<'static> {
         FractionalTuple {
             values: vec![UncertainValue::Numeric(
                 SampledPdf::new(points.to_vec(), mass.to_vec()).unwrap(),
-            )],
+            )]
+            .into(),
             label,
             weight: 1.0,
         }
     }
 
-    fn point(v: f64, label: usize) -> FractionalTuple {
+    fn point(v: f64, label: usize) -> FractionalTuple<'static> {
         ft(&[v], &[1.0], label)
     }
 
@@ -133,12 +134,12 @@ mod tests {
         // Two identical attributes: the split must come from attribute 0.
         let tuples = vec![
             FractionalTuple {
-                values: vec![UncertainValue::point(1.0), UncertainValue::point(1.0)],
+                values: vec![UncertainValue::point(1.0), UncertainValue::point(1.0)].into(),
                 label: 0,
                 weight: 1.0,
             },
             FractionalTuple {
-                values: vec![UncertainValue::point(5.0), UncertainValue::point(5.0)],
+                values: vec![UncertainValue::point(5.0), UncertainValue::point(5.0)].into(),
                 label: 1,
                 weight: 1.0,
             },

@@ -23,7 +23,7 @@ mod tests {
     use udt_prob::SampledPdf;
 
     /// Three attributes with very different discriminating power.
-    fn tuples() -> Vec<FractionalTuple> {
+    fn tuples() -> Vec<FractionalTuple<'static>> {
         let mut out = Vec::new();
         for i in 0..10 {
             let class = i % 2;
@@ -47,7 +47,8 @@ mod tests {
                     UncertainValue::Numeric(
                         SampledPdf::new(np.clone(), vec![1.0; np.len()]).unwrap(),
                     ),
-                ],
+                ]
+                .into(),
                 label: class,
                 weight: 1.0,
             });

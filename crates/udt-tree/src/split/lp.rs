@@ -24,7 +24,7 @@ mod tests {
 
     /// Heavily overlapping pdfs: few empty/homogeneous intervals, so BP
     /// alone cannot prune much, but bounding can.
-    fn overlapping_tuples() -> Vec<FractionalTuple> {
+    fn overlapping_tuples() -> Vec<FractionalTuple<'static>> {
         let mut tuples = Vec::new();
         for i in 0..8 {
             let class = i % 2;
@@ -35,7 +35,8 @@ mod tests {
             tuples.push(FractionalTuple {
                 values: vec![UncertainValue::Numeric(
                     SampledPdf::new(points, mass).unwrap(),
-                )],
+                )]
+                .into(),
                 label: class,
                 weight: 1.0,
             });

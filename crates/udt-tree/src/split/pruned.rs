@@ -357,18 +357,19 @@ mod tests {
 
     use crate::fractional::FractionalTuple;
 
-    fn ft(points: &[f64], mass: &[f64], label: usize) -> FractionalTuple {
+    fn ft(points: &[f64], mass: &[f64], label: usize) -> FractionalTuple<'static> {
         FractionalTuple {
             values: vec![UncertainValue::Numeric(
                 SampledPdf::new(points.to_vec(), mass.to_vec()).unwrap(),
-            )],
+            )]
+            .into(),
             label,
             weight: 1.0,
         }
     }
 
     /// A small but awkward data set: overlapping pdfs of three classes.
-    fn overlapping_tuples() -> Vec<FractionalTuple> {
+    fn overlapping_tuples() -> Vec<FractionalTuple<'static>> {
         let mut tuples = Vec::new();
         for i in 0..6 {
             let base = i as f64;
@@ -441,7 +442,7 @@ mod tests {
     #[test]
     fn uniform_hint_reduces_to_end_points_only() {
         // Uniform pdfs: Theorem 3 says the end points suffice.
-        let tuples: Vec<FractionalTuple> = (0..8)
+        let tuples: Vec<FractionalTuple<'_>> = (0..8)
             .map(|i| {
                 let base = i as f64 * 0.7;
                 let points: Vec<f64> = (0..20).map(|j| base + j as f64 * 0.1).collect();
@@ -516,7 +517,8 @@ mod tests {
                 values: vec![
                     UncertainValue::point(informative),
                     UncertainValue::Numeric(SampledPdf::new(noise_points, vec![1.0; 15]).unwrap()),
-                ],
+                ]
+                .into(),
                 label: class,
                 weight: 1.0,
             });

@@ -18,7 +18,7 @@ use udt_tree::fractional::FractionalTuple;
 use udt_tree::split::{bp, es, exhaustive::ExhaustiveSearch, gp, lp, SearchStats, SplitSearch};
 use udt_tree::Measure;
 
-fn fractional_tuples(data: &udt_data::Dataset) -> Vec<FractionalTuple> {
+fn fractional_tuples(data: &udt_data::Dataset) -> Vec<FractionalTuple<'_>> {
     data.tuples()
         .iter()
         .map(FractionalTuple::from_tuple)
@@ -111,14 +111,16 @@ fn denormal_boundary_end_points_do_not_break_safe_pruning() {
         FractionalTuple {
             values: vec![UncertainValue::Numeric(
                 SampledPdf::new(vec![0.0, 5.0, 10.0], vec![1e-12, 0.5, 0.5]).unwrap(),
-            )],
+            )]
+            .into(),
             label: 0,
             weight: 1.0,
         },
         FractionalTuple {
             values: vec![UncertainValue::Numeric(
                 SampledPdf::new(vec![6.0, 10.0], vec![0.5, 0.5]).unwrap(),
-            )],
+            )]
+            .into(),
             label: 1,
             weight: 1.0,
         },

@@ -52,7 +52,7 @@ fn random_dataset(rng: &mut ChaCha8Rng) -> Dataset {
     ds
 }
 
-fn fractional(ds: &Dataset) -> Vec<FractionalTuple> {
+fn fractional(ds: &Dataset) -> Vec<FractionalTuple<'_>> {
     ds.tuples()
         .iter()
         .map(FractionalTuple::from_tuple)
@@ -221,7 +221,8 @@ fn uniform_hint_is_safe_on_shared_grid_uniform_pdfs() {
                 FractionalTuple {
                     values: vec![UncertainValue::Numeric(
                         SampledPdf::new(points, mass).unwrap(),
-                    )],
+                    )]
+                    .into(),
                     label: labels[i],
                     weight: 1.0,
                 }
@@ -251,7 +252,8 @@ fn uniform_hint_is_safe_on_shared_grid_uniform_pdfs() {
                 FractionalTuple {
                     values: vec![UncertainValue::Numeric(
                         SampledPdf::new(points, vec![1.0; s]).unwrap(),
-                    )],
+                    )]
+                    .into(),
                     label: labels[i],
                     weight: 1.0,
                 }
