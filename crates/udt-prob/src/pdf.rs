@@ -241,12 +241,6 @@ impl SampledPdf {
         SampledPdf::new(points, mass).ok()
     }
 
-    /// Returns a new pdf whose sample points are shifted by `delta`.
-    pub fn shift(&self, delta: f64) -> SampledPdf {
-        let points = self.points.iter().map(|p| p + delta).collect();
-        SampledPdf::new(points, self.mass.clone()).expect("shift preserves validity")
-    }
-
     /// Mixes two pdfs with the given non-negative weights, producing the
     /// weighted mixture distribution. Used when re-assembling "guess"
     /// distributions for missing values (§2) and in tests.
@@ -559,14 +553,6 @@ mod tests {
         assert_eq!(t.points(), &[1.0, 2.0]);
         assert_eq!(t.mass(), &[0.5, 0.5]);
         assert!(p.truncate(10.0, 11.0).is_none());
-    }
-
-    #[test]
-    fn shift_moves_domain() {
-        let p = pdf(&[0.0, 1.0], &[0.5, 0.5]);
-        let s = p.shift(10.0);
-        assert_eq!(s.points(), &[10.0, 11.0]);
-        assert_eq!(s.mass(), p.mass());
     }
 
     #[test]

@@ -267,10 +267,6 @@ impl TreeBuilder {
         let training: &Dataset = if self.config.algorithm.uses_distributions() {
             data
         } else {
-            // Averaging would turn a non-finite point into a panic.
-            if let Some(non_finite) = first_non_finite(data) {
-                return Err(non_finite);
-            }
             averaged = data.to_averaged();
             &averaged
         };
@@ -312,13 +308,6 @@ impl TreeBuilder {
         let root_columns = columns::build_root_with(&tuples, &numerical, &build_pool);
         stats.presort_ns += presort_started.elapsed().as_nanos() as u64;
         drop(presort_span);
-        if let Some((attribute, tuple, value)) = root_columns.first_non_finite() {
-            return Err(TreeError::NonFiniteSample {
-                tuple,
-                attribute,
-                value,
-            });
-        }
         // Recycles per-node matrix buffers across this build's nodes and
         // pool tasks; dropped, buffers and all, once recursion is done.
         let buffers = BufferPool::default();
@@ -430,32 +419,6 @@ impl TreeBuilder {
             nodes_pruned,
         })
     }
-}
-
-/// The error for the first numerical sample point of `data` that is not
-/// finite, found by a full scan. Every pdf constructor rejects such
-/// points, but a derived `Deserialize` does not (JSON's `1e999` parses
-/// as infinity). Builds over the pdfs get the same error for free from
-/// [`RootColumns::first_non_finite`]; only the averaging path, which
-/// must not average them, pays for the scan.
-fn first_non_finite(data: &Dataset) -> Option<TreeError> {
-    data.tuples().iter().enumerate().find_map(|(tuple, t)| {
-        t.values()
-            .iter()
-            .enumerate()
-            .find_map(|(attribute, value)| {
-                let &value = value
-                    .as_numeric()?
-                    .points()
-                    .iter()
-                    .find(|x| !x.is_finite())?;
-                Some(TreeError::NonFiniteSample {
-                    tuple,
-                    attribute,
-                    value,
-                })
-            })
-    })
 }
 
 /// A deferred subtree: everything a worker needs to build it into a
@@ -1151,13 +1114,6 @@ mod tests {
                 "{literal}: {err}"
             );
         }
-        let message = TreeError::NonFiniteSample {
-            tuple: 7,
-            attribute: 1,
-            value: f64::INFINITY,
-        }
-        .to_string();
-        assert!(message.contains("tuple 7") && message.contains("attribute 1"));
     }
 
     #[test]

@@ -29,11 +29,15 @@
 //! `(x, tuple, mass)` triple, and parallel subtree workers share the
 //! immutable root instead of cloning mass vectors.
 //!
-//! Splitting on attribute `a` at `z` sends each event of column `a` to
-//! the side its position lies on, divides the per-tuple scale by the
-//! tuple's kept fraction `p` / `1 − p`, keeps every other column's events
-//! wherever the tuple retains weight (scales unchanged), and multiplies
-//! tuple weights by their side fractions.
+//! Splitting on attribute `a` at `z` multiplies tuple weights by their
+//! side fractions `p` / `1 − p`, then reads each of the node's columns
+//! once and writes both children: column `a` sends each event to the
+//! side its position lies on and divides the per-tuple scale by the
+//! tuple's kept fraction; every other column keeps its events in each
+//! child where the tuple retains weight, scales unchanged. A categorical
+//! split works the same way with one child per category: one walk per
+//! column writes every bucket. Which children keep a tuple is one dense
+//! bit mask per tuple in the [`Scratch`].
 //!
 //! Per-node work is `O(events at the node)` for the column walks and
 //! `O(alive tuples)` for the weight bookkeeping — no sorting, no dense
@@ -88,22 +92,6 @@ pub struct RootColumns {
     /// One column per numerical attribute, in the builder's numerical
     /// attribute order.
     pub columns: Vec<AttrColumn>,
-}
-
-impl RootColumns {
-    /// The first column, in attribute order, holding a position that is
-    /// not finite, as `(attribute, owner tuple, position)`. The presort's
-    /// key sorts every such position to a column end (NaNs with the sign
-    /// bit set and `-inf` first, `+inf` and other NaNs last), so two
-    /// events per column are all this has to look at.
-    pub(crate) fn first_non_finite(&self) -> Option<(usize, usize, f64)> {
-        self.columns.iter().find_map(|col| {
-            let e = [0, col.len().saturating_sub(1)]
-                .into_iter()
-                .find(|&e| col.xs.get(e).is_some_and(|x| !x.is_finite()))?;
-            Some((col.attribute, col.tuple[e] as usize, col.xs[e]))
-        })
-    }
 }
 
 /// One attribute's state at one node: the surviving root event ids plus
@@ -181,7 +169,7 @@ impl ColumnState {
 /// The per-node tuple state threaded through recursion. All vectors are
 /// sparse over the node's live tuples — nothing here is sized to the
 /// root tuple count.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct NodeTuples {
     /// Tuples with non-negligible weight, ascending.
     pub alive: Vec<u32>,
@@ -197,7 +185,7 @@ impl NodeTuples {
     /// quantity the partition-traffic instrumentation accumulates. The
     /// partition functions shrink every child vector to fit before
     /// accounting, so this reflects surviving data, not the parent-sized
-    /// buffers the filters started from.
+    /// buffers the walks started from.
     pub fn heap_bytes(&self) -> u64 {
         (self.alive.capacity() * std::mem::size_of::<u32>()
             + self.weights.capacity() * std::mem::size_of::<f64>()) as u64
@@ -206,20 +194,6 @@ impl NodeTuples {
                 .iter()
                 .map(ColumnState::heap_bytes)
                 .sum::<u64>()
-    }
-
-    /// Shrinks every backing vector to its length. Child states are
-    /// built by filtering parent-capacity buffers; without this, a
-    /// skewed split would pin a parent-sized buffer for the whole
-    /// lifetime of a nearly-empty subtree, making worst-case resident
-    /// memory O(depth × root events) instead of O(Σ node sizes).
-    fn shrink_to_fit(&mut self) {
-        self.alive.shrink_to_fit();
-        self.weights.shrink_to_fit();
-        for column in &mut self.columns {
-            column.scales.shrink_to_fit();
-            column.events.shrink_to_fit();
-        }
     }
 }
 
@@ -235,10 +209,11 @@ pub struct Scratch {
     left_mass: Vec<f64>,
     /// Mass above the split point per tuple, then the right fraction.
     right_mass: Vec<f64>,
-    /// Left-child tuple weights during one partition call.
-    left_w: Vec<f64>,
-    /// Right-child tuple weights during one partition call.
-    right_w: Vec<f64>,
+    /// Which children keep each tuple during one partition call: bit
+    /// `c` is set when child `c` does (a numeric split's left child is
+    /// bit 0, its right child bit 1; a categorical split's bucket `v` is
+    /// bit `v mod 64`).
+    keep: Vec<u64>,
     /// The current node's tuple weights, loaded from the sparse
     /// [`NodeTuples`] lists (0 for tuples absent from the node).
     weight: Vec<f64>,
@@ -261,8 +236,7 @@ impl Scratch {
         Scratch {
             left_mass: vec![0.0; n_tuples],
             right_mass: vec![0.0; n_tuples],
-            left_w: vec![0.0; n_tuples],
-            right_w: vec![0.0; n_tuples],
+            keep: vec![0; n_tuples],
             weight: vec![0.0; n_tuples],
             scale: vec![1.0; n_tuples],
             lo_idx: vec![0; n_tuples],
@@ -312,8 +286,7 @@ impl Scratch {
             self.seen[t as usize] = false;
             self.left_mass[t as usize] = 0.0;
             self.right_mass[t as usize] = 0.0;
-            self.left_w[t as usize] = 0.0;
-            self.right_w[t as usize] = 0.0;
+            self.keep[t as usize] = 0;
         }
         self.touched.clear();
     }
@@ -459,8 +432,7 @@ const RADIX_PASSES: usize = 64_usize.div_ceil(RADIX_BITS as usize);
 /// ascending positions (the IEEE total order: negative values with all
 /// bits flipped, non-negative ones with the sign bit set). `-0.0` folds
 /// onto `+0.0` first — the two compare equal, so they must share a key
-/// for the stable sort to keep them in gather order. Non-finite points
-/// sort to the ends, where [`RootColumns::first_non_finite`] finds them.
+/// for the stable sort to keep them in gather order.
 #[inline]
 fn radix_key(x: f64) -> u64 {
     let bits = if x == 0.0 { 0 } else { x.to_bits() };
@@ -555,6 +527,8 @@ pub fn root_state(tuples: &[FractionalTuple<'_>], root: &RootColumns) -> NodeTup
             weights.push(tuple.weight);
         }
     }
+    alive.shrink_to_fit();
+    weights.shrink_to_fit();
     let columns = root
         .columns
         .iter()
@@ -563,13 +537,11 @@ pub fn root_state(tuples: &[FractionalTuple<'_>], root: &RootColumns) -> NodeTup
             events: (0..col.len() as u32).collect(),
         })
         .collect();
-    let mut state = NodeTuples {
+    NodeTuples {
         alive,
         weights,
         columns,
-    };
-    state.shrink_to_fit();
-    state
+    }
 }
 
 /// Builds the scoring structure for one column at one node. Returns
@@ -761,31 +733,75 @@ fn build_events<const HAS_SCALES: bool>(
     ))
 }
 
-/// Copies the events of `column` whose tuples keep weight (per the dense
-/// `survive` lookup), in order — the shared filter used for every column
-/// a split does not rescale (numeric non-split attributes and all
-/// columns of a categorical partition). Scales pass through unchanged.
-fn filter_column(column: &ColumnState, root_col: &AttrColumn, survive: &[f64]) -> ColumnState {
-    let scales = column
-        .scales
-        .iter()
-        .filter(|&&(t, _)| survive[t as usize] > WEIGHT_EPSILON)
-        .copied()
-        .collect();
-    let mut events = Vec::with_capacity(column.events.len());
+/// The children whose bit is set in a tuple's survival mask, ascending.
+#[inline]
+fn kept_by(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let c = (mask != 0).then(|| mask.trailing_zeros() as usize)?;
+        mask &= mask - 1;
+        Some(c)
+    })
+}
+
+/// An empty child column with room for every event of its parent
+/// column, the most a child can keep.
+fn child_column(parent: &ColumnState) -> ColumnState {
+    ColumnState {
+        scales: Vec::new(),
+        events: Vec::with_capacity(parent.events.len()),
+    }
+}
+
+/// Appends one finished column to each child, shrunk to fit: a split
+/// holds at most one column of parent-sized buffers per child, and a
+/// skewed split does not pin parent-sized memory under a small subtree.
+fn adopt(children: &mut [NodeTuples], columns: impl IntoIterator<Item = ColumnState>) {
+    for (child, mut column) in children.iter_mut().zip(columns) {
+        column.scales.shrink_to_fit();
+        column.events.shrink_to_fit();
+        child.columns.push(column);
+    }
+}
+
+/// The shared partition walk over one column a split does not rescale:
+/// reads the parent's event ids once, in order, and appends each event
+/// to every child whose bit is set in its owner tuple's `keep` mask. The
+/// `(tuple, scale)` list is filtered the same way, scales unchanged.
+fn walk_column(column: &ColumnState, root_col: &AttrColumn, keep: &[u64], into: &mut [NodeTuples]) {
+    let mut outs: Vec<ColumnState> = into.iter().map(|_| child_column(column)).collect();
     for &e in &column.events {
-        if survive[root_col.tuple[e as usize] as usize] > WEIGHT_EPSILON {
-            events.push(e);
+        for c in kept_by(keep[root_col.tuple[e as usize] as usize]) {
+            outs[c].events.push(e);
         }
     }
-    ColumnState { scales, events }
+    for &(t, s) in &column.scales {
+        for c in kept_by(keep[t as usize]) {
+            outs[c].scales.push((t, s));
+        }
+    }
+    adopt(into, outs);
+}
+
+/// The tail of every partition: shrinks each child's tuple lists (its
+/// columns were shrunk as they were finished), so the byte accounting
+/// reflects surviving data, then records the split's bytes and time.
+fn finish(children: &mut [NodeTuples], started: Instant, stats: &mut SearchStats) {
+    let mut bytes = 0;
+    for child in children.iter_mut() {
+        child.alive.shrink_to_fit();
+        child.weights.shrink_to_fit();
+        bytes += child.heap_bytes();
+    }
+    stats.partition_bytes += bytes;
+    stats.partition_peak_bytes = stats.partition_peak_bytes.max(bytes);
+    stats.partition_ns += started.elapsed().as_nanos() as u64;
 }
 
 /// Splits a node's tuples on `(attribute slot, z)`, producing the left
 /// and right children. Implements the fractional-tuple split of §3.2
-/// against the columnar layout: linear in the node's event count,
-/// stable, no re-sorting, no dense root-sized child vectors. Partition
-/// allocation traffic is recorded in `stats`.
+/// against the columnar layout: linear in the node's event count, each
+/// column read once, stable, no re-sorting, no dense root-sized child
+/// vectors. Partition allocation traffic is recorded in `stats`.
 pub fn partition_numeric(
     root: &RootColumns,
     node: &NodeTuples,
@@ -824,12 +840,11 @@ pub fn partition_numeric(
         });
     }
 
-    // Pass 2: sparse child weights; stash each tuple's left fraction p in
-    // `left_mass` and its right fraction in `right_mass` for the scale
-    // chain below, and the child weights in `left_w` / `right_w` for the
-    // column filters.
-    let mut left_pairs: Vec<(u32, f64)> = Vec::new();
-    let mut right_pairs: Vec<(u32, f64)> = Vec::new();
+    // Pass 2: sparse child weights, left then right; stash each tuple's
+    // left fraction p in `left_mass` and its right fraction in
+    // `right_mass` for the scale chain, and the sides that keep it in
+    // `keep` (bit 0 left, bit 1 right) for the column walks.
+    let mut pairs: [Vec<(u32, f64)>; 2] = Default::default();
     for i in 0..scratch.touched.len() {
         let t = scratch.touched[i] as usize;
         let lm = scratch.left_mass[t];
@@ -842,129 +857,69 @@ pub fn partition_numeric(
         }
         let p = lm / total;
         let w = scratch.weight[t];
-        let wl = w * p;
-        let wr = w * (1.0 - p);
-        if wl > WEIGHT_EPSILON {
-            scratch.left_w[t] = wl;
-            left_pairs.push((t as u32, wl));
-        }
-        if wr > WEIGHT_EPSILON {
-            scratch.right_w[t] = wr;
-            right_pairs.push((t as u32, wr));
+        for (side, w) in [w * p, w * (1.0 - p)].into_iter().enumerate() {
+            if w > WEIGHT_EPSILON {
+                scratch.keep[t] |= 1 << side;
+                pairs[side].push((t as u32, w));
+            }
         }
         scratch.left_mass[t] = p;
         scratch.right_mass[t] = 1.0 - p;
     }
-    left_pairs.sort_unstable_by_key(|&(t, _)| t);
-    right_pairs.sort_unstable_by_key(|&(t, _)| t);
-    let (left_alive, left_weights): (Vec<u32>, Vec<f64>) = left_pairs.into_iter().unzip();
-    let (right_alive, right_weights): (Vec<u32>, Vec<f64>) = right_pairs.into_iter().unzip();
+    let mut children: [NodeTuples; 2] = Default::default();
+    for (child, mut pairs) in children.iter_mut().zip(pairs) {
+        pairs.sort_unstable_by_key(|&(t, _)| t);
+        (child.alive, child.weights) = pairs.into_iter().unzip();
+    }
 
-    // Pass 3: partition every column. The split attribute's events go to
-    // the side their position lies on with the tuple's scale divided by
-    // its kept fraction (the pdf renormalisation of the fractional
-    // split, deferred to consumption time); all other columns keep their
-    // events wherever the tuple survives, scales unchanged.
-    let left_columns = partition_columns(node, root, slot, true, z, scratch);
-    let right_columns = partition_columns(node, root, slot, false, z, scratch);
-
-    scratch.unload_scales(&col.scales);
-
-    let mut left = NodeTuples {
-        alive: left_alive,
-        weights: left_weights,
-        columns: left_columns,
-    };
-    let mut right = NodeTuples {
-        alive: right_alive,
-        weights: right_weights,
-        columns: right_columns,
-    };
-    // Release the slack the parent-capacity filter buffers carry, so a
-    // skewed split does not pin parent-sized memory under a small
-    // subtree — and so the byte accounting reflects surviving data.
-    left.shrink_to_fit();
-    right.shrink_to_fit();
-    let bytes = left.heap_bytes() + right.heap_bytes();
-    stats.partition_bytes += bytes;
-    stats.partition_peak_bytes = stats.partition_peak_bytes.max(bytes);
-    stats.partition_ns += started.elapsed().as_nanos() as u64;
-    (left, right)
-}
-
-/// Builds one side's child columns for [`partition_numeric`]. Reads the
-/// side fractions from `scratch.left_mass` / `scratch.right_mass` and
-/// the child weights from `scratch.left_w` / `scratch.right_w`; the
-/// split column's parent scales must be loaded in `scratch.scale`.
-fn partition_columns(
-    node: &NodeTuples,
-    root: &RootColumns,
-    slot: usize,
-    left_side: bool,
-    z: f64,
-    scratch: &Scratch,
-) -> Vec<ColumnState> {
-    let survive: &[f64] = if left_side {
-        &scratch.left_w
-    } else {
-        &scratch.right_w
-    };
-    let fractions: &[f64] = if left_side {
-        &scratch.left_mass
-    } else {
-        &scratch.right_mass
-    };
-    node.columns
-        .iter()
-        .enumerate()
-        .map(|(j, column)| {
-            let root_col = &root.columns[j];
-            if j != slot {
-                return filter_column(column, root_col, survive);
+    // Pass 3: one walk per column. Every column but the split one keeps
+    // its events wherever the tuple survives, scales unchanged. The split
+    // column sends each kept event to the side of its position (`x <= z`
+    // goes left), and one loop over the alive tuples extends both sides'
+    // scale chains by dividing out the kept fraction (the pdf
+    // renormalisation of the fractional split, deferred to consumption
+    // time); a chain that comes out at exactly 1 stays implicit.
+    let keep = &scratch.keep;
+    for (j, (column, root_col)) in node.columns.iter().zip(&root.columns).enumerate() {
+        if j != slot {
+            walk_column(column, root_col, keep, &mut children);
+            continue;
+        }
+        let mut sides = [child_column(column), child_column(column)];
+        for &e in &column.events {
+            let side = if root_col.xs[e as usize] <= z { 0 } else { 1 };
+            if keep[root_col.tuple[e as usize] as usize] & (1 << side) != 0 {
+                sides[side].events.push(e);
             }
-            // The split column: keep the side's events and extend the
-            // per-tuple scale chain by dividing out the kept fraction.
-            let mut scales: Vec<(u32, f64)> = Vec::new();
-            let keep = |t: usize| survive[t] > WEIGHT_EPSILON;
-            let mut events = Vec::with_capacity(column.events.len());
-            for &e in &column.events {
-                let t = root_col.tuple[e as usize] as usize;
-                if !keep(t) {
-                    continue;
-                }
-                let x = root_col.xs[e as usize];
-                if left_side != (x <= z) {
-                    continue;
-                }
-                events.push(e);
-            }
-            // One scale entry per surviving tuple whose chain is not 1,
-            // in ascending tuple order (the parent's alive list covers
-            // every survivor).
-            for &t in node.alive.iter() {
-                let t = t as usize;
-                if !keep(t) {
-                    continue;
-                }
-                let f = fractions[t];
+        }
+        let fractions = [&scratch.left_mass, &scratch.right_mass];
+        for &t in &node.alive {
+            for side in kept_by(keep[t as usize]) {
+                let f = fractions[side][t as usize];
                 if f <= 0.0 {
                     continue;
                 }
-                let s = scratch.scale[t] / f;
+                let s = scratch.scale[t as usize] / f;
                 if s != 1.0 {
-                    scales.push((t as u32, s));
+                    sides[side].scales.push((t, s));
                 }
             }
-            ColumnState { scales, events }
-        })
-        .collect()
+        }
+        adopt(&mut children, sides);
+    }
+    scratch.unload_scales(&col.scales);
+
+    finish(&mut children, started, stats);
+    let [left, right] = children;
+    (left, right)
 }
 
 /// Splits a node's tuples over the categories of categorical attribute
 /// `attribute` (§7.2): bucket `v` receives every tuple with weight
 /// `w · f(v)`; numerical columns are filtered to surviving tuples,
-/// scales and masses unchanged. Partition allocation traffic is recorded
-/// in `stats`.
+/// scales and masses unchanged. Up to 64 buckets share one walk per
+/// column, one bit of the survival mask each. Partition allocation
+/// traffic is recorded in `stats`.
 pub fn partition_categorical(
     root: &RootColumns,
     node: &NodeTuples,
@@ -975,55 +930,31 @@ pub fn partition_categorical(
     stats: &mut SearchStats,
 ) -> Vec<NodeTuples> {
     let started = Instant::now();
-    // Clear any state a preceding partition left behind: the bucket
-    // filters below repurpose `left_w` as a dense survival lookup, and
-    // this makes the all-zero precondition enforced here rather than
-    // relying on an intervening `events_from_column` having reset it.
+    // Clear the masks a preceding numeric partition left behind.
     scratch.reset_touched();
-    let buckets: Vec<NodeTuples> = (0..cardinality)
-        .map(|v| {
-            let mut alive = Vec::new();
-            let mut weights = Vec::new();
-            for (&t, &weight) in node.alive.iter().zip(&node.weights) {
-                let Some(dist) = tuples[t as usize].values[attribute].as_categorical() else {
-                    continue;
-                };
-                if v >= dist.cardinality() {
-                    continue;
-                }
-                let w = weight * dist.prob(v);
-                if w > WEIGHT_EPSILON {
-                    alive.push(t);
-                    weights.push(w);
-                }
-            }
-            // Dense survival lookup for the column filters (reusing the
-            // left-child weight scratch; reset right after).
-            for (&t, &w) in alive.iter().zip(&weights) {
-                scratch.left_w[t as usize] = w;
-            }
-            let columns = node
-                .columns
-                .iter()
-                .zip(&root.columns)
-                .map(|(column, root_col)| filter_column(column, root_col, &scratch.left_w))
-                .collect();
-            for &t in &alive {
-                scratch.left_w[t as usize] = 0.0;
-            }
-            let mut bucket = NodeTuples {
-                alive,
-                weights,
-                columns,
+    let mut buckets = vec![NodeTuples::default(); cardinality];
+    for (g, group) in buckets.chunks_mut(u64::BITS as usize).enumerate() {
+        for (&t, &weight) in node.alive.iter().zip(&node.weights) {
+            let Some(dist) = tuples[t as usize].values[attribute].as_categorical() else {
+                continue;
             };
-            bucket.shrink_to_fit();
-            bucket
-        })
-        .collect();
-    let bytes: u64 = buckets.iter().map(NodeTuples::heap_bytes).sum();
-    stats.partition_bytes += bytes;
-    stats.partition_peak_bytes = stats.partition_peak_bytes.max(bytes);
-    stats.partition_ns += started.elapsed().as_nanos() as u64;
+            for (c, bucket) in group.iter_mut().enumerate() {
+                let w = weight * dist.prob(g * u64::BITS as usize + c);
+                if w > WEIGHT_EPSILON {
+                    bucket.alive.push(t);
+                    bucket.weights.push(w);
+                    scratch.keep[t as usize] |= 1 << c;
+                }
+            }
+        }
+        for (column, root_col) in node.columns.iter().zip(&root.columns) {
+            walk_column(column, root_col, &scratch.keep, group);
+        }
+        for &t in &node.alive {
+            scratch.keep[t as usize] = 0;
+        }
+    }
+    finish(&mut buckets, started, stats);
     buckets
 }
 
@@ -1172,8 +1103,6 @@ mod tests {
                     "seed {seed}, attribute {attribute}"
                 );
             }
-            // Validated pdfs hold finite points only.
-            assert_eq!(root.first_non_finite(), None);
             // The fixture really contains what it claims to.
             let xs = &root.columns[0].xs;
             assert!(xs.iter().any(|x| x.to_bits() == (-0.0f64).to_bits()));
@@ -1181,22 +1110,6 @@ mod tests {
             assert!(xs.contains(&f64::MAX));
             assert!(xs.iter().any(|x| x.is_subnormal()));
         }
-        // A column with infinities at its ends (where the presort key
-        // puts them) is reported by its first non-finite position.
-        let column = |attribute, xs: Vec<f64>| AttrColumn {
-            attribute,
-            tuple: (0..xs.len() as u32).collect(),
-            mass: vec![0.5; xs.len()],
-            xs,
-        };
-        let root = RootColumns {
-            columns: vec![
-                column(0, vec![-1.0, 2.0]),
-                column(1, vec![-1.0, 2.0, f64::INFINITY]),
-                column(2, vec![f64::NEG_INFINITY, 0.0]),
-            ],
-        };
-        assert_eq!(root.first_non_finite(), Some((1, 2, f64::INFINITY)));
     }
 
     #[test]
@@ -1697,5 +1610,356 @@ mod tests {
         assert_eq!(buckets[0].columns[0].len(), 1);
         assert_eq!(buckets[1].columns[0].len(), 0);
         assert!(stats.partition_bytes > 0);
+    }
+    /// The old two-pass partition's column filter, kept as the oracle of
+    /// the single walk: copies the events and scales whose tuple keeps a
+    /// weight in the dense `survive` lookup.
+    fn two_pass_filter(
+        column: &ColumnState,
+        root_col: &AttrColumn,
+        survive: &[f64],
+    ) -> ColumnState {
+        let scales = column
+            .scales
+            .iter()
+            .filter(|&&(t, _)| survive[t as usize] > WEIGHT_EPSILON)
+            .copied()
+            .collect();
+        let mut events = Vec::with_capacity(column.events.len());
+        for &e in &column.events {
+            if survive[root_col.tuple[e as usize] as usize] > WEIGHT_EPSILON {
+                events.push(e);
+            }
+        }
+        ColumnState { scales, events }
+    }
+
+    fn shrunk(mut node: NodeTuples) -> NodeTuples {
+        node.alive.shrink_to_fit();
+        node.weights.shrink_to_fit();
+        for column in &mut node.columns {
+            column.scales.shrink_to_fit();
+            column.events.shrink_to_fit();
+        }
+        node
+    }
+
+    /// The old `partition_numeric` over dense arrays of its own: side
+    /// masses, side weights, then one walk over every column per side.
+    fn two_pass_numeric(
+        root: &RootColumns,
+        node: &NodeTuples,
+        slot: usize,
+        z: f64,
+        n_tuples: usize,
+    ) -> (NodeTuples, NodeTuples) {
+        let mut weight = vec![0.0; n_tuples];
+        for (&t, &w) in node.alive.iter().zip(&node.weights) {
+            weight[t as usize] = w;
+        }
+        let mut scale = vec![1.0; n_tuples];
+        for &(t, s) in &node.columns[slot].scales {
+            scale[t as usize] = s;
+        }
+        let (mut left_mass, mut right_mass) = (vec![0.0; n_tuples], vec![0.0; n_tuples]);
+        let mut seen = vec![false; n_tuples];
+        let mut touched = Vec::new();
+        node.columns[slot].for_each_event(&root.columns[slot], |x, t, m_root| {
+            let t = t as usize;
+            if weight[t] <= WEIGHT_EPSILON {
+                return;
+            }
+            if !seen[t] {
+                seen[t] = true;
+                touched.push(t);
+            }
+            let m = m_root * scale[t];
+            if x <= z {
+                left_mass[t] += m;
+            } else {
+                right_mass[t] += m;
+            }
+        });
+        let (mut left_w, mut right_w) = (vec![0.0; n_tuples], vec![0.0; n_tuples]);
+        let (mut left_pairs, mut right_pairs) = (Vec::new(), Vec::new());
+        for &t in &touched {
+            let total = left_mass[t] + right_mass[t];
+            if total <= 0.0 {
+                left_mass[t] = 0.0;
+                right_mass[t] = 0.0;
+                continue;
+            }
+            let p = left_mass[t] / total;
+            let (wl, wr) = (weight[t] * p, weight[t] * (1.0 - p));
+            if wl > WEIGHT_EPSILON {
+                left_w[t] = wl;
+                left_pairs.push((t as u32, wl));
+            }
+            if wr > WEIGHT_EPSILON {
+                right_w[t] = wr;
+                right_pairs.push((t as u32, wr));
+            }
+            left_mass[t] = p;
+            right_mass[t] = 1.0 - p;
+        }
+        let side = |mut pairs: Vec<(u32, f64)>, survive: &[f64], fractions: &[f64], left: bool| {
+            pairs.sort_unstable_by_key(|&(t, _)| t);
+            let (alive, weights) = pairs.into_iter().unzip();
+            let columns = node
+                .columns
+                .iter()
+                .zip(&root.columns)
+                .enumerate()
+                .map(|(j, (column, root_col))| {
+                    if j != slot {
+                        return two_pass_filter(column, root_col, survive);
+                    }
+                    let keep = |t: usize| survive[t] > WEIGHT_EPSILON;
+                    let mut events = Vec::with_capacity(column.events.len());
+                    for &e in &column.events {
+                        let t = root_col.tuple[e as usize] as usize;
+                        if keep(t) && left == (root_col.xs[e as usize] <= z) {
+                            events.push(e);
+                        }
+                    }
+                    let mut scales = Vec::new();
+                    for &t in &node.alive {
+                        let t = t as usize;
+                        if !keep(t) || fractions[t] <= 0.0 {
+                            continue;
+                        }
+                        let s = scale[t] / fractions[t];
+                        if s != 1.0 {
+                            scales.push((t as u32, s));
+                        }
+                    }
+                    ColumnState { scales, events }
+                })
+                .collect();
+            shrunk(NodeTuples {
+                alive,
+                weights,
+                columns,
+            })
+        };
+        (
+            side(left_pairs, &left_w, &left_mass, true),
+            side(right_pairs, &right_w, &right_mass, false),
+        )
+    }
+
+    /// The old `partition_categorical`: one filter walk over every
+    /// column per bucket.
+    fn per_bucket_categorical(
+        root: &RootColumns,
+        node: &NodeTuples,
+        tuples: &[FractionalTuple<'_>],
+        attribute: usize,
+        cardinality: usize,
+    ) -> Vec<NodeTuples> {
+        let mut survive = vec![0.0; tuples.len()];
+        (0..cardinality)
+            .map(|v| {
+                let (mut alive, mut weights) = (Vec::new(), Vec::new());
+                for (&t, &weight) in node.alive.iter().zip(&node.weights) {
+                    let Some(dist) = tuples[t as usize].values[attribute].as_categorical() else {
+                        continue;
+                    };
+                    if v >= dist.cardinality() {
+                        continue;
+                    }
+                    let w = weight * dist.prob(v);
+                    if w > WEIGHT_EPSILON {
+                        alive.push(t);
+                        weights.push(w);
+                    }
+                }
+                for (&t, &w) in alive.iter().zip(&weights) {
+                    survive[t as usize] = w;
+                }
+                let columns = node
+                    .columns
+                    .iter()
+                    .zip(&root.columns)
+                    .map(|(column, root_col)| two_pass_filter(column, root_col, &survive))
+                    .collect();
+                for &t in &alive {
+                    survive[t as usize] = 0.0;
+                }
+                shrunk(NodeTuples {
+                    alive,
+                    weights,
+                    columns,
+                })
+            })
+            .collect()
+    }
+
+    type NodeBits = (Vec<u32>, Vec<u64>, Vec<(Vec<u32>, Vec<(u32, u64)>)>, u64);
+
+    /// Everything a child carries, as bits, and its heap bytes.
+    fn node_bits(node: &NodeTuples) -> NodeBits {
+        let columns = node
+            .columns
+            .iter()
+            .map(|c| {
+                let scales = c.scales.iter().map(|&(t, s)| (t, s.to_bits())).collect();
+                (c.events.clone(), scales)
+            })
+            .collect();
+        (
+            node.alive.clone(),
+            bits(&node.weights),
+            columns,
+            node.heap_bytes(),
+        )
+    }
+
+    /// The position of the middle event of `node`'s column `slot`: a
+    /// split there has events at `x == z`.
+    fn middle_position(root: &RootColumns, node: &NodeTuples, slot: usize) -> f64 {
+        let events = &node.columns[slot].events;
+        root.columns[slot].xs[events[events.len() / 2] as usize]
+    }
+
+    fn checked_numeric(
+        root: &RootColumns,
+        node: &NodeTuples,
+        slot: usize,
+        scratch: &mut Scratch,
+        what: &str,
+    ) -> (NodeTuples, NodeTuples) {
+        let z = middle_position(root, node, slot);
+        let mut stats = SearchStats::default();
+        scratch.load_weights(node);
+        let (left, right) = partition_numeric(root, node, slot, z, scratch, &mut stats);
+        scratch.unload_weights(node);
+        let (want_left, want_right) = two_pass_numeric(root, node, slot, z, scratch.n_tuples());
+        assert_eq!(node_bits(&left), node_bits(&want_left), "{what}: left");
+        assert_eq!(node_bits(&right), node_bits(&want_right), "{what}: right");
+        assert_eq!(
+            stats.partition_bytes,
+            want_left.heap_bytes() + want_right.heap_bytes()
+        );
+        (left, right)
+    }
+
+    fn checked_categorical(
+        root: &RootColumns,
+        node: &NodeTuples,
+        tuples: &[FractionalTuple<'_>],
+        (attribute, cardinality): (usize, usize),
+        scratch: &mut Scratch,
+        what: &str,
+    ) {
+        let mut stats = SearchStats::default();
+        scratch.load_weights(node);
+        let buckets = partition_categorical(
+            root,
+            node,
+            tuples,
+            attribute,
+            cardinality,
+            scratch,
+            &mut stats,
+        );
+        scratch.unload_weights(node);
+        let want = per_bucket_categorical(root, node, tuples, attribute, cardinality);
+        for (v, (got, want)) in buckets.iter().zip(&want).enumerate() {
+            assert_eq!(node_bits(got), node_bits(want), "{what}: bucket {v}");
+        }
+        let want_bytes: u64 = want.iter().map(NodeTuples::heap_bytes).sum();
+        assert_eq!(stats.partition_bytes, want_bytes, "{what}");
+        // The fixture really has an empty bucket and tuples that land in
+        // several buckets.
+        assert!(buckets[cardinality - 1].alive.is_empty(), "{what}");
+        let in_several = |&t: &u32| buckets.iter().filter(|b| b.alive.contains(&t)).count() > 1;
+        assert!(node.alive.iter().any(in_several), "{what}");
+    }
+
+    /// Seeded tuples over a mixed schema: numerical attributes 0 and 2 on
+    /// a half-unit grid, so splits meet sample points exactly, with
+    /// zero-mass points among them, and categorical attribute 1 spread
+    /// over several of its `cardinality` categories but never the last.
+    fn mixed_tuples(seed: u64, cardinality: usize) -> Vec<FractionalTuple<'static>> {
+        use rand::{Rng, SeedableRng};
+        fn grid_pdf(rng: &mut rand_chacha::ChaCha8Rng) -> UncertainValue {
+            let n = rng.gen_range(1..8usize);
+            let (start, step) = (rng.gen_range(0..8usize), rng.gen_range(1..3usize));
+            let points = (0..n).map(|k| 0.5 * (start + k * step) as f64).collect();
+            let mut mass: Vec<f64> = (0..n)
+                .map(|_| match rng.gen_range(0..4usize) {
+                    0 => 0.0,
+                    _ => rng.gen_range(0.05..1.0),
+                })
+                .collect();
+            mass[n / 2] = 0.5;
+            UncertainValue::Numeric(SampledPdf::new(points, mass).unwrap())
+        }
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        (0..60)
+            .map(|i| {
+                let first = grid_pdf(&mut rng);
+                let mut probs: Vec<f64> = (0..cardinality)
+                    .map(|_| match rng.gen_range(0..3usize) {
+                        0 => 0.0,
+                        _ => rng.gen_range(0.1..1.0),
+                    })
+                    .collect();
+                probs[i % (cardinality - 1)] = 0.5;
+                probs[cardinality - 1] = 0.0;
+                let category =
+                    UncertainValue::Categorical(udt_prob::DiscreteDist::new(probs).unwrap());
+                FractionalTuple {
+                    values: vec![first, category, grid_pdf(&mut rng)].into(),
+                    label: i % 3,
+                    // Every ninth tuple is dead.
+                    weight: if i % 9 == 8 { 0.0 } else { 1.0 },
+                }
+            })
+            .collect()
+    }
+
+    /// Splits the root on column 0, then each child again on column 0
+    /// (whose split column now carries scales), on column 1, and over the
+    /// categorical attribute when there is one, checking every partition
+    /// against the two-pass oracle.
+    fn check_partition_sequence(
+        tuples: &[FractionalTuple<'_>],
+        numerical: &[usize],
+        categorical: Option<(usize, usize)>,
+        what: &str,
+    ) {
+        let root = build_root_with(tuples, numerical, &WorkerPool::for_concurrency(1));
+        let state = root_state(tuples, &root);
+        let mut scratch = Scratch::new(tuples.len());
+        let (left, right) = checked_numeric(&root, &state, 0, &mut scratch, what);
+        for (side, child) in [("left", &left), ("right", &right)] {
+            let what = format!("{what}, {side}");
+            assert!(!child.columns[0].scales.is_empty(), "{what}");
+            let (grandchild, _) = checked_numeric(&root, child, 0, &mut scratch, &what);
+            assert!(!grandchild.columns[0].scales.is_empty(), "{what}");
+            checked_numeric(&root, child, 1, &mut scratch, &what);
+            if let Some(split) = categorical {
+                checked_categorical(&root, child, tuples, split, &mut scratch, &what);
+                checked_categorical(&root, &grandchild, tuples, split, &mut scratch, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn one_walk_partitions_match_the_two_pass_oracle_bit_for_bit() {
+        for seed in [1, 2, 3, 2009] {
+            let what = format!("adversarial seed {seed}");
+            check_partition_sequence(&adversarial_tuples(seed), &[0, 1], None, &what);
+        }
+        // Cardinality 70 takes two groups of bucket masks.
+        for (seed, cardinality) in [(5, 3), (6, 4), (7, 5), (8, 5), (9, 70)] {
+            let tuples = mixed_tuples(seed, cardinality);
+            let root = build_root_with(&tuples, &[0, 2], &WorkerPool::for_concurrency(1));
+            assert!(root.columns[0].mass.contains(&0.0), "zero-mass points");
+            let what = format!("mixed seed {seed}");
+            check_partition_sequence(&tuples, &[0, 2], Some((1, cardinality)), &what);
+        }
     }
 }

@@ -76,21 +76,6 @@ pub enum TreeError {
         detail: String,
     },
 
-    /// A training tuple carries a sample point that is not finite (NaN
-    /// or ±infinity) — possible only for pdfs that bypassed the
-    /// validating constructors, e.g. through a derived `Deserialize`.
-    #[error(
-        "training tuple {tuple} has a non-finite sample point {value} on attribute {attribute}"
-    )]
-    NonFiniteSample {
-        /// Index of the offending tuple in the training data set.
-        tuple: usize,
-        /// Index of the offending attribute.
-        attribute: usize,
-        /// The offending sample point.
-        value: f64,
-    },
-
     /// A tuple presented for classification does not match the tree's
     /// schema arity.
     #[error("test tuple has {found} attributes but the tree was trained on {expected}")]
