@@ -8,13 +8,15 @@
 //! with the total bytes the partition layer allocated
 //! (`throughput_bytes` in the JSON written by `scripts/bench.sh` →
 //! `BENCH_partition.json`). The deeper the tree, the more often every
-//! root event is re-partitioned.
+//! root event is re-partitioned. Builds run on one thread: a ~150-tuple
+//! build handed to the default pool on a 2-vCPU host took anywhere from
+//! 4 to 33 ms, which drowns the partition layer it is meant to show.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use udt_bench::{point_dataset, uncertain};
-use udt_tree::{Algorithm, TreeBuilder, UdtConfig};
+use udt_tree::{Algorithm, ThreadCount, TreeBuilder, UdtConfig};
 
 fn config(depth: usize) -> UdtConfig {
     UdtConfig::new(Algorithm::UdtEs)
@@ -23,6 +25,7 @@ fn config(depth: usize) -> UdtConfig {
         // Let nodes split down to single tuples so the depth cap, not
         // the weight floor, decides how deep the partition cascade runs.
         .with_min_node_weight(0.5)
+        .with_threads(ThreadCount::fixed(1))
 }
 
 fn bench_partition_traffic(c: &mut Criterion) {

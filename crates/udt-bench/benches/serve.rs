@@ -28,6 +28,12 @@
 //! point prints its mean jobs per flush, from the server's `flushes` /
 //! `flushed_jobs` counters over that point's run.
 //!
+//! The `protocol_codec` group times the NDJSON codec alone, with no
+//! socket: request encode and parse, and response encode and parse, for
+//! a 19-attribute point tuple (a `classify` request) and for 64
+//! uncertain tuples with `s = 64` (a `classify_batch` request). Each
+//! point's `throughput_bytes` is its line's length.
+//!
 //! `scripts/bench.sh` writes these measurements to `BENCH_serve.json`
 //! and prints the batched-vs-single speedups and the concurrency axis.
 
@@ -35,11 +41,72 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use udt_bench::baseline_workload;
+use udt_bench::{baseline_workload, point_dataset, uncertain};
 use udt_serve::{
-    Client, HealthStats, ModelRegistry, ReplicaSet, ReplicaSetOptions, ServeConfig, Server,
+    Client, HealthStats, ModelRegistry, ReplicaSet, ReplicaSetOptions, Request, Response,
+    ServeConfig, Server,
 };
 use udt_tree::{Algorithm, TreeBuilder, UdtConfig};
+
+fn bench_protocol_codec(c: &mut Criterion) {
+    // Segment has 19 attributes and 7 classes.
+    let points = point_dataset("Segment", 0.05);
+    let pdfs = uncertain(&points, 0.10, 64);
+    let model = "segment".to_string();
+    let distribution = |i: usize| -> Vec<f64> {
+        let mut d = vec![0.125 / 6.0; 7];
+        d[i % 7] = 0.875;
+        d
+    };
+    let cases = [
+        (
+            "point",
+            Request::Classify {
+                model: model.clone(),
+                tuple: points.tuples()[0].clone(),
+            },
+            Response::Classify {
+                distribution: distribution(0),
+                label: 0,
+            },
+        ),
+        (
+            "batch64_s64",
+            Request::ClassifyBatch {
+                model,
+                tuples: pdfs.tuples()[..64].to_vec(),
+            },
+            Response::ClassifyBatch {
+                distributions: (0..64).map(distribution).collect(),
+                labels: (0..64).map(|i| i % 7).collect(),
+            },
+        ),
+    ];
+    let mut group = c.benchmark_group("protocol_codec");
+    group
+        .sample_size(20)
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_secs(1));
+    for (name, request, response) in &cases {
+        let line = request.to_line();
+        group.throughput(Throughput::Bytes(line.len() as u64));
+        group.bench_function(&format!("request_encode_{name}"), |b| {
+            b.iter(|| request.to_line())
+        });
+        group.bench_function(&format!("request_parse_{name}"), |b| {
+            b.iter(|| Request::parse(&line).expect("parses"))
+        });
+        let line = response.to_line();
+        group.throughput(Throughput::Bytes(line.len() as u64));
+        group.bench_function(&format!("response_encode_{name}"), |b| {
+            b.iter(|| response.to_line())
+        });
+        group.bench_function(&format!("response_parse_{name}"), |b| {
+            b.iter(|| Response::parse(&line).expect("parses"))
+        });
+    }
+    group.finish();
+}
 
 fn bench_serve(c: &mut Criterion) {
     let data = baseline_workload(60);
@@ -201,5 +268,5 @@ fn server_health(addr: std::net::SocketAddr) -> HealthStats {
         .health
 }
 
-criterion_group!(benches, bench_serve);
+criterion_group!(benches, bench_protocol_codec, bench_serve);
 criterion_main!(benches);

@@ -402,4 +402,19 @@ mod tests {
             assert!(err.contains(&format!("tuple 1: {error}")), "{case}: {err}");
         }
     }
+
+    #[test]
+    fn labels_that_are_not_class_indices_are_refused() {
+        let table1 = crate::toy::table1_dataset().unwrap();
+        let json = serde_json::to_string(&table1).unwrap();
+        let first = format!(r#""label":{}"#, table1.tuple(0).label());
+        assert!(json.contains(&first), "{json}");
+        // Each once read as a class index by truncation: -1, -0.5 and
+        // 0.7 as class 0, 1.9 as class 1.
+        for label in ["-1", "-0.5", "0.7", "1.9"] {
+            let hostile = json.replacen(&first, &format!(r#""label":{label}"#), 1);
+            let err = serde_json::from_str::<Dataset>(&hostile).expect_err(label);
+            assert!(err.to_string().contains("integer"), "{label}: {err}");
+        }
+    }
 }

@@ -119,4 +119,14 @@ mod tests {
         assert_eq!(avg.value(0).expected(), 5.0);
         assert_eq!(avg.label(), 2);
     }
+
+    #[test]
+    fn negative_and_fractional_labels_are_refused() {
+        let json = serde_json::to_string(&Tuple::from_points(&[1.0], 7)).unwrap();
+        assert_eq!(serde_json::from_str::<Tuple>(&json).unwrap().label(), 7);
+        for label in ["-7", "7.5"] {
+            let hostile = json.replace(r#""label":7"#, &format!(r#""label":{label}"#));
+            assert!(serde_json::from_str::<Tuple>(&hostile).is_err(), "{label}");
+        }
+    }
 }

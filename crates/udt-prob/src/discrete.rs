@@ -28,6 +28,18 @@ impl DiscreteDist {
         })
     }
 
+    /// Builds a distribution from its serialized probabilities through
+    /// the constructor's checks, without renormalising: they must
+    /// already sum to 1 within [`MASS_EPSILON`]. The probabilities
+    /// [`Serialize`] wrote build the distribution back bit for bit.
+    pub fn from_probs(probs: Vec<f64>) -> Result<Self> {
+        let total = check_weights(&probs)?;
+        if !((total - 1.0).abs() <= MASS_EPSILON) {
+            return Err(ProbError::Unnormalised { total });
+        }
+        Ok(DiscreteDist { probs })
+    }
+
     /// A distribution with all mass on one category, out of `cardinality`
     /// categories.
     pub fn certain(category: usize, cardinality: usize) -> Result<Self> {
@@ -121,20 +133,11 @@ fn check_weights(weights: &[f64]) -> Result<f64> {
     Ok(total)
 }
 
-/// Reads a distribution through the constructor's checks, without
-/// renormalising: the probabilities must already sum to 1 within
-/// [`MASS_EPSILON`]. A distribution that [`Serialize`] wrote reads back
-/// bit for bit.
+/// Reads a distribution through [`DiscreteDist::from_probs`].
 impl Deserialize for DiscreteDist {
     fn deserialize(v: &Value) -> std::result::Result<Self, serde::Error> {
         let probs: Vec<f64> = Vec::deserialize(serde::map_field(v, "probs", "DiscreteDist")?)?;
-        let total = check_weights(&probs).map_err(|e| serde::Error::custom(e.to_string()))?;
-        if !((total - 1.0).abs() <= MASS_EPSILON) {
-            return Err(serde::Error::custom(format!(
-                "category probabilities must sum to 1, got {total}"
-            )));
-        }
-        Ok(DiscreteDist { probs })
+        DiscreteDist::from_probs(probs).map_err(|e| serde::Error::custom(e.to_string()))
     }
 }
 

@@ -54,6 +54,37 @@ pub enum ProbError {
     /// A discrete distribution was built from an empty support.
     #[error("a discrete distribution requires at least one category")]
     EmptySupport,
+
+    /// Serialized masses or probabilities did not sum to 1 within
+    /// [`MASS_EPSILON`](crate::pdf::MASS_EPSILON).
+    #[error("probability masses must sum to 1, got {total}")]
+    Unnormalised {
+        /// The total mass encountered.
+        total: f64,
+    },
+
+    /// A serialized pdf carried a cumulative array of another length
+    /// than its masses.
+    #[error("pdf has {cumulative} cumulative masses for {points} sample points")]
+    CumulativeLength {
+        /// Entries in the supplied cumulative array.
+        cumulative: usize,
+        /// Sample points of the pdf.
+        points: usize,
+    },
+
+    /// A serialized pdf's cumulative entry was more than
+    /// [`MASS_EPSILON`](crate::pdf::MASS_EPSILON) away from the running
+    /// sum of its masses.
+    #[error("pdf cumulative mass {index} is {supplied} but its masses give {computed}")]
+    CumulativeMismatch {
+        /// Index of the first offending entry.
+        index: usize,
+        /// The supplied entry.
+        supplied: f64,
+        /// The running sum of the masses up to `index`.
+        computed: f64,
+    },
 }
 
 #[cfg(test)]

@@ -73,6 +73,40 @@ impl SampledPdf {
         SampledPdf::new(points, mass)
     }
 
+    /// Builds a pdf from its serialized parts through the constructor's
+    /// checks, without renormalising: the masses must already sum to 1
+    /// within [`MASS_EPSILON`]. The supplied `cumulative` is checked
+    /// against the running sums of the masses and then dropped: one of
+    /// another length, or an entry more than [`MASS_EPSILON`] away from
+    /// its running sum, is refused. The parts [`Serialize`] wrote build
+    /// the pdf back bit for bit.
+    pub fn from_parts(points: Vec<f64>, mass: Vec<f64>, cumulative: &[f64]) -> Result<Self> {
+        let total = check_samples(&points, &mass)?;
+        if !((total - 1.0).abs() <= MASS_EPSILON) {
+            return Err(ProbError::Unnormalised { total });
+        }
+        if cumulative.len() != mass.len() {
+            return Err(ProbError::CumulativeLength {
+                cumulative: cumulative.len(),
+                points: mass.len(),
+            });
+        }
+        let pdf = SampledPdf { points, mass };
+        if let Some((index, (&supplied, computed))) = cumulative
+            .iter()
+            .zip(pdf.cumulative())
+            .enumerate()
+            .find(|(_, (&s, c))| !((s - c).abs() <= MASS_EPSILON))
+        {
+            return Err(ProbError::CumulativeMismatch {
+                index,
+                supplied,
+                computed,
+            });
+        }
+        Ok(pdf)
+    }
+
     /// A degenerate pdf that places all mass on a single point value.
     pub fn point(value: f64) -> Result<Self> {
         SampledPdf::new(vec![value], vec![1.0])
@@ -107,7 +141,7 @@ impl SampledPdf {
     /// `P[X <= points[i]]` for each `i` in order: the running sums of the
     /// masses, added in index order, with the last pinned to exactly 1
     /// against floating-point drift.
-    pub(crate) fn cumulative(&self) -> impl Iterator<Item = f64> + '_ {
+    pub fn cumulative(&self) -> impl Iterator<Item = f64> + '_ {
         let last = self.mass.len() - 1;
         self.mass.iter().enumerate().scan(0.0, move |acc, (i, &m)| {
             *acc += m;
@@ -321,44 +355,15 @@ impl Serialize for SampledPdf {
     }
 }
 
-/// Reads a pdf through the constructor's checks, without renormalising:
-/// the masses must already sum to 1 within [`MASS_EPSILON`]. The supplied
-/// `cumulative` is checked against the running sums of the masses and then
-/// dropped: one of another length, or an entry more than [`MASS_EPSILON`]
-/// away from its running sum, is refused. A pdf that [`Serialize`] wrote
-/// reads back bit for bit.
+/// Reads a pdf through [`SampledPdf::from_parts`].
 impl Deserialize for SampledPdf {
     fn deserialize(v: &Value) -> std::result::Result<Self, serde::Error> {
         let field = |key: &str| -> std::result::Result<Vec<f64>, serde::Error> {
             Vec::deserialize(serde::map_field(v, key, "SampledPdf")?)
         };
         let (points, mass, supplied) = (field("points")?, field("mass")?, field("cumulative")?);
-        let total =
-            check_samples(&points, &mass).map_err(|e| serde::Error::custom(e.to_string()))?;
-        if !((total - 1.0).abs() <= MASS_EPSILON) {
-            return Err(serde::Error::custom(format!(
-                "pdf masses must sum to 1, got {total}"
-            )));
-        }
-        if supplied.len() != mass.len() {
-            return Err(serde::Error::custom(format!(
-                "pdf has {} cumulative masses for {} sample points",
-                supplied.len(),
-                mass.len()
-            )));
-        }
-        let pdf = SampledPdf { points, mass };
-        if let Some((i, (s, c))) = supplied
-            .iter()
-            .zip(pdf.cumulative())
-            .enumerate()
-            .find(|(_, (s, c))| !((*s - c).abs() <= MASS_EPSILON))
-        {
-            return Err(serde::Error::custom(format!(
-                "pdf cumulative mass {i} is {s} but its masses give {c}"
-            )));
-        }
-        Ok(pdf)
+        SampledPdf::from_parts(points, mass, &supplied)
+            .map_err(|e| serde::Error::custom(e.to_string()))
     }
 }
 

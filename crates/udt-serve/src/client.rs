@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use udt_data::Tuple;
 
 use crate::error::ServeError;
-use crate::protocol::{HealthReport, ModelInfo, Request, Response, StatsFormat, StatsReport};
+use crate::protocol::{self, HealthReport, ModelInfo, Request, Response, StatsFormat, StatsReport};
 use crate::Result;
 use udt_obs::catalog::serve as obs;
 
@@ -134,12 +134,17 @@ impl Client {
 
     /// Sends one request and reads its response line.
     pub fn request(&mut self, request: &Request) -> Result<Response> {
-        let mut line = request.to_line();
+        self.round_trip(request.to_line())
+    }
+
+    /// Sends a request line and reads the response line into the same
+    /// buffer.
+    fn round_trip(&mut self, mut line: String) -> Result<Response> {
         line.push('\n');
         self.writer.write_all(line.as_bytes())?;
         self.writer.flush()?;
-        let mut reply = String::new();
-        let n = self.reader.read_line(&mut reply)?;
+        line.clear();
+        let n = self.reader.read_line(&mut line)?;
         if n == 0 {
             return Err(ServeError::Io("server closed the connection".into()));
         }
@@ -147,20 +152,17 @@ impl Client {
         // means the connection died mid-response. That is a *transport*
         // failure (retryable on a fresh connection), not a protocol
         // violation — do not hand the fragment to the parser.
-        if !reply.ends_with('\n') {
+        if !line.ends_with('\n') {
             return Err(ServeError::Io(
                 "connection severed mid-response (truncated frame)".into(),
             ));
         }
-        Response::parse(&reply)
+        Response::parse(&line)
     }
 
     /// Classifies one tuple; returns `(distribution, argmax label)`.
     pub fn classify(&mut self, model: &str, tuple: &Tuple) -> Result<(Vec<f64>, usize)> {
-        match self.request(&Request::Classify {
-            model: model.to_string(),
-            tuple: tuple.clone(),
-        })? {
+        match self.round_trip(protocol::classify_line(model, tuple))? {
             Response::Classify {
                 distribution,
                 label,
@@ -176,10 +178,7 @@ impl Client {
         model: &str,
         tuples: &[Tuple],
     ) -> Result<(Vec<Vec<f64>>, Vec<usize>)> {
-        match self.request(&Request::ClassifyBatch {
-            model: model.to_string(),
-            tuples: tuples.to_vec(),
-        })? {
+        match self.round_trip(protocol::classify_batch_line(model, tuples))? {
             Response::ClassifyBatch {
                 distributions,
                 labels,

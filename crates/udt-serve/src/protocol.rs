@@ -30,14 +30,27 @@
 //! round-trip formatting, so a distribution crossing the socket is
 //! **bit-for-bit** the distribution `classify_batch` produced.
 //!
-//! The envelope is parsed by hand over the [`serde::Value`] data model
-//! rather than derived: hand parsing gives precise error messages for
-//! malformed client input (missing/mistyped fields name themselves) and
-//! keeps the externally visible format independent of derive-macro
-//! conventions.
+//! Lines are read and written by hand rather than derived: hand parsing
+//! gives precise error messages for malformed client input
+//! (missing/mistyped fields name themselves) and keeps the externally
+//! visible format independent of derive-macro conventions. No
+//! [`serde::Value`] tree is built on the way: a line is read with the
+//! `serde_json` shim's pull [`Reader`] (its one JSON grammar) and written
+//! with its number and string writers, so the classify messages go
+//! straight between bytes and tuples. The bytes and the accepted input
+//! are those of the `Value` codec this replaced: fields in any order,
+//! the first of duplicate fields, unknown fields skipped; the pdfs pass
+//! the checks of [`SampledPdf::from_parts`] and
+//! [`DiscreteDist::from_probs`], as their `Deserialize` impls do.
+//! Payloads of the other messages go through their derived `Serialize`
+//! and `Deserialize`.
+
+use std::borrow::Cow;
 
 use serde::{Deserialize, Serialize, Value};
-use udt_data::Tuple;
+use serde_json::{write_number, write_string, Reader};
+use udt_data::{Tuple, UncertainValue};
+use udt_prob::{DiscreteDist, SampledPdf};
 
 use crate::error::ServeError;
 use crate::Result;
@@ -304,108 +317,85 @@ pub enum Response {
     },
 }
 
-// ------------------------------------------------------------- helpers
-
-fn obj(pairs: Vec<(&str, Value)>) -> Value {
-    Value::Map(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-fn field<'a>(v: &'a Value, key: &str, ctx: &str) -> Result<&'a Value> {
-    v.get(key)
-        .ok_or_else(|| ServeError::Protocol(format!("{ctx}: missing field `{key}`")))
-}
-
-fn string_field(v: &Value, key: &str, ctx: &str) -> Result<String> {
-    field(v, key, ctx)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| ServeError::Protocol(format!("{ctx}: field `{key}` must be a string")))
-}
-
-fn typed_field<T: Deserialize>(v: &Value, key: &str, ctx: &str) -> Result<T> {
-    T::deserialize(field(v, key, ctx)?)
-        .map_err(|e| ServeError::Protocol(format!("{ctx}: bad field `{key}`: {e}")))
-}
-
-fn parse_line(line: &str, ctx: &str) -> Result<Value> {
-    serde_json::from_str(line.trim()).map_err(|e| ServeError::Protocol(format!("{ctx}: {e}")))
-}
-
-fn render(v: &Value) -> String {
-    serde_json::to_string(v).expect("protocol values always serialise")
-}
-
 // ------------------------------------------------------------- request
 
 impl Request {
     /// Renders the request as one NDJSON line (no trailing newline).
     pub fn to_line(&self) -> String {
-        let v = match self {
-            Request::Classify { model, tuple } => obj(vec![
-                ("cmd", Value::Str("classify".into())),
-                ("model", Value::Str(model.clone())),
-                ("tuple", tuple.serialize()),
-            ]),
-            Request::ClassifyBatch { model, tuples } => obj(vec![
-                ("cmd", Value::Str("classify_batch".into())),
-                ("model", Value::Str(model.clone())),
-                ("tuples", tuples.serialize()),
-            ]),
-            Request::LoadModel { name, path } => obj(vec![
-                ("cmd", Value::Str("load_model".into())),
-                ("name", Value::Str(name.clone())),
-                ("path", Value::Str(path.clone())),
-            ]),
-            Request::Swap { name, path } => obj(vec![
-                ("cmd", Value::Str("swap".into())),
-                ("name", Value::Str(name.clone())),
-                ("path", Value::Str(path.clone())),
-            ]),
-            Request::Stats {
-                format: StatsFormat::Json,
-            } => obj(vec![("cmd", Value::Str("stats".into()))]),
-            Request::Stats { format } => obj(vec![
-                ("cmd", Value::Str("stats".into())),
-                ("format", Value::Str(format.name().into())),
-            ]),
-            Request::Health => obj(vec![("cmd", Value::Str("health".into()))]),
-            Request::Shutdown => obj(vec![("cmd", Value::Str("shutdown".into()))]),
-        };
-        render(&v)
+        match self {
+            Request::Classify { model, tuple } => classify_line(model, tuple),
+            Request::ClassifyBatch { model, tuples } => classify_batch_line(model, tuples),
+            Request::LoadModel { name, path } => model_file_line("load_model", name, path),
+            Request::Swap { name, path } => model_file_line("swap", name, path),
+            Request::Stats { format } => {
+                let mut out = cmd_line("stats", 48);
+                // A JSON-format request omits the field, as clients
+                // from before the field did.
+                if *format != StatsFormat::Json {
+                    write_string_field(&mut out, "format", format.name());
+                }
+                close(out)
+            }
+            Request::Health => close(cmd_line("health", 16)),
+            Request::Shutdown => close(cmd_line("shutdown", 18)),
+        }
     }
 
     /// Parses one NDJSON request line.
     pub fn parse(line: &str) -> Result<Request> {
-        let v = parse_line(line, "request")?;
-        let cmd = string_field(&v, "cmd", "request")?;
-        match cmd.as_str() {
+        const KEYS: [&str; 7] = ["cmd", "model", "tuple", "tuples", "name", "path", "format"];
+        let mut scratch = Scratch::default();
+        let (mut one, mut many) = (None, None);
+        let raw = read_envelope(line, "request", KEYS, |i, raw, r| {
+            // After `cmd`, as a line is written, the tuples decode where
+            // they stand.
+            match (i, string_of(raw[0]).as_deref()) {
+                (2, Some("classify")) => {
+                    one = Some(bad_field(read_tuple(r, &mut scratch), "tuple", "classify")?)
+                }
+                (3, Some("classify_batch")) => {
+                    many = Some(bad_field(
+                        read_tuples(r, &mut scratch),
+                        "tuples",
+                        "classify_batch",
+                    )?)
+                }
+                _ => return Ok(false),
+            }
+            Ok(true)
+        })?;
+        let [cmd, model, tuple, tuples, name, path, format] = raw;
+        match &*string(cmd, "cmd", "request")? {
             "classify" => Ok(Request::Classify {
-                model: string_field(&v, "model", "classify")?,
-                tuple: typed_field(&v, "tuple", "classify")?,
+                model: string(model, "model", "classify")?.into_owned(),
+                tuple: match one {
+                    Some(tuple) => tuple,
+                    None => typed(tuple, "tuple", "classify", |r| read_tuple(r, &mut scratch))?,
+                },
             }),
             "classify_batch" => Ok(Request::ClassifyBatch {
-                model: string_field(&v, "model", "classify_batch")?,
-                tuples: typed_field(&v, "tuples", "classify_batch")?,
+                model: string(model, "model", "classify_batch")?.into_owned(),
+                tuples: match many {
+                    Some(tuples) => tuples,
+                    None => typed(tuples, "tuples", "classify_batch", |r| {
+                        read_tuples(r, &mut scratch)
+                    })?,
+                },
             }),
             "load_model" => Ok(Request::LoadModel {
-                name: string_field(&v, "name", "load_model")?,
-                path: string_field(&v, "path", "load_model")?,
+                name: string(name, "name", "load_model")?.into_owned(),
+                path: string(path, "path", "load_model")?.into_owned(),
             }),
             "swap" => Ok(Request::Swap {
-                name: string_field(&v, "name", "swap")?,
-                path: string_field(&v, "path", "swap")?,
+                name: string(name, "name", "swap")?.into_owned(),
+                path: string(path, "path", "swap")?.into_owned(),
             }),
             "stats" => {
                 // `format` is optional; absent means JSON. Present but
                 // invalid is a protocol error naming the input.
-                let format = match v.get("format") {
+                let format = match format {
                     None => StatsFormat::Json,
-                    Some(f) => f
-                        .as_str()
-                        .ok_or_else(|| {
-                            ServeError::Protocol("stats: field `format` must be a string".into())
-                        })?
-                        .parse()?,
+                    Some(_) => string(format, "format", "stats")?.parse()?,
                 };
                 Ok(Request::Stats { format })
             }
@@ -421,104 +411,157 @@ impl Request {
 impl Response {
     /// Renders the response as one NDJSON line (no trailing newline).
     pub fn to_line(&self) -> String {
-        let v = match self {
+        match self {
             Response::Classify {
                 distribution,
                 label,
-            } => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("result", Value::Str("classify".into())),
-                ("distribution", distribution.serialize()),
-                ("label", label.serialize()),
-            ]),
+            } => {
+                let mut out = ok_line("classify", 64 + 24 * distribution.len());
+                key(&mut out, "distribution");
+                write_numbers(&mut out, distribution.iter().copied());
+                key(&mut out, "label");
+                write_number(*label as f64, &mut out);
+                close(out)
+            }
             Response::ClassifyBatch {
                 distributions,
                 labels,
-            } => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("result", Value::Str("classify_batch".into())),
-                ("distributions", distributions.serialize()),
-                ("labels", labels.serialize()),
-            ]),
-            Response::ModelLoaded(info) => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("result", Value::Str("model_loaded".into())),
-                ("model", info.serialize()),
-            ]),
-            Response::Stats(report) => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("result", Value::Str("stats".into())),
-                ("stats", report.serialize()),
-            ]),
-            Response::StatsText { text } => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("result", Value::Str("stats_text".into())),
-                ("text", Value::Str(text.clone())),
-            ]),
-            Response::Health(report) => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("result", Value::Str("health".into())),
-                ("health", report.serialize()),
-            ]),
-            Response::ShuttingDown => obj(vec![
-                ("ok", Value::Bool(true)),
-                ("result", Value::Str("shutting_down".into())),
-            ]),
-            Response::Error { code, message } => obj(vec![
-                ("ok", Value::Bool(false)),
-                ("code", Value::Str(code.clone())),
-                ("error", Value::Str(message.clone())),
-            ]),
-        };
-        render(&v)
+            } => {
+                let numbers: usize = distributions.iter().map(|d| d.len() + 1).sum();
+                let mut out = ok_line("classify_batch", 64 + 24 * numbers);
+                key(&mut out, "distributions");
+                out.push('[');
+                for (i, distribution) in distributions.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_numbers(&mut out, distribution.iter().copied());
+                }
+                out.push(']');
+                key(&mut out, "labels");
+                write_numbers(&mut out, labels.iter().map(|&l| l as f64));
+                close(out)
+            }
+            Response::ModelLoaded(info) => payload_line("model_loaded", "model", info),
+            Response::Stats(report) => payload_line("stats", "stats", report),
+            Response::StatsText { text } => {
+                let mut out = ok_line("stats_text", 48 + text.len());
+                write_string_field(&mut out, "text", text);
+                close(out)
+            }
+            Response::Health(report) => payload_line("health", "health", report),
+            Response::ShuttingDown => close(ok_line("shutting_down", 48)),
+            Response::Error { code, message } => {
+                let mut out = String::with_capacity(48 + code.len() + message.len());
+                out.push_str("{\"ok\":false");
+                write_string_field(&mut out, "code", code);
+                write_string_field(&mut out, "error", message);
+                close(out)
+            }
+        }
     }
 
     /// Parses one NDJSON response line.
     pub fn parse(line: &str) -> Result<Response> {
-        let v = parse_line(line, "response")?;
-        let ok = match field(&v, "ok", "response")? {
-            Value::Bool(b) => *b,
-            _ => {
+        const KEYS: [&str; 12] = [
+            "ok",
+            "result",
+            "code",
+            "error",
+            "distribution",
+            "label",
+            "distributions",
+            "labels",
+            "model",
+            "stats",
+            "text",
+            "health",
+        ];
+        let mut numbers = Vec::new();
+        let (mut one, mut many) = (None, None);
+        let raw = read_envelope(line, "response", KEYS, |i, raw, r| {
+            // After `ok` and `result`, as a line is written, the
+            // distributions decode where they stand.
+            if raw[0] != Some("true") {
+                return Ok(false);
+            }
+            match (i, string_of(raw[1]).as_deref()) {
+                (4, Some("classify")) => {
+                    one = Some(bad_field(
+                        read_numbers(r, &mut numbers),
+                        "distribution",
+                        "classify response",
+                    )?)
+                }
+                (6, Some("classify_batch")) => {
+                    many = Some(bad_field(
+                        read_rows(r, &mut numbers),
+                        "distributions",
+                        "classify_batch response",
+                    )?)
+                }
+                _ => return Ok(false),
+            }
+            Ok(true)
+        })?;
+        let [ok, result, code, error, distribution, label, distributions, labels, model, stats, text, health] =
+            raw;
+        match ok {
+            Some("true") => {}
+            Some("false") => {
+                // `code` is optional on the wire (pre-code servers);
+                // absent means the generic `error`.
+                let code = match code {
+                    None => "error".to_string(),
+                    Some(_) => string(code, "code", "error response")?.into_owned(),
+                };
+                return Ok(Response::Error {
+                    code,
+                    message: string(error, "error", "error response")?.into_owned(),
+                });
+            }
+            Some(_) => {
                 return Err(ServeError::Protocol(
                     "response: field `ok` must be a bool".into(),
                 ))
             }
-        };
-        if !ok {
-            // `code` is optional on the wire (pre-code servers); absent
-            // means the generic `error`.
-            let code = match v.get("code") {
-                None => "error".to_string(),
-                Some(c) => c.as_str().map(str::to_string).ok_or_else(|| {
-                    ServeError::Protocol("error response: field `code` must be a string".into())
-                })?,
-            };
-            return Ok(Response::Error {
-                code,
-                message: string_field(&v, "error", "error response")?,
-            });
+            None => return Err(missing_field("ok", "response")),
         }
-        let result = string_field(&v, "result", "response")?;
-        match result.as_str() {
+        match &*string(result, "result", "response")? {
             "classify" => Ok(Response::Classify {
-                distribution: typed_field(&v, "distribution", "classify response")?,
-                label: typed_field(&v, "label", "classify response")?,
+                distribution: match one {
+                    Some(distribution) => distribution,
+                    None => typed(distribution, "distribution", "classify response", |r| {
+                        read_numbers(r, &mut numbers)
+                    })?,
+                },
+                label: typed(label, "label", "classify response", read_label)?,
             }),
             "classify_batch" => Ok(Response::ClassifyBatch {
-                distributions: typed_field(&v, "distributions", "classify_batch response")?,
-                labels: typed_field(&v, "labels", "classify_batch response")?,
+                distributions: match many {
+                    Some(distributions) => distributions,
+                    None => typed(
+                        distributions,
+                        "distributions",
+                        "classify_batch response",
+                        |r| read_rows(r, &mut numbers),
+                    )?,
+                },
+                labels: typed(labels, "labels", "classify_batch response", |r| {
+                    read_array(r, read_label)
+                })?,
             }),
-            "model_loaded" => Ok(Response::ModelLoaded(typed_field(
-                &v,
+            "model_loaded" => Ok(Response::ModelLoaded(derived(
+                model,
                 "model",
                 "model_loaded response",
             )?)),
-            "stats" => Ok(Response::Stats(typed_field(&v, "stats", "stats response")?)),
+            "stats" => Ok(Response::Stats(derived(stats, "stats", "stats response")?)),
             "stats_text" => Ok(Response::StatsText {
-                text: string_field(&v, "text", "stats_text response")?,
+                text: string(text, "text", "stats_text response")?.into_owned(),
             }),
-            "health" => Ok(Response::Health(typed_field(
-                &v,
+            "health" => Ok(Response::Health(derived(
+                health,
                 "health",
                 "health response",
             )?)),
@@ -535,6 +578,349 @@ impl Response {
             message: e.to_string(),
         }
     }
+}
+
+// ------------------------------------------------------------- writing
+//
+// Every line is written field by field, in the field order and with the
+// number text that `serde_json::to_string` gives the message's `Value`
+// form: the envelope's fields first, a tuple as `{"values":[…],
+// "label":n}`, a pdf as `{"Numeric":{"points":[…],"mass":[…],
+// "cumulative":[…]}}`, integers without a fraction.
+
+/// The line of a `classify` request: [`Request::to_line`] of
+/// [`Request::Classify`], written from a borrowed tuple.
+pub(crate) fn classify_line(model: &str, tuple: &Tuple) -> String {
+    let capacity = 64 + model.len() + text_capacity(std::slice::from_ref(tuple));
+    let mut out = cmd_line("classify", capacity);
+    write_string_field(&mut out, "model", model);
+    key(&mut out, "tuple");
+    write_tuple(&mut out, tuple);
+    close(out)
+}
+
+/// The line of a `classify_batch` request: [`Request::to_line`] of
+/// [`Request::ClassifyBatch`], written from borrowed tuples.
+pub(crate) fn classify_batch_line(model: &str, tuples: &[Tuple]) -> String {
+    let mut out = cmd_line("classify_batch", 64 + model.len() + text_capacity(tuples));
+    write_string_field(&mut out, "model", model);
+    key(&mut out, "tuples");
+    out.push('[');
+    for (i, tuple) in tuples.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_tuple(&mut out, tuple);
+    }
+    out.push(']');
+    close(out)
+}
+
+/// A bound that the text of `tuples` rarely passes, so that a request
+/// line is written into one allocation: a pdf sample is three numbers
+/// of at most ~20 characters each.
+fn text_capacity(tuples: &[Tuple]) -> usize {
+    tuples
+        .iter()
+        .map(|t| 32 + 48 * t.arity() + 64 * t.total_samples())
+        .sum()
+}
+
+fn model_file_line(cmd: &str, name: &str, path: &str) -> String {
+    let mut out = cmd_line(cmd, 48 + name.len() + path.len());
+    write_string_field(&mut out, "name", name);
+    write_string_field(&mut out, "path", path);
+    close(out)
+}
+
+/// A successful response line whose payload is a derived-`Serialize`
+/// value.
+fn payload_line(result: &str, key_name: &str, payload: &impl Serialize) -> String {
+    let payload = serde_json::to_string(payload).expect("protocol values always serialise");
+    let mut out = ok_line(result, 48 + payload.len());
+    key(&mut out, key_name);
+    out.push_str(&payload);
+    close(out)
+}
+
+/// Opens a request line, `{"cmd":"<cmd>"`.
+fn cmd_line(cmd: &str, capacity: usize) -> String {
+    let mut out = String::with_capacity(capacity);
+    out.push_str("{\"cmd\":");
+    write_string(cmd, &mut out);
+    out
+}
+
+/// Opens a successful response line, `{"ok":true,"result":"<result>"`.
+fn ok_line(result: &str, capacity: usize) -> String {
+    let mut out = String::with_capacity(capacity);
+    out.push_str("{\"ok\":true");
+    write_string_field(&mut out, "result", result);
+    out
+}
+
+/// Writes the key of the next field, `,"<name>":`.
+fn key(out: &mut String, name: &str) {
+    out.push(',');
+    write_string(name, out);
+    out.push(':');
+}
+
+fn write_string_field(out: &mut String, name: &str, value: &str) {
+    key(out, name);
+    write_string(value, out);
+}
+
+fn close(mut out: String) -> String {
+    out.push('}');
+    out
+}
+
+fn write_numbers(out: &mut String, numbers: impl IntoIterator<Item = f64>) {
+    out.push('[');
+    for (i, n) in numbers.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_number(n, out);
+    }
+    out.push(']');
+}
+
+fn write_tuple(out: &mut String, tuple: &Tuple) {
+    out.push_str("{\"values\":[");
+    for (i, value) in tuple.values().iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        match value {
+            UncertainValue::Numeric(pdf) => {
+                out.push_str("{\"Numeric\":{\"points\":");
+                write_numbers(out, pdf.points().iter().copied());
+                out.push_str(",\"mass\":");
+                write_numbers(out, pdf.mass().iter().copied());
+                out.push_str(",\"cumulative\":");
+                write_numbers(out, pdf.cumulative());
+            }
+            UncertainValue::Categorical(dist) => {
+                out.push_str("{\"Categorical\":{\"probs\":");
+                write_numbers(out, dist.probs().iter().copied());
+            }
+        }
+        out.push_str("}}");
+    }
+    out.push_str("],\"label\":");
+    write_number(tuple.label() as f64, out);
+    out.push('}');
+}
+
+// ------------------------------------------------------------- reading
+//
+// A line is read as `serde_json::from_str` into a `Value` and the
+// `Deserialize` impls would read it: keys in any order, the first of
+// duplicate keys, unknown keys skipped (but still checked as JSON).
+// The classify payloads decode straight into tuples and distributions,
+// through the constructors the `Deserialize` impls call; every other
+// payload goes through `serde_json::from_str` of its own text.
+
+/// Reads the top-level object of a `ctx` line and returns, for each of
+/// `keys`, the text of its first occurrence. `eager(i, raw, reader)`
+/// may decode the first value of `keys[i]` where it stands, given the
+/// text of the fields read before it, and return `true`; that key's
+/// text is then `None`.
+fn read_envelope<'a, const N: usize>(
+    line: &'a str,
+    ctx: &str,
+    keys: [&str; N],
+    mut eager: impl FnMut(usize, &[Option<&'a str>; N], &mut Reader<'a>) -> Result<bool>,
+) -> Result<[Option<&'a str>; N]> {
+    let json = |e: serde_json::Error| ServeError::Protocol(format!("{ctx}: {e}"));
+    let (mut raw, mut seen) = ([None; N], [false; N]);
+    let mut r = Reader::new(line.trim());
+    r.begin_object().map_err(json)?;
+    while let Some(name) = r.next_key().map_err(json)? {
+        match keys.iter().position(|k| *k == name) {
+            Some(i) if !seen[i] => {
+                seen[i] = true;
+                if !eager(i, &raw, &mut r)? {
+                    raw[i] = Some(r.raw_value().map_err(json)?);
+                }
+            }
+            _ => r.skip_value().map_err(json)?,
+        }
+    }
+    r.end().map_err(json)?;
+    Ok(raw)
+}
+
+fn missing_field(name: &str, ctx: &str) -> ServeError {
+    ServeError::Protocol(format!("{ctx}: missing field `{name}`"))
+}
+
+fn bad_field<T>(decoded: Decoded<T>, name: &str, ctx: &str) -> Result<T> {
+    decoded.map_err(|e| ServeError::Protocol(format!("{ctx}: bad field `{name}`: {e}")))
+}
+
+/// The string a field's text holds, if it is a string.
+fn string_of(raw: Option<&str>) -> Option<Cow<'_, str>> {
+    Reader::new(raw?).string().ok()
+}
+
+/// The string field `name` of a `ctx` line.
+fn string<'a>(raw: Option<&'a str>, name: &str, ctx: &str) -> Result<Cow<'a, str>> {
+    let raw = raw.ok_or_else(|| missing_field(name, ctx))?;
+    string_of(Some(raw))
+        .ok_or_else(|| ServeError::Protocol(format!("{ctx}: field `{name}` must be a string")))
+}
+
+/// Decodes the field `name` of a `ctx` line from its text with `read`.
+fn typed<'a, T>(
+    raw: Option<&'a str>,
+    name: &str,
+    ctx: &str,
+    read: impl FnOnce(&mut Reader<'a>) -> Decoded<T>,
+) -> Result<T> {
+    let raw = raw.ok_or_else(|| missing_field(name, ctx))?;
+    bad_field(read(&mut Reader::new(raw)), name, ctx)
+}
+
+/// Decodes the field `name` of a `ctx` line through its derived
+/// `Deserialize`.
+fn derived<T: Deserialize>(raw: Option<&str>, name: &str, ctx: &str) -> Result<T> {
+    let raw = raw.ok_or_else(|| missing_field(name, ctx))?;
+    bad_field(serde_json::from_str(raw), name, ctx)
+}
+
+/// The outcome of decoding one value.
+type Decoded<T> = std::result::Result<T, serde_json::Error>;
+
+fn invalid(e: impl std::fmt::Display) -> serde_json::Error {
+    serde::Error::custom(e.to_string()).into()
+}
+
+fn missing(name: &str, ty: &str) -> serde_json::Error {
+    invalid(format!("missing field `{name}` for `{ty}`"))
+}
+
+/// Arrays of numbers a decode reads into and copies out of at their
+/// exact length, reused across the tuples and pdfs of a request.
+#[derive(Default)]
+struct Scratch {
+    numbers: Vec<f64>,
+    cumulative: Vec<f64>,
+}
+
+/// Reads an array of numbers into `buf`.
+fn fill_numbers(r: &mut Reader<'_>, buf: &mut Vec<f64>) -> Decoded<()> {
+    buf.clear();
+    r.begin_array()?;
+    while r.next_element()? {
+        buf.push(r.f64()?);
+    }
+    Ok(())
+}
+
+/// Reads an array of numbers, through `buf`, into a vector of its
+/// exact length.
+fn read_numbers(r: &mut Reader<'_>, buf: &mut Vec<f64>) -> Decoded<Vec<f64>> {
+    fill_numbers(r, buf)?;
+    Ok(buf.to_vec())
+}
+
+fn read_array<'a, T>(
+    r: &mut Reader<'a>,
+    mut read_item: impl FnMut(&mut Reader<'a>) -> Decoded<T>,
+) -> Decoded<Vec<T>> {
+    let mut items = Vec::new();
+    r.begin_array()?;
+    while r.next_element()? {
+        items.push(read_item(r)?);
+    }
+    Ok(items)
+}
+
+fn read_rows(r: &mut Reader<'_>, buf: &mut Vec<f64>) -> Decoded<Vec<Vec<f64>>> {
+    read_array(r, |r| read_numbers(r, buf))
+}
+
+/// Reads a class label through the `usize` conversion of `Deserialize`,
+/// which refuses negative and fractional numbers.
+fn read_label(r: &mut Reader<'_>) -> Decoded<usize> {
+    Ok(usize::deserialize(&Value::Num(r.f64()?))?)
+}
+
+fn read_tuples(r: &mut Reader<'_>, s: &mut Scratch) -> Decoded<Vec<Tuple>> {
+    read_array(r, |r| read_tuple(r, s))
+}
+
+/// Reads a tuple as its derived `Deserialize` does.
+fn read_tuple(r: &mut Reader<'_>, s: &mut Scratch) -> Decoded<Tuple> {
+    let (mut values, mut label) = (None, None);
+    r.begin_object()?;
+    while let Some(name) = r.next_key()? {
+        match &*name {
+            "values" if values.is_none() => values = Some(read_array(r, |r| read_value(r, s))?),
+            "label" if label.is_none() => label = Some(read_label(r)?),
+            _ => r.skip_value()?,
+        }
+    }
+    Ok(Tuple::new(
+        values.ok_or_else(|| missing("values", "Tuple"))?,
+        label.ok_or_else(|| missing("label", "Tuple"))?,
+    ))
+}
+
+/// Reads a value as its derived `Deserialize` does: an object of
+/// exactly one entry, whose key names the variant.
+fn read_value(r: &mut Reader<'_>, s: &mut Scratch) -> Decoded<UncertainValue> {
+    let not_a_value = || invalid("invalid value for enum UncertainValue");
+    r.begin_object()?;
+    let value = match r.next_key()?.as_deref() {
+        Some("Numeric") => UncertainValue::Numeric(read_pdf(r, s)?),
+        Some("Categorical") => UncertainValue::Categorical(read_dist(r, s)?),
+        _ => return Err(not_a_value()),
+    };
+    match r.next_key()? {
+        None => Ok(value),
+        Some(_) => Err(not_a_value()),
+    }
+}
+
+/// Reads a pdf through [`SampledPdf::from_parts`].
+fn read_pdf(r: &mut Reader<'_>, s: &mut Scratch) -> Decoded<SampledPdf> {
+    let (mut points, mut mass, mut cumulative) = (None, None, false);
+    r.begin_object()?;
+    while let Some(name) = r.next_key()? {
+        match &*name {
+            "points" if points.is_none() => points = Some(read_numbers(r, &mut s.numbers)?),
+            "mass" if mass.is_none() => mass = Some(read_numbers(r, &mut s.numbers)?),
+            "cumulative" if !cumulative => {
+                fill_numbers(r, &mut s.cumulative)?;
+                cumulative = true;
+            }
+            _ => r.skip_value()?,
+        }
+    }
+    let points = points.ok_or_else(|| missing("points", "SampledPdf"))?;
+    let mass = mass.ok_or_else(|| missing("mass", "SampledPdf"))?;
+    if !cumulative {
+        return Err(missing("cumulative", "SampledPdf"));
+    }
+    SampledPdf::from_parts(points, mass, &s.cumulative).map_err(invalid)
+}
+
+/// Reads a distribution through [`DiscreteDist::from_probs`].
+fn read_dist(r: &mut Reader<'_>, s: &mut Scratch) -> Decoded<DiscreteDist> {
+    let mut probs = None;
+    r.begin_object()?;
+    while let Some(name) = r.next_key()? {
+        match &*name {
+            "probs" if probs.is_none() => probs = Some(read_numbers(r, &mut s.numbers)?),
+            _ => r.skip_value()?,
+        }
+    }
+    DiscreteDist::from_probs(probs.ok_or_else(|| missing("probs", "DiscreteDist"))?)
+        .map_err(invalid)
 }
 
 #[cfg(test)]
@@ -725,5 +1111,14 @@ mod tests {
         assert!(err.to_string().contains("ok"));
         let err = Response::parse("{\"ok\":true,\"result\":\"nope\"}").unwrap_err();
         assert!(err.to_string().contains("nope"));
+        // A label must be a class index, not a negative or fractional
+        // number.
+        for label in ["-1", "0.5"] {
+            let line = format!(
+                "{{\"ok\":true,\"result\":\"classify\",\"distribution\":[1],\"label\":{label}}}"
+            );
+            let err = Response::parse(&line).unwrap_err();
+            assert!(err.to_string().contains("label"), "{err}");
+        }
     }
 }

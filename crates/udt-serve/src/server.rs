@@ -293,8 +293,10 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) {
             // the rejection branch above.
             Ok(_) if line.len() > MAX_LINE_BYTES => continue,
             Ok(_) => {
-                let text = String::from_utf8_lossy(&line).into_owned();
+                // Borrowed from `line` unless it is not valid UTF-8.
+                let text = String::from_utf8_lossy(&line);
                 if text.trim().is_empty() {
+                    drop(text);
                     line.clear();
                     continue;
                 }
@@ -306,6 +308,7 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) {
                     std::thread::sleep(delay);
                 }
                 let (response, stop) = dispatch(&text, ctx);
+                drop(text);
                 line.clear();
                 if stop {
                     // Commit the shutdown *before* attempting the ack:

@@ -117,7 +117,7 @@ pub fn seq_item<'a>(v: &'a Value, index: usize, ty: &str) -> Result<&'a Value, E
 // ------------------------------------------------------------ primitives
 
 macro_rules! impl_num {
-    ($($ty:ty),*) => {$(
+    ($kind:ident: $($ty:ty),*) => {$(
         impl Serialize for $ty {
             fn serialize(&self) -> Value {
                 Value::Num(*self as f64)
@@ -126,7 +126,9 @@ macro_rules! impl_num {
         impl Deserialize for $ty {
             fn deserialize(v: &Value) -> Result<Self, Error> {
                 match v {
-                    Value::Num(n) => Ok(*n as $ty),
+                    Value::Num(n) => {
+                        check_number(*n, NumKind::$kind, stringify!($ty)).map(|n| n as $ty)
+                    }
                     other => Err(Error::custom(format!(
                         "expected a number for {}, found {other:?}",
                         stringify!($ty)
@@ -137,7 +139,35 @@ macro_rules! impl_num {
     )*};
 }
 
-impl_num!(f64, f32, u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+/// The numbers a numeric type reads.
+#[derive(Clone, Copy, PartialEq)]
+enum NumKind {
+    Float,
+    Signed,
+    Unsigned,
+}
+
+/// Checks a number read for a type of `kind`: an integer type takes
+/// only integral values, and an unsigned one no negative ones. Values
+/// beyond an integer type's range saturate in the caller's `as` cast,
+/// so `usize::MAX`, which reaches `f64` as 2^64, reads back as itself.
+fn check_number(n: f64, kind: NumKind, ty: &str) -> Result<f64, Error> {
+    if kind != NumKind::Float && n.fract() != 0.0 {
+        Err(Error::custom(format!(
+            "expected an integer for {ty}, found {n}"
+        )))
+    } else if kind == NumKind::Unsigned && n < 0.0 {
+        Err(Error::custom(format!(
+            "expected a non-negative integer for {ty}, found {n}"
+        )))
+    } else {
+        Ok(n)
+    }
+}
+
+impl_num!(Float: f64, f32);
+impl_num!(Signed: i8, i16, i32, i64, isize);
+impl_num!(Unsigned: u8, u16, u32, u64, usize);
 
 impl Serialize for bool {
     fn serialize(&self) -> Value {
@@ -277,5 +307,27 @@ impl Serialize for Value {
 impl Deserialize for Value {
     fn deserialize(v: &Value) -> Result<Self, Error> {
         Ok(v.clone())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn integers_read_only_integral_numbers_in_their_sign() {
+        assert_eq!(usize::deserialize(&Value::Num(3.0)), Ok(3));
+        assert_eq!(i32::deserialize(&Value::Num(-3.0)), Ok(-3));
+        assert_eq!(u8::deserialize(&Value::Num(-0.0)), Ok(0));
+        assert!(usize::deserialize(&Value::Num(-1.0)).is_err());
+        assert!(u64::deserialize(&Value::Num(2.5)).is_err());
+        assert!(i64::deserialize(&Value::Num(-0.5)).is_err());
+        assert!(usize::deserialize(&Value::Num(f64::INFINITY)).is_err());
+        // Past the maximum saturates: usize::MAX reaches f64 as 2^64.
+        let max = usize::MAX.serialize();
+        assert_eq!(usize::deserialize(&max), Ok(usize::MAX));
+        assert_eq!(u8::deserialize(&Value::Num(300.0)), Ok(u8::MAX));
+        // Floats take any number.
+        assert_eq!(f64::deserialize(&Value::Num(-0.5)), Ok(-0.5));
     }
 }

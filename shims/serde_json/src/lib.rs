@@ -6,8 +6,18 @@
 //! [`Error`] re-exports. Numbers are parsed as `f64`; floats print with
 //! Rust's shortest round-trip formatting so persisted trees reload
 //! bit-for-bit.
+//!
+//! Beyond the `serde_json` surface, the shim exposes its one JSON
+//! grammar as the pull [`Reader`] and its scalar writers as
+//! [`write_number`] and [`write_string`], so that a hot codec (the
+//! serving protocol's) can go straight between text and typed values
+//! with the same grammar and the same bytes as [`from_str`] and
+//! [`to_string`].
 
 pub use serde::Value;
+
+use std::borrow::Cow;
+use std::fmt::Write as _;
 
 use serde::{Deserialize, Serialize};
 
@@ -57,18 +67,9 @@ pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
 
 /// Parses JSON text into any deserializable value.
 pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
-    let mut parser = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let value = parser.parse_value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(Error::new(format!(
-            "trailing characters at byte {}",
-            parser.pos
-        )));
-    }
+    let mut reader = Reader::new(text);
+    let value = reader.value()?;
+    reader.end()?;
     Ok(T::deserialize(&value)?)
 }
 
@@ -141,19 +142,44 @@ fn write_container<I: ExactSizeIterator>(
     out.push(close);
 }
 
-fn write_number(n: f64, out: &mut String) {
+/// Appends the JSON text of a number: an integral value below 2^53 in
+/// magnitude without a fraction, any other finite value in Rust's
+/// shortest round-trip form, and `null` for NaN and infinities.
+pub fn write_number(n: f64, out: &mut String) {
     if !n.is_finite() {
         // JSON has no NaN/Inf; serde_json writes null.
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 {
-        out.push_str(&format!("{}", n as i64));
+        write_integer(n as i64, out);
     } else {
         // `{:?}` is Rust's shortest round-trip float formatting.
-        out.push_str(&format!("{n:?}"));
+        write!(out, "{n:?}").expect("writing to a String cannot fail");
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// Appends the digits of `n` as `{}` formats it, without the
+/// formatting machinery.
+fn write_integer(n: i64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if n < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
+}
+
+/// Appends a JSON string literal: `s` quoted, with `"`, `\` and control
+/// characters escaped.
+pub fn write_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -162,7 +188,9 @@ fn write_string(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail")
+            }
             c => out.push(c),
         }
     }
@@ -171,19 +199,239 @@ fn write_string(s: &str, out: &mut String) {
 
 // --------------------------------------------------------------- parsing
 
-struct Parser<'a> {
+/// A pull reader over JSON text: the one JSON grammar of the workspace.
+///
+/// [`from_str`] builds its [`Value`] with it, and typed decoders walk
+/// text with it directly, without a [`Value`] in between. Every method
+/// skips the whitespace before its token. Objects and arrays are read
+/// as loops:
+///
+/// ```
+/// let mut r = serde_json::Reader::new(r#"{"xs": [1, 2.5], "skip": {"a": null}}"#);
+/// let mut xs = Vec::new();
+/// r.begin_object()?;
+/// while let Some(key) = r.next_key()? {
+///     match &*key {
+///         "xs" => {
+///             r.begin_array()?;
+///             while r.next_element()? {
+///                 xs.push(r.f64()?);
+///             }
+///         }
+///         _ => r.skip_value()?,
+///     }
+/// }
+/// r.end()?;
+/// assert_eq!(xs, [1.0, 2.5]);
+/// # Ok::<(), serde_json::Error>(())
+/// ```
+pub struct Reader<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// The last token read opened an object or an array, so the next
+    /// key or element takes no separating comma.
+    opened: bool,
 }
 
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Reader {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            opened: false,
+        }
+    }
+
+    /// Reads the `{` that opens an object.
+    pub fn begin_object(&mut self) -> Result<(), Error> {
+        self.skip_ws();
+        self.expect(b'{')?;
+        self.opened = true;
+        Ok(())
+    }
+
+    /// Reads the next key of the object being read, with its `:`, or
+    /// the closing `}` (`None`). The key's value must be read (or
+    /// skipped) before the next call.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, Error> {
+        if !self.next_item(b'}', "object")? {
+            return Ok(None);
+        }
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Reads the `[` that opens an array.
+    pub fn begin_array(&mut self) -> Result<(), Error> {
+        self.skip_ws();
+        self.expect(b'[')?;
+        self.opened = true;
+        Ok(())
+    }
+
+    /// Steps to the next element of the array being read (`true`), or
+    /// reads its closing `]` (`false`). The element must be read (or
+    /// skipped) before the next call.
+    pub fn next_element(&mut self) -> Result<bool, Error> {
+        self.next_item(b']', "array")
+    }
+
+    /// Reads a number.
+    pub fn f64(&mut self) -> Result<f64, Error> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            other => Err(self.unexpected(other)),
+        }
+    }
+
+    /// Reads a string, borrowed from the text unless it holds escapes.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, Error> {
+        self.skip_ws();
+        self.expect(b'"')?;
+        let start = self.pos;
+        self.skip_plain();
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+        }
+        let mut out = String::new();
+        let mut run = start;
+        loop {
+            out.push_str(&self.text[run..self.pos]);
+            match self.peek() {
+                None => return Err(Error::new("unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(Cow::Owned(out));
+                }
+                _ => {
+                    self.pos += 1;
+                    out.push(self.escape()?);
+                }
             }
+            run = self.pos;
+            self.skip_plain();
+        }
+    }
+
+    /// Reads a value of any kind and discards it.
+    pub fn skip_value(&mut self) -> Result<(), Error> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'{') => {
+                self.begin_object()?;
+                while self.next_key()?.is_some() {
+                    self.skip_value()?;
+                }
+            }
+            Some(b'[') => {
+                self.begin_array()?;
+                while self.next_element()? {
+                    self.skip_value()?;
+                }
+            }
+            Some(b'"') => {
+                self.string()?;
+            }
+            Some(b'-' | b'0'..=b'9') => {
+                self.number()?;
+            }
+            other => {
+                self.literal(other)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Reads a value of any kind and returns its text, without the
+    /// whitespace around it.
+    pub fn raw_value(&mut self) -> Result<&'a str, Error> {
+        self.skip_ws();
+        let start = self.pos;
+        self.skip_value()?;
+        Ok(&self.text[start..self.pos])
+    }
+
+    /// Reads a value of any kind into the [`Value`] data model.
+    fn value(&mut self) -> Result<Value, Error> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'{') => {
+                self.begin_object()?;
+                let mut entries = Vec::new();
+                while let Some(key) = self.next_key()? {
+                    entries.push((key.into_owned(), self.value()?));
+                }
+                Ok(Value::Map(entries))
+            }
+            Some(b'[') => {
+                self.begin_array()?;
+                let mut items = Vec::new();
+                while self.next_element()? {
+                    items.push(self.value()?);
+                }
+                Ok(Value::Seq(items))
+            }
+            Some(b'"') => Ok(Value::Str(self.string()?.into_owned())),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Value::Num),
+            other => self.literal(other),
+        }
+    }
+
+    /// Checks that only whitespace is left.
+    pub fn end(&mut self) -> Result<(), Error> {
+        self.skip_ws();
+        if self.pos == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(Error::new(format!(
+                "trailing characters at byte {}",
+                self.pos
+            )))
+        }
+    }
+
+    /// Steps past the `,` before the next item of an object or array
+    /// (`true`), or past its `close` (`false`).
+    fn next_item(&mut self, close: u8, what: &str) -> Result<bool, Error> {
+        self.skip_ws();
+        if std::mem::take(&mut self.opened) {
+            if self.peek() == Some(close) {
+                self.pos += 1;
+                return Ok(false);
+            }
+            return Ok(true);
+        }
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            Some(b) if b == close => {
+                self.pos += 1;
+                Ok(false)
+            }
+            _ => Err(Error::new(format!("bad {what} at byte {}", self.pos))),
+        }
+    }
+
+    /// Steps to the next `"` or `\\` (or the end of the text).
+    fn skip_plain(&mut self) {
+        self.pos += self.bytes[self.pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .unwrap_or(self.bytes.len() - self.pos);
+    }
+
+    fn skip_ws(&mut self) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
+            self.pos += 1;
         }
     }
 
@@ -203,166 +451,107 @@ impl Parser<'_> {
         }
     }
 
-    fn eat_literal(&mut self, literal: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(literal.as_bytes()) {
-            self.pos += literal.len();
-            true
-        } else {
-            false
-        }
+    fn unexpected(&self, found: Option<u8>) -> Error {
+        Error::new(format!("unexpected input {found:?} at byte {}", self.pos))
     }
 
-    fn parse_value(&mut self) -> Result<Value, Error> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'n') if self.eat_literal("null") => Ok(Value::Null),
-            Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
-            Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
-            Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Value::Seq(items));
-                }
-                loop {
-                    items.push(self.parse_value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::Seq(items));
-                        }
-                        _ => return Err(Error::new(format!("bad array at byte {}", self.pos))),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut entries = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Value::Map(entries));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.parse_string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let value = self.parse_value()?;
-                    entries.push((key, value));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Map(entries));
-                        }
-                        _ => return Err(Error::new(format!("bad object at byte {}", self.pos))),
-                    }
-                }
-            }
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
-            other => Err(Error::new(format!(
-                "unexpected input {other:?} at byte {}",
-                self.pos
-            ))),
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(b) = self.peek() else {
-                return Err(Error::new("unterminated string"));
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(Error::new("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| Error::new("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| Error::new("invalid \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| Error::new("invalid \\u escape"))?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error::new("invalid \\u code point"))?,
-                            );
-                        }
-                        other => {
-                            return Err(Error::new(format!("bad escape `\\{}`", other as char)))
-                        }
-                    }
-                }
-                _ => {
-                    // Collect the full UTF-8 sequence starting at b.
-                    let start = self.pos - 1;
-                    let width = utf8_width(b);
-                    let end = start + width;
-                    let chunk = self
-                        .bytes
-                        .get(start..end)
-                        .ok_or_else(|| Error::new("truncated UTF-8 sequence"))?;
-                    let s = std::str::from_utf8(chunk)
-                        .map_err(|_| Error::new("invalid UTF-8 in string"))?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
+    /// Reads `null`, `true` or `false`, whose first byte is `first`.
+    fn literal(&mut self, first: Option<u8>) -> Result<Value, Error> {
+        for (literal, value) in [
+            ("null", Value::Null),
+            ("true", Value::Bool(true)),
+            ("false", Value::Bool(false)),
+        ] {
+            if self.bytes[self.pos..].starts_with(literal.as_bytes()) {
+                self.pos += literal.len();
+                return Ok(value);
             }
         }
+        Err(self.unexpected(first))
     }
 
-    fn parse_number(&mut self) -> Result<Value, Error> {
+    /// Reads the character of the escape whose `\` was just read.
+    fn escape(&mut self) -> Result<char, Error> {
+        let Some(esc) = self.peek() else {
+            return Err(Error::new("unterminated escape"));
+        };
+        self.pos += 1;
+        Ok(match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'u' => {
+                let hex = self
+                    .bytes
+                    .get(self.pos..self.pos + 4)
+                    .ok_or_else(|| Error::new("truncated \\u escape"))?;
+                let hex = std::str::from_utf8(hex).map_err(|_| Error::new("invalid \\u escape"))?;
+                let code =
+                    u32::from_str_radix(hex, 16).map_err(|_| Error::new("invalid \\u escape"))?;
+                self.pos += 4;
+                char::from_u32(code).ok_or_else(|| Error::new("invalid \\u code point"))?
+            }
+            other => return Err(Error::new(format!("bad escape `\\{}`", other as char))),
+        })
+    }
+
+    /// Reads the number starting here: the longest run of number
+    /// characters, parsed as an `f64`.
+    fn number(&mut self) -> Result<f64, Error> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+        self.pos += self.bytes[start..]
+            .iter()
+            .position(|b| !matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'))
+            .unwrap_or(self.bytes.len() - start);
+        let text = &self.text[start..self.pos];
+        match exact_decimal(text) {
+            Some(n) => Ok(n),
+            None => text
+                .parse::<f64>()
+                .map_err(|_| Error::new(format!("invalid number `{text}`"))),
         }
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || b == b'.' || b == b'e' || b == b'E' || b == b'+' || b == b'-' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::new("invalid number"))?;
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| Error::new(format!("invalid number `{text}`")))
     }
 }
 
-fn utf8_width(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
+/// The value of `text` when it is a plain decimal, `-?d+` or `-?d+.d+`,
+/// whose digits read as an integer `m <= 2^53` with at most 22 of them
+/// after the point: `m` and `10^k` are then exact in an `f64`, so one
+/// division rounds `m / 10^k` correctly, to the value `str::parse`
+/// gives (Clinger's fast path). `None` for every other number.
+fn exact_decimal(text: &str) -> Option<f64> {
+    const POW10: [f64; 23] = [
+        1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+        1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+    ];
+    let (negative, digits) = match text.strip_prefix('-') {
+        Some(digits) => (true, digits),
+        None => (false, text),
+    };
+    let (int, frac) = digits.split_once('.').unwrap_or((digits, ""));
+    if int.is_empty()
+        || (frac.is_empty() && int.len() < digits.len())
+        || frac.len() >= POW10.len()
+        || int.len() + frac.len() > 19
+    {
+        return None;
     }
+    let mut m = 0u64;
+    for b in int.bytes().chain(frac.bytes()) {
+        if !b.is_ascii_digit() {
+            return None;
+        }
+        m = m * 10 + u64::from(b - b'0');
+    }
+    if m > 1 << 53 {
+        return None;
+    }
+    let n = m as f64 / POW10[frac.len()];
+    Some(if negative { -n } else { n })
 }
 
 #[cfg(test)]
@@ -403,5 +592,100 @@ mod tests {
         assert!(from_str::<Value>("{broken").is_err());
         assert!(from_str::<Value>("[1,]").is_err());
         assert!(from_str::<Value>("1 2").is_err());
+    }
+
+    #[test]
+    fn reader_borrows_plain_strings_and_decodes_escapes() {
+        let mut r = Reader::new(r#" "plain" "a\"b\u00e9\n" "#);
+        assert!(matches!(r.string().unwrap(), Cow::Borrowed("plain")));
+        assert_eq!(r.string().unwrap(), "a\"bé\n");
+        r.end().unwrap();
+        for bad in [r#""open"#, r#""\x""#, r#""\ud800""#, r#""\u12""#] {
+            assert!(Reader::new(bad).string().is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn reader_walks_objects_and_arrays_with_the_value_grammar() {
+        let text = r#"{"a": [1, {"b": null}], "c": "x", "a": true}"#;
+        let mut r = Reader::new(text);
+        r.begin_object().unwrap();
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("a"));
+        assert_eq!(r.raw_value().unwrap(), r#"[1, {"b": null}]"#);
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("c"));
+        r.skip_value().unwrap();
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("a"));
+        r.skip_value().unwrap();
+        assert_eq!(r.next_key().unwrap(), None);
+        r.end().unwrap();
+        // A separator needs an item after it, and items need one between.
+        for bad in [
+            "{,}",
+            r#"{"a":1,}"#,
+            r#"{"a" 1}"#,
+            r#"{"a":1 "b":2}"#,
+            "[1 2]",
+            "[,1]",
+            "nul",
+        ] {
+            assert!(Reader::new(bad).skip_value().is_err(), "{bad}");
+            assert!(from_str::<Value>(bad).is_err(), "{bad}");
+        }
+        assert!(Reader::new("[] x").value().is_ok());
+        assert!(from_str::<Value>("[] x").is_err());
+    }
+
+    #[test]
+    fn numbers_read_as_parse_reads_them() {
+        let mut texts: Vec<String> = [
+            "0",
+            "-0",
+            "007",
+            "-0.0",
+            "0.5",
+            "1.",
+            "9007199254740992",
+            "9007199254740993",
+            "18446744073709551615",
+            "0.1234567890123456789012",
+            "1.00000000000000000000001",
+            "123456789012345",
+            "-999999999999999",
+            "1234567890123456",
+            "5.771273696480501",
+            "10.105306679154626",
+            "1e22",
+            "1E-7",
+            "2.5e+3",
+        ]
+        .map(String::from)
+        .to_vec();
+        let mut state = 0x5eed_u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..20_000 {
+            let sign = if next() % 2 == 0 { 1.0 } else { -1.0 };
+            texts.push(format!("{:?}", sign * f64::from_bits(next() >> 2)));
+            let digits = (next() % 10u64.pow((next() % 19) as u32 + 1)).to_string();
+            let point = 1 + next() as usize % digits.len();
+            texts.push(format!("{}.{}", &digits[..point], &digits[point..]));
+            texts.push(digits);
+        }
+        for text in texts.iter().filter(|t| t.parse::<f64>().is_ok()) {
+            let read = Reader::new(text).f64().unwrap();
+            assert_eq!(
+                read.to_bits(),
+                text.parse::<f64>().unwrap().to_bits(),
+                "{text}"
+            );
+        }
+        for bad in ["-", "1-2", "1e", "--1", "1.2.3"] {
+            assert!(Reader::new(bad).f64().is_err(), "{bad}");
+        }
+        assert_eq!(Reader::new("1e999").f64().unwrap(), f64::INFINITY);
     }
 }
