@@ -6,8 +6,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use udt_bench::point_dataset;
-use udt_tree::point::build_point_tree;
-use udt_tree::Algorithm;
+use udt_tree::{Algorithm, TreeBuilder, UdtConfig};
 
 fn bench_point_data(c: &mut Criterion) {
     // A larger point-valued workload (no pdfs): the "Segment" stand-in.
@@ -22,7 +21,11 @@ fn bench_point_data(c: &mut Criterion) {
             BenchmarkId::from_parameter(algorithm.name()),
             &algorithm,
             |b, &algorithm| {
-                b.iter(|| build_point_tree(&data, algorithm).expect("build succeeds"));
+                b.iter(|| {
+                    TreeBuilder::new(UdtConfig::new(algorithm))
+                        .build(&data.to_averaged())
+                        .expect("build succeeds")
+                });
             },
         );
     }

@@ -8,9 +8,6 @@
 //! workloads.
 
 use serde::{Deserialize, Serialize};
-use udt_data::repository::{table2_specs, UncertaintySource};
-use udt_data::uncertainty::{inject_uncertainty, UncertaintySpec};
-use udt_prob::ErrorModel;
 use udt_tree::{Algorithm, Measure, UdtConfig};
 
 use crate::crossval::cross_validate;
@@ -37,21 +34,8 @@ pub fn run(settings: &Settings) -> udt_data::Result<Vec<AblationRow>> {
     let measures = [Measure::Entropy, Measure::Gini, Measure::GainRatio];
     let algorithms = [Algorithm::Avg, Algorithm::UdtGp];
     let mut rows = Vec::new();
-    for spec in table2_specs() {
-        if !settings.includes(spec.name) {
-            continue;
-        }
-        let data = match spec.uncertainty {
-            UncertaintySource::RawSamples => spec.generate(settings.scale)?,
-            UncertaintySource::Injected => inject_uncertainty(
-                &spec.generate(settings.scale)?,
-                &UncertaintySpec {
-                    w: 0.10,
-                    s: settings.s,
-                    model: ErrorModel::Gaussian,
-                },
-            )?,
-        };
+    for spec in settings.specs() {
+        let data = settings.baseline_data(&spec)?;
         for measure in measures {
             for algorithm in algorithms {
                 let config = UdtConfig::new(algorithm).with_measure(measure);

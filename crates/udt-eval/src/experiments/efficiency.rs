@@ -8,10 +8,7 @@
 //! lower bounds (Fig. 7).
 
 use serde::{Deserialize, Serialize};
-use udt_data::repository::{table2_specs, UncertaintySource};
-use udt_data::uncertainty::{inject_uncertainty, UncertaintySpec};
-use udt_prob::ErrorModel;
-use udt_tree::{Algorithm, TreeBuilder, UdtConfig};
+use udt_tree::{persist, Algorithm, TreeBuilder, UdtConfig};
 
 use crate::experiments::settings::Settings;
 use crate::report::{render_table, secs};
@@ -33,6 +30,9 @@ pub struct EfficiencyRow {
     pub intervals_pruned: u64,
     /// Size of the resulting tree.
     pub tree_size: usize,
+    /// [`persist::crc32`] of the tree's [`persist::to_json`] text: equal
+    /// values mean equal trees, split points and distributions included.
+    pub tree_crc: u32,
 }
 
 /// Runs the efficiency experiment over `algorithms` (defaults to all six
@@ -44,24 +44,8 @@ pub fn run(settings: &Settings, algorithms: &[Algorithm]) -> udt_data::Result<Ve
         algorithms.to_vec()
     };
     let mut rows = Vec::new();
-    for spec in table2_specs() {
-        if !settings.includes(spec.name) {
-            continue;
-        }
-        let data = match spec.uncertainty {
-            UncertaintySource::RawSamples => spec.generate(settings.scale)?,
-            UncertaintySource::Injected => {
-                let point_data = spec.generate(settings.scale)?;
-                inject_uncertainty(
-                    &point_data,
-                    &UncertaintySpec {
-                        w: 0.10,
-                        s: settings.s,
-                        model: ErrorModel::Gaussian,
-                    },
-                )?
-            }
-        };
+    for spec in settings.specs() {
+        let data = settings.baseline_data(&spec)?;
         for &algorithm in &algorithms {
             let report = TreeBuilder::new(UdtConfig::new(algorithm))
                 .build(&data)
@@ -74,6 +58,11 @@ pub fn run(settings: &Settings, algorithms: &[Algorithm]) -> udt_data::Result<Ve
                 candidate_points: report.stats.candidate_points,
                 intervals_pruned: report.stats.intervals_pruned,
                 tree_size: report.tree.size(),
+                tree_crc: persist::crc32(
+                    persist::to_json(&report.tree)
+                        .expect("a built tree serialises")
+                        .as_bytes(),
+                ),
             });
         }
     }

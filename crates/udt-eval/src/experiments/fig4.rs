@@ -8,12 +8,12 @@
 //! the `w` predicted by equation (2), `w² = κ² + u²`, and degrades
 //! gracefully beyond it.
 
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 use udt_data::noise::{model_w_for_u, perturb};
 use udt_data::repository::by_name;
 use udt_data::uncertainty::{inject_uncertainty, UncertaintySpec};
-use udt_prob::stats::ConfidenceInterval;
-use udt_prob::ErrorModel;
 use udt_tree::{Algorithm, UdtConfig};
 
 use crate::crossval::cross_validate;
@@ -57,12 +57,16 @@ pub struct Fig4Result {
 pub fn run(settings: &Settings, dataset: &str) -> udt_data::Result<Fig4Result> {
     let spec = by_name(dataset).unwrap_or_else(|| by_name("Segment").expect("Segment exists"));
     let point_data = spec.generate(settings.scale)?;
+    let perturbed = U_VALUES
+        .iter()
+        .enumerate()
+        .map(|(ui, &u)| perturb(&point_data, u, settings.seed.wrapping_add(ui as u64)))
+        .collect::<udt_data::Result<Vec<_>>>()?;
 
     let mut points = Vec::new();
-    for (ui, &u) in U_VALUES.iter().enumerate() {
-        let perturbed = perturb(&point_data, u, settings.seed.wrapping_add(ui as u64))?;
+    for (&u, data) in U_VALUES.iter().zip(&perturbed) {
         for &w in &W_SWEEP {
-            let accuracy = accuracy_at(&perturbed, w, settings)?;
+            let accuracy = accuracy_at(data, w, settings)?;
             points.push(Fig4Point { u, w, accuracy });
         }
     }
@@ -73,15 +77,10 @@ pub fn run(settings: &Settings, dataset: &str) -> udt_data::Result<Fig4Result> {
     let kappa = estimate_kappa(&points, settings);
 
     let mut model_curve = Vec::new();
-    for (ui, &u) in U_VALUES.iter().enumerate() {
-        let w_model = model_w_for_u(kappa, u);
-        let perturbed = perturb(&point_data, u, settings.seed.wrapping_add(ui as u64))?;
-        let accuracy = accuracy_at(&perturbed, w_model, settings)?;
-        model_curve.push(Fig4Point {
-            u,
-            w: w_model,
-            accuracy,
-        });
+    for (&u, data) in U_VALUES.iter().zip(&perturbed) {
+        let w = model_w_for_u(kappa, u);
+        let accuracy = accuracy_at(data, w, settings)?;
+        model_curve.push(Fig4Point { u, w, accuracy });
     }
 
     Ok(Fig4Result {
@@ -99,29 +98,15 @@ fn accuracy_at(
     w: f64,
     settings: &Settings,
 ) -> udt_data::Result<f64> {
-    if w <= 0.0 {
-        let cv = cross_validate(
-            perturbed,
-            &UdtConfig::new(Algorithm::Avg),
-            settings.folds,
-            settings.seed,
-            true,
-        )?;
-        return Ok(cv.pooled.accuracy());
-    }
-    let uspec = UncertaintySpec {
-        w,
-        s: settings.s,
-        model: ErrorModel::Gaussian,
+    let (data, algorithm) = if w <= 0.0 {
+        (Cow::Borrowed(perturbed), Algorithm::Avg)
+    } else {
+        let uspec = UncertaintySpec::baseline().with_w(w).with_s(settings.s);
+        let data = inject_uncertainty(perturbed, &uspec)?;
+        (Cow::Owned(data), Algorithm::UdtGp)
     };
-    let data = inject_uncertainty(perturbed, &uspec)?;
-    let cv = cross_validate(
-        &data,
-        &UdtConfig::new(Algorithm::UdtGp),
-        settings.folds,
-        settings.seed,
-        true,
-    )?;
+    let config = UdtConfig::new(algorithm);
+    let cv = cross_validate(&data, &config, settings.folds, settings.seed, true)?;
     Ok(cv.pooled.accuracy())
 }
 
@@ -141,11 +126,7 @@ fn estimate_kappa(points: &[Fig4Point], settings: &Settings) -> f64 {
     // the pooled test tuples; points within that band of the best count as
     // "on the plateau".
     let n = (settings.folds.max(2) * 20) as f64;
-    let half_width = ConfidenceInterval {
-        mean: best,
-        half_width: 1.96 * (best * (1.0 - best) / n).sqrt(),
-    }
-    .half_width;
+    let half_width = 1.96 * (best * (1.0 - best) / n).sqrt();
     let plateau: Vec<f64> = zero_curve
         .iter()
         .filter(|p| p.accuracy + half_width >= best)

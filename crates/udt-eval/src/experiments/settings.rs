@@ -1,19 +1,17 @@
 //! Shared experiment settings.
 //!
 //! The paper's experiments run the ten UCI-shaped data sets at full size
-//! with `s = 100` sample points per pdf. That is reproducible here (set
-//! `scale = 1.0`), but the default settings are scaled down so that the
-//! whole suite — including the exhaustive UDT baseline — finishes in
-//! minutes on a laptop. The binaries read overrides from environment
-//! variables so no code change is needed to run at full size:
-//!
-//! * `UDT_SCALE`  — fraction of each data set's published tuple count (default 0.05)
-//! * `UDT_S`      — sample points per pdf (default 50)
-//! * `UDT_FOLDS`  — cross-validation folds (default 5)
-//! * `UDT_SEED`   — base RNG seed (default 42)
-//! * `UDT_DATASETS` — comma-separated data-set names (default: all ten)
+//! with `s = 100` sample points per pdf. That is reproducible here (a
+//! `Settings` with `scale: 1.0, s: 100`), but [`Settings::laptop`], which
+//! the `udt-eval` binary runs, is scaled down so that the whole
+//! reproduction — the exhaustive UDT baseline included — finishes in
+//! seconds. To run at another scale, pass your own `Settings` to
+//! [`reproduce`](crate::experiments::reproduce).
 
 use serde::{Deserialize, Serialize};
+use udt_data::repository::{table2_specs, DatasetSpec, UncertaintySource};
+use udt_data::uncertainty::{inject_uncertainty, UncertaintySpec};
+use udt_data::Dataset;
 
 /// Scaling knobs shared by all experiments.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -31,7 +29,7 @@ pub struct Settings {
 }
 
 impl Settings {
-    /// The default laptop-scale settings used by the binaries.
+    /// The default laptop-scale settings the `udt-eval` binary runs.
     pub fn laptop() -> Self {
         Settings {
             scale: 0.05,
@@ -54,35 +52,29 @@ impl Settings {
         }
     }
 
-    /// Reads overrides from the environment on top of
-    /// [`laptop`](Self::laptop) defaults.
-    pub fn from_env() -> Self {
-        let mut s = Settings::laptop();
-        if let Some(v) = read_env_f64("UDT_SCALE") {
-            s.scale = v;
-        }
-        if let Some(v) = read_env_usize("UDT_S") {
-            s.s = v;
-        }
-        if let Some(v) = read_env_usize("UDT_FOLDS") {
-            s.folds = v;
-        }
-        if let Some(v) = read_env_u64("UDT_SEED") {
-            s.seed = v;
-        }
-        if let Ok(names) = std::env::var("UDT_DATASETS") {
-            s.datasets = names
-                .split(',')
-                .map(|n| n.trim().to_string())
-                .filter(|n| !n.is_empty())
-                .collect();
-        }
-        s
-    }
-
     /// Whether a data set is selected by this configuration.
     pub fn includes(&self, name: &str) -> bool {
         self.datasets.is_empty() || self.datasets.iter().any(|d| d.eq_ignore_ascii_case(name))
+    }
+
+    /// The Table 2 data sets this configuration selects, in the paper's
+    /// order.
+    pub(crate) fn specs(&self) -> impl Iterator<Item = DatasetSpec> + '_ {
+        table2_specs()
+            .into_iter()
+            .filter(|spec| self.includes(spec.name))
+    }
+
+    /// `spec`'s data set at the paper's baseline uncertainty: its raw
+    /// samples, or Gaussian pdfs of width `w = 10 %` with `s` points.
+    pub(crate) fn baseline_data(&self, spec: &DatasetSpec) -> udt_data::Result<Dataset> {
+        let data = spec.generate(self.scale)?;
+        match spec.uncertainty {
+            UncertaintySource::RawSamples => Ok(data),
+            UncertaintySource::Injected => {
+                inject_uncertainty(&data, &UncertaintySpec::baseline().with_s(self.s))
+            }
+        }
     }
 }
 
@@ -90,18 +82,6 @@ impl Default for Settings {
     fn default() -> Self {
         Settings::laptop()
     }
-}
-
-fn read_env_f64(name: &str) -> Option<f64> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
-fn read_env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
-fn read_env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.trim().parse().ok()
 }
 
 #[cfg(test)]
@@ -124,18 +104,5 @@ mod tests {
         assert!(s.includes("iris"));
         assert!(!s.includes("PenDigits"));
         assert!(s.scale < Settings::laptop().scale + 1e-12);
-    }
-
-    #[test]
-    fn env_parsing_helpers_reject_garbage() {
-        assert_eq!(read_env_f64("UDT_NO_SUCH_VARIABLE_12345"), None);
-        std::env::set_var("UDT_EVAL_TEST_GARBAGE", "not-a-number");
-        assert_eq!(read_env_f64("UDT_EVAL_TEST_GARBAGE"), None);
-        assert_eq!(read_env_usize("UDT_EVAL_TEST_GARBAGE"), None);
-        std::env::set_var("UDT_EVAL_TEST_NUMBER", "7");
-        assert_eq!(read_env_usize("UDT_EVAL_TEST_NUMBER"), Some(7));
-        assert_eq!(read_env_u64("UDT_EVAL_TEST_NUMBER"), Some(7));
-        std::env::remove_var("UDT_EVAL_TEST_GARBAGE");
-        std::env::remove_var("UDT_EVAL_TEST_NUMBER");
     }
 }

@@ -4,13 +4,12 @@
 //! relative pdf width (`w`), both at otherwise-baseline settings, and
 //! reports UDT-ES construction time. The paper's observations — time grows
 //! roughly linearly with `s`, and generally grows with `w` because wider
-//! pdfs create more heterogeneous intervals — are asserted in the
-//! integration tests on the scaled workloads.
+//! pdfs create more heterogeneous intervals — are checked as claims by
+//! [`Reproduction::claims`](crate::experiments::Reproduction::claims).
 
 use serde::{Deserialize, Serialize};
-use udt_data::repository::{table2_specs, UncertaintySource};
+use udt_data::repository::UncertaintySource;
 use udt_data::uncertainty::{inject_uncertainty, UncertaintySpec};
-use udt_prob::ErrorModel;
 use udt_tree::{Algorithm, TreeBuilder, UdtConfig};
 
 use crate::experiments::settings::Settings;
@@ -24,8 +23,9 @@ pub const W_VALUES: [f64; 5] = [0.025, 0.05, 0.10, 0.20, 0.30];
 
 /// One sweep measurement. Alongside the paper's quantities (time,
 /// entropy-like calculations) every row records the engine's own cost —
-/// build wall-clock and partition allocation traffic — so the `s`/`w`
-/// sweeps can chart engine cost, not just accuracy.
+/// per-phase build time, partition allocation traffic and the pruned
+/// share of the candidates — so the `s`/`w` sweeps chart engine cost,
+/// not just accuracy.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SweepRow {
     /// Data set name.
@@ -59,11 +59,9 @@ fn injectable_specs(settings: &Settings) -> Vec<udt_data::repository::DatasetSpe
     // The JapaneseVowel data set takes its uncertainty from raw samples, so
     // `s` and `w` cannot be controlled for it; the paper excludes it from
     // Figs. 8 and 9 for the same reason.
-    table2_specs()
-        .into_iter()
-        .filter(|spec| {
-            settings.includes(spec.name) && spec.uncertainty == UncertaintySource::Injected
-        })
+    settings
+        .specs()
+        .filter(|spec| spec.uncertainty == UncertaintySource::Injected)
         .collect()
 }
 
@@ -74,14 +72,7 @@ fn measure(
     w: f64,
     s: usize,
 ) -> udt_data::Result<SweepRow> {
-    let data = inject_uncertainty(
-        point_data,
-        &UncertaintySpec {
-            w,
-            s,
-            model: ErrorModel::Gaussian,
-        },
-    )?;
+    let data = inject_uncertainty(point_data, &UncertaintySpec::baseline().with_w(w).with_s(s))?;
     let report = TreeBuilder::new(UdtConfig::new(Algorithm::UdtEs))
         .build(&data)
         .expect("non-empty data set");
@@ -170,48 +161,6 @@ pub fn render(title: &str, parameter: &str, rows: &[SweepRow]) -> String {
     )
 }
 
-/// The CSV header matching [`csv_rows`]. The per-phase columns show
-/// where build time goes as `s` and `w` grow: `build_presort_s` is the
-/// root sort, `build_search_s` the per-node split search.
-pub const CSV_HEADER: [&str; 11] = [
-    "dataset",
-    "value",
-    "build_seconds",
-    "entropy_like_calculations",
-    "partition_bytes",
-    "partition_peak_bytes",
-    "build_presort_s",
-    "build_search_s",
-    "candidates_total",
-    "candidates_pruned",
-    "prune_fraction",
-];
-
-/// Flattens sweep rows into CSV cells (pair with [`CSV_HEADER`] and
-/// [`crate::report::write_csv`]). The swept value is emitted as a raw
-/// number (`s` as a count, `w` as a fraction) so charting tools can use
-/// the column directly; the `%`-style pretty-printing is reserved for
-/// the text table.
-pub fn csv_rows(rows: &[SweepRow]) -> Vec<Vec<String>> {
-    rows.iter()
-        .map(|r| {
-            vec![
-                r.dataset.clone(),
-                format!("{}", r.value),
-                format!("{:.6}", r.seconds),
-                r.entropy_like_calculations.to_string(),
-                r.partition_bytes.to_string(),
-                r.partition_peak_bytes.to_string(),
-                format!("{:.6}", r.build_presort_s),
-                format!("{:.6}", r.build_search_s),
-                r.candidates_total.to_string(),
-                r.candidates_pruned.to_string(),
-                format!("{:.6}", r.prune_fraction),
-            ]
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,24 +207,6 @@ mod tests {
             .all(|r| r.candidates_pruned <= r.candidates_total));
         assert!(rows.iter().all(|r| r.prune_fraction > 0.0));
         assert!(rows.iter().all(|r| r.prune_fraction <= 1.0));
-    }
-
-    #[test]
-    fn csv_rows_match_the_header_and_stay_numeric() {
-        let rows = sweep_s(&tiny_settings(), &[10]).unwrap();
-        let cells = csv_rows(&rows);
-        assert_eq!(cells.len(), rows.len());
-        assert!(cells.iter().all(|r| r.len() == CSV_HEADER.len()));
-        // Every cell after the dataset name parses as a number, so the
-        // CSV charts without string munging.
-        for row in &cells {
-            for cell in &row[1..] {
-                assert!(cell.parse::<f64>().is_ok(), "non-numeric cell {cell:?}");
-            }
-        }
-        let csv = crate::report::render_csv(&CSV_HEADER, &cells);
-        assert!(csv.starts_with("dataset,value,build_seconds"));
-        assert!(csv.lines().count() == rows.len() + 1);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! experiments are easy to interpret.
 
 use serde::{Deserialize, Serialize};
-use udt_data::repository::{table2_specs, UncertaintySource};
+use udt_data::repository::UncertaintySource;
 
 use crate::experiments::settings::Settings;
 use crate::report::render_table;
@@ -33,10 +33,7 @@ pub struct Table2Row {
 /// Runs the Table 2 inventory at the given settings.
 pub fn run(settings: &Settings) -> udt_data::Result<Vec<Table2Row>> {
     let mut rows = Vec::new();
-    for spec in table2_specs() {
-        if !settings.includes(spec.name) {
-            continue;
-        }
+    for spec in settings.specs() {
         let generated = spec.generate(settings.scale)?;
         rows.push(Table2Row {
             name: spec.name.to_string(),

@@ -15,7 +15,7 @@
 //! by the property tests in `udt-tree`.
 
 use serde::{Deserialize, Serialize};
-use udt_data::repository::{table2_specs, DatasetSpec, UncertaintySource};
+use udt_data::repository::{DatasetSpec, UncertaintySource};
 use udt_data::split::train_test_split;
 use udt_data::uncertainty::{inject_uncertainty, UncertaintySpec};
 use udt_data::Dataset;
@@ -77,10 +77,7 @@ fn accuracy_of(
 /// Runs the Table 3 experiment.
 pub fn run(settings: &Settings) -> udt_data::Result<Vec<Table3Row>> {
     let mut rows = Vec::new();
-    for spec in table2_specs() {
-        if !settings.includes(spec.name) {
-            continue;
-        }
+    for spec in settings.specs() {
         match spec.uncertainty {
             UncertaintySource::RawSamples => {
                 // The pdf comes from the raw measurements; there is no w to
@@ -196,6 +193,25 @@ pub fn render(rows: &[Table3Row]) -> String {
     )
 }
 
+/// Renders the per-data-set summary as a plain-text table.
+pub fn render_summary(summary: &[Table3Summary]) -> String {
+    render_table(
+        "Table 3 summary (baseline w = 10% Gaussian vs best over sweep)",
+        &["data set", "AVG", "UDT", "UDT (best)"],
+        &summary
+            .iter()
+            .map(|s| {
+                vec![
+                    s.dataset.clone(),
+                    pct(s.avg_accuracy),
+                    pct(s.udt_accuracy),
+                    pct(s.udt_best_accuracy),
+                ]
+            })
+            .collect::<Vec<_>>(),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,5 +274,6 @@ mod tests {
         let text = render(&rows);
         assert!(text.contains('%'));
         assert!(text.contains("Iris"));
+        assert!(render_summary(&summarise(&rows)).contains("UDT (best)"));
     }
 }

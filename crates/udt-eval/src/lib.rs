@@ -7,12 +7,16 @@
 //! * [`crossval`] — k-fold cross-validated accuracy of a configuration;
 //! * [`experiments`] — one module per paper table/figure, each producing a
 //!   serialisable result structure and a plain-text table;
-//! * [`report`] — text-table rendering shared by the experiment binaries.
+//! * [`report`] — text-table rendering and JSON output shared by the
+//!   experiments.
 //!
-//! Every experiment is available both as a library function (used by the
-//! integration tests) and as a binary under `src/bin/` (used to regenerate
-//! the paper's tables and figures; see `EXPERIMENTS.md` at the workspace
-//! root).
+//! [`experiments::reproduce`] runs every experiment once and
+//! [`experiments::Reproduction::claims`] checks the paper's claims
+//! against the rows. The `udt-eval` binary (`cargo run --release -p
+//! udt-eval`) does both at [`experiments::settings::Settings::laptop`]
+//! scale, prints every table, figure and claim, and writes
+//! `results/reproduction.json`. To run at another scale, call
+//! `reproduce` with your own `Settings`.
 
 // Parallel-slice index loops mirror the paper's subscript notation and
 // often index several arrays at once; iterator rewrites obscure that.

@@ -1,5 +1,5 @@
 //! Plain-text table rendering and JSON result persistence shared by the
-//! experiment binaries.
+//! experiments.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -47,47 +47,6 @@ pub fn pct(x: f64) -> String {
 /// Formats a duration in seconds with three decimals.
 pub fn secs(x: f64) -> String {
     format!("{x:.3}s")
-}
-
-/// Renders rows as an RFC-4180-ish CSV string: comma-separated, one
-/// header line, fields quoted only when they contain a comma or quote.
-pub fn render_csv(header: &[&str], rows: &[Vec<String>]) -> String {
-    fn field(s: &str) -> String {
-        if s.contains(',') || s.contains('"') || s.contains('\n') {
-            format!("\"{}\"", s.replace('"', "\"\""))
-        } else {
-            s.to_string()
-        }
-    }
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{}",
-        header
-            .iter()
-            .map(|h| field(h))
-            .collect::<Vec<_>>()
-            .join(",")
-    );
-    for row in rows {
-        let _ = writeln!(
-            out,
-            "{}",
-            row.iter().map(|c| field(c)).collect::<Vec<_>>().join(",")
-        );
-    }
-    out
-}
-
-/// Writes rows as CSV into `path` (creating parent directories),
-/// returning the rendered string as well.
-pub fn write_csv(path: &Path, header: &[&str], rows: &[Vec<String>]) -> std::io::Result<String> {
-    let csv = render_csv(header, rows);
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    std::fs::write(path, &csv)?;
-    Ok(csv)
 }
 
 /// Serialises `value` as pretty JSON into `path` (creating parent
@@ -139,30 +98,6 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(pct(0.8731), "87.31%");
         assert_eq!(secs(1.23456), "1.235s");
-    }
-
-    #[test]
-    fn csv_rendering_quotes_only_when_needed() {
-        let csv = render_csv(
-            &["dataset", "note"],
-            &[
-                vec!["Iris".to_string(), "plain".to_string()],
-                vec!["a,b".to_string(), "say \"hi\"".to_string()],
-            ],
-        );
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "dataset,note");
-        assert_eq!(lines[1], "Iris,plain");
-        assert_eq!(lines[2], "\"a,b\",\"say \"\"hi\"\"\"");
-    }
-
-    #[test]
-    fn csv_roundtrip_to_disk() {
-        let dir = std::env::temp_dir().join("udt-eval-test");
-        let path = dir.join("result.csv");
-        let csv = write_csv(&path, &["a"], &[vec!["1".to_string()]]).unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), csv);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -22,23 +22,20 @@
 //! tuples are never reordered within a job, so replies are bit-for-bit
 //! what a direct `classify_batch` call would have produced.
 //!
-//! The worker loops run as long-lived tasks on a dedicated
-//! [`udt_tree::WorkerPool`] — the same execution substrate the tree
-//! builder uses — so the serving layer manages no raw `JoinHandle`s of
-//! its own.
-//!
-//! Shutdown is graceful: [`Batcher::shutdown`] closes the queue to new
-//! submissions, lets the workers drain every job already accepted, and
-//! joins them (by dropping the pool) — no in-flight request is dropped.
+//! The batcher owns its worker threads (`udt-serve-worker-{i}`), one
+//! loop each. Shutdown is graceful: [`Batcher::shutdown`] closes the
+//! queue to new submissions, lets the workers drain every job already
+//! accepted, and joins them — no in-flight request is dropped.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use udt_data::{Tuple, UncertainValue};
-use udt_tree::{classify_batch, BatchScratch, NodeKind, WorkerPool};
+use udt_tree::{classify_batch, BatchScratch, NodeKind};
 
 use crate::error::ServeError;
 use crate::faults::{FaultInjector, FaultPoint};
@@ -194,35 +191,31 @@ impl Shared {
     }
 }
 
-/// The micro-batching scheduler: bounded queue + worker pool.
+/// The micro-batching scheduler: bounded queue + worker threads.
 pub struct Batcher {
     shared: Arc<Shared>,
     options: BatchOptions,
     /// For recording admission failures (sheds) at the submit path; the
     /// workers hold their own clone for the serving-side counters.
     metrics: Arc<ServeMetrics>,
-    /// Worker loops actually running (the pool may have spawned fewer
-    /// threads than requested under resource pressure); this is what
+    /// Worker threads actually running (fewer than requested when a
+    /// spawn failed under resource pressure); this is what
     /// `queue_stats` reports.
     workers: usize,
-    /// The dedicated worker pool whose threads run the batch loops.
-    /// Taken (and thereby joined) by [`Batcher::shutdown`].
-    pool: Mutex<Option<WorkerPool>>,
+    /// The worker threads, taken and joined by [`Batcher::shutdown`].
+    handles: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Batcher {
-    /// Starts `options.workers` worker threads serving models from
-    /// `registry`, recording into `metrics`. Each worker loop runs as a
-    /// long-lived task on a dedicated [`WorkerPool`] sized to exactly
-    /// the worker count.
+    /// Starts `options.workers` worker threads (at least one) serving
+    /// models from `registry`, recording into `metrics`.
     ///
     /// # Panics
     ///
     /// Panics if not a single worker thread could be spawned — a
     /// batcher with no workers would accept requests and never answer
-    /// them. A *partial* spawn failure degrades to the threads that did
-    /// start (the pool logs it), and only that many loops are queued so
-    /// none sits queued forever behind the others.
+    /// them. A *partial* spawn failure degrades, with a one-line
+    /// warning, to the threads that did start.
     pub fn start(
         registry: Arc<ModelRegistry>,
         metrics: Arc<ServeMetrics>,
@@ -236,25 +229,39 @@ impl Batcher {
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
         });
-        let pool = WorkerPool::named(options.workers.max(1), "udt-serve-worker");
-        let workers = pool.workers();
-        assert!(
-            workers > 0,
-            "udt-serve: could not spawn any batch worker thread"
-        );
-        for _ in 0..workers {
+        let requested = options.workers.max(1);
+        let mut handles = Vec::with_capacity(requested);
+        for i in 0..requested {
             let shared = Arc::clone(&shared);
             let registry = Arc::clone(&registry);
             let metrics = Arc::clone(&metrics);
             let options = options.clone();
-            pool.spawn(move || worker_loop(&shared, &registry, &metrics, &options));
+            match std::thread::Builder::new()
+                .name(format!("udt-serve-worker-{i}"))
+                .spawn(move || worker_loop(&shared, &registry, &metrics, &options))
+            {
+                Ok(handle) => handles.push(handle),
+                Err(e) => {
+                    eprintln!(
+                        "udt-serve: could not spawn worker {i} of {requested} ({e}); \
+                         continuing with {} worker(s)",
+                        handles.len()
+                    );
+                    break;
+                }
+            }
         }
+        let workers = handles.len();
+        assert!(
+            workers > 0,
+            "udt-serve: could not spawn any batch worker thread"
+        );
         Batcher {
             shared,
             options,
             metrics,
             workers,
-            pool: Mutex::new(Some(pool)),
+            handles: Mutex::new(handles),
         }
     }
 
@@ -339,8 +346,7 @@ impl Batcher {
     }
 
     /// Closes the queue to new submissions, drains every accepted job and
-    /// joins the workers (dropping the dedicated pool joins its threads
-    /// once their loops return). Idempotent.
+    /// joins the workers once their loops return. Idempotent.
     pub fn shutdown(&self) {
         {
             let mut st = self.shared.lock();
@@ -348,8 +354,15 @@ impl Batcher {
             self.shared.not_empty.notify_all();
             self.shared.not_full.notify_all();
         }
-        let pool = self.pool.lock().unwrap_or_else(|e| e.into_inner()).take();
-        drop(pool);
+        let handles = std::mem::take(&mut *self.handles.lock().unwrap_or_else(|e| e.into_inner()));
+        for handle in handles {
+            // Each job's panic is caught and answered in the loop; one
+            // that ends a worker's loop is reported here, not raised in
+            // a `Drop`.
+            if handle.join().is_err() {
+                eprintln!("udt-serve: a batch worker thread panicked");
+            }
+        }
     }
 }
 

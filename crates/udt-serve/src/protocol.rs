@@ -41,13 +41,18 @@
 //! are those of the `Value` codec this replaced: fields in any order,
 //! the first of duplicate fields, unknown fields skipped; the pdfs pass
 //! the checks of [`SampledPdf::from_parts`] and
-//! [`DiscreteDist::from_probs`], as their `Deserialize` impls do.
+//! [`DiscreteDist::from_probs`], as their `Deserialize` impls do. Class
+//! labels are the one exception: that codec carried them through `f64`,
+//! so a label past 2^53 came back changed. Here a label is written as
+//! plain digits and read back exactly up to `usize::MAX`; past that, or
+//! written in another number form at or past 2^53, it is refused.
 //! Payloads of the other messages go through their derived `Serialize`
 //! and `Deserialize`.
 
 use std::borrow::Cow;
+use std::fmt::Write as _;
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use serde_json::{write_number, write_string, Reader};
 use udt_data::{Tuple, UncertainValue};
 use udt_prob::{DiscreteDist, SampledPdf};
@@ -420,7 +425,7 @@ impl Response {
                 key(&mut out, "distribution");
                 write_numbers(&mut out, distribution.iter().copied());
                 key(&mut out, "label");
-                write_number(*label as f64, &mut out);
+                write_label(*label, &mut out);
                 close(out)
             }
             Response::ClassifyBatch {
@@ -439,7 +444,14 @@ impl Response {
                 }
                 out.push(']');
                 key(&mut out, "labels");
-                write_numbers(&mut out, labels.iter().map(|&l| l as f64));
+                out.push('[');
+                for (i, &label) in labels.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_label(label, &mut out);
+                }
+                out.push(']');
                 close(out)
             }
             Response::ModelLoaded(info) => payload_line("model_loaded", "model", info),
@@ -586,7 +598,9 @@ impl Response {
 // number text that `serde_json::to_string` gives the message's `Value`
 // form: the envelope's fields first, a tuple as `{"values":[…],
 // "label":n}`, a pdf as `{"Numeric":{"points":[…],"mass":[…],
-// "cumulative":[…]}}`, integers without a fraction.
+// "cumulative":[…]}}`, integers without a fraction. Labels are written
+// as plain digits, so one past 2^53 keeps its exact value (the `Value`
+// codec wrote it through `f64`).
 
 /// The line of a `classify` request: [`Request::to_line`] of
 /// [`Request::Classify`], written from a borrowed tuple.
@@ -710,8 +724,14 @@ fn write_tuple(out: &mut String, tuple: &Tuple) {
         out.push_str("}}");
     }
     out.push_str("],\"label\":");
-    write_number(tuple.label() as f64, out);
+    write_label(tuple.label(), out);
     out.push('}');
+}
+
+/// Writes a class label as plain digits, exact at any size. Below 2^53
+/// these are the bytes `write_number` gives the label's `f64`.
+fn write_label(label: usize, out: &mut String) {
+    write!(out, "{label}").expect("writing to a String cannot fail");
 }
 
 // ------------------------------------------------------------- reading
@@ -843,10 +863,24 @@ fn read_rows(r: &mut Reader<'_>, buf: &mut Vec<f64>) -> Decoded<Vec<Vec<f64>>> {
     read_array(r, |r| read_numbers(r, buf))
 }
 
-/// Reads a class label through the `usize` conversion of `Deserialize`,
-/// which refuses negative and fractional numbers.
+/// 2^53: `f64` holds every integer below it exactly, and not every one
+/// past it.
+const F64_EXACT_INTEGERS: f64 = 9_007_199_254_740_992.0;
+
+/// Reads a class label. Plain digits read exactly as a `usize`; any
+/// other number form (`1.0`, `1e3`) reads through `f64` and is taken
+/// only when it is integral, non-negative and below 2^53, where the
+/// `f64` is exact. Everything else is refused.
 fn read_label(r: &mut Reader<'_>) -> Decoded<usize> {
-    Ok(usize::deserialize(&Value::Num(r.f64()?))?)
+    let text = r.raw_value()?;
+    let refused = || invalid(format!("label `{text}` is not a class index"));
+    if text.bytes().all(|b| b.is_ascii_digit()) {
+        return text.parse().map_err(|_| refused());
+    }
+    match Reader::new(text).f64() {
+        Ok(n) if n >= 0.0 && n.fract() == 0.0 && n < F64_EXACT_INTEGERS => Ok(n as usize),
+        _ => Err(refused()),
+    }
 }
 
 fn read_tuples(r: &mut Reader<'_>, s: &mut Scratch) -> Decoded<Vec<Tuple>> {
@@ -1119,6 +1153,76 @@ mod tests {
             );
             let err = Response::parse(&line).unwrap_err();
             assert!(err.to_string().contains("label"), "{err}");
+        }
+    }
+
+    #[test]
+    fn labels_cross_the_wire_exactly() {
+        let past_f64 = (1usize << 53) + 1;
+        for label in [0, 7, (1 << 53) - 1, past_f64, usize::MAX] {
+            let tuple = Tuple::new(vec![], label);
+            for req in [
+                Request::Classify {
+                    model: "m".into(),
+                    tuple: tuple.clone(),
+                },
+                Request::ClassifyBatch {
+                    model: "m".into(),
+                    tuples: vec![tuple.clone(), tuple.clone()],
+                },
+            ] {
+                let line = req.to_line();
+                assert!(line.contains(&format!("\"label\":{label}}}")), "{line}");
+                assert_eq!(Request::parse(&line).unwrap(), req, "line: {line}");
+            }
+            for resp in [
+                Response::Classify {
+                    distribution: vec![1.0],
+                    label,
+                },
+                Response::ClassifyBatch {
+                    distributions: vec![vec![1.0], vec![1.0]],
+                    labels: vec![label, 1],
+                },
+            ] {
+                let line = resp.to_line();
+                assert_eq!(Response::parse(&line).unwrap(), resp, "line: {line}");
+            }
+        }
+        // Other number forms read through `f64`, below 2^53 only.
+        let classify = |label: &str| {
+            Response::parse(&format!(
+                "{{\"ok\":true,\"result\":\"classify\",\"distribution\":[1],\"label\":{label}}}"
+            ))
+        };
+        for (text, label) in [
+            ("3.0", 3),
+            ("1e3", 1000),
+            ("9007199254740991.0", (1 << 53) - 1),
+        ] {
+            match classify(text).unwrap() {
+                Response::Classify { label: read, .. } => assert_eq!(read, label, "{text}"),
+                other => panic!("unexpected response {other:?}"),
+            }
+        }
+        for text in [
+            "18446744073709551616",
+            "9007199254740992.0",
+            "1e16",
+            "-1",
+            "0.5",
+            "null",
+            "\"1\"",
+        ] {
+            let err = classify(text).unwrap_err();
+            assert_eq!(err.code(), "bad_request", "{text}");
+            assert!(err.to_string().contains("label"), "{text}: {err}");
+            let err = Request::parse(&format!(
+                "{{\"cmd\":\"classify\",\"model\":\"m\",\"tuple\":{{\"values\":[],\"label\":{text}}}}}"
+            ))
+            .unwrap_err();
+            assert_eq!(err.code(), "bad_request", "{text}");
+            assert!(err.to_string().contains("label"), "{text}: {err}");
         }
     }
 }

@@ -1315,4 +1315,77 @@ mod tests {
         let columnar_splits = report.tree.size() - report.tree.n_leaves();
         assert_eq!(columnar_splits, naive_splits);
     }
+
+    // §7.5: the pruning techniques apply unchanged to point data. A point
+    // tree is built over the averaged projection of a data set.
+
+    fn point_dataset(n: usize) -> Dataset {
+        let mut ds = Dataset::numerical(2, 2);
+        for i in 0..n {
+            let class = i % 2;
+            let x = class as f64 * 5.0 + (i % 7) as f64 * 0.3;
+            let y = (i % 11) as f64;
+            ds.push(Tuple::from_points(&[x, y], class)).unwrap();
+        }
+        ds
+    }
+
+    fn build_point_tree(data: &Dataset, algorithm: Algorithm) -> Result<BuildReport> {
+        TreeBuilder::new(UdtConfig::new(algorithm)).build(&data.to_averaged())
+    }
+
+    #[test]
+    fn point_trees_from_all_strategies_agree_on_accuracy() {
+        let ds = point_dataset(60);
+        let reference = build_point_tree(&ds, Algorithm::Udt).unwrap();
+        let reference_acc = ds
+            .tuples()
+            .iter()
+            .filter(|t| reference.tree.predict(t).unwrap() == t.label())
+            .count();
+        for algorithm in [Algorithm::UdtBp, Algorithm::UdtGp, Algorithm::UdtEs] {
+            let report = build_point_tree(&ds, algorithm).unwrap();
+            let acc = ds
+                .tuples()
+                .iter()
+                .filter(|t| report.tree.predict(t).unwrap() == t.label())
+                .count();
+            assert_eq!(acc, reference_acc, "{algorithm:?}");
+        }
+    }
+
+    #[test]
+    fn end_point_sampling_saves_work_on_point_data() {
+        let ds = point_dataset(400);
+        let udt = build_point_tree(&ds, Algorithm::Udt).unwrap();
+        let es = build_point_tree(&ds, Algorithm::UdtEs).unwrap();
+        // Pass 2 of the pruned search is always the sequential
+        // progressive scan (part of the thread-count determinism
+        // contract), so the strict work inequality holds at every
+        // thread count.
+        assert!(
+            es.stats.entropy_like_calculations() <= udt.stats.entropy_like_calculations(),
+            "ES ({}) should not exceed UDT ({}) on point data",
+            es.stats.entropy_like_calculations(),
+            udt.stats.entropy_like_calculations()
+        );
+        let acc = |r: &BuildReport| {
+            ds.tuples()
+                .iter()
+                .filter(|t| r.tree.predict(t).unwrap() == t.label())
+                .count()
+        };
+        assert_eq!(acc(&udt), acc(&es));
+    }
+
+    #[test]
+    fn uncertain_data_is_collapsed_before_building() {
+        use udt_data::uncertainty::{inject_uncertainty, UncertaintySpec};
+        let ds = point_dataset(30);
+        let uncertain = inject_uncertainty(&ds, &UncertaintySpec::baseline().with_s(20)).unwrap();
+        let report = build_point_tree(&uncertain, Algorithm::UdtGp).unwrap();
+        // The point tree never sees more than one sample per value, so its
+        // candidate pool equals the averaged data's distinct values.
+        assert!(report.stats.candidate_points <= (uncertain.len() as u64 + 1) * 2);
+    }
 }

@@ -158,7 +158,6 @@ pub mod kernel;
 pub mod measure;
 pub mod node;
 pub mod persist;
-pub mod point;
 pub mod pool;
 pub mod postprune;
 pub mod split;

@@ -40,16 +40,6 @@
 //! worker, the map finishes draining, and the payload is re-raised on
 //! the **calling** thread — a panicking subtree build fails the build,
 //! not the queue. The workers survive and keep serving later maps.
-//!
-//! ## Long-lived tasks
-//!
-//! [`WorkerPool::spawn`] submits a fire-and-forget task. `udt-serve`'s
-//! micro-batching scheduler runs its batch-worker loops as exactly such
-//! tasks on a dedicated pool, sharing this execution substrate instead
-//! of managing raw `JoinHandle`s. Do not mix `spawn`ed long-running
-//! loops and `map` on the same pool: a helping mapper could get stuck
-//! executing the loop. The global [`for_concurrency`](WorkerPool::for_concurrency)
-//! pools are used exclusively for `map`.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
@@ -156,21 +146,21 @@ impl std::fmt::Debug for WorkerPool {
 }
 
 impl WorkerPool {
-    /// Creates a pool with `workers` threads named `{name}-{i}`. A pool
-    /// with zero workers is valid: [`map`](Self::map) runs inline on the
-    /// caller (the sequential degenerate case).
+    /// Creates a pool with `workers` threads named `udt-pool-{i}`. A
+    /// pool with zero workers is valid: [`map`](Self::map) runs inline
+    /// on the caller (the sequential degenerate case).
     ///
     /// Thread-spawn failures (process thread limits, exhausted memory)
     /// degrade gracefully: the pool keeps whatever workers it managed
     /// to start — possibly none — with a one-line warning, instead of
     /// aborting the build that asked for a generous thread count.
-    pub fn named(workers: usize, name: &str) -> WorkerPool {
+    pub fn with_workers(workers: usize) -> WorkerPool {
         let shared = Arc::new(Shared::default());
         let mut handles = Vec::with_capacity(workers);
         for i in 0..workers {
             let cloned = Arc::clone(&shared);
             match std::thread::Builder::new()
-                .name(format!("{name}-{i}"))
+                .name(format!("udt-pool-{i}"))
                 .spawn(move || worker_main(cloned))
             {
                 Ok(handle) => handles.push(handle),
@@ -190,11 +180,6 @@ impl WorkerPool {
             handles: Mutex::new(handles),
             workers,
         }
-    }
-
-    /// Creates a pool with `workers` threads and the default name.
-    pub fn with_workers(workers: usize) -> WorkerPool {
-        WorkerPool::named(workers, "udt-pool")
     }
 
     /// Returns the process-wide shared pool for a total concurrency of
@@ -229,26 +214,6 @@ impl WorkerPool {
         let mut queue = self.shared.queue.lock().expect("pool queue lock");
         queue.push_back(task);
         self.shared.wake.notify_one();
-    }
-
-    /// Submits a fire-and-forget task (e.g. a serving worker's loop). A
-    /// panic inside the task is caught and reported on stderr; the
-    /// worker thread survives.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool has zero workers: the task could never run,
-    /// and silently dropping it would be worse than failing loudly.
-    pub fn spawn(&self, task: impl FnOnce() + Send + 'static) {
-        assert!(
-            self.workers > 0,
-            "WorkerPool::spawn on a pool with no workers: the task would never run"
-        );
-        self.push_task(Box::new(move || {
-            if catch_unwind(AssertUnwindSafe(task)).is_err() {
-                eprintln!("udt-pool: a spawned task panicked (worker survives)");
-            }
-        }));
     }
 
     /// Runs `f(0..n)` across the pool — the calling thread participates
@@ -543,21 +508,5 @@ mod tests {
         assert!(Arc::ptr_eq(&current().unwrap(), &a));
         drop(g1);
         assert!(current().is_none());
-    }
-
-    #[test]
-    fn spawned_tasks_run_and_survive_panics() {
-        let pool = WorkerPool::with_workers(1);
-        let flag = Arc::new(AtomicBool::new(false));
-        pool.spawn(|| panic!("ignored"));
-        let f = Arc::clone(&flag);
-        pool.spawn(move || f.store(true, Ordering::Release));
-        for _ in 0..200 {
-            if flag.load(Ordering::Acquire) {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        panic!("spawned task never ran");
     }
 }
