@@ -4,15 +4,15 @@
 //! A `udt-serve` endpoint is started in-process with a trained UDT-ES
 //! model, and every benchmark classifies the same uncertain (or
 //! averaged/point) tuple set end to end — NDJSON encode, TCP round
-//! trip(s), scheduler queue, worker classification with its long-lived
-//! warm `BatchScratch`, NDJSON decode:
+//! trip(s), classification on the connection thread with a gate slot's
+//! long-lived warm `BatchScratch`, NDJSON decode:
 //!
 //! * `single_*` issues one `classify` request per tuple, sequentially —
 //!   the naive integration a client might start with; each tuple pays a
-//!   full round trip plus a scheduler wake-up.
+//!   full round trip.
 //! * `batch_*` issues one `classify_batch` request for the whole set —
-//!   the intended integration; framing, syscalls, queue hops and reply
-//!   wake-ups amortise across the batch.
+//!   the intended integration; framing and syscalls amortise across the
+//!   batch.
 //!
 //! A third pair measures the failover machinery itself: the same
 //! sequential point stream through a bare `Client` vs a two-replica
@@ -23,10 +23,10 @@
 //!
 //! The `serve_concurrency` axis runs closed-loop point clients — each
 //! sends the averaged tuple set one `classify` at a time, waiting for
-//! every reply — over 1, 8 and 64 connections at once. It shows what the
-//! scheduler's greedy flushing coalesces under real concurrency: each
-//! point prints its mean jobs per flush, from the server's `flushes` /
-//! `flushed_jobs` counters over that point's run.
+//! every reply — over 1, 8 and 64 connections at once, against the
+//! default two classification slots. At 64 connections most requests
+//! wait in the gate's line, so the point shows what slot hand-offs cost
+//! under contention.
 //!
 //! The `protocol_codec` group times the NDJSON codec alone, with no
 //! socket: request encode and parse, and response encode and parse, for
@@ -43,8 +43,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use udt_bench::{baseline_workload, point_dataset, uncertain};
 use udt_serve::{
-    Client, HealthStats, ModelRegistry, ReplicaSet, ReplicaSetOptions, Request, Response,
-    ServeConfig, Server,
+    Client, ModelRegistry, ReplicaSet, ReplicaSetOptions, Request, Response, ServeConfig, Server,
 };
 use udt_tree::{Algorithm, TreeBuilder, UdtConfig};
 
@@ -226,7 +225,6 @@ fn bench_serve(c: &mut Criterion) {
         let mut clients: Vec<Client> = (0..connections)
             .map(|_| Client::connect(addr).expect("connect"))
             .collect();
-        let before = server_health(addr);
         group.throughput(Throughput::Elements((connections * points.len()) as u64));
         group.bench_function(&format!("point_{connections}conn"), |b| {
             b.iter(|| {
@@ -244,28 +242,12 @@ fn bench_serve(c: &mut Criterion) {
                 });
             });
         });
-        let after = server_health(addr);
-        let flushes = after.flushes - before.flushes;
-        let jobs = after.flushed_jobs - before.flushed_jobs;
-        eprintln!(
-            "serve_concurrency/point_{connections}conn: {:.2} jobs per flush \
-             ({jobs} jobs in {flushes} flushes)",
-            jobs as f64 / flushes.max(1) as f64
-        );
     }
     group.finish();
 
     let mut client = Client::connect(addr).expect("connect");
     client.shutdown().expect("shutdown");
     server_thread.join().expect("server thread");
-}
-
-/// The server-wide counters, `flushes` / `flushed_jobs` among them.
-fn server_health(addr: std::net::SocketAddr) -> HealthStats {
-    Client::connect(addr)
-        .and_then(|mut c| c.stats())
-        .expect("stats")
-        .health
 }
 
 criterion_group!(benches, bench_protocol_codec, bench_serve);

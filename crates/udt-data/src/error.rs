@@ -55,6 +55,10 @@ pub enum DataError {
         value: f64,
     },
 
+    /// A data set was asked for by a name the repository does not hold.
+    #[error("unknown data set `{0}`")]
+    UnknownDataset(String),
+
     /// An error bubbled up from the probability substrate.
     #[error("probability error: {0}")]
     Prob(#[from] ProbError),

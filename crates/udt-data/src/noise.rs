@@ -14,6 +14,7 @@ use rand_chacha::ChaCha8Rng;
 use crate::dataset::Dataset;
 use crate::error::DataError;
 use crate::randn;
+use crate::tuple::Tuple;
 use crate::value::UncertainValue;
 use crate::Result;
 
@@ -46,18 +47,19 @@ pub fn perturb(data: &Dataset, u: f64, seed: u64) -> Result<Dataset> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut out = Dataset::new(data.schema().clone(), data.class_names().to_vec());
     for tuple in data.tuples() {
-        let mut new_tuple = tuple.clone();
-        for j in 0..tuple.arity() {
-            let Some(pdf) = tuple.value(j).as_numeric() else {
-                continue;
-            };
-            if !pdf.is_point() || sigmas[j] <= 0.0 {
-                continue;
-            }
-            let noisy = randn::normal(&mut rng, pdf.mean(), sigmas[j]);
-            new_tuple = new_tuple.with_value(j, UncertainValue::point(noisy));
-        }
-        out.push(new_tuple)?;
+        // One draw per perturbed value, in attribute order.
+        let values = tuple
+            .values()
+            .iter()
+            .zip(&sigmas)
+            .map(|(value, &sigma)| match value.as_numeric() {
+                Some(pdf) if pdf.is_point() && sigma > 0.0 => {
+                    UncertainValue::point(randn::normal(&mut rng, pdf.mean(), sigma))
+                }
+                _ => value.clone(),
+            })
+            .collect();
+        out.push(Tuple::new(values, tuple.label()))?;
     }
     Ok(out)
 }
@@ -74,7 +76,7 @@ pub fn model_w_for_u(kappa: f64, u: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuple::Tuple;
+    use crate::attribute::{Attribute, Schema};
     use udt_prob::stats::Summary;
 
     fn dataset(n: usize) -> Dataset {
@@ -135,5 +137,70 @@ mod tests {
         assert!((model_w_for_u(0.3, 0.4) - 0.5).abs() < 1e-12);
         // With no latent error the best w equals u.
         assert_eq!(model_w_for_u(0.0, 0.25), 0.25);
+    }
+
+    #[test]
+    fn perturbation_matches_the_per_attribute_replacement_loop_bit_for_bit() {
+        // The loop perturbation used to run: replace one attribute at a
+        // time, copying the tuple's values for every replacement.
+        fn per_attribute(data: &Dataset, u: f64, seed: u64) -> Dataset {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut out = Dataset::new(data.schema().clone(), data.class_names().to_vec());
+            for tuple in data.tuples() {
+                let mut new_tuple = tuple.clone();
+                for j in 0..tuple.arity() {
+                    let Some(pdf) = tuple.value(j).as_numeric() else {
+                        continue;
+                    };
+                    let sigma = u * data.attribute_width(j).unwrap() / 4.0;
+                    if !pdf.is_point() || sigma <= 0.0 {
+                        continue;
+                    }
+                    let noisy = randn::normal(&mut rng, pdf.mean(), sigma);
+                    let mut values = new_tuple.values().to_vec();
+                    values[j] = UncertainValue::point(noisy);
+                    new_tuple = Tuple::new(values, new_tuple.label());
+                }
+                out.push(new_tuple).unwrap();
+            }
+            out
+        }
+
+        // Numeric, categorical, constant and already-uncertain values
+        // side by side.
+        let schema = Schema::new(vec![
+            Attribute::numerical("x"),
+            Attribute::categorical("c", 4),
+            Attribute::numerical("constant"),
+            Attribute::numerical("y"),
+        ]);
+        let mut data = Dataset::new(schema, vec!["a".into(), "b".into()]);
+        for i in 0..8 {
+            let y = if i == 5 {
+                UncertainValue::Numeric(
+                    udt_prob::SampledPdf::new(vec![-1.0, 3.0], vec![0.5, 0.5]).unwrap(),
+                )
+            } else {
+                UncertainValue::point(i as f64 * 0.7 - 2.0)
+            };
+            data.push(Tuple::new(
+                vec![
+                    UncertainValue::point(i as f64 * 1.3),
+                    UncertainValue::category(i % 4, 4),
+                    UncertainValue::point(-3.0),
+                    y,
+                ],
+                i % 2,
+            ))
+            .unwrap();
+        }
+        for (u, seed) in [(0.1, 5), (0.35, 2009)] {
+            // Debug prints every f64 in its shortest round-trip form, so
+            // equal text is equal bits.
+            assert_eq!(
+                format!("{:?}", perturb(&data, u, seed).unwrap()),
+                format!("{:?}", per_attribute(&data, u, seed))
+            );
+        }
     }
 }

@@ -51,18 +51,6 @@ impl Tuple {
         self.values.len()
     }
 
-    /// Replaces the value of attribute `j`, returning a new tuple. Used by
-    /// the fractional-tuple machinery when a pdf is restricted to a
-    /// sub-domain.
-    pub fn with_value(&self, j: usize, value: UncertainValue) -> Tuple {
-        let mut values = self.values.clone();
-        values[j] = value;
-        Tuple {
-            values,
-            label: self.label,
-        }
-    }
-
     /// The Averaging representative of the tuple: every value collapsed to
     /// its summary statistic (§4.1).
     pub fn to_averaged(&self) -> Tuple {
@@ -91,19 +79,6 @@ mod tests {
         assert_eq!(t.label(), 1);
         assert_eq!(t.value(1).expected(), 2.0);
         assert_eq!(t.total_samples(), 3);
-    }
-
-    #[test]
-    fn with_value_replaces_one_attribute() {
-        let t = Tuple::from_points(&[1.0, 2.0], 0);
-        let pdf = SampledPdf::new(vec![0.0, 4.0], vec![0.5, 0.5]).unwrap();
-        let t2 = t.with_value(1, UncertainValue::Numeric(pdf));
-        assert_eq!(t2.value(0).expected(), 1.0);
-        assert_eq!(t2.value(1).expected(), 2.0);
-        assert_eq!(t2.value(1).sample_count(), 2);
-        assert_eq!(t2.label(), 0);
-        // The original tuple is untouched.
-        assert_eq!(t.value(1).sample_count(), 1);
     }
 
     #[test]

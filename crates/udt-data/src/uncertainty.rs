@@ -14,6 +14,7 @@ use udt_prob::ErrorModel;
 
 use crate::dataset::Dataset;
 use crate::error::DataError;
+use crate::tuple::Tuple;
 use crate::value::UncertainValue;
 use crate::Result;
 
@@ -95,23 +96,21 @@ pub fn inject_uncertainty(data: &Dataset, spec: &UncertaintySpec) -> Result<Data
 
     let mut out = Dataset::new(data.schema().clone(), data.class_names().to_vec());
     for tuple in data.tuples() {
-        let mut new_tuple = tuple.clone();
-        for j in 0..tuple.arity() {
-            let value = tuple.value(j);
-            let Some(pdf) = value.as_numeric() else {
-                continue;
-            };
-            if !pdf.is_point() {
-                continue;
-            }
-            let width = widths[j] * spec.w;
-            if width <= 0.0 {
-                continue;
-            }
-            let injected = spec.model.discretise(pdf.mean(), width, spec.s)?;
-            new_tuple = new_tuple.with_value(j, UncertainValue::Numeric(injected));
-        }
-        out.push(new_tuple)?;
+        let values = tuple
+            .values()
+            .iter()
+            .zip(&widths)
+            .map(|(value, &range)| {
+                let width = range * spec.w;
+                match value.as_numeric() {
+                    Some(pdf) if pdf.is_point() && width > 0.0 => Ok(UncertainValue::Numeric(
+                        spec.model.discretise(pdf.mean(), width, spec.s)?,
+                    )),
+                    _ => Ok(value.clone()),
+                }
+            })
+            .collect::<Result<Vec<_>>>()?;
+        out.push(Tuple::new(values, tuple.label()))?;
     }
     Ok(out)
 }
@@ -119,7 +118,39 @@ pub fn inject_uncertainty(data: &Dataset, spec: &UncertaintySpec) -> Result<Data
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuple::Tuple;
+    use crate::attribute::{Attribute, Schema};
+
+    /// Numeric, categorical, constant and already-uncertain values side
+    /// by side.
+    fn mixed_dataset() -> Dataset {
+        let schema = Schema::new(vec![
+            Attribute::numerical("x"),
+            Attribute::categorical("c", 3),
+            Attribute::numerical("constant"),
+            Attribute::numerical("y"),
+        ]);
+        let mut ds = Dataset::new(schema, vec!["a".into(), "b".into()]);
+        for i in 0..6 {
+            let y = if i == 4 {
+                UncertainValue::Numeric(
+                    udt_prob::SampledPdf::new(vec![1.0, 2.5], vec![0.25, 0.75]).unwrap(),
+                )
+            } else {
+                UncertainValue::point(i as f64 * -1.75)
+            };
+            ds.push(Tuple::new(
+                vec![
+                    UncertainValue::point(i as f64 * 0.3 + 0.1),
+                    UncertainValue::category(i % 3, 3),
+                    UncertainValue::point(2.0),
+                    y,
+                ],
+                i % 2,
+            ))
+            .unwrap();
+        }
+        ds
+    }
 
     fn point_dataset() -> Dataset {
         let mut ds = Dataset::numerical(2, 2);
@@ -198,5 +229,49 @@ mod tests {
         assert!(inject_uncertainty(&ds, &UncertaintySpec::baseline().with_s(0)).is_err());
         let empty = Dataset::numerical(1, 1);
         assert!(inject_uncertainty(&empty, &UncertaintySpec::baseline()).is_err());
+    }
+
+    #[test]
+    fn injection_matches_the_per_attribute_replacement_loop_bit_for_bit() {
+        // The loop injection used to run: replace one attribute at a time,
+        // copying the tuple's values for every replacement.
+        fn per_attribute(data: &Dataset, spec: &UncertaintySpec) -> Dataset {
+            let mut out = Dataset::new(data.schema().clone(), data.class_names().to_vec());
+            for tuple in data.tuples() {
+                let mut new_tuple = tuple.clone();
+                for j in 0..tuple.arity() {
+                    let Some(pdf) = tuple.value(j).as_numeric() else {
+                        continue;
+                    };
+                    let width = data.attribute_width(j).unwrap() * spec.w;
+                    if !pdf.is_point() || width <= 0.0 {
+                        continue;
+                    }
+                    let injected = spec.model.discretise(pdf.mean(), width, spec.s).unwrap();
+                    let mut values = new_tuple.values().to_vec();
+                    values[j] = UncertainValue::Numeric(injected);
+                    new_tuple = Tuple::new(values, new_tuple.label());
+                }
+                out.push(new_tuple).unwrap();
+            }
+            out
+        }
+
+        let data = mixed_dataset();
+        for spec in [
+            UncertaintySpec::baseline().with_s(7),
+            UncertaintySpec::baseline()
+                .with_w(0.3)
+                .with_s(12)
+                .with_model(ErrorModel::Uniform),
+        ] {
+            let fast = inject_uncertainty(&data, &spec).unwrap();
+            // Debug prints every f64 in its shortest round-trip form, so
+            // equal text is equal bits.
+            assert_eq!(
+                format!("{:?}", fast),
+                format!("{:?}", per_attribute(&data, &spec))
+            );
+        }
     }
 }

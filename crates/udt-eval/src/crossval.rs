@@ -2,8 +2,8 @@
 //!
 //! The paper (§4.3) uses the data sets' provided train/test split when one
 //! exists and 10-fold cross validation otherwise. [`cross_validate`] runs
-//! the folds (optionally in parallel with scoped threads) and aggregates
-//! accuracy, tree statistics and split-search counters.
+//! the folds in parallel on scoped threads and aggregates accuracy, tree
+//! statistics and split-search counters.
 
 use serde::{Deserialize, Serialize};
 use udt_data::split::k_folds;
@@ -39,17 +39,15 @@ impl CrossValResult {
     }
 }
 
-/// Runs `k`-fold cross validation of `config` on `data`.
-///
-/// `parallel` runs folds on scoped worker threads (one per fold, capped by
-/// the number of folds); results are identical to the sequential path
-/// because each fold is fully independent and seeded by the fold index.
+/// Runs `k`-fold cross validation of `config` on `data`, one scoped
+/// thread per fold. Results do not depend on thread timing: each fold is
+/// fully independent and seeded by the fold index, and the folds are
+/// merged in fold order.
 pub fn cross_validate(
     data: &Dataset,
     config: &UdtConfig,
     k: usize,
     seed: u64,
-    parallel: bool,
 ) -> udt_data::Result<CrossValResult> {
     let folds = k_folds(data, k, seed)?;
     let n_classes = data.n_classes();
@@ -66,20 +64,16 @@ pub fn cross_validate(
         )
     };
 
-    let fold_outputs: Vec<(EvalResult, SearchStats, f64, usize)> = if parallel {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = folds
-                .iter()
-                .map(|fold| scope.spawn(|| run_fold(fold)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("fold worker does not panic"))
-                .collect()
-        })
-    } else {
-        folds.iter().map(run_fold).collect()
-    };
+    let fold_outputs: Vec<(EvalResult, SearchStats, f64, usize)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = folds
+            .iter()
+            .map(|fold| scope.spawn(|| run_fold(fold)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("fold worker does not panic"))
+            .collect()
+    });
 
     let mut pooled = EvalResult {
         n: 0,
@@ -127,7 +121,7 @@ mod tests {
     #[test]
     fn cross_validation_covers_every_tuple_once() {
         let ds = dataset(50);
-        let cv = cross_validate(&ds, &UdtConfig::new(Algorithm::UdtEs), 5, 7, false).unwrap();
+        let cv = cross_validate(&ds, &UdtConfig::new(Algorithm::UdtEs), 5, 7).unwrap();
         assert_eq!(cv.folds, 5);
         assert_eq!(cv.pooled.n, 50);
         assert_eq!(cv.fold_accuracies.len(), 5);
@@ -138,23 +132,23 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_sequential_agree() {
+    fn two_runs_agree() {
         let ds = dataset(40);
         let config = UdtConfig::new(Algorithm::UdtGp);
-        let seq = cross_validate(&ds, &config, 4, 11, false).unwrap();
-        let par = cross_validate(&ds, &config, 4, 11, true).unwrap();
-        assert_eq!(seq.fold_accuracies, par.fold_accuracies);
-        assert_eq!(seq.pooled, par.pooled);
+        let first = cross_validate(&ds, &config, 4, 11).unwrap();
+        let second = cross_validate(&ds, &config, 4, 11).unwrap();
+        assert_eq!(first.fold_accuracies, second.fold_accuracies);
+        assert_eq!(first.pooled, second.pooled);
         assert_eq!(
-            seq.stats.entropy_like_calculations(),
-            par.stats.entropy_like_calculations()
+            first.stats.entropy_like_calculations(),
+            second.stats.entropy_like_calculations()
         );
     }
 
     #[test]
     fn invalid_fold_counts_are_rejected() {
         let ds = dataset(10);
-        assert!(cross_validate(&ds, &UdtConfig::new(Algorithm::Avg), 1, 0, false).is_err());
-        assert!(cross_validate(&ds, &UdtConfig::new(Algorithm::Avg), 11, 0, false).is_err());
+        assert!(cross_validate(&ds, &UdtConfig::new(Algorithm::Avg), 1, 0).is_err());
+        assert!(cross_validate(&ds, &UdtConfig::new(Algorithm::Avg), 11, 0).is_err());
     }
 }

@@ -39,7 +39,7 @@ pub fn run(settings: &Settings) -> udt_data::Result<Vec<AblationRow>> {
         for measure in measures {
             for algorithm in algorithms {
                 let config = UdtConfig::new(algorithm).with_measure(measure);
-                let cv = cross_validate(&data, &config, settings.folds, settings.seed, true)?;
+                let cv = cross_validate(&data, &config, settings.folds, settings.seed)?;
                 rows.push(AblationRow {
                     dataset: spec.name.to_string(),
                     measure: measure.name().to_string(),

@@ -14,6 +14,7 @@ use serde::{Deserialize, Serialize};
 use udt_data::noise::{model_w_for_u, perturb};
 use udt_data::repository::by_name;
 use udt_data::uncertainty::{inject_uncertainty, UncertaintySpec};
+use udt_data::DataError;
 use udt_tree::{Algorithm, UdtConfig};
 
 use crate::crossval::cross_validate;
@@ -53,9 +54,10 @@ pub struct Fig4Result {
     pub model_curve: Vec<Fig4Point>,
 }
 
-/// Runs the Fig. 4 experiment on the named data set (default "Segment").
+/// Runs the Fig. 4 experiment on the named data set (the paper uses
+/// "Segment"). A name the repository does not hold is an error.
 pub fn run(settings: &Settings, dataset: &str) -> udt_data::Result<Fig4Result> {
-    let spec = by_name(dataset).unwrap_or_else(|| by_name("Segment").expect("Segment exists"));
+    let spec = by_name(dataset).ok_or_else(|| DataError::UnknownDataset(dataset.to_string()))?;
     let point_data = spec.generate(settings.scale)?;
     let perturbed = U_VALUES
         .iter()
@@ -106,7 +108,7 @@ fn accuracy_at(
         (Cow::Owned(data), Algorithm::UdtGp)
     };
     let config = UdtConfig::new(algorithm);
-    let cv = cross_validate(&data, &config, settings.folds, settings.seed, true)?;
+    let cv = cross_validate(&data, &config, settings.folds, settings.seed)?;
     Ok(cv.pooled.accuracy())
 }
 
@@ -217,11 +219,10 @@ mod tests {
     }
 
     #[test]
-    fn unknown_dataset_falls_back_to_segment() {
-        let mut s = tiny_settings();
-        s.scale = 0.01;
-        let result = run(&s, "NoSuchDataset").unwrap();
-        assert_eq!(result.dataset, "Segment");
+    fn unknown_dataset_is_refused_by_name() {
+        let err = run(&tiny_settings(), "NoSuchDataset").unwrap_err();
+        assert_eq!(err, DataError::UnknownDataset("NoSuchDataset".into()));
+        assert!(err.to_string().contains("NoSuchDataset"), "{err}");
     }
 
     #[test]

@@ -69,7 +69,7 @@ fn accuracy_of(
             .tree;
         Ok(evaluate(&tree, &tt.test).accuracy())
     } else {
-        let cv = cross_validate(data, &config, settings.folds, settings.seed, true)?;
+        let cv = cross_validate(data, &config, settings.folds, settings.seed)?;
         Ok(cv.pooled.accuracy())
     }
 }

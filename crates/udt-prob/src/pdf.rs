@@ -9,6 +9,12 @@
 //! cumulative probability is a running sum over the masses, computed when
 //! it is asked for (classification, quantiles, serialization). Tree
 //! construction reads presorted columns instead (see `udt-tree`).
+//!
+//! Points and masses live in one shared, immutable allocation, so a
+//! clone (a tuple copied into a train/test split or a cross-validation
+//! fold) costs a reference count, not a copy of the samples.
+
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize, Value};
 
@@ -26,10 +32,10 @@ pub const MASS_EPSILON: f64 = 1e-9;
 /// * all masses finite and non-negative;
 /// * masses sum to 1 (the constructor normalises; deserialization
 ///   requires it within [`MASS_EPSILON`]).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub struct SampledPdf {
-    points: Vec<f64>,
-    mass: Vec<f64>,
+    /// The `s` sample points followed by their `s` masses.
+    samples: Arc<[f64]>,
 }
 
 impl SampledPdf {
@@ -39,8 +45,17 @@ impl SampledPdf {
     /// increasing.
     pub fn new(points: Vec<f64>, mass: Vec<f64>) -> Result<Self> {
         let total = check_samples(&points, &mass)?;
-        let mass: Vec<f64> = mass.into_iter().map(|m| m / total).collect();
-        Ok(SampledPdf { points, mass })
+        Ok(SampledPdf::from_checked(
+            &points,
+            mass.iter().map(|m| m / total),
+        ))
+    }
+
+    /// Stores points checked by [`check_samples`] and their masses.
+    fn from_checked(points: &[f64], mass: impl Iterator<Item = f64>) -> SampledPdf {
+        SampledPdf {
+            samples: points.iter().copied().chain(mass).collect(),
+        }
     }
 
     /// Builds a pdf giving equal mass to every sample value. Duplicate
@@ -91,7 +106,7 @@ impl SampledPdf {
                 points: mass.len(),
             });
         }
-        let pdf = SampledPdf { points, mass };
+        let pdf = SampledPdf::from_checked(&points, mass.into_iter());
         if let Some((index, (&supplied, computed))) = cumulative
             .iter()
             .zip(pdf.cumulative())
@@ -114,12 +129,12 @@ impl SampledPdf {
 
     /// Number of sample points (`s` in the paper).
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.samples.len() / 2
     }
 
     /// Whether this pdf is a degenerate point value.
     pub fn is_point(&self) -> bool {
-        self.points.len() == 1
+        self.len() == 1
     }
 
     /// `false` — a valid pdf always has at least one sample point; provided
@@ -130,38 +145,44 @@ impl SampledPdf {
 
     /// The sample points, strictly increasing.
     pub fn points(&self) -> &[f64] {
-        &self.points
+        &self.samples[..self.len()]
     }
 
     /// The normalised probability masses, parallel to [`points`](Self::points).
     pub fn mass(&self) -> &[f64] {
-        &self.mass
+        &self.samples[self.len()..]
     }
 
     /// `P[X <= points[i]]` for each `i` in order: the running sums of the
     /// masses, added in index order, with the last pinned to exactly 1
     /// against floating-point drift.
     pub fn cumulative(&self) -> impl Iterator<Item = f64> + '_ {
-        let last = self.mass.len() - 1;
-        self.mass.iter().enumerate().scan(0.0, move |acc, (i, &m)| {
-            *acc += m;
-            Some(if i == last { 1.0 } else { *acc })
-        })
+        let last = self.len() - 1;
+        self.mass()
+            .iter()
+            .enumerate()
+            .scan(0.0, move |acc, (i, &m)| {
+                *acc += m;
+                Some(if i == last { 1.0 } else { *acc })
+            })
     }
 
     /// Lower end of the pdf domain (`a` in the paper).
     pub fn lo(&self) -> f64 {
-        self.points[0]
+        self.samples[0]
     }
 
     /// Upper end of the pdf domain (`b` in the paper).
     pub fn hi(&self) -> f64 {
-        *self.points.last().expect("non-empty")
+        self.samples[self.len() - 1]
     }
 
     /// Iterates over `(point, mass)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
-        self.points.iter().copied().zip(self.mass.iter().copied())
+        self.points()
+            .iter()
+            .copied()
+            .zip(self.mass().iter().copied())
     }
 
     /// Expected value `∫ x f(x) dx` of the discretised pdf.
@@ -188,7 +209,7 @@ impl SampledPdf {
     /// below [`lo`](Self::lo) and exactly `1.0` at or above
     /// [`hi`](Self::hi); in between it sums the masses up to that point.
     pub fn prob_le(&self, x: f64) -> f64 {
-        match self.points.partition_point(|&p| p <= x) {
+        match self.points().partition_point(|&p| p <= x) {
             0 => 0.0,
             n => self.cumulative().nth(n - 1).expect("n <= len"),
         }
@@ -345,13 +366,23 @@ fn check_samples(points: &[f64], mass: &[f64]) -> Result<f64> {
 impl Serialize for SampledPdf {
     fn serialize(&self) -> Value {
         Value::Map(vec![
-            ("points".to_string(), self.points.serialize()),
-            ("mass".to_string(), self.mass.serialize()),
+            ("points".to_string(), self.points().serialize()),
+            ("mass".to_string(), self.mass().serialize()),
             (
                 "cumulative".to_string(),
                 Value::Seq(self.cumulative().map(Value::Num).collect()),
             ),
         ])
+    }
+}
+
+/// Prints the points and masses as two fields.
+impl std::fmt::Debug for SampledPdf {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SampledPdf")
+            .field("points", &self.points())
+            .field("mass", &self.mass())
+            .finish()
     }
 }
 

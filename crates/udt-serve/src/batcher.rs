@@ -1,37 +1,30 @@
-//! The micro-batching scheduler.
+//! The classification gate.
 //!
-//! Classification requests from any number of connection threads enter a
-//! **bounded MPSC queue** (a `Mutex<VecDeque>` + two condvars — the
-//! environment is std-only) and are drained by a fixed pool of worker
-//! threads. Flushing is **greedy**: a worker that picks up a job also
-//! takes every job already queued behind it, up to `max_batch_tuples`
-//! tuples, and serves the lot at once. It never waits for company, so a
-//! lone request is served the moment a worker is free, and coalescing
-//! comes only from real backlog — jobs that queued while every worker was
-//! busy. The whole micro-batch is classified with **one worker-owned
-//! [`BatchScratch`]** that lives as long as the worker — the scratch
-//! pool. Steady-state serving therefore performs zero allocation inside
-//! the classification engine, exactly the calling convention
-//! [`udt_tree::classify_batch`] was built for, and a backlog of
-//! single-tuple requests costs one thread wake-up instead of one per
-//! request. Every flush is counted (`flushes`, `flushed_jobs` in
-//! [`crate::protocol::HealthStats`]), so the mean coalescing is visible.
+//! Classification runs on the thread that asks for it (a connection
+//! thread of the server); the [`Batcher`] only decides *when*. It owns no
+//! threads. It is a gate with `workers` **slots**, each owning one
+//! long-lived [`BatchScratch`], so steady-state serving performs no
+//! allocation inside the classification engine, which is the calling
+//! convention [`udt_tree::classify_batch`] was built for. A caller takes
+//! a free slot, classifies its request and hands the slot on. With no
+//! slot free it joins a FIFO line of waiters, and a released slot goes
+//! straight to the longest waiter: the scratch travels through that
+//! waiter's own one-message channel, so each hand-off wakes exactly one
+//! thread. An uncontended request takes the gate's lock twice and wakes
+//! no other thread at all.
 //!
-//! Each job in a flush takes its *own* model snapshot from the registry
-//! at execution time (jobs for different models can share a flush), and
-//! tuples are never reordered within a job, so replies are bit-for-bit
-//! what a direct `classify_batch` call would have produced.
+//! Each request takes its *own* model snapshot from the registry once it
+//! holds a slot, and its tuples are never reordered, so replies are
+//! bit-for-bit what a direct `classify_batch` call would have produced.
 //!
-//! The batcher owns its worker threads (`udt-serve-worker-{i}`), one
-//! loop each. Shutdown is graceful: [`Batcher::shutdown`] closes the
-//! queue to new submissions, lets the workers drain every job already
-//! accepted, and joins them — no in-flight request is dropped.
+//! [`Batcher::shutdown`] only closes admission: callers already admitted
+//! finish on their own threads, and the server bounds how long it waits
+//! for them with its drain deadline.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use udt_data::{Tuple, UncertainValue};
@@ -44,16 +37,16 @@ use crate::protocol::QueueStats;
 use crate::registry::{ModelRegistry, ServedModel};
 use crate::Result;
 
-/// What `classify` does when the queue is at capacity.
+/// What `classify` does when the line of waiting callers is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueuePolicy {
-    /// Block the submitter until a slot frees (backpressure). With a
+    /// Block the caller until the line has room (backpressure). With a
     /// request deadline configured the wait is bounded by it; past the
     /// deadline the request is rejected as overloaded.
     #[default]
     Block,
     /// Reject immediately with [`ServeError::Overloaded`] (load
-    /// shedding) — the submitter never waits.
+    /// shedding) — the caller never waits.
     Shed,
 }
 
@@ -81,32 +74,33 @@ impl std::str::FromStr for QueuePolicy {
     }
 }
 
-/// Scheduler tuning knobs (see [`crate::ServeConfig`] for the CLI
-/// surface and defaults).
+/// Gate tuning knobs (see [`crate::ServeConfig`] for the CLI surface and
+/// defaults).
 #[derive(Debug, Clone)]
 pub struct BatchOptions {
-    /// Worker threads draining the queue (each owns one scratch).
+    /// Classification slots: at most this many requests classify at once,
+    /// each with its slot's scratch.
     pub workers: usize,
-    /// Cap on the tuples of one flush. A flush stops before a queued job
-    /// that would take it past the cap, unless the flush is still empty
-    /// (a single larger job is served alone).
-    pub max_batch_tuples: usize,
-    /// Inert: the scheduler never reads it, and it defaults to zero —
-    /// flushes no longer wait for company. It stays only because the
-    /// benchmark's run stamp reads `BatchOptions::default().max_delay`;
+    /// Inert: the gate never reads it. It stays only because the
+    /// benchmark's run stamp reads `BatchOptions::default().max_batch_tuples`;
     /// a later benchmark change drops it from the stamp and then from
     /// this struct.
+    pub max_batch_tuples: usize,
+    /// Inert, and zero by default, for the same reason as
+    /// `max_batch_tuples`: the run stamp reads
+    /// `BatchOptions::default().max_delay`.
     pub max_delay: Duration,
-    /// Bounded queue capacity in jobs; what happens when it is full is
-    /// `queue_policy`'s call.
+    /// How many callers may wait for a slot; what happens to the next one
+    /// is `queue_policy`'s call. A caller is admitted only while fewer
+    /// than this many wait, even when a slot is free, so a capacity of 0
+    /// admits no one.
     pub queue_capacity: usize,
     /// Admission behaviour at capacity: block (backpressure) or shed.
     pub queue_policy: QueuePolicy,
-    /// End-to-end budget for a request. Bounds the submit wait under
-    /// [`QueuePolicy::Block`], and a job that has already exceeded it
-    /// when a worker dequeues it is dropped with
-    /// [`ServeError::DeadlineExceeded`] instead of being classified.
-    /// `None` disables both.
+    /// End-to-end budget for a request. Bounds the admission wait under
+    /// [`QueuePolicy::Block`], and a request that has already exceeded it
+    /// when it gets a slot is answered [`ServeError::DeadlineExceeded`]
+    /// instead of being classified. `None` disables both.
     pub request_deadline: Option<Duration>,
     /// Fault-injection hooks (disabled injector in production).
     pub faults: Arc<FaultInjector>,
@@ -128,11 +122,11 @@ impl Default for BatchOptions {
 
 /// The metrics bucket that absorbs requests for unregistered model
 /// names (one bucket, not one per client-supplied string — see
-/// `serve_flush`).
+/// [`Batcher::classify`]).
 pub const UNKNOWN_MODEL_BUCKET: &str = "(unknown-model)";
 
-/// The result of one classification job: row-major distributions plus
-/// the class count needed to slice them.
+/// The result of one classification request: row-major distributions
+/// plus the class count needed to slice them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchReply {
     /// `tuples × n_classes` row-major class distributions.
@@ -141,201 +135,125 @@ pub struct BatchReply {
     pub n_classes: usize,
 }
 
-struct Job {
-    model: String,
-    tuples: Vec<Tuple>,
-    enqueued: Instant,
-    reply: mpsc::SyncSender<Result<BatchReply>>,
-}
-
-struct State {
-    jobs: VecDeque<Job>,
+/// The slots and the callers waiting for one.
+struct Gate {
+    /// The scratches of the free slots.
+    free: Vec<BatchScratch>,
+    /// Callers waiting for a slot, longest first. Each receives its slot's
+    /// scratch through its own channel.
+    line: VecDeque<mpsc::SyncSender<BatchScratch>>,
+    /// Callers blocked at admission because the line is full.
+    blocked: usize,
     open: bool,
 }
 
-struct Shared {
-    state: Mutex<State>,
-    /// Signalled when a job is pushed or the queue closes.
-    not_empty: Condvar,
-    /// Signalled when a job is popped or the queue closes.
-    not_full: Condvar,
-}
-
-impl Shared {
-    /// Locks the queue, recovering from poison. Worker panics are caught
-    /// per job *outside* this lock, so poison here would mean a panic in
-    /// the queue plumbing itself — the jobs are still consistent (every
-    /// mutation is a single push/pop), and one wedged submitter must not
-    /// take the whole server down with it.
-    fn lock(&self) -> MutexGuard<'_, State> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn wait<'a>(&self, cv: &Condvar, guard: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
-        cv.wait(guard).unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn wait_timeout<'a>(
-        &self,
-        cv: &Condvar,
-        guard: MutexGuard<'a, State>,
-        dur: Duration,
-    ) -> (MutexGuard<'a, State>, bool) {
-        match cv.wait_timeout(guard, dur) {
-            Ok((g, t)) => (g, t.timed_out()),
-            Err(e) => {
-                let (g, t) = e.into_inner();
-                (g, t.timed_out())
-            }
-        }
-    }
-}
-
-/// The micro-batching scheduler: bounded queue + worker threads.
+/// The classification gate: `workers` slots and a FIFO line of callers
+/// waiting for one.
 pub struct Batcher {
-    shared: Arc<Shared>,
-    options: BatchOptions,
-    /// For recording admission failures (sheds) at the submit path; the
-    /// workers hold their own clone for the serving-side counters.
+    gate: Mutex<Gate>,
+    /// Wakes one caller blocked at admission when a waiter leaves the
+    /// line, and all of them at shutdown.
+    room: Condvar,
+    registry: Arc<ModelRegistry>,
     metrics: Arc<ServeMetrics>,
-    /// Worker threads actually running (fewer than requested when a
-    /// spawn failed under resource pressure); this is what
-    /// `queue_stats` reports.
-    workers: usize,
-    /// The worker threads, taken and joined by [`Batcher::shutdown`].
-    handles: Mutex<Vec<JoinHandle<()>>>,
+    options: BatchOptions,
+}
+
+/// A slot held by one caller. Dropping it hands the slot on, on every
+/// path out of [`Batcher::classify`], unwinding included.
+struct Slot<'a> {
+    batcher: &'a Batcher,
+    scratch: BatchScratch,
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.batcher.release(std::mem::take(&mut self.scratch));
+    }
 }
 
 impl Batcher {
-    /// Starts `options.workers` worker threads (at least one) serving
+    /// Opens a gate of `options.workers` slots (at least one) serving
     /// models from `registry`, recording into `metrics`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if not a single worker thread could be spawned — a
-    /// batcher with no workers would accept requests and never answer
-    /// them. A *partial* spawn failure degrades, with a one-line
-    /// warning, to the threads that did start.
     pub fn start(
         registry: Arc<ModelRegistry>,
         metrics: Arc<ServeMetrics>,
         options: BatchOptions,
     ) -> Batcher {
-        let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                jobs: VecDeque::new(),
+        let slots = options.workers.max(1);
+        Batcher {
+            gate: Mutex::new(Gate {
+                free: (0..slots).map(|_| BatchScratch::new()).collect(),
+                line: VecDeque::new(),
+                blocked: 0,
                 open: true,
             }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-        });
-        let requested = options.workers.max(1);
-        let mut handles = Vec::with_capacity(requested);
-        for i in 0..requested {
-            let shared = Arc::clone(&shared);
-            let registry = Arc::clone(&registry);
-            let metrics = Arc::clone(&metrics);
-            let options = options.clone();
-            match std::thread::Builder::new()
-                .name(format!("udt-serve-worker-{i}"))
-                .spawn(move || worker_loop(&shared, &registry, &metrics, &options))
-            {
-                Ok(handle) => handles.push(handle),
-                Err(e) => {
-                    eprintln!(
-                        "udt-serve: could not spawn worker {i} of {requested} ({e}); \
-                         continuing with {} worker(s)",
-                        handles.len()
-                    );
-                    break;
-                }
-            }
-        }
-        let workers = handles.len();
-        assert!(
-            workers > 0,
-            "udt-serve: could not spawn any batch worker thread"
-        );
-        Batcher {
-            shared,
-            options,
+            room: Condvar::new(),
+            registry,
             metrics,
-            workers,
-            handles: Mutex::new(handles),
+            options,
         }
     }
 
-    /// Classifies `tuples` with the named model, blocking until a worker
-    /// has served the micro-batch containing this job.
+    /// Classifies `tuples` with the named model on the calling thread,
+    /// once a slot is free.
     ///
-    /// Admission at a full queue follows the configured policy:
+    /// Admission with a full line follows the configured policy:
     /// [`QueuePolicy::Shed`] rejects immediately with
-    /// [`ServeError::Overloaded`]; [`QueuePolicy::Block`] waits for a
-    /// slot — indefinitely without a request deadline, otherwise at most
-    /// the deadline before the request is shed as overloaded too. Both
-    /// rejections count in the `sheds` health counter.
+    /// [`ServeError::Overloaded`]; [`QueuePolicy::Block`] waits for room
+    /// — indefinitely without a request deadline, otherwise at most the
+    /// deadline before the request is shed as overloaded too. Both
+    /// rejections count in the `sheds` health counter. Requests for names
+    /// the registry does not hold count their errors in one shared
+    /// [`UNKNOWN_MODEL_BUCKET`]: keying metrics by arbitrary
+    /// client-supplied strings would let a client grow the metrics map
+    /// (and every stats response) without bound.
     pub fn classify(&self, model: &str, tuples: Vec<Tuple>) -> Result<BatchReply> {
-        let (tx, rx) = mpsc::sync_channel(1);
-        let enqueued = Instant::now();
-        let job = Job {
-            model: model.to_string(),
-            tuples,
-            enqueued,
-            reply: tx,
-        };
-        {
-            let mut st = self.shared.lock();
-            loop {
-                if !st.open {
-                    return Err(ServeError::QueueClosed);
-                }
-                if st.jobs.len() < self.options.queue_capacity {
-                    break;
-                }
-                match (self.options.queue_policy, self.options.request_deadline) {
-                    (QueuePolicy::Shed, _) => {
-                        drop(st);
-                        self.metrics.record_shed();
-                        return Err(ServeError::Overloaded);
-                    }
-                    (QueuePolicy::Block, None) => {
-                        st = self.shared.wait(&self.shared.not_full, st);
-                    }
-                    (QueuePolicy::Block, Some(deadline)) => {
-                        let Some(remaining) = deadline.checked_sub(enqueued.elapsed()) else {
-                            drop(st);
-                            self.metrics.record_shed();
-                            return Err(ServeError::Overloaded);
-                        };
-                        let (guard, _timed_out) =
-                            self.shared
-                                .wait_timeout(&self.shared.not_full, st, remaining);
-                        st = guard;
-                    }
-                }
-            }
-            st.jobs.push_back(job);
-            self.shared.not_empty.notify_one();
+        let arrived = Instant::now();
+        let mut slot = self.acquire(arrived)?;
+        // Fault hook: a slow classification (CPU contention, paging). It
+        // holds the slot, so the line grows and deadlines expire, and it
+        // counts toward this request's own wait.
+        if let Some(delay) = self.options.faults.sleep_for(FaultPoint::DelayInWorker) {
+            std::thread::sleep(delay);
         }
-        rx.recv().map_err(|_| ServeError::QueueClosed)?
+        let waited = arrived.elapsed();
+        self.metrics.record_queue_wait(waited);
+        // A request that already blew its budget is dropped unclassified:
+        // the client stopped waiting for the answer, so computing it would
+        // only take the slot from requests that can still make theirs.
+        if self.options.request_deadline.is_some_and(|d| waited > d) {
+            drop(slot);
+            self.metrics.record_deadline_drop();
+            return Err(ServeError::DeadlineExceeded);
+        }
+        let outcome = self.serve(model, &tuples, &mut slot.scratch);
+        drop(slot);
+        match &outcome {
+            Ok(reply) => {
+                let served = reply.distributions.len() / reply.n_classes.max(1);
+                self.metrics.record(model, served, arrived.elapsed());
+            }
+            Err(ServeError::UnknownModel(_)) => self.metrics.record_error(UNKNOWN_MODEL_BUCKET),
+            Err(_) => self.metrics.record_error(model),
+        }
+        outcome
     }
 
-    /// Whether the queue is open to new submissions — the scheduler's
-    /// contribution to the `health` readiness signal. `false` once
-    /// [`Batcher::shutdown`] has begun (already-accepted jobs still
-    /// drain).
+    /// Whether the gate admits new requests — its contribution to the
+    /// `health` readiness signal. `false` once [`Batcher::shutdown`] has
+    /// run (admitted callers still finish).
     pub fn is_accepting(&self) -> bool {
-        self.shared.lock().open
+        self.lock().open
     }
 
-    /// Current queue occupancy and configuration, for `stats`.
+    /// Current occupancy and configuration, for `stats`.
     pub fn queue_stats(&self) -> QueueStats {
-        let depth = self.shared.lock().jobs.len();
+        let depth = self.lock().line.len();
         QueueStats {
-            workers: self.workers,
+            workers: self.options.workers.max(1),
             capacity: self.options.queue_capacity,
             depth,
-            max_batch_tuples: self.options.max_batch_tuples,
             policy: self.options.queue_policy.name().to_string(),
             deadline_ms: self
                 .options
@@ -345,79 +263,120 @@ impl Batcher {
         }
     }
 
-    /// Closes the queue to new submissions, drains every accepted job and
-    /// joins the workers once their loops return. Idempotent.
+    /// Closes admission: later requests get [`ServeError::QueueClosed`],
+    /// and so do callers blocked waiting for room in the line. Callers
+    /// already in the line still get their slots. Idempotent.
     pub fn shutdown(&self) {
-        {
-            let mut st = self.shared.lock();
-            st.open = false;
-            self.shared.not_empty.notify_all();
-            self.shared.not_full.notify_all();
-        }
-        let handles = std::mem::take(&mut *self.handles.lock().unwrap_or_else(|e| e.into_inner()));
-        for handle in handles {
-            // Each job's panic is caught and answered in the loop; one
-            // that ends a worker's loop is reported here, not raised in
-            // a `Drop`.
-            if handle.join().is_err() {
-                eprintln!("udt-serve: a batch worker thread panicked");
+        self.lock().open = false;
+        self.room.notify_all();
+    }
+
+    /// Locks the gate, recovering from poison: every critical section is
+    /// a few pushes and pops that leave the gate consistent, and one
+    /// wedged caller must not take the whole server down with it.
+    fn lock(&self) -> MutexGuard<'_, Gate> {
+        self.gate.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Admits the caller and takes a slot: a free one, or the next one
+    /// released once every caller ahead of it in the line has had one.
+    fn acquire(&self, arrived: Instant) -> Result<Slot<'_>> {
+        let mut gate = self.lock();
+        loop {
+            if !gate.open {
+                return Err(ServeError::QueueClosed);
             }
-        }
-    }
-}
-
-impl Drop for Batcher {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// One worker: wait for a seed job, take every job already queued
-/// behind it up to the tuple cap, serve the flush with the worker-owned
-/// scratch, repeat. Exits when the queue is closed *and* empty.
-fn worker_loop(
-    shared: &Shared,
-    registry: &ModelRegistry,
-    metrics: &ServeMetrics,
-    options: &BatchOptions,
-) {
-    let mut scratch = BatchScratch::new();
-    loop {
-        let mut flush: Vec<Job> = Vec::new();
-        {
-            let mut st = shared.lock();
-            // Wait for a seed job (or a closed, drained queue).
-            let seed = loop {
-                if let Some(job) = st.jobs.pop_front() {
-                    break job;
-                }
-                if !st.open {
-                    return;
-                }
-                st = shared.wait(&shared.not_empty, st);
+            if gate.line.len() < self.options.queue_capacity {
+                break;
+            }
+            // `Some(None)`: the deadline has passed.
+            let remaining = self
+                .options
+                .request_deadline
+                .map(|deadline| deadline.checked_sub(arrived.elapsed()));
+            if self.options.queue_policy == QueuePolicy::Shed || remaining == Some(None) {
+                drop(gate);
+                self.metrics.record_shed();
+                return Err(ServeError::Overloaded);
+            }
+            gate.blocked += 1;
+            gate = match remaining.flatten() {
+                None => self.room.wait(gate).unwrap_or_else(|e| e.into_inner()),
+                Some(timeout) => match self.room.wait_timeout(gate, timeout) {
+                    Ok((gate, _)) => gate,
+                    Err(e) => e.into_inner().0,
+                },
             };
-            let mut total = seed.tuples.len();
-            flush.push(seed);
-            shared.not_full.notify_one();
-            // Greedy drain: whatever queued while the workers were busy
-            // rides along, up to the cap. Nothing waits for company.
-            while let Some(next) = st.jobs.front() {
-                if total + next.tuples.len() > options.max_batch_tuples {
-                    break;
-                }
-                total += next.tuples.len();
-                flush.extend(st.jobs.pop_front());
-                shared.not_full.notify_one();
+            gate.blocked -= 1;
+        }
+        let scratch = match gate.free.pop() {
+            Some(scratch) => scratch,
+            None => {
+                let (tx, rx) = mpsc::sync_channel(1);
+                gate.line.push_back(tx);
+                drop(gate);
+                // A waiter leaves the line only by being sent a slot.
+                rx.recv().map_err(|_| ServeError::QueueClosed)?
+            }
+        };
+        Ok(Slot {
+            batcher: self,
+            scratch,
+        })
+    }
+
+    /// Hands a slot to the longest waiter, or frees it when no one waits.
+    fn release(&self, mut scratch: BatchScratch) {
+        loop {
+            let mut gate = self.lock();
+            let Some(next) = gate.line.pop_front() else {
+                gate.free.push(scratch);
+                return;
+            };
+            if gate.blocked > 0 {
+                self.room.notify_one();
+            }
+            drop(gate);
+            match next.send(scratch) {
+                Ok(()) => return,
+                // The waiter is gone; the slot goes to the next one.
+                Err(mpsc::SendError(back)) => scratch = back,
             }
         }
-        metrics.record_flush(flush.len());
-        // Fault hook: a slow worker (CPU contention, paging) — makes the
-        // queue grow and request deadlines expire. Injected with no lock
-        // held, after the flush is popped, so the waiting jobs age.
-        if let Some(delay) = options.faults.sleep_for(FaultPoint::DelayInWorker) {
-            std::thread::sleep(delay);
-        }
-        serve_flush(flush, registry, metrics, options, &mut scratch);
+    }
+
+    /// Classifies one admitted request with the slot's scratch, against
+    /// the registry's snapshot of `model` taken now, so a hot swap that
+    /// lands while the request waits is honoured.
+    fn serve(
+        &self,
+        model: &str,
+        tuples: &[Tuple],
+        scratch: &mut BatchScratch,
+    ) -> Result<BatchReply> {
+        let served = self.registry.served(model)?;
+        check_shape(&served, model, tuples)?;
+        let tree = served.tree();
+        // The panic boundary is per request: one poisoned request must not
+        // cost its slot. The gate lock is never held here, so a panic
+        // cannot poison it. `AssertUnwindSafe` is sound because the only
+        // state crossing the boundary — the scratch — is rebuilt on the
+        // panic path.
+        let attempt = catch_unwind(AssertUnwindSafe(|| {
+            if self.options.faults.fires(FaultPoint::PanicInWorker) {
+                panic!("injected fault: panic_in_worker");
+            }
+            let distributions = classify_batch(tree, tuples, scratch)?;
+            Ok(BatchReply {
+                distributions,
+                n_classes: tree.n_classes(),
+            })
+        }));
+        attempt.unwrap_or_else(|payload| {
+            *scratch = BatchScratch::new();
+            self.metrics.record_worker_panic();
+            Err(ServeError::WorkerPanic(panic_message(payload.as_ref())))
+        })
     }
 }
 
@@ -483,82 +442,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Classifies every job of one flush. Jobs take their model snapshots
-/// here — after coalescing — so a hot swap that lands between enqueue
-/// and flush is honoured, and consecutive jobs for the same model reuse
-/// one snapshot.
-fn serve_flush(
-    flush: Vec<Job>,
-    registry: &ModelRegistry,
-    metrics: &ServeMetrics,
-    options: &BatchOptions,
-    scratch: &mut BatchScratch,
-) {
-    let mut snapshot: Option<(String, Arc<ServedModel>)> = None;
-    for job in flush {
-        let waited = job.enqueued.elapsed();
-        metrics.record_queue_wait(waited);
-        // A job that already blew its budget in the queue is dropped
-        // here, unclassified: the client stopped waiting for the answer,
-        // so computing it would only steal worker time from requests
-        // that can still make their deadlines.
-        if let Some(deadline) = options.request_deadline {
-            if waited > deadline {
-                metrics.record_deadline_drop();
-                let _ = job.reply.send(Err(ServeError::DeadlineExceeded));
-                continue;
-            }
-        }
-        let model = match &snapshot {
-            Some((name, model)) if *name == job.model => Ok(Arc::clone(model)),
-            _ => registry.served(&job.model),
-        };
-        let outcome = model.and_then(|model| {
-            snapshot = Some((job.model.clone(), Arc::clone(&model)));
-            check_shape(&model, &job.model, &job.tuples)?;
-            let tree = model.tree();
-            // The panic boundary is per *job*, not per flush: one
-            // poisoned request must not take down its batch companions.
-            // The queue lock is never held here, so a panic cannot
-            // poison it. `AssertUnwindSafe` is sound because the only
-            // state crossing the boundary — the scratch — is rebuilt
-            // from scratch on the panic path.
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                if options.faults.fires(FaultPoint::PanicInWorker) {
-                    panic!("injected fault: panic_in_worker");
-                }
-                let distributions = classify_batch(tree, &job.tuples, scratch)?;
-                Ok(BatchReply {
-                    distributions,
-                    n_classes: tree.n_classes(),
-                })
-            }));
-            match attempt {
-                Ok(outcome) => outcome,
-                Err(payload) => {
-                    *scratch = BatchScratch::new();
-                    metrics.record_worker_panic();
-                    Err(ServeError::WorkerPanic(panic_message(payload.as_ref())))
-                }
-            }
-        });
-        match &outcome {
-            Ok(reply) => {
-                let served = reply.distributions.len() / reply.n_classes.max(1);
-                metrics.record(&job.model, served, job.enqueued.elapsed());
-            }
-            // Requests for names the registry does not hold share one
-            // fixed bucket: keying metrics by arbitrary client-supplied
-            // strings would let a misbehaving client grow the metrics
-            // map (and every stats response) without bound.
-            Err(ServeError::UnknownModel(_)) => metrics.record_error(UNKNOWN_MODEL_BUCKET),
-            Err(_) => metrics.record_error(&job.model),
-        }
-        // A client that gave up (dropped receiver) is not an error.
-        let _ = job.reply.send(outcome);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -618,105 +501,213 @@ mod tests {
         }
     }
 
+    /// Holds a one-slot gate with the injected delay (fault spec 0 of
+    /// `faults`, which must fire on the first slot taken), queues
+    /// `waiters` callers behind it one at a time, so that their arrival
+    /// order is their index, runs `while_held`, and returns every reply:
+    /// the holder's first.
+    fn hold_and_queue(
+        batcher: &Batcher,
+        faults: &FaultInjector,
+        waiters: usize,
+        while_held: impl FnOnce(),
+    ) -> Vec<Result<BatchReply>> {
+        let t = toy::fig1_test_tuple().unwrap();
+        std::thread::scope(|scope| {
+            let held = scope.spawn(|| batcher.classify("toy", vec![t.clone()]));
+            wait_until(
+                "the holder to take the slot",
+                || faults.counts()[0].fired == 1,
+                || held.is_finished(),
+            );
+            let mut handles = vec![held];
+            for j in 0..waiters {
+                let t = t.clone();
+                handles.push(scope.spawn(move || batcher.classify("toy", vec![t])));
+                wait_until(
+                    &format!("waiter {j} to join the line"),
+                    || batcher.queue_stats().depth == j + 1,
+                    || handles[0].is_finished(),
+                );
+            }
+            while_held();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
     #[test]
-    fn a_backlog_is_served_in_the_fewest_flushes_the_cap_allows() {
-        const CAP: usize = 4;
-        // Tuple counts of the ten jobs that queue, in this order, behind
-        // a held one: 14 tuples. Packed in order under the cap they take
-        // at least ceil(14 / 4) = 4 flushes, and greedy packing reaches
-        // that: [1 1 1] [3 1] [1 1 1] [3 1]. A flush that took the
-        // 3-tuple job while still under the cap would overshoot it.
-        const SIZES: [usize; 10] = [1, 1, 1, 3, 1, 1, 1, 1, 3, 1];
+    fn with_one_slot_waiting_callers_are_served_in_arrival_order() {
+        const WAITERS: usize = 4;
         let reg = registry_with_toy();
-        // One worker, held inside its first flush by an injected delay.
-        let plan = crate::faults::FaultPlan::parse("delay_in_worker:nth=1:1000ms", 0).unwrap();
+        // Round r panics the (r + 2)-th classification. The holder is
+        // the first, so in arrival order that is waiter r and no other:
+        // over all rounds, each waiter's place in the line is pinned.
+        for r in 0..WAITERS {
+            let plan = crate::faults::FaultPlan::parse(
+                &format!("delay_in_worker:nth=1:400ms,panic_in_worker:nth={}", r + 2),
+                0,
+            )
+            .unwrap();
+            let faults = FaultInjector::from_plan(&plan);
+            let (batcher, metrics) = batcher(
+                &reg,
+                BatchOptions {
+                    workers: 1,
+                    faults: Arc::clone(&faults),
+                    ..BatchOptions::default()
+                },
+            );
+            let replies = hold_and_queue(&batcher, &faults, WAITERS, || {});
+            assert!(replies[0].is_ok(), "round {r}: the holder is served");
+            for (w, reply) in replies[1..].iter().enumerate() {
+                let panicked = matches!(reply, Err(ServeError::WorkerPanic(_)));
+                assert_eq!(panicked, w == r, "round {r}, waiter {w}: {reply:?}");
+            }
+            assert_eq!(metrics.health_snapshot().worker_panics, 1);
+        }
+    }
+
+    #[test]
+    fn at_most_workers_classifications_run_at_once() {
+        const WORKERS: usize = 2;
+        const CALLERS: usize = 6;
+        const HOLD: Duration = Duration::from_millis(300);
+        let reg = registry_with_toy();
+        let plan = crate::faults::FaultPlan::parse("delay_in_worker:always:300ms", 0).unwrap();
+        let faults = FaultInjector::from_plan(&plan);
+        let (batcher, metrics) = batcher(
+            &reg,
+            BatchOptions {
+                workers: WORKERS,
+                faults: Arc::clone(&faults),
+                ..BatchOptions::default()
+            },
+        );
+        let t = toy::fig1_test_tuple().unwrap();
+        let start = Instant::now();
+        std::thread::scope(|scope| {
+            let batcher = &batcher;
+            let mut handles = Vec::new();
+            for c in 0..CALLERS {
+                let t = t.clone();
+                handles.push(scope.spawn(move || batcher.classify("toy", vec![t])));
+                // The first WORKERS callers take slots; the rest wait.
+                wait_until(
+                    &format!("caller {c} to take a slot or join the line"),
+                    || {
+                        let slots = faults.counts()[0].fired as usize;
+                        slots == (c + 1).min(WORKERS)
+                            && batcher.queue_stats().depth == (c + 1).saturating_sub(WORKERS)
+                    },
+                    || handles.iter().any(|h| h.is_finished()),
+                );
+            }
+            assert_eq!(
+                faults.counts()[0].fired as usize,
+                WORKERS,
+                "a full gate started no further classification"
+            );
+            for handle in handles {
+                handle.join().unwrap().unwrap();
+            }
+        });
+        // Six requests that each hold a slot 300 ms, two at a time, take
+        // three holds end to end.
+        let rounds = CALLERS.div_ceil(WORKERS) as u32;
+        assert!(start.elapsed() >= HOLD * rounds, "{:?}", start.elapsed());
+        assert_eq!(metrics.snapshot()[0].requests, CALLERS as u64);
+    }
+
+    #[test]
+    fn a_deadline_drop_happens_at_slot_acquisition() {
+        let reg = registry_with_toy();
+        // The holder's classification is delayed 300 ms past a 100 ms
+        // budget; the waiter behind it gets the slot with its budget
+        // spent, and neither is classified.
+        let plan = crate::faults::FaultPlan::parse("delay_in_worker:nth=1:300ms", 0).unwrap();
         let faults = FaultInjector::from_plan(&plan);
         let (batcher, metrics) = batcher(
             &reg,
             BatchOptions {
                 workers: 1,
-                max_batch_tuples: CAP,
+                request_deadline: Some(Duration::from_millis(100)),
                 faults: Arc::clone(&faults),
                 ..BatchOptions::default()
             },
         );
-        let table = toy::table1_dataset().unwrap();
-        let jobs: Vec<Vec<Tuple>> = SIZES
-            .iter()
-            .enumerate()
-            .map(|(j, &size)| {
-                (0..size)
-                    .map(|k| table.tuples()[(j + k) % table.len()].clone())
-                    .collect()
-            })
-            .collect();
-        let tree = reg.get("toy").unwrap();
-        let mut scratch = BatchScratch::new();
-
-        std::thread::scope(|scope| {
-            let batcher = &batcher;
-            let held = scope.spawn(|| batcher.classify("toy", jobs[0][..1].to_vec()));
-            wait_until(
-                "the worker to take the held job",
-                || faults.counts()[0].fired == 1,
-                || held.is_finished(),
+        let replies = hold_and_queue(&batcher, &faults, 1, || {});
+        for reply in &replies {
+            assert!(
+                matches!(reply, Err(ServeError::DeadlineExceeded)),
+                "{reply:?}"
             );
-            // One submitter at a time, so the queue order is SIZES'
-            // order. Depth j + 1 is only ever observed while the worker
-            // is held: once released it drains, and the queue can no
-            // longer reach the full backlog.
-            let handles: Vec<_> = jobs
-                .iter()
-                .enumerate()
-                .map(|(j, job)| {
-                    let handle = scope.spawn(move || batcher.classify("toy", job.clone()));
-                    wait_until(
-                        &format!("job {j} to queue behind the held worker"),
-                        || batcher.queue_stats().depth == j + 1,
-                        || held.is_finished(),
-                    );
-                    handle
-                })
-                .collect();
-            held.join().unwrap().unwrap();
-            for (j, handle) in handles.into_iter().enumerate() {
-                let reply = handle.join().unwrap().unwrap();
-                let direct = classify_batch(&tree, &jobs[j], &mut scratch).unwrap();
-                assert_eq!(reply.distributions.len(), direct.len());
-                for (a, b) in reply.distributions.iter().zip(&direct) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "job {j}");
-                }
-            }
-        });
+        }
+        // The slot was handed on, not lost with the dropped requests.
+        let t = toy::fig1_test_tuple().unwrap();
+        assert!(batcher.classify("toy", vec![t]).is_ok());
         let health = metrics.health_snapshot();
-        assert_eq!(health.flushes, 1 + 4, "the held flush, then the backlog");
-        assert_eq!(health.flushed_jobs, 1 + SIZES.len() as u64);
-
-        // A single job over the cap is still served, alone.
-        assert!(table.len() > CAP);
-        let reply = batcher.classify("toy", table.tuples().to_vec()).unwrap();
-        assert_eq!(reply.distributions.len(), table.len() * tree.n_classes());
-        let health = metrics.health_snapshot();
-        assert_eq!(health.flushes, 1 + 4 + 1);
-        assert_eq!(health.flushed_jobs, 1 + SIZES.len() as u64 + 1);
-        batcher.shutdown();
+        assert_eq!(health.deadline_drops, 2);
+        assert_eq!(health.queue_wait_count, 3);
+        let snap = metrics.snapshot();
+        assert_eq!((snap[0].requests, snap[0].errors), (1, 0));
     }
 
     #[test]
-    fn sequential_requests_on_an_idle_batcher_flush_one_job_each() {
-        const S: u64 = 25;
+    fn shed_refuses_a_caller_when_the_line_is_full() {
         let reg = registry_with_toy();
-        let (batcher, metrics) = batcher(&reg, BatchOptions::default());
+        let plan = crate::faults::FaultPlan::parse("delay_in_worker:nth=1:400ms", 0).unwrap();
+        let faults = FaultInjector::from_plan(&plan);
+        let (batcher, metrics) = batcher(
+            &reg,
+            BatchOptions {
+                workers: 1,
+                queue_capacity: 2,
+                queue_policy: QueuePolicy::Shed,
+                faults: Arc::clone(&faults),
+                ..BatchOptions::default()
+            },
+        );
         let t = toy::fig1_test_tuple().unwrap();
-        for _ in 0..S {
-            batcher.classify("toy", vec![t.clone()]).unwrap();
-        }
-        // Flushes are counted before they are served, so every reply
-        // above was preceded by its own flush record.
-        let health = metrics.health_snapshot();
-        assert_eq!(health.flushes, S);
-        assert_eq!(health.flushed_jobs, S);
-        batcher.shutdown();
+        let replies = hold_and_queue(&batcher, &faults, 2, || {
+            let start = Instant::now();
+            assert!(matches!(
+                batcher.classify("toy", vec![t.clone()]),
+                Err(ServeError::Overloaded)
+            ));
+            assert!(
+                start.elapsed() < Duration::from_millis(200),
+                "shedding does not wait for the slot"
+            );
+        });
+        // Everything admitted was answered.
+        assert!(replies.iter().all(Result::is_ok), "{replies:?}");
+        assert_eq!(metrics.health_snapshot().sheds, 1);
+        assert_eq!(metrics.snapshot()[0].requests, 3);
+    }
+
+    #[test]
+    fn shutdown_closes_admission_and_the_line_still_drains() {
+        let reg = registry_with_toy();
+        let plan = crate::faults::FaultPlan::parse("delay_in_worker:nth=1:400ms", 0).unwrap();
+        let faults = FaultInjector::from_plan(&plan);
+        let (batcher, _) = batcher(
+            &reg,
+            BatchOptions {
+                workers: 1,
+                faults: Arc::clone(&faults),
+                ..BatchOptions::default()
+            },
+        );
+        let t = toy::fig1_test_tuple().unwrap();
+        let replies = hold_and_queue(&batcher, &faults, 2, || {
+            batcher.shutdown();
+            assert!(!batcher.is_accepting());
+            assert!(matches!(
+                batcher.classify("toy", vec![t.clone()]),
+                Err(ServeError::QueueClosed)
+            ));
+        });
+        assert!(replies.iter().all(Result::is_ok), "{replies:?}");
     }
 
     #[test]
@@ -728,7 +719,7 @@ mod tests {
             batcher.classify("nope", vec![t.clone()]),
             Err(ServeError::UnknownModel(_))
         ));
-        // The worker is still alive and serving.
+        // The slot is still there and serving.
         assert!(batcher.classify("toy", vec![t]).is_ok());
         // The bogus name lands in the shared unknown-model bucket, not a
         // per-name entry a client could grow without bound.
@@ -799,7 +790,7 @@ mod tests {
     #[test]
     fn shed_policy_rejects_at_capacity_and_counts_the_shed() {
         let reg = registry_with_toy();
-        // Capacity 0 makes every submission find a full queue — the
+        // Capacity 0 makes every caller find a full line — the
         // deterministic way to exercise the admission path.
         let (batcher, metrics) = batcher(
             &reg,
@@ -859,9 +850,9 @@ mod tests {
     #[test]
     fn expired_jobs_are_dropped_at_dequeue_not_classified() {
         let reg = registry_with_toy();
-        // Every flush sleeps 30 ms before serving (injected), and the
-        // request budget is 1 ms — the job is guaranteed to be expired
-        // by the time a worker looks at it.
+        // Every request sleeps 30 ms after taking its slot (injected),
+        // and the request budget is 1 ms — the request is guaranteed to
+        // be expired by the time it would classify.
         let plan = crate::faults::FaultPlan::parse("delay_in_worker:always:30ms", 0).unwrap();
         let (batcher, metrics) = batcher(
             &reg,
@@ -880,7 +871,7 @@ mod tests {
         let health = metrics.health_snapshot();
         assert_eq!(health.deadline_drops, 1);
         assert_eq!(health.queue_wait_count, 1, "queue wait is still recorded");
-        // No model metrics: the job was never classified.
+        // No model metrics: the request was never classified.
         assert!(metrics.snapshot().iter().all(|s| s.requests == 0));
         batcher.shutdown();
     }
@@ -899,11 +890,12 @@ mod tests {
         );
         let data = toy::table1_dataset().unwrap();
         let t = toy::fig1_test_tuple().unwrap();
-        // First job hits the injected panic and gets a structured error.
+        // The first request hits the injected panic and gets a
+        // structured error.
         let err = batcher.classify("toy", vec![t.clone()]).unwrap_err();
         assert!(matches!(&err, ServeError::WorkerPanic(m) if m.contains("injected")));
         assert_eq!(err.code(), "internal");
-        // The same worker (there is only one) keeps serving, and its
+        // The same slot (there is only one) keeps serving, and its
         // recreated scratch still produces bit-for-bit correct answers.
         let tree = reg.get("toy").unwrap();
         let mut scratch = BatchScratch::new();

@@ -588,12 +588,10 @@ fn execute(client: &mut Client, command: &Command) -> udt_serve::Result<String> 
             let _ = writeln!(out, "uptime: {:.1}s", stats.uptime_seconds);
             let _ = writeln!(
                 out,
-                "queue: {} workers, depth {}/{} jobs, flush at most {} tuples, \
-                 policy {}, deadline {}",
+                "queue: {} slots, {}/{} waiting, policy {}, deadline {}",
                 stats.queue.workers,
                 stats.queue.depth,
                 stats.queue.capacity,
-                stats.queue.max_batch_tuples,
                 stats.queue.policy,
                 if stats.queue.deadline_ms == 0 {
                     "none".to_string()
@@ -611,13 +609,6 @@ fn execute(client: &mut Client, command: &Command) -> udt_serve::Result<String> 
                 stats.health.rejected_connections,
                 stats.health.queue_wait_p50_us,
                 stats.health.queue_wait_p99_us
-            );
-            let _ = writeln!(
-                out,
-                "batching: {} flushes, {} jobs, {:.2} jobs per flush",
-                stats.health.flushes,
-                stats.health.flushed_jobs,
-                stats.health.flushed_jobs as f64 / stats.health.flushes.max(1) as f64
             );
             for m in &stats.models {
                 let _ = writeln!(
@@ -794,7 +785,6 @@ mod tests {
                 workers: 2,
                 capacity: 64,
                 depth: 1,
-                max_batch_tuples: 32,
                 policy: "block".into(),
                 deadline_ms: 0,
             },
@@ -803,8 +793,6 @@ mod tests {
                 deadline_drops: 0,
                 worker_panics: 0,
                 rejected_connections: 0,
-                flushes: requests,
-                flushed_jobs: requests,
                 queue_wait_count: requests,
                 queue_wait_p50_us: 1.0,
                 queue_wait_p99_us: 2.0,

@@ -1,8 +1,7 @@
 //! The `udt-serve` server binary.
 //!
 //! ```text
-//! udt-serve [--addr HOST:PORT] [--workers N] [--max-batch TUPLES]
-//!           [--queue-capacity JOBS]
+//! udt-serve [--addr HOST:PORT] [--workers N] [--queue-capacity N]
 //!           [--queue-policy block|shed] [--request-deadline-ms MS]
 //!           [--drain-deadline-ms MS] [--max-connections N]
 //!           [--idle-timeout-ms MS] [--write-timeout-ms MS]
@@ -33,8 +32,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(
-            "usage: udt-serve [--addr HOST:PORT] [--workers N] [--max-batch TUPLES] \
-             [--queue-capacity JOBS] \
+            "usage: udt-serve [--addr HOST:PORT] [--workers N] [--queue-capacity N] \
              [--queue-policy block|shed] [--request-deadline-ms MS] \
              [--drain-deadline-ms MS] [--max-connections N] [--idle-timeout-ms MS] \
              [--write-timeout-ms MS] [--faults SPEC] [--fault-seed N] \

@@ -3,8 +3,8 @@
 //! One TCP connection, one request line out, one response line back —
 //! used by the `udt-client` CLI, the integration tests and the `serve`
 //! bench. The client is deliberately synchronous: a caller that wants
-//! pipelining opens more connections (the server coalesces across all of
-//! them into shared micro-batches anyway).
+//! pipelining opens more connections (the server serves each on its own
+//! thread anyway).
 //!
 //! For multi-node deployments, [`ReplicaSet`] wraps N endpoints behind
 //! one client-shaped surface: per-endpoint circuit breakers route

@@ -16,8 +16,7 @@ use crate::Result;
 /// [`ServeConfig::from_args`]:
 ///
 /// ```text
-/// udt-serve [--addr HOST:PORT] [--workers N] [--max-batch TUPLES]
-///           [--queue-capacity JOBS]
+/// udt-serve [--addr HOST:PORT] [--workers N] [--queue-capacity N]
 ///           [--queue-policy block|shed] [--request-deadline-ms MS]
 ///           [--drain-deadline-ms MS] [--max-connections N]
 ///           [--idle-timeout-ms MS] [--write-timeout-ms MS]
@@ -30,21 +29,17 @@ pub struct ServeConfig {
     /// Listen address (`127.0.0.1:7878` by default; port 0 asks the OS
     /// for an ephemeral port, which the binary prints on startup).
     pub addr: String,
-    /// Scheduler worker threads.
+    /// Classification slots: requests that may classify at once.
     pub workers: usize,
-    /// Micro-batch cap in tuples. A worker flushes whatever is queued
-    /// the moment it picks up a job, up to this many tuples; it never
-    /// waits for company.
-    pub max_batch_tuples: usize,
-    /// Bounded queue capacity in jobs.
+    /// How many callers may wait for a classification slot.
     pub queue_capacity: usize,
-    /// Admission behaviour when the queue is full: block or shed.
+    /// Admission behaviour when that many wait: block or shed.
     pub queue_policy: QueuePolicy,
-    /// End-to-end request budget (submit wait + queue residence); `None`
-    /// disables deadline handling.
+    /// End-to-end request budget (admission wait + wait for a slot);
+    /// `None` disables deadline handling.
     pub request_deadline: Option<Duration>,
-    /// How long shutdown waits for in-flight connections to finish
-    /// before abandoning them and draining the queue.
+    /// How long shutdown waits for in-flight connections, and the
+    /// classifications they run, to finish before abandoning them.
     pub drain_deadline: Duration,
     /// Maximum concurrently served connections; excess connections get a
     /// structured `overloaded` error and are closed immediately.
@@ -77,13 +72,12 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        // The scheduler defaults have one source of truth:
+        // The gate defaults have one source of truth:
         // `BatchOptions::default()`.
         let batch = BatchOptions::default();
         ServeConfig {
             addr: "127.0.0.1:7878".to_string(),
             workers: batch.workers,
-            max_batch_tuples: batch.max_batch_tuples,
             queue_capacity: batch.queue_capacity,
             queue_policy: batch.queue_policy,
             request_deadline: batch.request_deadline,
@@ -101,14 +95,13 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// The scheduler options this configuration implies. The fault
-    /// injector stays disabled here — the server arms one injector from
-    /// the plan and shares it across the batcher and the connection
-    /// layer, so counters do not split.
+    /// The gate options this configuration implies. The fault injector
+    /// stays disabled here — the server arms one injector from the plan
+    /// and shares it across the batcher and the connection layer, so
+    /// counters do not split.
     pub fn batch_options(&self) -> BatchOptions {
         BatchOptions {
             workers: self.workers,
-            max_batch_tuples: self.max_batch_tuples,
             queue_capacity: self.queue_capacity,
             queue_policy: self.queue_policy,
             request_deadline: self.request_deadline,
@@ -137,9 +130,6 @@ impl ServeConfig {
             match arg {
                 "--addr" => config.addr = value_for("--addr")?,
                 "--workers" => config.workers = parse_num(&value_for("--workers")?, "--workers")?,
-                "--max-batch" => {
-                    config.max_batch_tuples = parse_num(&value_for("--max-batch")?, "--max-batch")?
-                }
                 "--queue-capacity" => {
                     config.queue_capacity =
                         parse_num(&value_for("--queue-capacity")?, "--queue-capacity")?
@@ -217,9 +207,6 @@ impl ServeConfig {
         if config.workers == 0 {
             return Err(ServeError::Config("--workers must be at least 1".into()));
         }
-        if config.max_batch_tuples == 0 {
-            return Err(ServeError::Config("--max-batch must be at least 1".into()));
-        }
         if config.queue_capacity == 0 {
             return Err(ServeError::Config(
                 "--queue-capacity must be at least 1".into(),
@@ -259,12 +246,10 @@ mod tests {
     fn defaults_are_sane() {
         let c = ServeConfig::default();
         assert_eq!(c.workers, 2);
-        assert!(c.max_batch_tuples > 0);
         assert!(c.queue_capacity > 0);
         assert!(c.models.is_empty());
         let b = c.batch_options();
         assert_eq!(b.workers, c.workers);
-        assert_eq!(b.max_batch_tuples, c.max_batch_tuples);
     }
 
     #[test]
@@ -274,8 +259,6 @@ mod tests {
             "127.0.0.1:0",
             "--workers",
             "4",
-            "--max-batch",
-            "128",
             "--queue-capacity",
             "64",
             "--model",
@@ -292,7 +275,6 @@ mod tests {
         .unwrap();
         assert_eq!(c.addr, "127.0.0.1:0");
         assert_eq!(c.workers, 4);
-        assert_eq!(c.max_batch_tuples, 128);
         assert_eq!(c.queue_capacity, 64);
         assert_eq!(c.models.len(), 2);
         assert_eq!(c.models[0].0, "iris");
@@ -369,7 +351,7 @@ mod tests {
             (vec!["--workers"], "--workers"),
             (vec!["--workers", "many"], "--workers"),
             (vec!["--workers", "0"], "--workers"),
-            (vec!["--max-batch", "0"], "--max-batch"),
+            (vec!["--max-batch", "1"], "unknown flag `--max-batch`"),
             (vec!["--queue-capacity", "0"], "--queue-capacity"),
             (vec!["--queue-policy", "drop"], "--queue-policy"),
             (

@@ -26,23 +26,23 @@ pub enum ServeError {
     #[error("model {0} is already loaded; use swap to replace it")]
     ModelExists(String),
 
-    /// The micro-batching queue has been shut down.
+    /// The classification gate has been shut down.
     #[error("the serving queue is shut down")]
     QueueClosed,
 
-    /// The request queue was at capacity and the shed policy (or a
-    /// bounded submit wait) rejected the request instead of blocking.
+    /// The line of requests waiting for a classification slot was full
+    /// and the shed policy (or a bounded admission wait) rejected the
+    /// request instead of blocking.
     #[error("server overloaded: the request queue is at capacity")]
     Overloaded,
 
-    /// The request sat in the queue past its deadline and was dropped at
-    /// dequeue without being classified.
+    /// The request waited for a classification slot past its deadline
+    /// and was dropped without being classified.
     #[error("deadline exceeded: the request expired in the serving queue")]
     DeadlineExceeded,
 
-    /// A worker panicked while serving the micro-batch containing this
-    /// request. The panic is caught per job; the rest of the batch and
-    /// the server keep serving.
+    /// Classifying this request panicked. The panic is caught per
+    /// request; the slot and the server keep serving.
     #[error("a serving worker panicked: {0}")]
     WorkerPanic(String),
 

@@ -1,7 +1,7 @@
 //! Deterministic fault injection for the serving stack.
 //!
 //! A [`FaultPlan`] is a parsed description of *what* to break and
-//! *when* — e.g. "panic in a worker on the 2nd batch", "stall the
+//! *when* — e.g. "panic on the 2nd classification", "stall the
 //! connection reader with probability 0.3". Plans come from the
 //! `--faults` flag of `udt-serve` and are armed into a
 //! [`FaultInjector`] that the batcher, server and registry paths consult
@@ -39,10 +39,11 @@ use crate::Result;
 /// A place in the serving stack where a fault can be injected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultPoint {
-    /// Sleep in a batch worker before serving a flush (simulates a slow
-    /// model / CPU contention; drives queue growth and deadline expiry).
+    /// Sleep after a request takes its classification slot, before it is
+    /// served (simulates a slow model / CPU contention; the slot is held,
+    /// so the line grows and deadlines expire).
     DelayInWorker,
-    /// Panic inside the per-job classification path (exercises the
+    /// Panic inside the per-request classification path (exercises the
     /// catch-unwind isolation and the no-poisoned-mutex guarantee).
     PanicInWorker,
     /// Write only half of a response frame, then sever the connection

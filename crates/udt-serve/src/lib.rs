@@ -12,17 +12,15 @@
 //!   replaces the `Arc`; in-flight batches keep classifying against the
 //!   snapshot they took, so a reload never drops or corrupts outstanding
 //!   requests.
-//! * [`batcher::Batcher`] — a bounded MPSC queue whose worker loops run
-//!   as long-lived tasks on a dedicated [`udt_tree::WorkerPool`] (the
-//!   same execution substrate the tree builder's parallel phases use).
-//!   Flushing is greedy: a worker that picks up a request also takes
-//!   every request already queued behind it, up to `max_batch_tuples`
-//!   tuples, and serves them at once. It never waits for company, so a
-//!   lone request is served immediately and coalescing comes only from
-//!   real backlog (`flushes` / `flushed_jobs` in `stats` show how much).
-//!   Each worker owns one `BatchScratch` for its whole lifetime, so
+//! * [`batcher::Batcher`] — the classification gate. It owns no
+//!   threads: each request is classified on the connection thread that
+//!   read it, once that thread holds one of the gate's `workers` slots.
+//!   Each slot owns one `BatchScratch` for the gate's whole lifetime, so
 //!   steady-state serving performs no per-request allocation in the
-//!   classification engine.
+//!   classification engine. Callers that find every slot taken wait in
+//!   FIFO order, and a released slot is handed to the longest waiter
+//!   with one targeted wake, so a lone request never waits for another
+//!   thread.
 //! * [`server::Server`] / [`client::Client`] — a newline-delimited-JSON
 //!   protocol over plain `std::net` TCP ([`protocol`]): `classify`,
 //!   `classify_batch`, `load_model`, `swap`, `stats` and `shutdown`
@@ -31,7 +29,7 @@
 //!   async runtime — threads block on sockets and condvars.
 //! * [`metrics::ServeMetrics`] — per-model request/tuple/error counters
 //!   and latency histograms (p50/p95/p99), plus the server-wide health
-//!   counters and queue-wait histogram, all recorded into `udt_obs`
+//!   counters and slot-wait histogram, all recorded into `udt_obs`
 //!   primitives ([`udt_obs::Histogram`], [`udt_obs::Counter`]). They are
 //!   surfaced through the `stats` response together with each model's
 //!   arena footprint ([`udt_tree::FlatTree::heap_bytes`]), and rendered
@@ -56,13 +54,14 @@
 //! ## Overload and failure behaviour
 //!
 //! The serving stack is built to degrade loudly and predictably rather
-//! than wedge: admission control at the queue ([`batcher::QueuePolicy`]
-//! — block with a bounded wait, or shed with a structured `overloaded`
-//! error), per-request deadlines enforced again at dequeue
-//! (`deadline_exceeded`), a connection-count gate at accept, per-job
-//! panic isolation in the workers (a poisoned request gets an `internal`
-//! error; its batch companions and the server live on), and a graceful
-//! drain with a deadline at shutdown. Every such event is counted in
+//! than wedge: admission control in front of the classification slots
+//! ([`batcher::QueuePolicy`] — block with a bounded wait, or shed with a
+//! structured `overloaded` error), per-request deadlines enforced again
+//! when a request gets its slot (`deadline_exceeded`), a
+//! connection-count gate at accept, per-request panic isolation around
+//! classification (a poisoned request gets an `internal` error; its slot
+//! and the server live on), and a graceful drain with a deadline at
+//! shutdown. Every such event is counted in
 //! [`protocol::HealthStats`] and the Prometheus exposition.
 //!
 //! ## Guarantees
@@ -70,7 +69,7 @@
 //! Served classifications are **bit-for-bit identical** to calling
 //! [`udt_tree::classify_batch`] directly on the same tuples: the wire
 //! format round-trips `f64`s through Rust's shortest round-trip float
-//! formatting, and the scheduler never reorders the tuples *within* a
+//! formatting, and the gate never reorders the tuples *within* a
 //! request. The integration tests lock this in over a real socket. A
 //! request whose tuples do not carry exactly the model's attribute
 //! count, or whose categorical value has a different number of

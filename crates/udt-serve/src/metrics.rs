@@ -1,15 +1,16 @@
 //! Serving metrics: per-model counters and latency histograms, plus the
 //! server-wide health counters.
 //!
-//! Every value is a `udt_obs` primitive. Worker threads record one
-//! observation per request after its batch completes (latency measured
-//! from enqueue to reply, so queueing delay is included — that is the
-//! figure a client actually experiences) into a [`udt_obs::Histogram`]:
+//! Every value is a `udt_obs` primitive. The connection thread that
+//! classified a request records one observation for it (latency measured
+//! from arrival at the classification gate to reply, so the wait for a
+//! slot is included — that is the figure a client actually experiences)
+//! into a [`udt_obs::Histogram`]:
 //! 48 log₂ buckets over nanoseconds, a percentile reported as the upper
 //! bound of the bucket holding it. The error is bounded by the bucket
 //! width (a factor of 2) — plenty for p50/p95/p99 dashboards — in
 //! exchange for constant memory and O(1) relaxed-atomic record cost.
-//! The health counters and the queue-wait histogram are lock-free
+//! The health counters and the slot-wait histogram are lock-free
 //! [`udt_obs::Counter`] / [`udt_obs::Histogram`] fields. They live in
 //! each [`ServeMetrics`] rather than in the process-wide
 //! [`udt_obs::catalog`], so every server reports its own traffic even
@@ -20,7 +21,7 @@
 //! exposition writers — the same ones that render the workspace
 //! catalog, which it appends — so counters become `_total` series, the
 //! log₂ buckets become cumulative `..._seconds` histograms with `le`
-//! labels, and registry / queue gauges ride along.
+//! labels, and registry / gate gauges ride along.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -67,10 +68,10 @@ impl Default for ModelCounters {
     }
 }
 
-/// Aggregated serving metrics, shared by every worker and connection
-/// thread. The per-model map sits behind one mutex whose critical
-/// sections are a handful of relaxed atomic adds, and its lock recovers
-/// from poisoning (`into_inner`): a panicking worker must not take the
+/// Aggregated serving metrics, shared by every connection thread. The
+/// per-model map sits behind one mutex whose critical sections are a
+/// handful of relaxed atomic adds, and its lock recovers from poisoning
+/// (`into_inner`): a panicking thread must not take the
 /// metrics — and with them every future `stats` response — down with
 /// it. The server-wide health counters are not per model (a shed request
 /// is rejected before its model name matters, and keying rejections by
@@ -84,8 +85,6 @@ pub struct ServeMetrics {
     deadline_drops: Counter,
     worker_panics: Counter,
     rejected_connections: Counter,
-    flushes: Counter,
-    flushed_jobs: Counter,
     queue_wait: Histogram,
 }
 
@@ -100,7 +99,7 @@ impl Default for ServeMetrics {
             ),
             deadline_drops: Counter::new(
                 "udt_serve_deadline_drops_total",
-                "Accepted jobs dropped at dequeue past their deadline.",
+                "Admitted requests dropped at slot acquisition past their deadline.",
             ),
             worker_panics: Counter::new(
                 "udt_serve_worker_panics_total",
@@ -110,17 +109,9 @@ impl Default for ServeMetrics {
                 "udt_serve_rejected_connections_total",
                 "Connections refused by the max-connections gate.",
             ),
-            flushes: Counter::new(
-                "udt_serve_flushes_total",
-                "Micro-batches the scheduler workers flushed.",
-            ),
-            flushed_jobs: Counter::new(
-                "udt_serve_flushed_jobs_total",
-                "Jobs served across all flushes (per flush: divide by udt_serve_flushes_total).",
-            ),
             queue_wait: Histogram::new(
                 "udt_serve_queue_wait_seconds",
-                "Enqueue-to-dequeue wait (log2 buckets).",
+                "Arrival-to-slot wait (log2 buckets).",
             ),
         }
     }
@@ -161,19 +152,19 @@ impl ServeMetrics {
         c.errors.incr();
     }
 
-    /// Records one request rejected at admission (queue full, shed
-    /// policy or bounded submit wait expired).
+    /// Records one request rejected at admission (line full, shed
+    /// policy or bounded admission wait expired).
     pub fn record_shed(&self) {
         self.sheds.incr();
     }
 
-    /// Records one accepted job dropped at dequeue because its deadline
-    /// passed while it waited.
+    /// Records one admitted request dropped at slot acquisition because
+    /// its deadline passed while it waited.
     pub fn record_deadline_drop(&self) {
         self.deadline_drops.incr();
     }
 
-    /// Records one caught-and-contained worker panic.
+    /// Records one caught-and-contained classification panic.
     pub fn record_worker_panic(&self) {
         self.worker_panics.incr();
     }
@@ -183,16 +174,9 @@ impl ServeMetrics {
         self.rejected_connections.incr();
     }
 
-    /// Records one micro-batch a worker took off the queue, holding
-    /// `jobs` jobs (`flushed_jobs / flushes` is the mean coalescing).
-    pub fn record_flush(&self, jobs: usize) {
-        self.flushes.incr();
-        self.flushed_jobs.add(jobs as u64);
-    }
-
-    /// Records how long one admitted job waited between enqueue and
-    /// dequeue (the admission-control signal: queue wait growing toward
-    /// the deadline means sheds are imminent).
+    /// Records how long one admitted request waited between arrival and
+    /// its slot (the admission-control signal: a wait growing toward the
+    /// deadline means sheds are imminent).
     pub fn record_queue_wait(&self, wait: Duration) {
         self.queue_wait.record(wait);
     }
@@ -204,8 +188,6 @@ impl ServeMetrics {
             deadline_drops: self.deadline_drops.get(),
             worker_panics: self.worker_panics.get(),
             rejected_connections: self.rejected_connections.get(),
-            flushes: self.flushes.get(),
-            flushed_jobs: self.flushed_jobs.get(),
             queue_wait_count: self.queue_wait.count(),
             queue_wait_p50_us: self.queue_wait.quantile_ns(0.50) as f64 / 1_000.0,
             queue_wait_p99_us: self.queue_wait.quantile_ns(0.99) as f64 / 1_000.0,
@@ -238,8 +220,8 @@ impl ServeMetrics {
         out
     }
 
-    /// Renders the Prometheus text exposition: uptime and queue gauges,
-    /// the health counters and queue-wait histogram, the registry's
+    /// Renders the Prometheus text exposition: uptime and gate gauges,
+    /// the health counters and slot-wait histogram, the registry's
     /// per-model gauges, the per-model request / tuple / error counters
     /// and latency histograms, then the workspace [`udt_obs::catalog`].
     /// Models are emitted in name order so the output is stable; a
@@ -261,27 +243,25 @@ impl ServeMetrics {
         render_gauge_into(
             &mut out,
             "udt_serve_queue_depth",
-            "Jobs waiting in the scheduler queue.",
+            "Callers waiting for a classification slot.",
             "",
             queue.depth,
         );
         render_gauge_into(
             &mut out,
             "udt_serve_queue_workers",
-            "Scheduler worker threads.",
+            "Classification slots.",
             "",
             queue.workers,
         );
 
-        // Server-wide overload/failure counters and the queue-wait
+        // Server-wide overload/failure counters and the slot-wait
         // histogram (the admission-control signals).
         for c in [
             &self.sheds,
             &self.deadline_drops,
             &self.worker_panics,
             &self.rejected_connections,
-            &self.flushes,
-            &self.flushed_jobs,
         ] {
             render_counter_into(&mut out, c.name(), c.help(), "", c.get());
         }
@@ -367,7 +347,6 @@ mod tests {
             workers: 2,
             capacity: 64,
             depth: 1,
-            max_batch_tuples: 32,
             policy: "block".into(),
             deadline_ms: 0,
         };
@@ -377,15 +356,11 @@ mod tests {
         m.record_worker_panic();
         m.record_rejected_connection();
         m.record_queue_wait(Duration::from_micros(1));
-        m.record_flush(1);
-        m.record_flush(4);
         let text = m.render_prometheus(&models, &queue, 9.5);
         assert!(text.contains("udt_serve_sheds_total 2"));
         assert!(text.contains("udt_serve_deadline_drops_total 1"));
         assert!(text.contains("udt_serve_worker_panics_total 1"));
         assert!(text.contains("udt_serve_rejected_connections_total 1"));
-        assert!(text.contains("udt_serve_flushes_total 2"));
-        assert!(text.contains("udt_serve_flushed_jobs_total 5"));
         assert!(text.contains("udt_serve_queue_wait_seconds_count 1"));
         assert!(text.contains("udt_serve_queue_wait_seconds_bucket{le=\"+Inf\"} 1"));
         assert!(text.contains("udt_serve_uptime_seconds 9.5"));
@@ -423,7 +398,6 @@ mod tests {
             workers,
             capacity: 64,
             depth,
-            max_batch_tuples: 32,
             policy: "block".into(),
             deadline_ms: 0,
         }
@@ -464,24 +438,22 @@ mod tests {
         m.record_deadline_drop();
         m.record_worker_panic();
         m.record_rejected_connection();
-        m.record_flush(1);
-        m.record_flush(4);
         m.record_queue_wait(Duration::from_micros(3));
         let models = vec![model_info("toy", 3, 512), model_info("a\"b", 1, 256)];
         let text = m.render_prometheus(&models, &queue_stats(2, 1), 12.25);
         let expected = r#"# HELP udt_serve_uptime_seconds Seconds since the server started.
 # TYPE udt_serve_uptime_seconds gauge
 udt_serve_uptime_seconds 12.25
-# HELP udt_serve_queue_depth Jobs waiting in the scheduler queue.
+# HELP udt_serve_queue_depth Callers waiting for a classification slot.
 # TYPE udt_serve_queue_depth gauge
 udt_serve_queue_depth 1
-# HELP udt_serve_queue_workers Scheduler worker threads.
+# HELP udt_serve_queue_workers Classification slots.
 # TYPE udt_serve_queue_workers gauge
 udt_serve_queue_workers 2
 # HELP udt_serve_sheds_total Requests rejected at admission (queue full).
 # TYPE udt_serve_sheds_total counter
 udt_serve_sheds_total 2
-# HELP udt_serve_deadline_drops_total Accepted jobs dropped at dequeue past their deadline.
+# HELP udt_serve_deadline_drops_total Admitted requests dropped at slot acquisition past their deadline.
 # TYPE udt_serve_deadline_drops_total counter
 udt_serve_deadline_drops_total 1
 # HELP udt_serve_worker_panics_total Worker panics caught and contained.
@@ -490,13 +462,7 @@ udt_serve_worker_panics_total 1
 # HELP udt_serve_rejected_connections_total Connections refused by the max-connections gate.
 # TYPE udt_serve_rejected_connections_total counter
 udt_serve_rejected_connections_total 1
-# HELP udt_serve_flushes_total Micro-batches the scheduler workers flushed.
-# TYPE udt_serve_flushes_total counter
-udt_serve_flushes_total 2
-# HELP udt_serve_flushed_jobs_total Jobs served across all flushes (per flush: divide by udt_serve_flushes_total).
-# TYPE udt_serve_flushed_jobs_total counter
-udt_serve_flushed_jobs_total 5
-# HELP udt_serve_queue_wait_seconds Enqueue-to-dequeue wait (log2 buckets).
+# HELP udt_serve_queue_wait_seconds Arrival-to-slot wait (log2 buckets).
 # TYPE udt_serve_queue_wait_seconds histogram
 udt_serve_queue_wait_seconds_bucket{le="0.000000002"} 0
 udt_serve_queue_wait_seconds_bucket{le="0.000000004"} 0
@@ -572,16 +538,16 @@ udt_serve_request_latency_seconds_count{model="toy"} 2
         let expected = r#"# HELP udt_serve_uptime_seconds Seconds since the server started.
 # TYPE udt_serve_uptime_seconds gauge
 udt_serve_uptime_seconds 0.5
-# HELP udt_serve_queue_depth Jobs waiting in the scheduler queue.
+# HELP udt_serve_queue_depth Callers waiting for a classification slot.
 # TYPE udt_serve_queue_depth gauge
 udt_serve_queue_depth 0
-# HELP udt_serve_queue_workers Scheduler worker threads.
+# HELP udt_serve_queue_workers Classification slots.
 # TYPE udt_serve_queue_workers gauge
 udt_serve_queue_workers 1
 # HELP udt_serve_sheds_total Requests rejected at admission (queue full).
 # TYPE udt_serve_sheds_total counter
 udt_serve_sheds_total 0
-# HELP udt_serve_deadline_drops_total Accepted jobs dropped at dequeue past their deadline.
+# HELP udt_serve_deadline_drops_total Admitted requests dropped at slot acquisition past their deadline.
 # TYPE udt_serve_deadline_drops_total counter
 udt_serve_deadline_drops_total 0
 # HELP udt_serve_worker_panics_total Worker panics caught and contained.
@@ -590,13 +556,7 @@ udt_serve_worker_panics_total 0
 # HELP udt_serve_rejected_connections_total Connections refused by the max-connections gate.
 # TYPE udt_serve_rejected_connections_total counter
 udt_serve_rejected_connections_total 0
-# HELP udt_serve_flushes_total Micro-batches the scheduler workers flushed.
-# TYPE udt_serve_flushes_total counter
-udt_serve_flushes_total 0
-# HELP udt_serve_flushed_jobs_total Jobs served across all flushes (per flush: divide by udt_serve_flushes_total).
-# TYPE udt_serve_flushed_jobs_total counter
-udt_serve_flushed_jobs_total 0
-# HELP udt_serve_queue_wait_seconds Enqueue-to-dequeue wait (log2 buckets).
+# HELP udt_serve_queue_wait_seconds Arrival-to-slot wait (log2 buckets).
 # TYPE udt_serve_queue_wait_seconds histogram
 udt_serve_queue_wait_seconds_bucket{le="+Inf"} 0
 udt_serve_queue_wait_seconds_sum 0
@@ -641,7 +601,6 @@ udt_serve_queue_wait_seconds_count 0
             workers: 1,
             capacity: 8,
             depth: 0,
-            max_batch_tuples: 32,
             policy: "block".into(),
             deadline_ms: 0,
         };
@@ -667,7 +626,6 @@ udt_serve_queue_wait_seconds_count 0
             workers: 1,
             capacity: 8,
             depth: 0,
-            max_batch_tuples: 32,
             policy: "block".into(),
             deadline_ms: 0,
         };
@@ -694,7 +652,6 @@ udt_serve_queue_wait_seconds_count 0
         let empty = m.health_snapshot();
         assert_eq!(empty.sheds, 0);
         assert_eq!(empty.queue_wait_count, 0);
-        assert_eq!((empty.flushes, empty.flushed_jobs), (0, 0));
         m.record_shed();
         m.record_deadline_drop();
         m.record_deadline_drop();
@@ -702,15 +659,11 @@ udt_serve_queue_wait_seconds_count 0
         m.record_rejected_connection();
         m.record_queue_wait(Duration::from_micros(10));
         m.record_queue_wait(Duration::from_millis(1));
-        m.record_flush(3);
-        m.record_flush(1);
         let h = m.health_snapshot();
         assert_eq!(h.sheds, 1);
         assert_eq!(h.deadline_drops, 2);
         assert_eq!(h.worker_panics, 1);
         assert_eq!(h.rejected_connections, 1);
-        assert_eq!(h.flushes, 2);
-        assert_eq!(h.flushed_jobs, 4);
         assert_eq!(h.queue_wait_count, 2);
         assert!(h.queue_wait_p50_us > 0.0);
         assert!(h.queue_wait_p99_us >= h.queue_wait_p50_us);

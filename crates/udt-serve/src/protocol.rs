@@ -104,51 +104,48 @@ pub struct ModelMetricsSnapshot {
     pub p99_us: f64,
 }
 
-/// Scheduler configuration and occupancy, as reported by `stats`.
+/// Classification-gate configuration and occupancy, as reported by
+/// `stats`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QueueStats {
-    /// Worker threads draining the queue.
+    /// Classification slots: requests that may classify at once.
     pub workers: usize,
-    /// Bounded queue capacity, in jobs.
+    /// How many callers may wait for a slot.
     pub capacity: usize,
-    /// Jobs waiting in the queue at snapshot time.
+    /// Callers waiting for a slot at snapshot time.
     pub depth: usize,
-    /// Flush cap: tuples per micro-batch.
-    pub max_batch_tuples: usize,
-    /// Admission policy when the queue is full: `"block"` or `"shed"`.
+    /// Admission policy when the line is full: `"block"` or `"shed"`.
     pub policy: String,
-    /// Request deadline in milliseconds (0 = no deadline): jobs older
-    /// than this at dequeue are dropped with `deadline_exceeded`.
+    /// Request deadline in milliseconds (0 = no deadline): requests older
+    /// than this when they get a slot are dropped with
+    /// `deadline_exceeded`.
     pub deadline_ms: u64,
 }
 
 /// Server-wide overload and failure counters, as reported by `stats`.
 /// These are the signals an operator alarms on: nonzero `sheds` means
-/// admission control is rejecting traffic, `deadline_drops` means jobs
-/// are expiring in the queue, `worker_panics` means a model or the
-/// engine misbehaved (and was contained).
+/// admission control is rejecting traffic, `deadline_drops` means
+/// requests are expiring while they wait for a slot, `worker_panics`
+/// means a model or the engine misbehaved (and was contained).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HealthStats {
-    /// Requests rejected at admission because the queue was full.
+    /// Requests rejected at admission because the line was full.
     pub sheds: u64,
-    /// Accepted jobs dropped at dequeue because their deadline passed.
+    /// Admitted requests dropped at slot acquisition because their
+    /// deadline passed.
     pub deadline_drops: u64,
-    /// Worker panics caught and contained (each failed its own job
-    /// with a structured error; the worker kept serving).
+    /// Classification panics caught and contained (each failed its own
+    /// request with a structured error; the slot kept serving).
     pub worker_panics: u64,
     /// Connections refused by the max-in-flight-connections gate.
     pub rejected_connections: u64,
-    /// Micro-batches the scheduler workers flushed.
-    pub flushes: u64,
-    /// Jobs served across all flushes; `flushed_jobs / flushes` is the
-    /// mean coalescing (1 when every request flushes alone).
-    pub flushed_jobs: u64,
-    /// Jobs that entered the queue (admitted; denominator for the drop
+    /// Requests that got a slot (admitted; denominator for the drop
     /// counters above).
     pub queue_wait_count: u64,
-    /// Median enqueue-to-dequeue wait, microseconds (bucket upper bound).
+    /// Median arrival-to-slot wait, microseconds (bucket upper bound).
     pub queue_wait_p50_us: f64,
-    /// 99th-percentile queue wait, microseconds (bucket upper bound).
+    /// 99th-percentile arrival-to-slot wait, microseconds (bucket upper
+    /// bound).
     pub queue_wait_p99_us: f64,
 }
 
@@ -171,7 +168,7 @@ pub struct HealthReport {
     pub ready: bool,
     /// Registered model count.
     pub models: usize,
-    /// The scheduler queue is open to new submissions.
+    /// The classification gate admits new requests.
     pub accepting: bool,
     /// A shutdown has been requested; in-flight work is being drained.
     pub draining: bool,
@@ -189,7 +186,7 @@ pub struct StatsReport {
     pub models: Vec<ModelInfo>,
     /// Per-model serving counters, sorted by name.
     pub metrics: Vec<ModelMetricsSnapshot>,
-    /// Scheduler state.
+    /// Classification-gate state.
     pub queue: QueueStats,
     /// Server-wide overload and failure counters.
     pub health: HealthStats,
@@ -989,7 +986,6 @@ mod tests {
                 workers: 2,
                 capacity: 128,
                 depth: 0,
-                max_batch_tuples: 64,
                 policy: "shed".into(),
                 deadline_ms: 250,
             },
@@ -998,8 +994,6 @@ mod tests {
                 deadline_drops: 1,
                 worker_panics: 0,
                 rejected_connections: 2,
-                flushes: 7,
-                flushed_jobs: 10,
                 queue_wait_count: 10,
                 queue_wait_p50_us: 8.0,
                 queue_wait_p99_us: 64.0,

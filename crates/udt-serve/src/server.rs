@@ -1,11 +1,10 @@
 //! The NDJSON-over-TCP server.
 //!
-//! Plain `std::net` blocking I/O: one accept loop, one thread per
-//! connection, one [`crate::batcher::Batcher`] worker pool behind them
-//! all. Connection threads do the cheap work themselves (parsing,
-//! registry mutations, stats snapshots) and delegate every
-//! classification to the shared scheduler, where requests from all
-//! connections coalesce into micro-batches.
+//! Plain `std::net` blocking I/O: one accept loop and one thread per
+//! connection. A connection thread does all of its request's work
+//! itself: parsing, registry mutations, stats snapshots and the
+//! classification, which it runs once the shared
+//! [`crate::batcher::Batcher`] gate gives it one of its slots.
 //!
 //! ## Shutdown and drain
 //!
@@ -14,9 +13,11 @@
 //! `accept` wakes up. Connection threads poll the flag through a short
 //! socket read timeout and drain; [`Server::run`] then waits for them up
 //! to the configured **drain deadline** — a connection wedged on a
-//! stalled peer cannot hold shutdown hostage — and shuts the scheduler
-//! down, which drains the queue before stopping, so every request
-//! accepted before the shutdown is answered.
+//! stalled peer cannot hold shutdown hostage. A connection thread
+//! finishes the request it is serving, classification included, before
+//! it looks at the flag again, so every request read before the
+//! shutdown is answered within that deadline. Then `run` closes the
+//! gate's admission.
 //!
 //! ## Overload at the door
 //!
@@ -99,7 +100,7 @@ impl Drop for ConnGuard {
     }
 }
 
-/// A running serving endpoint (listener bound, scheduler started).
+/// A running serving endpoint (listener bound, gate open).
 pub struct Server {
     listener: TcpListener,
     addr: SocketAddr,
@@ -107,7 +108,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the configured address and starts the scheduler. The
+    /// Binds the configured address and opens the gate. The
     /// registry is taken as an argument so callers can preload or train
     /// models before the first connection lands.
     pub fn bind(config: &ServeConfig, registry: Arc<ModelRegistry>) -> Result<Server> {
@@ -197,8 +198,8 @@ impl Server {
         // Drain: connection threads notice the flag within READ_POLL and
         // exit on their own. Wait up to the drain deadline, then abandon
         // stragglers (a peer stalled mid-write must not wedge shutdown)
-        // — dropping their handles detaches the threads; the scheduler
-        // below rejects anything they submit afterwards.
+        // — dropping their handles detaches the threads; the gate,
+        // closed below, rejects anything they submit afterwards.
         let deadline = Instant::now() + self.ctx.drain_deadline;
         loop {
             handles.retain(|h| !h.is_finished());
@@ -214,7 +215,6 @@ impl Server {
             );
         }
         drop(handles);
-        // Workers drain every job the connections submitted, then stop.
         self.ctx.batcher.shutdown();
         Ok(())
     }
@@ -440,7 +440,7 @@ fn dispatch(line: &str, ctx: &Ctx) -> (Response, bool) {
         Request::Health => {
             // Liveness is answering at all; readiness is the conjunction
             // an upstream router needs before sending a classify here:
-            // something to serve, a scheduler that will admit it, and no
+            // something to serve, a gate that will admit it, and no
             // drain in progress. Each signal is also reported raw so a
             // probe can say *why* a replica is out.
             let models = ctx.registry.len();
@@ -474,7 +474,7 @@ pub fn serve_until_shutdown(
     server.run()
 }
 
-// `ServeError` must be able to cross the reply channels and thread
+// `ServeError` and the shared state must be able to cross the thread
 // boundaries of this module.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}

@@ -84,13 +84,9 @@ fn assert_bits(dist: &[f64], expected: &[f64], what: &str) {
 fn worker_panic_hits_one_request_and_spares_every_other_connection() {
     let tree = trained(Algorithm::UdtEs);
     let (tuples, direct, k) = direct_distributions(&tree);
-    // Exactly one job panics, deterministically: the first one a worker
-    // picks up. Coalescing is disabled so the panic cannot take batch
-    // companions with it under test (that isolation is covered by the
-    // per-job boundary anyway).
-    let (addr, handle) = chaos_server("panic_in_worker:nth=1", 7, |c| {
-        c.max_batch_tuples = 1;
-    });
+    // Exactly one request panics, deterministically: the first one to
+    // classify.
+    let (addr, handle) = chaos_server("panic_in_worker:nth=1", 7, |_| {});
 
     // Concurrent submitters on distinct connections: exactly one gets
     // the structured internal error, everyone else gets exact answers.
@@ -138,12 +134,11 @@ fn worker_panic_hits_one_request_and_spares_every_other_connection() {
 fn shed_policy_rejects_loudly_and_answers_everything_it_accepts() {
     let tree = trained(Algorithm::UdtEs);
     let (tuples, direct, k) = direct_distributions(&tree);
-    // One slow worker (50 ms per single-job flush), a one-slot queue,
+    // One slow slot (50 ms per request), a one-caller line,
     // shed policy: a burst must split into exact answers and structured
     // `overloaded` rejections — nothing blocks, nothing goes silent.
     let (addr, handle) = chaos_server("delay_in_worker:always:50ms", 11, |c| {
         c.workers = 1;
-        c.max_batch_tuples = 1;
         c.queue_capacity = 1;
         c.queue_policy = QueuePolicy::Shed;
     });
@@ -193,12 +188,11 @@ fn shed_policy_rejects_loudly_and_answers_everything_it_accepts() {
 
 #[test]
 fn expired_requests_get_deadline_exceeded_not_stale_answers() {
-    // Every flush is delayed 30 ms past a 1 ms request budget: the job
-    // must come back as `deadline_exceeded`, dropped at dequeue without
-    // being classified.
+    // Every request is delayed 30 ms past a 1 ms request budget: it
+    // must come back as `deadline_exceeded`, dropped at slot acquisition
+    // without being classified.
     let (addr, handle) = chaos_server("delay_in_worker:always:30ms", 3, |c| {
         c.workers = 1;
-        c.max_batch_tuples = 1;
         c.request_deadline = Some(Duration::from_millis(1));
     });
     let t = toy::fig1_test_tuple().expect("tuple");
@@ -222,9 +216,7 @@ fn expired_requests_get_deadline_exceeded_not_stale_answers() {
 fn truncated_frames_are_transport_errors_and_a_retry_recovers_exactly() {
     let tree = trained(Algorithm::UdtEs);
     let (tuples, direct, k) = direct_distributions(&tree);
-    let (addr, handle) = chaos_server("truncate_frame:nth=1", 5, |c| {
-        c.max_batch_tuples = 1;
-    });
+    let (addr, handle) = chaos_server("truncate_frame:nth=1", 5, |_| {});
 
     // The first response is severed mid-frame. The client must surface a
     // transient transport error — not hand half a JSON object to the
@@ -258,9 +250,7 @@ fn truncated_frames_are_transport_errors_and_a_retry_recovers_exactly() {
 fn a_stalled_reader_pins_only_its_own_connection() {
     let tree = trained(Algorithm::UdtEs);
     let (tuples, direct, k) = direct_distributions(&tree);
-    let (addr, handle) = chaos_server("stall_reader:nth=1:150ms", 13, |c| {
-        c.max_batch_tuples = 1;
-    });
+    let (addr, handle) = chaos_server("stall_reader:nth=1:150ms", 13, |_| {});
 
     // Connection A eats the stall; connection B, opened after A's
     // request is in flight, is served normally in the meantime.
@@ -475,9 +465,7 @@ fn flapping_replica_is_routed_around_without_losing_bits() {
     // Replica A answers, then truncates, alternating — a flapping
     // half-dead node. Replica B is clean. Every classify must still land
     // exactly one bit-for-bit reply, transparently.
-    let (addr_a, handle_a) = chaos_server("truncate_frame:every=2", 9, |c| {
-        c.max_batch_tuples = 1;
-    });
+    let (addr_a, handle_a) = chaos_server("truncate_frame:every=2", 9, |_| {});
     let (addr_b, handle_b) = chaos_server("", 0, |_| {});
     let mut set = replica_set(&[addr_a, addr_b], None, 123);
 
@@ -568,13 +556,12 @@ fn checksum_corruption_on_disk_is_refused_and_the_old_generation_serves() {
 fn hedge_storm_returns_one_exact_reply_per_request() {
     let tree = trained(Algorithm::UdtEs);
     let (tuples, direct, k) = direct_distributions(&tree);
-    // Replica A is always slow (80 ms per flush); B is fast. With a
+    // Replica A is always slow (80 ms per request); B is fast. With a
     // 10 ms hedge, every classify should race B and win there — and the
     // caller must still see exactly one reply, bit-for-bit, per request,
     // with the slow loser cancelled rather than leaking.
     let (addr_a, handle_a) = chaos_server("delay_in_worker:always:80ms", 31, |c| {
         c.workers = 1;
-        c.max_batch_tuples = 1;
     });
     let (addr_b, handle_b) = chaos_server("", 0, |_| {});
     let launched_before = udt_obs::catalog::serve::HEDGES_LAUNCHED.get();
@@ -621,7 +608,6 @@ fn mixed_chaos_storm_answers_every_accepted_request_exactly_once() {
         42,
         |c| {
             c.workers = 2;
-            c.max_batch_tuples = 1;
             c.queue_capacity = 8;
             c.queue_policy = QueuePolicy::Shed;
         },

@@ -390,7 +390,6 @@ fn stats(rng: &mut SmallRng) -> StatsReport {
             workers: 2,
             capacity: 128,
             depth: rng.gen_range(0..128usize),
-            max_batch_tuples: 64,
             policy: "shed".into(),
             deadline_ms: 250,
         },
@@ -399,8 +398,6 @@ fn stats(rng: &mut SmallRng) -> StatsReport {
             deadline_drops: 1,
             worker_panics: 0,
             rejected_connections: 2,
-            flushes: 7,
-            flushed_jobs: 10,
             queue_wait_count: 10,
             queue_wait_p50_us: 8.0,
             queue_wait_p99_us: any_f64(rng).abs(),

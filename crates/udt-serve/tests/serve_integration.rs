@@ -553,8 +553,8 @@ fn a_busy_client_cannot_block_shutdown() {
 
 #[test]
 fn backpressure_keeps_every_request_answered() {
-    // A tiny queue with one slow-ish worker: submitters must block, not
-    // fail, and every reply must still be exact.
+    // A two-caller line in front of one slot: submitters must block,
+    // not fail, and every reply must still be exact.
     let tree = trained(Algorithm::UdtEs);
     let (_, tuples) = workload();
     let mut scratch = BatchScratch::new();
@@ -567,7 +567,6 @@ fn backpressure_keeps_every_request_answered() {
         addr: "127.0.0.1:0".to_string(),
         workers: 1,
         queue_capacity: 2,
-        max_batch_tuples: 4,
         ..ServeConfig::default()
     };
     let server = Server::bind(&config, registry).expect("bind");

@@ -113,9 +113,10 @@ impl BatchScratch {
     }
 }
 
-// Thread-safety audit for the serving layer: worker threads each own a
-// `BatchScratch` (moved in at spawn) and share one `Arc<DecisionTree>`
-// snapshot, so the scratch must be `Send` and the tree `Send + Sync`.
+// Thread-safety audit for the serving layer: each classification slot
+// owns a `BatchScratch` that moves from one connection thread to the
+// next, and the threads share one `Arc<DecisionTree>` snapshot, so the
+// scratch must be `Send` and the tree `Send + Sync`.
 // All three hold only owned `Vec`s of plain data, but that is an
 // implementation detail a future field could silently break — these
 // compile-time assertions turn that into a build error here rather than

@@ -44,7 +44,7 @@ fn main() {
         let noisy = perturb(&clean, u, 99).expect("perturbation succeeds");
 
         // Averaging: train directly on the noisy point readings.
-        let avg = cross_validate(&noisy, &UdtConfig::new(Algorithm::Avg), 5, 1, true)
+        let avg = cross_validate(&noisy, &UdtConfig::new(Algorithm::Avg), 5, 1)
             .expect("cross validation succeeds");
 
         // Distribution-based: model the known calibration error as a
@@ -59,7 +59,7 @@ fn main() {
             },
         )
         .expect("uncertainty injection succeeds");
-        let udt = cross_validate(&uncertain, &UdtConfig::new(Algorithm::UdtEs), 5, 1, true)
+        let udt = cross_validate(&uncertain, &UdtConfig::new(Algorithm::UdtEs), 5, 1)
             .expect("cross validation succeeds");
 
         let a = avg.pooled.accuracy();

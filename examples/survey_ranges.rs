@@ -79,7 +79,7 @@ fn main() {
     );
 
     for algorithm in [Algorithm::Avg, Algorithm::UdtGp] {
-        let cv = cross_validate(&data, &UdtConfig::new(algorithm), 5, 3, true)
+        let cv = cross_validate(&data, &UdtConfig::new(algorithm), 5, 3)
             .expect("cross validation succeeds");
         println!(
             "{:<7}  accuracy {:>6.2}%   mean tree size {:>5.1}   entropy calcs {}",

@@ -13,7 +13,7 @@
 # wall-clock + bytes allocated per depth for partitioning,
 # batched-vs-single-request socket throughput for serving, and the
 # serving concurrency axis (closed-loop point clients over 1/8/64
-# connections: requests per second and mean jobs per scheduler flush).
+# connections: requests per second).
 #
 # Usage: scripts/bench.sh [extra cargo bench args...]
 
@@ -28,14 +28,10 @@ classify_out="$(pwd)/BENCH_classify.json"
 partition_out="$(pwd)/BENCH_partition.json"
 serve_out="$(pwd)/BENCH_serve.json"
 scaling_out="$(pwd)/BENCH_scaling.json"
-# The serve bench prints each concurrency point's jobs per flush; keep
-# its output to read them back below.
-serve_log="$(mktemp)"
-trap 'rm -f "$serve_log"' EXIT
 CRITERION_JSON="$split_out" cargo bench -p udt-bench --bench split_algorithms "$@"
 CRITERION_JSON="$classify_out" cargo bench -p udt-bench --bench classify_throughput "$@"
 CRITERION_JSON="$partition_out" cargo bench -p udt-bench --bench partition "$@"
-CRITERION_JSON="$serve_out" cargo bench -p udt-bench --bench serve "$@" 2>&1 | tee "$serve_log"
+CRITERION_JSON="$serve_out" cargo bench -p udt-bench --bench serve "$@"
 CRITERION_JSON="$scaling_out" cargo bench -p udt-bench --bench scaling "$@"
 
 echo
@@ -106,20 +102,18 @@ EOF
 
 echo
 echo "== $serve_out =="
-python3 - "$serve_out" "$serve_log" <<'EOF'
+python3 - "$serve_out" <<'EOF'
 import json
-import re
 import sys
 
 results = json.load(open(sys.argv[1]))["results"]
 by_key = {(r["group"], r["bench"]): r["median_ns"] for r in results}
-flush_lines = open(sys.argv[2]).read()
 
 def speedup(group, single, batch):
     a = by_key.get((group, single))
     b = by_key.get((group, batch))
     if a and b:
-        print(f"{group}: {single} / {batch} = {a / b:.2f}x micro-batched throughput")
+        print(f"{group}: {single} / {batch} = {a / b:.2f}x batched-request throughput")
 
 speedup("serve_throughput", "single_uncertain", "batch_uncertain")
 speedup("serve_throughput", "single_point", "batch_point")
@@ -133,12 +127,10 @@ if direct and replica:
 axis = [r for r in results if r["group"] == "serve_concurrency"]
 if axis:
     print("serve_concurrency (closed-loop point clients):")
-    print(f"  {'point':<14} {'requests/s':>12} {'jobs/flush':>11}")
+    print(f"  {'point':<14} {'requests/s':>12}")
 for r in axis:
     per_s = r["throughput_elements"] / (r["median_ns"] / 1e9) if r["median_ns"] else 0.0
-    m = re.search(re.escape(f"serve_concurrency/{r['bench']}:") + r" ([0-9.]+) jobs per flush", flush_lines)
-    jobs = m.group(1) if m else "?"
-    print(f"  {r['bench']:<14} {per_s:>12.0f} {jobs:>11}")
+    print(f"  {r['bench']:<14} {per_s:>12.0f}")
 EOF
 
 echo

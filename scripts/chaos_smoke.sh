@@ -81,7 +81,7 @@ client() {
 # ---------------------------------------------------------------- Run 1
 echo "chaos_smoke: run 1 — truncated frame, retry recovery, exit codes"
 start_server --faults "truncate_frame:nth=1" --fault-seed 7 \
-    --workers 2 --max-batch 1
+    --workers 2
 grep -q "1 fault(s) armed (seed 7)" "$server_log"
 
 # The first response frame is severed mid-line: without retries that is
@@ -132,7 +132,7 @@ echo "chaos_smoke: run 1 OK"
 echo "chaos_smoke: run 2 — shed policy under a burst, drain under chaos"
 start_server --faults "delay_in_worker:always:60ms" --fault-seed 11 \
     --queue-policy shed \
-    --workers 1 --max-batch 1 --queue-capacity 1
+    --workers 1 --queue-capacity 1
 grep -q "queue policy shed" "$server_log"
 
 # An 8-way burst against a one-slot queue with a deliberately slow

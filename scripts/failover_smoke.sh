@@ -56,7 +56,7 @@ wait_for_addr() {
 # stream is still in flight when the SIGKILL lands. Replica B: clean.
 target/release/udt-serve --addr 127.0.0.1:0 --train-toy toy \
     --faults "delay_in_worker:always:2ms" --fault-seed 3 \
-    --workers 1 --max-batch 1 >"$log_a" 2>&1 &
+    --workers 1 >"$log_a" 2>&1 &
 pid_a=$!
 target/release/udt-serve --addr 127.0.0.1:0 --train-toy toy \
     >"$log_b" 2>&1 &

@@ -39,8 +39,8 @@ fn distribution_based_matches_or_beats_averaging_under_matched_noise() {
         },
     )
     .unwrap();
-    let avg = cross_validate(&uncertain, &UdtConfig::new(Algorithm::Avg), 5, 3, true).unwrap();
-    let udt = cross_validate(&uncertain, &UdtConfig::new(Algorithm::UdtGp), 5, 3, true).unwrap();
+    let avg = cross_validate(&uncertain, &UdtConfig::new(Algorithm::Avg), 5, 3).unwrap();
+    let udt = cross_validate(&uncertain, &UdtConfig::new(Algorithm::UdtGp), 5, 3).unwrap();
     assert!(
         udt.pooled.accuracy() + 0.02 >= avg.pooled.accuracy(),
         "UDT {:.3} should not trail AVG {:.3} by more than noise",
@@ -78,7 +78,7 @@ fn table3_smoke_run_produces_full_sweep() {
 #[test]
 fn raw_measurement_dataset_is_learnable() {
     let data = udt_data::repository::japanese_vowel(0.25).unwrap();
-    let cv = cross_validate(&data, &UdtConfig::new(Algorithm::UdtEs), 4, 17, true).unwrap();
+    let cv = cross_validate(&data, &UdtConfig::new(Algorithm::UdtEs), 4, 17).unwrap();
     // 9 classes → chance is ~11 %; the classifier must do much better.
     assert!(
         cv.pooled.accuracy() > 0.5,
@@ -105,7 +105,7 @@ fn matched_uncertainty_width_is_not_worse_than_a_gross_overestimate() {
             },
         )
         .unwrap();
-        cross_validate(&data, &UdtConfig::new(Algorithm::UdtGp), 4, 29, true)
+        cross_validate(&data, &UdtConfig::new(Algorithm::UdtGp), 4, 29)
             .unwrap()
             .pooled
             .accuracy()
