@@ -95,8 +95,8 @@ impl SampledPdf {
     /// another length, or an entry more than [`MASS_EPSILON`] away from
     /// its running sum, is refused. The parts [`Serialize`] wrote build
     /// the pdf back bit for bit.
-    pub fn from_parts(points: Vec<f64>, mass: Vec<f64>, cumulative: &[f64]) -> Result<Self> {
-        let total = check_samples(&points, &mass)?;
+    pub fn from_parts(points: &[f64], mass: &[f64], cumulative: &[f64]) -> Result<Self> {
+        let total = check_samples(points, mass)?;
         if !((total - 1.0).abs() <= MASS_EPSILON) {
             return Err(ProbError::Unnormalised { total });
         }
@@ -106,7 +106,7 @@ impl SampledPdf {
                 points: mass.len(),
             });
         }
-        let pdf = SampledPdf::from_checked(&points, mass.into_iter());
+        let pdf = SampledPdf::from_checked(points, mass.iter().copied());
         if let Some((index, (&supplied, computed))) = cumulative
             .iter()
             .zip(pdf.cumulative())
@@ -124,7 +124,10 @@ impl SampledPdf {
 
     /// A degenerate pdf that places all mass on a single point value.
     pub fn point(value: f64) -> Result<Self> {
-        SampledPdf::new(vec![value], vec![1.0])
+        check_samples(&[value], &[1.0])?;
+        Ok(SampledPdf {
+            samples: Arc::from([value, 1.0]),
+        })
     }
 
     /// Number of sample points (`s` in the paper).
@@ -393,7 +396,7 @@ impl Deserialize for SampledPdf {
             Vec::deserialize(serde::map_field(v, key, "SampledPdf")?)
         };
         let (points, mass, supplied) = (field("points")?, field("mass")?, field("cumulative")?);
-        SampledPdf::from_parts(points, mass, &supplied)
+        SampledPdf::from_parts(&points, &mass, &supplied)
             .map_err(|e| serde::Error::custom(e.to_string()))
     }
 }

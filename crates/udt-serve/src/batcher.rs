@@ -309,15 +309,23 @@ impl Batcher {
             };
             gate.blocked -= 1;
         }
-        let scratch = match gate.free.pop() {
-            Some(scratch) => scratch,
-            None => {
-                let (tx, rx) = mpsc::sync_channel(1);
-                gate.line.push_back(tx);
-                drop(gate);
-                // A waiter leaves the line only by being sent a slot.
-                rx.recv().map_err(|_| ServeError::QueueClosed)?
-            }
+        let ready = gate.free.pop().ok_or_else(|| {
+            let (tx, rx) = mpsc::sync_channel(1);
+            gate.line.push_back(tx);
+            rx
+        });
+        // Room in the line wakes one blocked caller. One that takes a free
+        // slot instead leaves the room unused, so the wake-up is passed on:
+        // otherwise the next blocked caller could sleep while the line has
+        // room and slots keep freeing.
+        if gate.blocked > 0 && gate.line.len() < self.options.queue_capacity {
+            self.room.notify_one();
+        }
+        drop(gate);
+        let scratch = match ready {
+            Ok(scratch) => scratch,
+            // A waiter leaves the line only by being sent a slot.
+            Err(rx) => rx.recv().map_err(|_| ServeError::QueueClosed)?,
         };
         Ok(Slot {
             batcher: self,
@@ -683,6 +691,60 @@ mod tests {
         assert!(replies.iter().all(Result::is_ok), "{replies:?}");
         assert_eq!(metrics.health_snapshot().sheds, 1);
         assert_eq!(metrics.snapshot()[0].requests, 3);
+    }
+
+    #[test]
+    fn callers_blocked_at_admission_are_all_answered_once_slots_free() {
+        const BLOCKED: usize = 3;
+        const ROUNDS: usize = 50;
+        const BOUND: Duration = Duration::from_secs(5);
+        let reg = registry_with_toy();
+        let t = toy::fig1_test_tuple().unwrap();
+        // With two slots released back to back, the caller woken for the
+        // room the first release makes in the line mostly finds the
+        // second slot free and takes it, leaving that room unused.
+        for workers in [1, 2] {
+            for round in 0..ROUNDS {
+                let (batcher, _) = batcher(
+                    &reg,
+                    BatchOptions {
+                        workers,
+                        queue_capacity: 1,
+                        queue_policy: QueuePolicy::Block,
+                        ..BatchOptions::default()
+                    },
+                );
+                let held: Vec<Slot<'_>> = (0..workers)
+                    .map(|_| batcher.acquire(Instant::now()).unwrap())
+                    .collect();
+                let (tx, rx) = mpsc::channel();
+                let answered = std::thread::scope(|scope| {
+                    // The first caller fills the line; the rest block at
+                    // admission.
+                    let start = Instant::now();
+                    for c in 0..=BLOCKED {
+                        let (tx, t, batcher) = (tx.clone(), t.clone(), &batcher);
+                        scope.spawn(move || tx.send(batcher.classify("toy", vec![t])));
+                        wait_until(
+                            &format!("caller {c} to wait"),
+                            || {
+                                let gate = batcher.lock();
+                                gate.line.len() + gate.blocked == c + 1
+                            },
+                            || start.elapsed() > BOUND,
+                        );
+                    }
+                    drop(held);
+                    let answered = (0..=BLOCKED)
+                        .filter(|_| rx.recv_timeout(BOUND).is_ok_and(|reply| reply.is_ok()))
+                        .count();
+                    // Wakes any caller left asleep, so the scope can end.
+                    batcher.shutdown();
+                    answered
+                });
+                assert_eq!(answered, BLOCKED + 1, "{workers} slots, round {round}");
+            }
+        }
     }
 
     #[test]

@@ -819,11 +819,14 @@ fn missing(name: &str, ty: &str) -> serde_json::Error {
     invalid(format!("missing field `{name}` for `{ty}`"))
 }
 
-/// Arrays of numbers a decode reads into and copies out of at their
-/// exact length, reused across the tuples and pdfs of a request.
+/// Arrays of numbers a decode reads into, reused across the tuples and
+/// pdfs of a request: `numbers` is copied out at its exact length, and a
+/// pdf's three arrays are read in place by [`SampledPdf::from_parts`].
 #[derive(Default)]
 struct Scratch {
     numbers: Vec<f64>,
+    points: Vec<f64>,
+    mass: Vec<f64>,
     cumulative: Vec<f64>,
 }
 
@@ -919,12 +922,18 @@ fn read_value(r: &mut Reader<'_>, s: &mut Scratch) -> Decoded<UncertainValue> {
 
 /// Reads a pdf through [`SampledPdf::from_parts`].
 fn read_pdf(r: &mut Reader<'_>, s: &mut Scratch) -> Decoded<SampledPdf> {
-    let (mut points, mut mass, mut cumulative) = (None, None, false);
+    let (mut points, mut mass, mut cumulative) = (false, false, false);
     r.begin_object()?;
     while let Some(name) = r.next_key()? {
         match &*name {
-            "points" if points.is_none() => points = Some(read_numbers(r, &mut s.numbers)?),
-            "mass" if mass.is_none() => mass = Some(read_numbers(r, &mut s.numbers)?),
+            "points" if !points => {
+                fill_numbers(r, &mut s.points)?;
+                points = true;
+            }
+            "mass" if !mass => {
+                fill_numbers(r, &mut s.mass)?;
+                mass = true;
+            }
             "cumulative" if !cumulative => {
                 fill_numbers(r, &mut s.cumulative)?;
                 cumulative = true;
@@ -932,12 +941,16 @@ fn read_pdf(r: &mut Reader<'_>, s: &mut Scratch) -> Decoded<SampledPdf> {
             _ => r.skip_value()?,
         }
     }
-    let points = points.ok_or_else(|| missing("points", "SampledPdf"))?;
-    let mass = mass.ok_or_else(|| missing("mass", "SampledPdf"))?;
-    if !cumulative {
-        return Err(missing("cumulative", "SampledPdf"));
+    for (seen, name) in [
+        (points, "points"),
+        (mass, "mass"),
+        (cumulative, "cumulative"),
+    ] {
+        if !seen {
+            return Err(missing(name, "SampledPdf"));
+        }
     }
-    SampledPdf::from_parts(points, mass, &s.cumulative).map_err(invalid)
+    SampledPdf::from_parts(&s.points, &s.mass, &s.cumulative).map_err(invalid)
 }
 
 /// Reads a distribution through [`DiscreteDist::from_probs`].
