@@ -123,19 +123,6 @@ impl Dataset {
         Ok(())
     }
 
-    /// Builds a data set from parts, validating every tuple.
-    pub fn from_tuples(
-        schema: Schema,
-        class_names: Vec<String>,
-        tuples: Vec<Tuple>,
-    ) -> Result<Self> {
-        let mut ds = Dataset::new(schema, class_names);
-        for t in tuples {
-            ds.push(t)?;
-        }
-        Ok(ds)
-    }
-
     /// Per-class tuple counts.
     pub fn class_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.n_classes()];

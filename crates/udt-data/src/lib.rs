@@ -32,7 +32,6 @@
 pub mod attribute;
 pub mod dataset;
 pub mod error;
-pub mod missing;
 pub mod noise;
 pub mod randn;
 pub mod repository;

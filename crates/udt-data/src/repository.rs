@@ -12,15 +12,13 @@
 //! benchmarks default to a reduced scale so the whole suite runs on a
 //! laptop, while `scale = 1.0` reproduces the paper's full sizes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::dataset::Dataset;
 use crate::error::DataError;
 use crate::synthetic::{RepeatedMeasurementSpec, SyntheticSpec};
 use crate::Result;
 
 /// How a data set's uncertainty is obtained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UncertaintySource {
     /// Point values; uncertainty is injected synthetically (§4.3).
     Injected,
@@ -30,7 +28,7 @@ pub enum UncertaintySource {
 }
 
 /// Descriptor of one Table 2 data set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetSpec {
     /// Data set name as printed in the paper.
     pub name: &'static str,

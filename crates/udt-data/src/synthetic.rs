@@ -17,7 +17,6 @@
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
 use crate::error::DataError;
@@ -26,7 +25,7 @@ use crate::tuple::Tuple;
 use crate::Result;
 
 /// Specification of a synthetic class-conditional data set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticSpec {
     /// Data set name (for reports).
     pub name: String,
@@ -140,7 +139,7 @@ impl SyntheticSpec {
 /// between `min_samples` and `max_samples` noisy readings around the
 /// latent class-dependent value. Returns tuples whose values are
 /// histogram-derived pdfs built directly from those raw samples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RepeatedMeasurementSpec {
     /// Data set name.
     pub name: String,

@@ -9,7 +9,6 @@
 //!
 //! [`inject_uncertainty`] implements exactly that transformation.
 
-use serde::{Deserialize, Serialize};
 use udt_prob::ErrorModel;
 
 use crate::dataset::Dataset;
@@ -19,7 +18,7 @@ use crate::value::UncertainValue;
 use crate::Result;
 
 /// Parameters of the §4.3 uncertainty-injection procedure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UncertaintySpec {
     /// Width of the pdf domain as a fraction of the attribute range
     /// (`w` in the paper, e.g. `0.10` for the 10 % baseline).

@@ -33,11 +33,6 @@ impl UncertainValue {
         )
     }
 
-    /// Whether this value is numerical.
-    pub fn is_numeric(&self) -> bool {
-        matches!(self, UncertainValue::Numeric(_))
-    }
-
     /// Whether this value is categorical.
     pub fn is_categorical(&self) -> bool {
         matches!(self, UncertainValue::Categorical(_))
@@ -96,7 +91,6 @@ mod tests {
     #[test]
     fn point_value_roundtrip() {
         let v = UncertainValue::point(3.5);
-        assert!(v.is_numeric());
         assert!(!v.is_categorical());
         assert_eq!(v.expected(), 3.5);
         assert_eq!(v.sample_count(), 1);

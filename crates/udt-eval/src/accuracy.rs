@@ -5,13 +5,12 @@
 //! and accuracy is the fraction of test tuples whose predicted label
 //! matches the recorded one.
 
-use serde::{Deserialize, Serialize};
 use udt_data::Dataset;
 use udt_tree::classify::{argmax_class, classify_batch, BatchScratch};
 use udt_tree::DecisionTree;
 
 /// The outcome of evaluating a tree on a test set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalResult {
     /// Number of test tuples.
     pub n: usize,
@@ -29,11 +28,6 @@ impl EvalResult {
         } else {
             self.correct as f64 / self.n as f64
         }
-    }
-
-    /// `1 − accuracy`.
-    pub fn error_rate(&self) -> f64 {
-        1.0 - self.accuracy()
     }
 
     /// Per-class recall (correct / actual), `None` for classes absent from
@@ -117,7 +111,6 @@ mod tests {
         assert_eq!(result.n, 20);
         assert_eq!(result.correct, 20);
         assert_eq!(result.accuracy(), 1.0);
-        assert_eq!(result.error_rate(), 0.0);
         assert_eq!(result.recall(0), Some(1.0));
         assert_eq!(result.recall(1), Some(1.0));
         // The confusion matrix is diagonal.

@@ -5,7 +5,6 @@
 //! the folds in parallel on scoped threads and aggregates accuracy, tree
 //! statistics and split-search counters.
 
-use serde::{Deserialize, Serialize};
 use udt_data::split::k_folds;
 use udt_data::Dataset;
 use udt_tree::{SearchStats, TreeBuilder, UdtConfig};
@@ -13,30 +12,16 @@ use udt_tree::{SearchStats, TreeBuilder, UdtConfig};
 use crate::accuracy::{evaluate, EvalResult};
 
 /// Aggregated result of a cross-validation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CrossValResult {
     /// Number of folds run.
     pub folds: usize,
-    /// Per-fold accuracies.
-    pub fold_accuracies: Vec<f64>,
     /// Pooled evaluation over all folds.
     pub pooled: EvalResult,
     /// Summed split-search statistics over all folds.
     pub stats: SearchStats,
-    /// Total wall-clock seconds spent building trees (excludes evaluation).
-    pub build_seconds: f64,
     /// Mean tree size over the folds.
     pub mean_tree_size: f64,
-}
-
-impl CrossValResult {
-    /// Mean of the per-fold accuracies.
-    pub fn mean_accuracy(&self) -> f64 {
-        if self.fold_accuracies.is_empty() {
-            return 0.0;
-        }
-        self.fold_accuracies.iter().sum::<f64>() / self.fold_accuracies.len() as f64
-    }
 }
 
 /// Runs `k`-fold cross validation of `config` on `data`, one scoped
@@ -51,20 +36,15 @@ pub fn cross_validate(
 ) -> udt_data::Result<CrossValResult> {
     let folds = k_folds(data, k, seed)?;
     let n_classes = data.n_classes();
-    let run_fold = |fold: &udt_data::split::TrainTest| -> (EvalResult, SearchStats, f64, usize) {
+    let run_fold = |fold: &udt_data::split::TrainTest| -> (EvalResult, SearchStats, usize) {
         let report = TreeBuilder::new(config.clone())
             .build(&fold.train)
             .expect("fold training sets are non-empty by construction");
         let eval = evaluate(&report.tree, &fold.test);
-        (
-            eval,
-            report.stats,
-            report.elapsed.as_secs_f64(),
-            report.tree.size(),
-        )
+        (eval, report.stats, report.tree.size())
     };
 
-    let fold_outputs: Vec<(EvalResult, SearchStats, f64, usize)> = std::thread::scope(|scope| {
+    let fold_outputs: Vec<(EvalResult, SearchStats, usize)> = std::thread::scope(|scope| {
         let handles: Vec<_> = folds
             .iter()
             .map(|fold| scope.spawn(|| run_fold(fold)))
@@ -81,22 +61,16 @@ pub fn cross_validate(
         confusion: vec![vec![0; n_classes]; n_classes],
     };
     let mut stats = SearchStats::default();
-    let mut build_seconds = 0.0;
-    let mut fold_accuracies = Vec::with_capacity(fold_outputs.len());
     let mut total_size = 0usize;
-    for (eval, fold_stats, seconds, size) in &fold_outputs {
-        fold_accuracies.push(eval.accuracy());
+    for (eval, fold_stats, size) in &fold_outputs {
         pooled.merge(eval);
         stats.merge(fold_stats);
-        build_seconds += seconds;
         total_size += size;
     }
     Ok(CrossValResult {
         folds: fold_outputs.len(),
-        fold_accuracies,
         pooled,
         stats,
-        build_seconds,
         mean_tree_size: total_size as f64 / fold_outputs.len().max(1) as f64,
     })
 }
@@ -124,9 +98,12 @@ mod tests {
         let cv = cross_validate(&ds, &UdtConfig::new(Algorithm::UdtEs), 5, 7).unwrap();
         assert_eq!(cv.folds, 5);
         assert_eq!(cv.pooled.n, 50);
-        assert_eq!(cv.fold_accuracies.len(), 5);
         // Separable data: near-perfect held-out accuracy.
-        assert!(cv.mean_accuracy() > 0.9, "accuracy {}", cv.mean_accuracy());
+        assert!(
+            cv.pooled.accuracy() > 0.9,
+            "accuracy {}",
+            cv.pooled.accuracy()
+        );
         assert!(cv.mean_tree_size >= 3.0);
         assert!(cv.stats.nodes_searched >= 5);
     }
@@ -137,7 +114,6 @@ mod tests {
         let config = UdtConfig::new(Algorithm::UdtGp);
         let first = cross_validate(&ds, &config, 4, 11).unwrap();
         let second = cross_validate(&ds, &config, 4, 11).unwrap();
-        assert_eq!(first.fold_accuracies, second.fold_accuracies);
         assert_eq!(first.pooled, second.pooled);
         assert_eq!(
             first.stats.entropy_like_calculations(),

@@ -2,7 +2,7 @@
 //!
 //! The evaluation harness (`udt_eval::accuracy::evaluate`) classifies
 //! through the in-process batch engine. Production traffic goes through
-//! `udt-serve`'s socket + micro-batching scheduler instead. This test
+//! `udt-serve`'s socket + classification gate instead. This test
 //! proves the two paths agree *exactly* on a non-trivial uncertain
 //! workload: identical per-tuple distributions (to the bit), identical
 //! predicted labels, identical accuracy.

@@ -52,25 +52,6 @@ impl DiscreteDist {
         DiscreteDist::new(weights)
     }
 
-    /// A distribution built from raw categorical observations (e.g. the
-    /// top-level-domain counts of §7.2's proxy-log example).
-    pub fn from_observations(observations: &[usize], cardinality: usize) -> Result<Self> {
-        if cardinality == 0 {
-            return Err(ProbError::EmptySupport);
-        }
-        let mut weights = vec![0.0; cardinality];
-        for &o in observations {
-            if o >= cardinality {
-                return Err(ProbError::InvalidMass {
-                    index: o,
-                    value: o as f64,
-                });
-            }
-            weights[o] += 1.0;
-        }
-        DiscreteDist::new(weights)
-    }
-
     /// Number of categories in the support (the attribute's cardinality).
     pub fn cardinality(&self) -> usize {
         self.probs.len()
@@ -215,16 +196,6 @@ mod tests {
         assert_eq!(d.entropy(), 0.0);
         assert!(DiscreteDist::certain(4, 4).is_err());
         assert!(DiscreteDist::certain(0, 0).is_err());
-    }
-
-    #[test]
-    fn from_observations_counts_frequencies() {
-        // The §7.2 flower-colour example: 80 % yellow, 20 % pink.
-        let obs = [0, 0, 0, 0, 1];
-        let d = DiscreteDist::from_observations(&obs, 2).unwrap();
-        assert!((d.prob(0) - 0.8).abs() < 1e-12);
-        assert!((d.prob(1) - 0.2).abs() < 1e-12);
-        assert!(DiscreteDist::from_observations(&[3], 2).is_err());
     }
 
     #[test]

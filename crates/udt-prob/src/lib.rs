@@ -11,9 +11,8 @@
 //!   controlled uncertainty into point-valued data sets (§4.3).
 //! * [`DiscreteDist`] — discrete distributions for uncertain categorical
 //!   attributes (§7.2).
-//! * [`quantile`] — percentile pseudo-end-points for unbounded pdfs (§7.3).
-//! * [`stats`] — small numeric helpers (erf, mean/variance, confidence
-//!   intervals) shared across the workspace.
+//! * [`stats`] — small numeric helpers: erf, the Gaussian cdf, and the
+//!   sample summary the tests check moments with.
 //!
 //! All structures are deterministic and `Send + Sync`; randomness only
 //! enters through explicitly seeded `rand` RNGs in the callers.
@@ -28,7 +27,6 @@ pub mod discrete;
 pub mod error;
 pub mod model;
 pub mod pdf;
-pub mod quantile;
 pub mod stats;
 
 pub use discrete::DiscreteDist;

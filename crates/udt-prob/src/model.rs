@@ -13,15 +13,13 @@
 //!
 //! [`ErrorModel`] captures both options and produces [`SampledPdf`]s.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ProbError;
 use crate::pdf::SampledPdf;
 use crate::stats::normal_cdf;
 use crate::Result;
 
 /// The shape of the error distribution placed around a point value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorModel {
     /// Uniform density over the uncertainty interval — the paper's model
     /// for quantisation noise.
@@ -100,18 +98,6 @@ impl ErrorModel {
         }
         SampledPdf::new(points, mass)
     }
-
-    /// The standard deviation implied by the model for an uncertainty
-    /// interval of total width `width`.
-    ///
-    /// For the Gaussian model this is the paper's `width / 4`; for the
-    /// uniform model it is the analytic `width / sqrt(12)`.
-    pub fn implied_std_dev(&self, width: f64) -> f64 {
-        match self {
-            ErrorModel::Gaussian => width / 4.0,
-            ErrorModel::Uniform => width / 12f64.sqrt(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -165,11 +151,5 @@ mod tests {
         assert!(ErrorModel::Uniform.discretise(0.0, -1.0, 10).is_err());
         assert!(ErrorModel::Gaussian.discretise(0.0, 1.0, 0).is_err());
         assert!(ErrorModel::Gaussian.discretise(0.0, f64::NAN, 10).is_err());
-    }
-
-    #[test]
-    fn implied_std_dev_formulas() {
-        assert!((ErrorModel::Gaussian.implied_std_dev(8.0) - 2.0).abs() < 1e-12);
-        assert!((ErrorModel::Uniform.implied_std_dev(12f64.sqrt()) - 1.0).abs() < 1e-12);
     }
 }

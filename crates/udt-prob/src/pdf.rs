@@ -7,7 +7,7 @@
 //! effectively approximating `f` by a discrete distribution with `s`
 //! possible values". Only the points and their masses are stored: a
 //! cumulative probability is a running sum over the masses, computed when
-//! it is asked for (classification, quantiles, serialization). Tree
+//! it is asked for (classification, serialization). Tree
 //! construction reads presorted columns instead (see `udt-tree`).
 //!
 //! Points and masses live in one shared, immutable allocation, so a
@@ -284,54 +284,6 @@ impl SampledPdf {
         let right = SampledPdf::new(right_points, right_mass).ok();
         (p_left, left, right)
     }
-
-    /// Restricts the pdf to `[lo, hi]` and renormalises. Returns `None`
-    /// when no mass falls inside the interval.
-    pub fn truncate(&self, lo: f64, hi: f64) -> Option<SampledPdf> {
-        let mut points = Vec::new();
-        let mut mass = Vec::new();
-        for (x, m) in self.iter() {
-            if x >= lo && x <= hi && m > 0.0 {
-                points.push(x);
-                mass.push(m);
-            }
-        }
-        SampledPdf::new(points, mass).ok()
-    }
-
-    /// Mixes two pdfs with the given non-negative weights, producing the
-    /// weighted mixture distribution. Used when re-assembling "guess"
-    /// distributions for missing values (§2) and in tests.
-    pub fn mixture(parts: &[(f64, &SampledPdf)]) -> Result<SampledPdf> {
-        let mut pairs: Vec<(f64, f64)> = Vec::new();
-        for &(w, pdf) in parts {
-            if !w.is_finite() || w < 0.0 {
-                return Err(ProbError::InvalidParameter {
-                    name: "mixture weight",
-                    value: w,
-                });
-            }
-            for (x, m) in pdf.iter() {
-                pairs.push((x, w * m));
-            }
-        }
-        if pairs.is_empty() {
-            return Err(ProbError::EmptyPdf);
-        }
-        pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
-        let mut points = Vec::with_capacity(pairs.len());
-        let mut mass = Vec::with_capacity(pairs.len());
-        for (x, m) in pairs {
-            match points.last() {
-                Some(&last) if last == x => *mass.last_mut().expect("parallel") += m,
-                _ => {
-                    points.push(x);
-                    mass.push(m);
-                }
-            }
-        }
-        SampledPdf::new(points, mass)
-    }
 }
 
 /// The constructor's checks on raw sample points and masses: both
@@ -583,25 +535,5 @@ mod tests {
         assert_eq!(pl, 1.0);
         assert_eq!(left.unwrap(), p);
         assert!(right.is_none());
-    }
-
-    #[test]
-    fn truncate_restricts_and_renormalises() {
-        let p = pdf(&[0.0, 1.0, 2.0, 3.0], &[0.25, 0.25, 0.25, 0.25]);
-        let t = p.truncate(0.5, 2.5).unwrap();
-        assert_eq!(t.points(), &[1.0, 2.0]);
-        assert_eq!(t.mass(), &[0.5, 0.5]);
-        assert!(p.truncate(10.0, 11.0).is_none());
-    }
-
-    #[test]
-    fn mixture_combines_and_normalises() {
-        let a = pdf(&[0.0, 1.0], &[0.5, 0.5]);
-        let b = pdf(&[1.0, 2.0], &[0.5, 0.5]);
-        let m = SampledPdf::mixture(&[(1.0, &a), (1.0, &b)]).unwrap();
-        assert_eq!(m.points(), &[0.0, 1.0, 2.0]);
-        assert_eq!(m.mass(), &[0.25, 0.5, 0.25]);
-        assert!(SampledPdf::mixture(&[(-1.0, &a)]).is_err());
-        assert!(SampledPdf::mixture(&[]).is_err());
     }
 }

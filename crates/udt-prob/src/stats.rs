@@ -1,12 +1,9 @@
-//! Small numeric helpers: error function, descriptive statistics and
-//! confidence intervals.
+//! Small numeric helpers: error function and descriptive statistics.
 //!
-//! The paper relies on a handful of standard statistical building blocks:
-//! the Gaussian cdf (for the truncated-Gaussian error model of §4.3), the
-//! sample mean/variance (for fitting pdfs to repeated measurements, §7.1)
-//! and 95 % confidence intervals (used in §4.4 to locate the plateau of the
-//! accuracy-vs-`w` curve). None of the allowed dependency crates provide
-//! these, so they are implemented here.
+//! The truncated-Gaussian error model of §4.3 needs the Gaussian cdf, and
+//! the noise and pdf tests check sample moments with [`Summary`]. None of
+//! the allowed dependency crates provide these, so they are implemented
+//! here.
 
 /// The error function `erf(x)`, computed with the Abramowitz & Stegun
 /// formula 7.1.26 (maximum absolute error ≈ 1.5e-7, far below what the
@@ -52,15 +49,6 @@ pub fn normal_cdf(x: f64, mean: f64, std_dev: f64) -> f64 {
         return if x < mean { 0.0 } else { 1.0 };
     }
     std_normal_cdf((x - mean) / std_dev)
-}
-
-/// Probability density of a normal distribution at `x`.
-pub fn normal_pdf(x: f64, mean: f64, std_dev: f64) -> f64 {
-    if std_dev <= 0.0 {
-        return 0.0;
-    }
-    let z = (x - mean) / std_dev;
-    (-0.5 * z * z).exp() / (std_dev * (2.0 * std::f64::consts::PI).sqrt())
 }
 
 /// Descriptive statistics of a sample, computed in a single pass with
@@ -130,55 +118,6 @@ impl Summary {
     }
 }
 
-/// A symmetric confidence interval around a mean.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ConfidenceInterval {
-    /// Centre of the interval (the sample mean).
-    pub mean: f64,
-    /// Half-width of the interval.
-    pub half_width: f64,
-}
-
-impl ConfidenceInterval {
-    /// 95 % normal-approximation confidence interval for the mean of
-    /// `values`. With fewer than two observations the half-width is zero.
-    ///
-    /// The paper (§4.4) uses 95 % confidence intervals over repeated
-    /// accuracy trials to find the plateau of the accuracy-vs-`w` curve;
-    /// the normal approximation is adequate for the 10-fold × multi-trial
-    /// sample sizes involved.
-    pub fn ci95(values: &[f64]) -> Self {
-        const Z95: f64 = 1.959964;
-        let s = Summary::of(values);
-        if s.count < 2 {
-            return ConfidenceInterval {
-                mean: s.mean,
-                half_width: 0.0,
-            };
-        }
-        let se = s.std_dev() / (s.count as f64).sqrt();
-        ConfidenceInterval {
-            mean: s.mean,
-            half_width: Z95 * se,
-        }
-    }
-
-    /// Lower bound of the interval.
-    pub fn lo(&self) -> f64 {
-        self.mean - self.half_width
-    }
-
-    /// Upper bound of the interval.
-    pub fn hi(&self) -> f64 {
-        self.mean + self.half_width
-    }
-
-    /// Whether this interval overlaps `other`.
-    pub fn overlaps(&self, other: &ConfidenceInterval) -> bool {
-        self.lo() <= other.hi() && other.lo() <= self.hi()
-    }
-}
-
 /// Binary logarithm that maps `0` to `0`, the convention used in entropy
 /// computations (`0 · log₂ 0 = 0`).
 #[inline]
@@ -233,14 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn normal_pdf_peaks_at_mean() {
-        let peak = normal_pdf(3.0, 3.0, 0.5);
-        assert!(normal_pdf(2.5, 3.0, 0.5) < peak);
-        assert!(normal_pdf(3.5, 3.0, 0.5) < peak);
-        assert!((normal_pdf(2.0, 3.0, 0.5) - normal_pdf(4.0, 3.0, 0.5)).abs() < 1e-12);
-    }
-
-    #[test]
     fn summary_of_simple_sample() {
         let s = Summary::of(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
         assert_eq!(s.count, 8);
@@ -263,30 +194,6 @@ mod tests {
         assert_eq!(empty.mean, 0.0);
         assert_eq!(empty.variance, 0.0);
         assert_eq!(empty.range(), 0.0);
-    }
-
-    #[test]
-    fn confidence_interval_behaviour() {
-        let ci = ConfidenceInterval::ci95(&[10.0; 25]);
-        assert_eq!(ci.mean, 10.0);
-        assert_eq!(ci.half_width, 0.0);
-
-        let values: Vec<f64> = (0..100).map(|i| (i % 10) as f64).collect();
-        let ci = ConfidenceInterval::ci95(&values);
-        assert!((ci.mean - 4.5).abs() < 1e-9);
-        assert!(ci.half_width > 0.0);
-        assert!(ci.lo() < ci.mean && ci.mean < ci.hi());
-
-        let other = ConfidenceInterval {
-            mean: ci.hi() + 0.1,
-            half_width: 0.05,
-        };
-        assert!(!ci.overlaps(&other));
-        let touching = ConfidenceInterval {
-            mean: ci.hi() + 0.05,
-            half_width: 0.1,
-        };
-        assert!(ci.overlaps(&touching));
     }
 
     #[test]

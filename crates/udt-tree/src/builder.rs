@@ -50,7 +50,6 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize};
 use udt_data::{AttributeKind, Dataset};
 use udt_obs::{catalog, trace};
 
@@ -83,8 +82,9 @@ pub struct BuildReport {
     pub nodes_pruned: usize,
 }
 
-/// Summary of a build for serialisation into experiment reports.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Summary of a build: the figures experiment reports and the benchmark
+/// read.
+#[derive(Debug, Clone)]
 pub struct BuildSummary {
     /// Algorithm name.
     pub algorithm: String,
@@ -133,7 +133,7 @@ pub struct BuildSummary {
 }
 
 impl BuildReport {
-    /// Produces a serialisable summary of this build.
+    /// Produces a summary of this build.
     pub fn summary(&self) -> BuildSummary {
         BuildSummary {
             algorithm: self.algorithm.name().to_string(),
@@ -156,6 +156,10 @@ impl BuildReport {
         }
     }
 }
+
+/// Pre-pruning (footnote 3 of §4.1): a split whose dispersion reduction
+/// over the node's own dispersion is below this is not taken.
+const MIN_GAIN: f64 = 1e-6;
 
 /// Default node-span depth gate when `UDT_TRACE_DEPTH` is unset: deep
 /// trees emit spans for the first few levels only, keeping traces small
@@ -322,7 +326,6 @@ impl TreeBuilder {
             categorical: &categorical,
             max_depth: self.config.max_depth,
             min_node_weight: self.config.min_node_weight,
-            min_gain: self.config.min_gain,
             fork_depth: self.config.parallel_cutoff_depth,
             fork_min_tuples: self.config.parallel_min_fork_tuples,
             buffers: &buffers,
@@ -383,7 +386,7 @@ impl TreeBuilder {
         );
         let mut nodes_pruned = 0;
         if self.config.postprune {
-            nodes_pruned = postprune::prune(&mut tree, self.config.postprune_z);
+            nodes_pruned = postprune::prune(&mut tree, postprune::CONFIDENCE_Z);
         }
         // Flush this build's aggregates into the process-wide registry
         // (hot-path increments stayed in the private `stats`, so the
@@ -506,7 +509,6 @@ struct BuildContext<'a> {
     categorical: &'a [(usize, usize)],
     max_depth: usize,
     min_node_weight: f64,
-    min_gain: f64,
     /// Children at this depth or deeper become work-queue jobs.
     fork_depth: usize,
     /// Minimum alive tuples for a child to be worth deferring.
@@ -603,9 +605,9 @@ impl BuildContext<'_> {
         // the reduction test is on `-score` directly.
         let worthwhile = match self.measure {
             Measure::Entropy | Measure::Gini => {
-                self.measure.dispersion(&counts) - best.score() >= self.min_gain
+                self.measure.dispersion(&counts) - best.score() >= MIN_GAIN
             }
-            Measure::GainRatio => -best.score() >= self.min_gain,
+            Measure::GainRatio => -best.score() >= MIN_GAIN,
         };
         if !worthwhile {
             scratch.unload_weights(&state);

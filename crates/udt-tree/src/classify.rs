@@ -26,8 +26,7 @@
 //! and compares against it with `to_bits` equality.
 //!
 //! [`predict_distribution`] (one tuple, fresh scratch) is a thin wrapper
-//! over the same walk, and so are [`DecisionTree::predict`] and
-//! [`DecisionTree::predict_batch`].
+//! over the same walk, and so is [`DecisionTree::predict`].
 
 use udt_data::Tuple;
 use udt_prob::pdf::MASS_EPSILON;

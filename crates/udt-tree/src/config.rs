@@ -2,18 +2,18 @@
 //!
 //! [`UdtConfig`] bundles the algorithm choice (§4–5), the dispersion
 //! measure (§7.4), pre-pruning thresholds (footnote 3 of §4.1), the C4.5
-//! style post-pruning switch, and the knobs specific to individual
-//! algorithms (end-point sampling rate for UDT-ES, the Theorem 3 uniform
-//! pdf hint for UDT-BP).
-
-use serde::{Deserialize, Serialize};
+//! style post-pruning switch, and the Theorem 3 uniform pdf hint for
+//! UDT-BP. Settings the paper fixes are constants, not fields: UDT-ES's
+//! end-point sampling rate ([`es::DEFAULT_SAMPLE_RATE`]), the builder's
+//! minimum gain and the post-pruning confidence
+//! ([`crate::postprune::CONFIDENCE_Z`]).
 
 use crate::kernel::{CountsRepr, KernelKind};
 use crate::measure::Measure;
 use crate::split::{bp, es, exhaustive::ExhaustiveSearch, gp, lp, SplitSearch};
 
 /// The split-search algorithm families evaluated in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// Averaging (§4.1): collapse every pdf to its mean and run the
     /// classical search.
@@ -35,17 +35,6 @@ impl Algorithm {
     pub fn all() -> [Algorithm; 6] {
         [
             Algorithm::Avg,
-            Algorithm::Udt,
-            Algorithm::UdtBp,
-            Algorithm::UdtLp,
-            Algorithm::UdtGp,
-            Algorithm::UdtEs,
-        ]
-    }
-
-    /// The distribution-based algorithms (everything but AVG).
-    pub fn distribution_based() -> [Algorithm; 5] {
-        [
             Algorithm::Udt,
             Algorithm::UdtBp,
             Algorithm::UdtLp,
@@ -81,7 +70,7 @@ impl Algorithm {
 /// It survives only as the type of [`UdtConfig::partition_mode`], because
 /// perfbench's stamp line still reports `partition_mode.name()`; a later
 /// change to the benchmark can drop both.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PartitionMode {
     /// Children borrow the immutable root columns through surviving
     /// event-id lists plus per-tuple scale factors.
@@ -105,7 +94,7 @@ impl PartitionMode {
 /// parallel phase is a deterministic index-ordered map over the same
 /// work (see [`crate::pool`]), builds are **arena-bit-identical for
 /// every thread count**, so the knob is purely about speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ThreadCount {
     /// 0 = auto; otherwise the exact total thread count (`1..=MAX`).
     count: usize,
@@ -177,16 +166,6 @@ impl Default for ThreadCount {
     }
 }
 
-/// Reads a thread count through [`ThreadCount::fixed`], so a stored
-/// count above [`ThreadCount::MAX`] is capped exactly like a requested
-/// one.
-impl Deserialize for ThreadCount {
-    fn deserialize(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        let count = usize::deserialize(serde::map_field(v, "count", "ThreadCount")?)?;
-        Ok(ThreadCount::fixed(count))
-    }
-}
-
 impl From<usize> for ThreadCount {
     fn from(count: usize) -> Self {
         ThreadCount::fixed(count)
@@ -223,7 +202,7 @@ impl std::str::FromStr for ThreadCount {
 }
 
 /// Configuration for [`crate::TreeBuilder`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UdtConfig {
     /// Which split-search algorithm to use.
     pub algorithm: Algorithm,
@@ -234,16 +213,8 @@ pub struct UdtConfig {
     /// Pre-pruning: do not split nodes whose total (fractional) tuple
     /// weight is below this threshold.
     pub min_node_weight: f64,
-    /// Pre-pruning: do not accept a split whose dispersion reduction over
-    /// the node's own dispersion is below this threshold.
-    pub min_gain: f64,
     /// Whether to apply C4.5-style pessimistic post-pruning after building.
     pub postprune: bool,
-    /// The pessimistic-error confidence z-factor used by post-pruning
-    /// (C4.5's default 25 % confidence corresponds to z ≈ 0.6745).
-    pub postprune_z: f64,
-    /// End-point sampling rate for UDT-ES.
-    pub es_sample_rate: f64,
     /// Theorem 3 hint: set when every pdf is known to be uniform, allowing
     /// UDT-BP to consider only interval end points.
     pub uniform_pdf_hint: bool,
@@ -274,18 +245,17 @@ pub struct UdtConfig {
 
 impl UdtConfig {
     /// A configuration with the paper's defaults for the given algorithm:
-    /// entropy measure, depth cap 25, minimum node weight 2, minimum gain
-    /// 1e-6, post-pruning on, 10 % end-point sampling.
+    /// entropy measure, depth cap 25, minimum node weight 2 and
+    /// post-pruning on. The minimum gain (1e-6), the post-pruning
+    /// confidence and UDT-ES's 10 % end-point sampling are fixed
+    /// constants, not settings.
     pub fn new(algorithm: Algorithm) -> Self {
         UdtConfig {
             algorithm,
             measure: Measure::Entropy,
             max_depth: 25,
             min_node_weight: 2.0,
-            min_gain: 1e-6,
             postprune: true,
-            postprune_z: 0.6745,
-            es_sample_rate: es::DEFAULT_SAMPLE_RATE,
             uniform_pdf_hint: false,
             parallel_cutoff_depth: 4,
             parallel_min_fork_tuples: 8,
@@ -352,7 +322,7 @@ impl UdtConfig {
             Algorithm::UdtBp => Box::new(bp::search(self.uniform_pdf_hint)),
             Algorithm::UdtLp => Box::new(lp::search()),
             Algorithm::UdtGp => Box::new(gp::search()),
-            Algorithm::UdtEs => Box::new(es::with_rate(self.es_sample_rate)),
+            Algorithm::UdtEs => Box::new(es::search()),
         }
     }
 
@@ -369,24 +339,6 @@ impl UdtConfig {
             return Err(crate::TreeError::InvalidConfig {
                 name: "min_node_weight",
                 value: self.min_node_weight,
-            });
-        }
-        if !(self.min_gain >= 0.0) {
-            return Err(crate::TreeError::InvalidConfig {
-                name: "min_gain",
-                value: self.min_gain,
-            });
-        }
-        if !(self.es_sample_rate > 0.0 && self.es_sample_rate <= 1.0) {
-            return Err(crate::TreeError::InvalidConfig {
-                name: "es_sample_rate",
-                value: self.es_sample_rate,
-            });
-        }
-        if !(self.postprune_z >= 0.0) {
-            return Err(crate::TreeError::InvalidConfig {
-                name: "postprune_z",
-                value: self.postprune_z,
             });
         }
         Ok(())
@@ -412,7 +364,6 @@ mod tests {
         );
         assert!(!Algorithm::Avg.uses_distributions());
         assert!(Algorithm::UdtEs.uses_distributions());
-        assert_eq!(Algorithm::distribution_based().len(), 5);
     }
 
     #[test]
@@ -444,16 +395,6 @@ mod tests {
             .with_max_depth(0)
             .validate()
             .is_err());
-        let c = UdtConfig {
-            min_gain: -1.0,
-            ..UdtConfig::default()
-        };
-        assert!(c.validate().is_err());
-        let c = UdtConfig {
-            es_sample_rate: 0.0,
-            ..UdtConfig::default()
-        };
-        assert!(c.validate().is_err());
         let c = UdtConfig {
             min_node_weight: f64::NAN,
             ..UdtConfig::default()
@@ -517,30 +458,9 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_deserialization_caps_at_max() {
-        let huge: ThreadCount = serde_json::from_str(r#"{"count":5000}"#).unwrap();
-        assert_eq!(huge, ThreadCount::fixed(ThreadCount::MAX));
-        assert_eq!(huge.get(), ThreadCount::MAX);
-        let auto: ThreadCount = serde_json::from_str(r#"{"count":0}"#).unwrap();
-        assert_eq!(auto, ThreadCount::AUTO);
-        // The cap also holds for a count read back inside a config.
-        let config = UdtConfig::new(Algorithm::Udt).with_threads(3);
-        let text = serde_json::to_string(&config).unwrap();
-        assert!(text.contains(r#""count":3"#), "{text}");
-        let read: UdtConfig =
-            serde_json::from_str(&text.replace(r#""count":3"#, r#""count":5000"#)).unwrap();
-        assert_eq!(read.threads.get(), ThreadCount::MAX);
-        assert!(serde_json::from_str::<ThreadCount>("{}").is_err());
-    }
-
-    #[test]
-    fn kernel_knobs_default_and_survive_legacy_serde() {
+    fn kernel_knobs_default() {
         assert_eq!(UdtConfig::new(Algorithm::Udt).kernel, KernelKind::Simd);
         assert_eq!(UdtConfig::default().counts, CountsRepr::F64);
-        // The serde form round-trips the knobs faithfully.
-        let reference = UdtConfig::new(Algorithm::Udt);
-        let round = UdtConfig::deserialize(&Serialize::serialize(&reference)).unwrap();
-        assert_eq!(round, reference);
     }
 
     #[test]

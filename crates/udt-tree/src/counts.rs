@@ -9,8 +9,6 @@
 //! the class distributions stored in leaf nodes are all pure functions of
 //! it.
 
-use serde::{Deserialize, Serialize};
-
 /// Numerical tolerance below which a weight is treated as zero.
 pub const WEIGHT_EPSILON: f64 = 1e-9;
 
@@ -101,7 +99,7 @@ impl<'a> CountsView<'a> {
 }
 
 /// Weighted per-class counts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassCounts {
     counts: Vec<f64>,
 }

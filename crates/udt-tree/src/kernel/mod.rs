@@ -38,8 +38,6 @@
 //!   recorded from builds that scored every candidate with the exact
 //!   formula, and the golden suites pin the rest.
 
-use serde::{Deserialize, Serialize};
-
 pub(crate) mod simd;
 
 /// The score kernel: always the batch kernel, over batches of at least
@@ -49,7 +47,7 @@ pub(crate) mod simd;
 /// It survives only as the type of [`crate::UdtConfig::kernel`], because
 /// perfbench's stamp line still reports that field; a later change to the
 /// benchmark can drop both.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum KernelKind {
     /// The batch kernel: one lane definition, compiled for AVX2 and for
     /// the baseline target.
@@ -63,7 +61,7 @@ pub enum KernelKind {
 /// only as the type of [`crate::UdtConfig::counts`], because perfbench's
 /// stamp line still reports that field; a later change to the benchmark
 /// can drop both.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum CountsRepr {
     /// Full-precision `f64` counts.
     #[default]

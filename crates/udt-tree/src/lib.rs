@@ -81,8 +81,8 @@
 //! the arena, reusing every per-tuple buffer (frame stack, pdf-override
 //! delta chain, accumulator) in a [`classify::BatchScratch`] and skipping
 //! pdf materialisation whenever a split is one-sided.
-//! [`DecisionTree::predict_distribution`], [`DecisionTree::predict`] and
-//! [`DecisionTree::predict_batch`] are wrappers over it. Regression tests
+//! [`DecisionTree::predict_distribution`] and [`DecisionTree::predict`]
+//! are wrappers over it. Regression tests
 //! compare it bit for bit with a recursive oracle of the paper's §3.2
 //! definition; the `classify_throughput` bench measures what reusing one
 //! scratch across a batch saves over the per-call API.

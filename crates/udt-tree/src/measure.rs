@@ -14,13 +14,12 @@
 //!   but not for gain ratio (§7.4), so UDT-BP-style interior pruning of
 //!   homogeneous intervals must be disabled for gain ratio.
 
-use serde::{Deserialize, Serialize};
 use udt_prob::stats::xlog2x;
 
 use crate::counts::{clamp_residue, ClassCounts, WEIGHT_EPSILON};
 
 /// A dispersion (impurity) measure for split selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Measure {
     /// Shannon entropy / information gain — the paper's default (eq. 1).
     Entropy,

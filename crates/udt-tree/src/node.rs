@@ -11,8 +11,8 @@
 //! the metadata a model needs (attribute count and class names).
 //! Classification of an uncertain test tuple is implemented once, in
 //! [`crate::classify::classify_batch`], and surfaced here as
-//! [`DecisionTree::predict_distribution`] (single tuple) and
-//! [`DecisionTree::predict_batch`] (serving batches).
+//! [`DecisionTree::predict_distribution`] and [`DecisionTree::predict`]
+//! (single tuples).
 
 use udt_data::Tuple;
 
@@ -96,18 +96,6 @@ impl DecisionTree {
     /// desired".
     pub fn predict(&self, tuple: &Tuple) -> Result<usize> {
         Ok(argmax_class(&self.predict_distribution(tuple)?))
-    }
-
-    /// Classifies a batch of tuples with the arena engine, returning the
-    /// most probable class label per tuple. Convenience wrapper over
-    /// [`crate::classify::classify_batch`] that manages its own scratch;
-    /// serving loops that call this repeatedly should hold a
-    /// [`crate::classify::BatchScratch`] and call `classify_batch`
-    /// directly to reuse the buffers.
-    pub fn predict_batch(&self, tuples: &[Tuple]) -> Result<Vec<usize>> {
-        let mut scratch = crate::classify::BatchScratch::new();
-        let dists = crate::classify::classify_batch(self, tuples, &mut scratch)?;
-        Ok(dists.chunks(self.n_classes()).map(argmax_class).collect())
     }
 
     /// A human-readable rendering of the tree (one line per node).
@@ -196,10 +184,6 @@ mod tests {
             tree.predict(&right_tuple).unwrap(),
             0,
             "right leaf favours class A"
-        );
-        assert_eq!(
-            tree.predict_batch(&[left_tuple, right_tuple]).unwrap(),
-            vec![1, 0]
         );
     }
 

@@ -21,6 +21,10 @@ use crate::counts::CountsView;
 use crate::flat::{FlatTree, NodeKind};
 use crate::node::DecisionTree;
 
+/// The pessimistic-error z-factor the builder prunes with: C4.5's
+/// default 25 % confidence level.
+pub const CONFIDENCE_Z: f64 = 0.6745;
+
 /// Pessimistic (upper-confidence) number of errors for a leaf holding
 /// `counts`, using the Wilson-style upper bound on the binomial error rate
 /// that C4.5's error-based pruning is built on:

@@ -14,14 +14,14 @@ use crate::split::pruned::{BoundingMode, PrunedSearch};
 /// The paper's default end-point sampling rate.
 pub const DEFAULT_SAMPLE_RATE: f64 = 0.10;
 
-/// Builds the UDT-ES search strategy with the default 10 % sampling rate.
+/// Builds the UDT-ES search strategy with the paper's 10 % sampling rate.
 pub fn search() -> PrunedSearch {
-    with_rate(DEFAULT_SAMPLE_RATE)
-}
-
-/// Builds UDT-ES with an explicit end-point sampling rate in `(0, 1]`.
-pub fn with_rate(rate: f64) -> PrunedSearch {
-    PrunedSearch::new(BoundingMode::Global, Some(rate), false, "UDT-ES")
+    PrunedSearch::new(
+        BoundingMode::Global,
+        Some(DEFAULT_SAMPLE_RATE),
+        false,
+        "UDT-ES",
+    )
 }
 
 #[cfg(test)]
@@ -97,7 +97,7 @@ mod tests {
         let ev = AttributeEvents::build(&tuples, 0, 2).unwrap();
         let mut full_stats = SearchStats::default();
         let mut gp_stats = SearchStats::default();
-        let full = with_rate(1.0)
+        let full = PrunedSearch::new(BoundingMode::Global, Some(1.0), false, "UDT-ES")
             .find_best(&[(0, ev.clone())], Measure::Entropy, &mut full_stats)
             .unwrap();
         let g = gp::search()
@@ -114,6 +114,5 @@ mod tests {
     fn es_configuration() {
         assert_eq!(search().name(), "UDT-ES");
         assert_eq!(search().sample_rate(), Some(DEFAULT_SAMPLE_RATE));
-        assert_eq!(with_rate(0.25).sample_rate(), Some(0.25));
     }
 }

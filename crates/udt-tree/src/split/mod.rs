@@ -50,13 +50,11 @@ where
     (0..n).map(f).collect()
 }
 
-use serde::{Deserialize, Serialize};
-
 use crate::events::AttributeEvents;
 use crate::measure::Measure;
 
 /// The best split found for a node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SplitChoice {
     /// Index of the attribute to test.
     pub attribute: usize,
@@ -98,7 +96,7 @@ pub(crate) fn merge_best(best: &mut Option<SplitChoice>, candidate: SplitChoice)
 
 /// Instrumentation counters for one tree construction (the quantities
 /// reported in the paper's Figs. 6 and 7).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SearchStats {
     /// Dispersion evaluations at candidate split points.
     pub entropy_calculations: u64,

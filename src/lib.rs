@@ -11,7 +11,7 @@
 //! * [`udt_tree`] — the decision-tree builder and the UDT split-search
 //!   family (including the columnar split engine);
 //! * [`udt_serve`] — the serving subsystem (hot-swap model registry,
-//!   micro-batching scheduler, NDJSON-over-TCP server/client);
+//!   classification gate, NDJSON-over-TCP server/client);
 //! * [`udt_eval`] — the paper's experiments (tables and figures).
 
 pub use udt_data;
